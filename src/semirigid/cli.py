@@ -111,13 +111,11 @@ def _resolve_seed(args) -> int:
 
 
 def _search_config(args, seed: int) -> SearchConfig:
-    return SearchConfig(
-        restarts=getattr(args, "restarts", None) or 64,
-        max_iterations=getattr(args, "max_iterations", None) or 200,
-        seed=seed,
-        tol_plucker=getattr(args, "tol_plucker", None) or 1e-18,
-        tol_rank=getattr(args, "tol_rank", None) or 1e-8,
-    )
+    """Search settings from the flags given; unset ones keep SearchConfig's defaults,
+    and explicit ones pass through unchanged for SearchConfig to validate."""
+    given = {name: getattr(args, name, None)
+             for name in ("restarts", "max_iterations", "tol_plucker", "tol_rank")}
+    return SearchConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(report: dict, started: float) -> int:
@@ -246,8 +244,7 @@ def _cmd_construct(args, started):
 def _cmd_sample(args, started):
     pairing, digest = _load_pairing(args.pairing)
     seed = _resolve_seed(args)
-    cfg = SearchConfig(restarts=args.starts, max_iterations=200, seed=seed)
-    out = mu_zero_sampler(pairing, args.n, cfg)
+    out = mu_zero_sampler(pairing, args.n, _search_config(args, seed))
     report = {
         "tool_version": __version__,
         "input_digest": digest,
@@ -406,7 +403,7 @@ def build_parser() -> _Parser:
     sp = ssub.add_parser("mu-zero")
     sp.add_argument("--pairing", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--starts", type=int, default=64)
+    sp.add_argument("--starts", dest="restarts", type=int, default=None)
     add_seed(sp)
     sp.set_defaults(func=_cmd_sample)
 

@@ -106,23 +106,54 @@ def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
         raise NotCommutingError("tuple is not pairwise commuting within tolerance")
 
 
+def _pairing_tensor(p: SkewPairing) -> np.ndarray:
+    """Complex antisymmetric tensor C[k, i, j]: k-th W-coordinate of e_i wedge e_j."""
+    d = p.dim_v
+    rows = np.array(p.entries, dtype=complex).reshape(len(p.entries), p.dim_w).T
+    i, j = np.triu_indices(d, 1)
+    c = np.zeros((p.dim_w, d, d), dtype=complex)
+    c[:, i, j] = rows
+    c[:, j, i] = -rows
+    return c
+
+
+def _mu_kernel(c: np.ndarray, a: np.ndarray):
+    """Float mu of a tuple stacked as a (d, n, n) array, with its partial sums.
+
+    Returns mu, with mu_k = sum_ij C[k,i,j] A_i A_j, and S, with
+    S_kb = sum_i C[k,i,b] A_i, so that mu_k = sum_b S_kb A_b and the
+    derivative of mu_k along A_b is V -> S_kb V - V S_kb.
+    """
+    s = np.einsum('kib,inm->kbnm', c, a)
+    return np.einsum('kbnm,bml->knl', s, a), s
+
+
+def _mu_jacobian(s: np.ndarray) -> np.ndarray:
+    """Jacobian of the row-major flattened mu in the flattened tuple: block
+    (k, b) is S_kb (x) I - I (x) S_kb^T."""
+    m, d, n, _ = s.shape
+    eye = np.eye(n)
+    jac = (np.einsum('kbpr,qs->kpqbrs', s, eye)
+           - np.einsum('pr,kbsq->kpqbrs', eye, s))
+    return jac.reshape(m * n * n, d * n * n)
+
+
 def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     """Pairing-contracted commutators: one matrix per basis vector of W."""
     if alpha.d != p.dim_v:
         raise ValueError("tuple length does not match pairing dimension")
-    exact = alpha.is_rational() and p.is_rational()
-    if not exact and alpha.is_rational():
-        alpha = alpha.to_float()
+    if not (alpha.is_rational() and p.is_rational()):
+        a = np.array(alpha.matrices, dtype=complex)
+        return tuple(_mu_kernel(_pairing_tensor(p), a)[0])
     mats = alpha.matrices
-    mode = ScalarMode.exact() if exact else ScalarMode.floating()
-    out = [zeros((alpha.n, alpha.n), mode) for _ in range(p.dim_w)]
+    out = [zeros((alpha.n, alpha.n), ScalarMode.exact()) for _ in range(p.dim_w)]
     for (i, j), row in zip(pair_list(alpha.d), p.entries):
         comm = None
         for k, c in enumerate(row):
             if c != 0:
                 if comm is None:
                     comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                out[k] = out[k] + (c if exact else complex(c)) * comm
+                out[k] = out[k] + c * comm
     return tuple(out)
 
 

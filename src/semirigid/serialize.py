@@ -33,13 +33,18 @@ def scalar_from_json(v, kind: str):
         if isinstance(v, str):
             if "/" in v:
                 num, den = v.split("/", 1)
+                if int(den) == 0:
+                    raise ValueError(f"rational scalar has a zero denominator: {v!r}")
                 return Fraction(int(num), int(den))
             return Fraction(int(v))
         if isinstance(v, int):
             return Fraction(v)
         raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {v!r}")
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            return complex(float(v[0]), float(v[1]))
+        except TypeError as exc:
+            raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
     if isinstance(v, (int, float)):
         return complex(v)
     raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
@@ -77,13 +82,19 @@ def pairing_from_json(obj: dict):
     if kind not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown scalar kind {kind!r}")
     values = {}
-    for entry in obj.get("entries", []):
-        i, j = int(entry["i"]), int(entry["j"])
+    entries = obj.get("entries", [])
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError("pairing entries must be a list of objects")
+    for entry in entries:
+        try:
+            i, j = int(entry["i"]), int(entry["j"])
+        except TypeError as exc:
+            raise ValueError(f"pairing entry indices must be integers, got {entry!r}") from exc
         if not 0 <= i < j < d:
             raise ValueError(f"pairing entries require 0 <= i < j < dim_v, got ({i}, {j})")
         vec = entry["values"]
-        if len(vec) != m:
-            raise ValueError("entry values length does not match dim_w")
+        if not (isinstance(vec, list) and len(vec) == m):
+            raise ValueError(f"entry values must be a list of dim_w = {m} scalars, got {vec!r}")
         values[(i, j)] = tuple(scalar_from_json(x, kind) for x in vec)
     pairing = SkewPairing.from_map(d, m, values)
     filtered = None

@@ -20,6 +20,9 @@ import numpy as np
 
 from .commuting import (
     MatrixTuple,
+    _mu_jacobian,
+    _mu_kernel,
+    _pairing_tensor,
     chi,
     chi_norm,
     frobenius,
@@ -40,7 +43,6 @@ from .exterior import (
     dimension_criterion,
     kernel,
     pair_index,
-    pair_list,
     quad_list,
 )
 from .scalars import PreconditionError, ScalarMode, to_float, zeros
@@ -442,47 +444,6 @@ class SamplerResult:
     converged: int
 
 
-def _mu_system(pmat: np.ndarray, n: int, d: int):
-    """Return F(z) and J(z) callables for the stacked quadratic system."""
-    m = pmat.shape[0]
-    eye = np.eye(n)
-
-    def unpack(z):
-        return z.reshape(d, n, n)
-
-    def f(z):
-        mats = unpack(z)
-        out = np.zeros((m, n, n), dtype=complex)
-        for idx, (i, j) in enumerate(pair_list(d)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            for k in range(m):
-                c = pmat[k, idx]
-                if c != 0:
-                    out[k] += c * comm
-        return out.reshape(-1)
-
-    def jac(z):
-        mats = unpack(z)
-        out = np.zeros((m * n * n, d * n * n), dtype=complex)
-        for b in range(d):
-            for k in range(m):
-                s = np.zeros((n, n), dtype=complex)
-                for i in range(d):
-                    if i == b:
-                        continue
-                    if i < b:
-                        c = pmat[k, pair_index(i, b, d)]
-                    else:
-                        c = -pmat[k, pair_index(b, i, d)]
-                    if c != 0:
-                        s += c * mats[i]
-                block = np.kron(s, eye) - np.kron(eye, s.T)
-                out[k * n * n:(k + 1) * n * n, b * n * n:(b + 1) * n * n] = block
-        return out
-
-    return f, jac
-
-
 def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
                     mode: ScalarMode | None = None) -> SamplerResult:
     """Newton samples of the quadratic cone, labeled commuting/non-commuting.
@@ -494,21 +455,20 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
     quadratic scaling of the system.  Non-converged starts are dropped and
     counted.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if mode is None or mode.is_exact:
         mode = ScalarMode.floating()
     d = p.dim_v
-    pm = p.matrix()
-    pmat = pm if pm.dtype != object else to_float(pm)
-    pmat = np.asarray(pmat, dtype=complex)
-    f, jac = _mu_system(pmat, n, d)
+    c = _pairing_tensor(p)
 
     starts = []
-    k = kernel(p, ScalarMode.floating())
-    for b in k.basis:
+    # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway
+    basis = kernel(p, ScalarMode.floating()).basis if n >= 2 else ()
+    for b in basis:
         if bivector_rank(b, ScalarMode.floating()) == 2:
             seed_tuple = witness_to_tuple(b, n, ScalarMode.floating())
-            z0 = np.concatenate([np.asarray(m, complex).reshape(-1)
-                                 for m in seed_tuple.matrices])
+            z0 = np.array(seed_tuple.matrices, dtype=complex).reshape(-1)
             norm = np.linalg.norm(z0)
             if norm > 0:
                 starts.append(z0 / norm)
@@ -523,27 +483,27 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
     samples = []
     converged = 0
     for z in starts:
-        z = z.copy()
+        a = z.reshape(d, n, n)
         ok = False
         for _ in range(cfg.max_iterations):
-            res = f(z)
-            mats = z.reshape(d, n, n)
-            scale = max(np.linalg.norm(m) for m in mats)
+            mus, s = _mu_kernel(c, a)
+            res = mus.reshape(-1)
+            scale = np.linalg.norm(a, axis=(1, 2)).max()
             bound = mode.tol_residual * max(scale ** 2, 1e-300)
-            if np.linalg.norm(res) <= bound or res.size == 0:
+            mures = float(np.linalg.norm(res))
+            if mures <= bound or res.size == 0:
                 ok = True
                 break
-            step, *_ = np.linalg.lstsq(jac(z), -res, rcond=None)
+            step, *_ = np.linalg.lstsq(_mu_jacobian(s), -res, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
-            z = z + step
+            a = a + step.reshape(d, n, n)
         if not ok:
             continue
         converged += 1
-        alpha = MatrixTuple(n, d, tuple(z.reshape(d, n, n).copy()))
+        alpha = MatrixTuple(n, d, tuple(a.copy()))
         scale = tuple_scale(alpha)
         chires = chi_norm(alpha)
-        mures = float(np.linalg.norm(f(z)))
         commuting = scale == 0 or chires <= mode.tol_residual * scale ** 2
         samples.append(MuZeroSample(alpha, commuting, mures, chires))
     return SamplerResult(tuple(samples), len(starts), converged)

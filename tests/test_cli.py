@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semirigid.catalog import catalog_build, catalog_names
-from semirigid.cli import main
+from semirigid.cli import _search_config, build_parser, main
 from semirigid.commuting import MatrixTuple
 from semirigid.exterior import Bivector, FilteredPairing, SkewPairing
 from semirigid.scalars import ScalarMode, exact_matrix
@@ -277,6 +277,39 @@ class TestCliConstructAndSample:
         assert payload["attempted"] == 6
         assert all(pt["commuting"] for pt in payload["points"])
 
+    @pytest.mark.parametrize("entry", ["identity:3", "curve:3"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_sample_nonpositive_n_exit_2(self, capsys, entry, n):
+        code, out, err = run_cli(capsys, "sample", "mu-zero", "--pairing", f"catalog:{entry}",
+                                 "--n", n, "--starts", "2", "--seed", "1")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["message"] == "need n >= 1"
+
+    @pytest.mark.parametrize("entry", ["identity:3", "curve:3"])
+    def test_sample_n1_commuting(self, capsys, entry):
+        # 1 x 1 matrices always commute, so every start is a commuting sample
+        code, out, _ = run_cli(capsys, "sample", "mu-zero", "--pairing", f"catalog:{entry}",
+                               "--n", "1", "--starts", "3", "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)["samples"]
+        assert payload["attempted"] == payload["converged"] == 3
+        assert all(pt["commuting"] for pt in payload["points"])
+
+    @pytest.mark.parametrize("entry, n, commuting", [("identity:4", "3", True),
+                                                     ("curve:3", "4", False)])
+    def test_sample_deterministic_with_labels(self, capsys, entry, n, commuting):
+        argv = ("sample", "mu-zero", "--pairing", f"catalog:{entry}", "--n", n,
+                "--starts", "8", "--seed", "7")
+        code, first, _ = run_cli(capsys, *argv)
+        code2, second, _ = run_cli(capsys, *argv)
+        assert code == code2 == 0
+        assert first == second
+        payload = json.loads(first)["samples"]
+        assert payload["attempted"] == payload["converged"] == 8
+        assert [pt["commuting"] for pt in payload["points"]] == [commuting] * 8
+
 
 class TestCliVerifyAndMisc:
     def test_verify_chevalley(self, capsys):
@@ -321,3 +354,67 @@ class TestCliVerifyAndMisc:
         assert code == 0
         assert "timing_ms" not in out
         assert "timing_ms" in err
+
+
+class TestCliMalformedInput:
+    @pytest.mark.parametrize("entries", [
+        [{"i": 0, "j": 1, "values": 5}],
+        [5],
+        [[0, 1, ["1"]]],
+        5,
+        [{"i": [0], "j": 1, "values": ["1"]}],
+        [{"i": None, "j": 1, "values": ["1"]}],
+        [{"i": 0, "j": 1, "values": ["1/0"]}],
+    ])
+    def test_malformed_rational_pairing_exit_2(self, capsys, tmp_path, entries):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "rational",
+                                    "entries": entries}))
+        code, out, err = run_cli(capsys, "analyze", "--pairing", str(path))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    def test_complex_scalar_with_non_numeric_part_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                                    "entries": [{"i": 0, "j": 1, "values": [[{}, 1]]}]}))
+        code, _, err = run_cli(capsys, "analyze", "--pairing", str(path))
+        assert code == 2
+        assert json.loads(err.splitlines()[0])["error"]["type"] == "ValueError"
+
+
+class TestCliSearchDefaults:
+    def test_unset_flags_take_search_config_defaults(self):
+        for argv in (["analyze", "--pairing", "x"],
+                     ["construct", "stable", "--pairing", "x", "--auto", "--n", "2"],
+                     ["sample", "mu-zero", "--pairing", "x", "--n", "2"]):
+            args = build_parser().parse_args(argv)
+            assert _search_config(args, 5) == SearchConfig(seed=5)
+
+    def test_explicit_flags_pass_through(self):
+        args = build_parser().parse_args(
+            ["analyze", "--pairing", "x", "--restarts", "3", "--max-iterations", "7",
+             "--tol-plucker", "1e-12", "--tol-rank", "1e-6"])
+        assert _search_config(args, 2) == SearchConfig(
+            restarts=3, max_iterations=7, seed=2, tol_plucker=1e-12, tol_rank=1e-6)
+        args = build_parser().parse_args(
+            ["sample", "mu-zero", "--pairing", "x", "--n", "2", "--starts", "5"])
+        assert _search_config(args, 0) == SearchConfig(restarts=5)
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--restarts", "0"),
+        ("analyze", "--max-iterations", "0"),
+        ("analyze", "--tol-rank", "0"),
+        ("analyze", "--tol-plucker", "0"),
+        ("analyze", "--restarts", "-2"),
+        ("construct", "stable", "--auto", "--n", "2", "--restarts", "0"),
+        ("sample", "mu-zero", "--n", "2", "--starts", "0"),
+    ])
+    def test_zero_or_negative_settings_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--pairing", "catalog:curve:2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"

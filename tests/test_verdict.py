@@ -5,6 +5,9 @@ import pytest
 
 from semirigid.commuting import (
     MatrixTuple,
+    _mu_jacobian,
+    _mu_kernel,
+    _pairing_tensor,
     chi,
     mu,
     mu_norm,
@@ -19,6 +22,7 @@ from semirigid.exterior import (
     apply,
     bivector_rank,
     kernel,
+    pair_list,
 )
 from semirigid.scalars import ScalarMode, exact_matrix
 from semirigid.verdict import (
@@ -297,6 +301,70 @@ class TestMuZeroSampler:
         for s in out.samples:
             scale = tuple_scale(s.alpha)
             assert mu_norm(s.alpha, p) <= 1e-8 * max(scale ** 2, 1e-300)
+
+
+def sparse_complex_pairing(rng, d, m):
+    rows = []
+    for _ in pair_list(d):
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        rows.append(tuple(complex(v) if rng.random() < 0.5 else 0 for v in vals))
+    return SkewPairing(d, m, tuple(rows))
+
+
+def commutator_loop_mu(p, mats):
+    """Reference mu: one commutator per pair, weighted into each W-coordinate."""
+    n = mats[0].shape[0]
+    out = [np.zeros((n, n), dtype=complex) for _ in range(p.dim_w)]
+    for (i, j), row in zip(pair_list(p.dim_v), p.entries):
+        comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+        for k, c in enumerate(row):
+            out[k] += complex(c) * comm
+    return out
+
+
+class TestMuKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_residual_and_jacobian(self, d, m, n):
+        rng = np.random.default_rng((d, m, n))
+        p = sparse_complex_pairing(rng, d, m)
+        c = _pairing_tensor(p)
+        assert c.shape == (m, d, d)
+        assert np.array_equal(c, -c.transpose(0, 2, 1))
+        z = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        mus, s = _mu_kernel(c, z)
+        expected = commutator_loop_mu(p, list(z))
+        assert mus.shape == (m, n, n)
+        for k in range(m):
+            assert np.allclose(mus[k], expected[k], rtol=0, atol=1e-12)
+
+        # F is homogeneous quadratic, so the central difference is exact up to rounding
+        def f(a):
+            return _mu_kernel(c, a)[0].reshape(-1)
+
+        jac = _mu_jacobian(s)
+        assert jac.shape == (m * n * n, d * n * n)
+        central = (f(z + v) - f(z - v)) / 2
+        assert np.allclose(jac @ v.reshape(-1), central, rtol=0, atol=1e-12)
+
+    def test_float_mu_matches_exact_on_rational_pairing(self):
+        rng = np.random.default_rng(17)
+        for d, m, n in ((2, 1, 2), (3, 2, 3), (4, 3, 2), (5, 4, 3)):
+            entries = tuple(tuple(Fraction(int(x), int(y)) for x, y in
+                                  zip(rng.integers(-4, 5, size=m), rng.integers(1, 4, size=m)))
+                            for _ in pair_list(d))
+            p = SkewPairing(d, m, entries)
+            alpha = MatrixTuple.from_matrices(
+                [exact_matrix(rng.integers(-3, 4, size=(n, n)).tolist()) for _ in range(d)])
+            exact = mu(alpha, p)
+            assert all(x.dtype == object for x in exact)
+            floated = mu(alpha.to_float(), p)
+            assert len(floated) == len(exact) == m
+            for e, f in zip(exact, floated):
+                assert f.dtype == complex
+                assert np.allclose(f, np.array(e, dtype=complex), rtol=0, atol=1e-12)
 
 
 class TestSplitComponentDimension:
