@@ -35,58 +35,57 @@ def _standard_symplectic(d: int) -> SkewPairing:
     return SkewPairing.from_map(d, 1, {(2 * k, 2 * k + 1): (1,) for k in range(d // 2)})
 
 
-def _build_symplectic_surface(d: int) -> CatalogEntry:
+# Each builder returns (pairing, expected status); catalog_build adds the notes.
+
+
+def _build_symplectic_surface(d: int):
     if d < 2 or d % 2:
         raise ValueError("symplectic-surface requires an even dimension >= 2")
-    pairing = _standard_symplectic(d)
-    expected = SEMI_RIGID if d == 2 else NOT_SEMI_RIGID
-    return CatalogEntry(
-        "symplectic-surface", (d,), pairing, expected,
-        "nondegenerate skew form into a line; injective only in dimension 2")
+    return _standard_symplectic(d), SEMI_RIGID if d == 2 else NOT_SEMI_RIGID
 
 
-def _build_torus(g: int) -> CatalogEntry:
+def _build_torus(g: int):
     if g < 1:
         raise ValueError("torus requires genus >= 1")
-    return CatalogEntry(
-        "torus", (g,), SkewPairing.identity(2 * g), SEMI_RIGID,
-        "identity pairing on the full bivector space of a rank-2g lattice")
+    return SkewPairing.identity(2 * g), SEMI_RIGID
 
 
-def _build_curve(g: int) -> CatalogEntry:
+def _build_curve(g: int):
     if g < 1:
         raise ValueError("curve requires genus >= 1")
-    pairing = _standard_symplectic(2 * g)
-    expected = SEMI_RIGID if g == 1 else NOT_SEMI_RIGID
-    return CatalogEntry(
-        "curve", (g,), pairing, expected,
-        "genus-g intersection form into a line; decomposable kernel elements "
-        "appear exactly when g >= 2")
+    return _standard_symplectic(2 * g), SEMI_RIGID if g == 1 else NOT_SEMI_RIGID
 
 
-def _build_zero(d: int, m: int) -> CatalogEntry:
+def _build_zero(d: int, m: int):
     if d < 1 or m < 0:
         raise ValueError("zero requires d >= 1 and m >= 0")
-    expected = NOT_SEMI_RIGID if d >= 2 else SEMI_RIGID
-    return CatalogEntry(
-        "zero", (d, m), SkewPairing.zero(d, m), expected,
-        "identically-zero pairing; the kernel is the whole bivector space")
+    return SkewPairing.zero(d, m), NOT_SEMI_RIGID if d >= 2 else SEMI_RIGID
 
 
-def _build_identity(d: int) -> CatalogEntry:
+def _build_identity(d: int):
     if d < 1:
         raise ValueError("identity requires d >= 1")
-    return CatalogEntry(
-        "identity", (d,), SkewPairing.identity(d), SEMI_RIGID,
-        "identity pairing on the full bivector space")
+    return SkewPairing.identity(d), SEMI_RIGID
 
 
+# name -> (builder, parameter signature, arity, notes)
 _BUILDERS = {
-    "symplectic-surface": (_build_symplectic_surface, "d", 1),
-    "torus": (_build_torus, "g", 1),
-    "curve": (_build_curve, "g", 1),
-    "zero": (_build_zero, "d m", 2),
-    "identity": (_build_identity, "d", 1),
+    "symplectic-surface": (
+        _build_symplectic_surface, "d", 1,
+        "nondegenerate skew form into a line; injective only in dimension 2"),
+    "torus": (
+        _build_torus, "g", 1,
+        "identity pairing on the full bivector space of a rank-2g lattice"),
+    "curve": (
+        _build_curve, "g", 1,
+        "genus-g intersection form into a line; decomposable kernel elements "
+        "appear exactly when g >= 2"),
+    "zero": (
+        _build_zero, "d m", 2,
+        "identically-zero pairing; the kernel is the whole bivector space"),
+    "identity": (
+        _build_identity, "d", 1,
+        "identity pairing on the full bivector space"),
 }
 
 
@@ -98,19 +97,17 @@ def catalog_signature(name: str) -> str:
     return _BUILDERS[name][1]
 
 
+def catalog_notes(name: str) -> str:
+    return _BUILDERS[name][3]
+
+
 def catalog_build(name: str, params) -> CatalogEntry:
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog entry {name!r}; "
                          f"known: {', '.join(catalog_names())}")
-    builder, _, arity = _BUILDERS[name]
+    builder, _, arity, notes = _BUILDERS[name]
     params = tuple(int(x) for x in params)
     if len(params) != arity:
         raise ValueError(f"catalog entry {name!r} takes {arity} integer parameter(s)")
-    return builder(*params)
-
-
-def catalog_notes(name: str) -> str:
-    entry = _BUILDERS[name]
-    sample = {"symplectic-surface": (2,), "torus": (1,), "curve": (1,),
-              "zero": (2, 1), "identity": (2,)}[name]
-    return entry[0](*sample).notes
+    pairing, expected = builder(*params)
+    return CatalogEntry(name, params, pairing, expected, notes)

@@ -169,17 +169,9 @@ def _cmd_kernel(args, started):
     return _emit(report, started)
 
 
-def _tuple_mode(alpha: MatrixTuple, requested):
-    if requested == "rational" and not alpha.is_rational():
-        raise _CliInputError("cannot analyze complex data in rational mode")
-    if requested is None:
-        requested = "rational" if alpha.is_rational() else "complex"
-    return ScalarMode.exact() if requested == "rational" else ScalarMode.floating()
-
-
 def _cmd_commuting(args, started):
     alpha, digest = _load_tuple(args.tuple)
-    mode = _tuple_mode(alpha, args.mode)
+    mode = resolve_mode(alpha, args.mode)
     seed = _resolve_seed(args)
     if args.commuting_cmd == "spectrum":
         spectrum = joint_spectrum(alpha, mode)

@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .exterior import Bivector, SkewPairing, pair_list
 from .scalars import (
+    Echelon,
     IrrationalSpectrumError,
     PreconditionError,
     ScalarMode,
@@ -27,6 +28,7 @@ from .scalars import (
     is_exact_array,
     nullspace,
     rank,
+    solve,
     to_float,
     zeros,
 )
@@ -195,32 +197,9 @@ def _check_regime(alpha: MatrixTuple, mode: ScalarMode) -> MatrixTuple:
     return alpha.to_float() if alpha.is_rational() else alpha
 
 
-def _inverse_exact(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    aug = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        out[i, :] = aug[i][n:]
-    return out
-
-
 def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
     if mode.is_exact:
-        return _inverse_exact(q)
+        return solve(q, identity(q.shape[0], mode))
     return np.linalg.inv(q)
 
 
@@ -255,8 +234,7 @@ def _group_eigenvalues(vals, mode: ScalarMode):
 def _restriction(a: np.ndarray, s: np.ndarray, mode: ScalarMode) -> np.ndarray:
     """Matrix of a on the invariant subspace spanned by the columns of s."""
     if mode.is_exact:
-        g = _inverse_exact(s.T @ s)
-        return g @ (s.T @ (a @ s))
+        return solve(s, a @ s)
     m, *_ = np.linalg.lstsq(s, a @ s, rcond=None)
     return m
 
@@ -529,22 +507,11 @@ class _SpanBuilder:
     def __init__(self, mode: ScalarMode):
         self.mode = mode
         self.rows = []
-        self.pivots = []
+        self.echelon = Echelon() if mode.is_exact else None
 
     def add(self, v: np.ndarray) -> bool:
-        if self.mode.is_exact:
-            w = [Fraction(x) for x in v]
-            for row, piv in zip(self.rows, self.pivots):
-                if w[piv] != 0:
-                    f = w[piv]
-                    w = [a - f * b for a, b in zip(w, row)]
-            piv = next((i for i, x in enumerate(w) if x != 0), None)
-            if piv is None:
-                return False
-            inv = 1 / w[piv]
-            self.rows.append([x * inv for x in w])
-            self.pivots.append(piv)
-            return True
+        if self.echelon is not None:
+            return self.echelon.add(v)
         w = np.asarray(v, dtype=complex)
         orig = np.linalg.norm(w)
         if orig == 0:
@@ -562,7 +529,7 @@ class _SpanBuilder:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
 def rep_analysis(alpha: MatrixTuple, mode: ScalarMode) -> RepAnalysis:

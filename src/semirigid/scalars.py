@@ -119,66 +119,78 @@ def is_exact_array(a: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# exact elimination
+
+
+class Echelon:
+    """Incremental fraction-free Gauss-Jordan elimination over Q.
+
+    Each row has its denominators cleared on the way in (row scaling keeps the
+    row space).  The stored rows are the integer matrix ``det * RREF``: each
+    holds ``det`` at its own pivot and 0 at every other pivot, where ``det`` is
+    the pivot minor of the rows taken so far.  Every update divides exactly by
+    the previous ``det`` (Bareiss, Math. Comp. 1968), so entries stay minors
+    of the input.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+        self.det = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row) -> bool:
+        """Add a row of Fraction/int entries; return whether the span grew."""
+        den = math.lcm(*(x.denominator for x in row))
+        v = [int(x.numerator) * (den // x.denominator) for x in row]
+        det = self.det
+        w = [det * x for x in v]
+        for r, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                w = [x - c * y for x, y in zip(w, r)]
+        q = next((j for j, x in enumerate(w) if x), None)
+        if q is None:
+            return False
+        new = w[q]
+        self.rows = [[(new * x - r[q] * y) // det for x, y in zip(r, w)] for r in self.rows]
+        self.rows.append(w)
+        self.pivots.append(q)
+        self.det = new
+        return True
+
+    def rref(self):
+        """Reduced row echelon form as Fraction rows, and its sorted pivot columns."""
+        order = sorted(range(self.rank), key=self.pivots.__getitem__)
+        return ([[Fraction(x, self.det) for x in self.rows[i]] for i in order],
+                [self.pivots[i] for i in order])
+
+
+def _echelon(a: np.ndarray) -> Echelon:
+    """Echelon of the rows of a rational matrix."""
+    ech = Echelon()
+    for row in (a if a.dtype == object else exact_matrix(a)):
+        ech.add(row)
+    return ech
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact X with a @ X == b, for a rational a of full column rank.
+
+    Raises ValueError when a is rank deficient or the system is inconsistent.
+    """
+    k = a.shape[1]
+    m, pivots = _echelon(np.concatenate([a, b], axis=1)).rref()
+    if pivots != list(range(k)):
+        raise ValueError("linear system has no unique exact solution")
+    return np.array([row[k:] for row in m], dtype=object)
+
+
+# ---------------------------------------------------------------------------
 # rank / nullspace
-
-
-def _clear_denominators(a: np.ndarray) -> list[list[int]]:
-    # Row scaling preserves rank and nullspace.
-    out = []
-    for row in a:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
-def _rank_exact(a: np.ndarray) -> int:
-    # Fraction-free (Bareiss) elimination on the denominator-cleared matrix.
-    m = _clear_denominators(exact_matrix(a) if a.dtype != object else a)
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _rref_exact(a: np.ndarray):
-    """Reduced row echelon form over Q; returns (rows, pivot column list)."""
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
 
 
 def rank(a: np.ndarray, mode: ScalarMode) -> int:
@@ -187,7 +199,7 @@ def rank(a: np.ndarray, mode: ScalarMode) -> int:
     if a.size == 0:
         return 0
     if mode.is_exact:
-        return _rank_exact(a)
+        return _echelon(a).rank
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -201,7 +213,7 @@ def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
     if nrows == 0 or ncols == 0:
         return [identity(ncols, mode)[:, j] for j in range(ncols)] if ncols else []
     if mode.is_exact:
-        m, pivots = _rref_exact(a)
+        m, pivots = _echelon(a).rref()
         free = [c for c in range(ncols) if c not in pivots]
         basis = []
         for fc in free:

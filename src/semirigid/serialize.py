@@ -13,11 +13,8 @@ import numpy as np
 
 from .commuting import MatrixTuple
 from .exterior import Bivector, FilteredPairing, SkewPairing, pair_list
-from .scalars import ScalarMode, as_fraction
+from .scalars import COMPLEX, RATIONAL, ScalarMode, as_fraction
 from .verdict import Evidence, Verdict
-
-RATIONAL = "rational"
-COMPLEX = "complex"
 
 
 def scalar_to_json(x, kind: str):
@@ -50,8 +47,8 @@ def scalar_from_json(v, kind: str):
     raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
 
 
-def infer_kind(p: SkewPairing) -> str:
-    return RATIONAL if p.is_rational() else COMPLEX
+def infer_kind(data: SkewPairing | MatrixTuple) -> str:
+    return RATIONAL if data.is_rational() else COMPLEX
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +103,10 @@ def pairing_from_json(obj: dict):
     return pairing, filtered
 
 
-def resolve_mode(p: SkewPairing, requested: str | None) -> ScalarMode:
-    """Default to the pairing's own regime; converting to float is explicit,
-    reading float data as rational is refused."""
-    native = infer_kind(p)
+def resolve_mode(data: SkewPairing | MatrixTuple, requested: str | None) -> ScalarMode:
+    """Default to the pairing's or tuple's own regime; converting to float is
+    explicit, reading float data as rational is refused."""
+    native = infer_kind(data)
     if requested is None:
         requested = native
     if requested == RATIONAL and native == COMPLEX:
@@ -124,7 +121,7 @@ def resolve_mode(p: SkewPairing, requested: str | None) -> ScalarMode:
 
 
 def tuple_to_json(alpha: MatrixTuple) -> dict:
-    kind = RATIONAL if alpha.is_rational() else COMPLEX
+    kind = infer_kind(alpha)
     mats = [[[scalar_to_json(m[i, j], kind) for j in range(alpha.n)]
              for i in range(alpha.n)] for m in alpha.matrices]
     return {"n": alpha.n, "d": alpha.d, "scalar": kind, "matrices": mats}
@@ -140,12 +137,15 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
         raise ValueError(f"tuple object missing field: {exc}") from exc
     if kind not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown scalar kind {kind!r}")
-    if len(mats) != d:
-        raise ValueError("matrix count does not match d")
+    if d < 1:
+        raise ValueError("tuple needs at least one matrix")
+    if not isinstance(mats, list) or len(mats) != d:
+        raise ValueError("matrices must be a list of d matrices")
     out = []
     for m in mats:
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError("matrices must be n x n")
+        if not (isinstance(m, list) and len(m) == n
+                and all(isinstance(row, list) and len(row) == n for row in m)):
+            raise ValueError("matrices must be n x n lists of scalars")
         if kind == RATIONAL:
             a = np.empty((n, n), dtype=object)
             for i in range(n):
@@ -177,9 +177,14 @@ def bivector_from_json(obj: dict) -> Bivector:
         coeffs = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bivector object missing field: {exc}") from exc
+    if not (isinstance(coeffs, list) and all(isinstance(c, dict) for c in coeffs)):
+        raise ValueError("bivector coeffs must be a list of objects")
     values = {}
     for c in coeffs:
-        i, j = int(c["i"]), int(c["j"])
+        try:
+            i, j = int(c["i"]), int(c["j"])
+        except TypeError as exc:
+            raise ValueError(f"bivector coeff indices must be integers, got {c!r}") from exc
         if not 0 <= i < j < d:
             raise ValueError(f"bivector coeffs require 0 <= i < j < dim_v, got ({i}, {j})")
         v = c["value"]

@@ -28,6 +28,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_value_error_exit_2(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
 class TestScalarJson:
     def test_rational_canonical_form(self):
         assert scalar_to_json(Fraction(4, 6), "rational") == "2/3"
@@ -217,6 +224,13 @@ class TestCliCommuting:
         points = json.loads(out)["spectrum"]["points"]
         assert sorted(points) == sorted([["1/1", "3/1"], ["2/1", "4/1"]])
 
+    def test_rational_mode_on_complex_tuple_exit_2(self, capsys, tmp_path):
+        alpha = MatrixTuple.from_matrices([np.diag([1, 2]).astype(complex)])
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(tuple_to_json(alpha)))
+        assert_value_error_exit_2(*run_cli(capsys, "commuting", "spectrum", "--tuple",
+                                           str(path), "--mode", "rational"))
+
     def test_noncommuting_spectrum_exit_3(self, capsys, tmp_path):
         alpha = MatrixTuple.from_matrices(
             [exact_matrix([[0, 1], [0, 0]]), exact_matrix([[0, 0], [1, 0]])])
@@ -334,6 +348,14 @@ class TestCliVerifyAndMisc:
         assert entry["expected_status"] == "not_semi_rigid"
         assert entry["pairing"]["dim_v"] == 4
 
+    def test_catalog_list_notes_match_show(self, capsys):
+        _, out, _ = run_cli(capsys, "catalog", "list")
+        for listed in json.loads(out)["catalog"]:
+            params = ["2"] * len(listed["params"].split())
+            code, out, _ = run_cli(capsys, "catalog", "show", listed["name"], *params)
+            assert code == 0
+            assert json.loads(out)["entry"]["notes"] == listed["notes"]
+
     def test_catalog_pseudo_path_matches_show(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "show", "torus", "1")
         shown = json.loads(out)["entry"]["pairing"]
@@ -383,6 +405,40 @@ class TestCliMalformedInput:
         code, _, err = run_cli(capsys, "analyze", "--pairing", str(path))
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("matrices", [
+        5,
+        [5],
+        [[5, 5]],
+        [[["1", "0"], 5]],
+        [[["1", "0"], ["0"]]],
+    ])
+    def test_malformed_tuple_exit_2(self, capsys, tmp_path, matrices):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "scalar": "rational",
+                                    "matrices": matrices}))
+        assert_value_error_exit_2(*run_cli(capsys, "commuting", "analyze", "--tuple",
+                                           str(path)))
+
+    @pytest.mark.parametrize("cmd", ["spectrum", "invariants", "analyze"])
+    def test_empty_tuple_exit_2(self, capsys, tmp_path, cmd):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 0, "scalar": "rational", "matrices": []}))
+        assert_value_error_exit_2(*run_cli(capsys, "commuting", cmd, "--tuple", str(path)))
+
+    @pytest.mark.parametrize("coeffs", [
+        5,
+        [5],
+        [[0, 1, "1"]],
+        [{"i": [0], "j": 1, "value": "1"}],
+        [{"i": None, "j": 1, "value": "1"}],
+    ])
+    def test_malformed_witness_exit_2(self, capsys, tmp_path, coeffs):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": 4, "coeffs": coeffs}))
+        assert_value_error_exit_2(*run_cli(capsys, "construct", "stable", "--pairing",
+                                           "catalog:curve:2", "--witness", str(path),
+                                           "--n", "2"))
 
 
 class TestCliSearchDefaults:

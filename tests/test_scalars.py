@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from semirigid.scalars import (
+    Echelon,
     IrrationalSpectrumError,
     ScalarMode,
     eigenvalues,
     exact_matrix,
     float_matrix,
+    identity,
     nullspace,
     rank,
+    solve,
     to_float,
 )
 
@@ -120,6 +123,118 @@ class TestNullspace:
             if len(base):
                 stacked = np.array(base + [w[np.argsort(q)] for w in other], dtype=object)
                 assert rank(stacked, EXACT) == len(base)
+
+
+def fraction_matrix(rng, shape, of_rank=None):
+    """Entries p/q with small p and q; a given rank comes from a product of two factors."""
+    if of_rank is not None:
+        return (fraction_matrix(rng, (shape[0], of_rank))
+                @ fraction_matrix(rng, (of_rank, shape[1])))
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        a[idx] = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+    return a
+
+
+def with_zero_row(a, at):
+    z = np.empty((1, a.shape[1]), dtype=object)
+    z[...] = Fraction(0)
+    return np.concatenate([a[:at], z, a[at:]], axis=0)
+
+
+def oracle_inputs():
+    """Tall, wide, rank-deficient and zero-row rational matrices with denominators."""
+    rng = np.random.default_rng(23)
+    out = []
+    for _ in range(4):
+        out += [
+            fraction_matrix(rng, (6, 3)),
+            fraction_matrix(rng, (3, 6)),
+            fraction_matrix(rng, (5, 5), of_rank=2),
+            fraction_matrix(rng, (4, 7), of_rank=3),
+            with_zero_row(fraction_matrix(rng, (4, 5), of_rank=3), 1),
+            with_zero_row(fraction_matrix(rng, (3, 3)), 3),
+        ]
+    out.append(np.empty((0, 4), dtype=object))
+    return out
+
+
+def to_sympy(sympy, a):
+    return sympy.Matrix(a.shape[0], a.shape[1],
+                        [sympy.Rational(x.numerator, x.denominator) for x in a.flat])
+
+
+def from_sympy(m):
+    return [[Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+class TestExactEchelon:
+    def test_rref_and_rank_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for a in oracle_inputs():
+            ech = Echelon()
+            for row in a:
+                ech.add(row)
+            rows, pivots = ech.rref()
+            expected, expected_pivots = to_sympy(sympy, a).rref()
+            assert pivots == list(expected_pivots)
+            assert rows == from_sympy(expected)[:len(pivots)]
+            assert rank(a, EXACT) == len(expected_pivots)
+
+    def test_rows_are_det_times_rref(self):
+        rng = np.random.default_rng(29)
+        a = with_zero_row(fraction_matrix(rng, (5, 6), of_rank=4), 2)
+        ech = Echelon()
+        grew = [ech.add(row) for row in a]
+        assert grew.count(True) == ech.rank == 4
+        for row, p in zip(ech.rows, ech.pivots):
+            assert all(isinstance(x, int) for x in row)
+            assert [row[q] for q in ech.pivots] == [ech.det if q == p else 0
+                                                    for q in ech.pivots]
+
+    def test_nullspace_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for a in oracle_inputs():
+            ours = [list(v) for v in nullspace(a, EXACT)]
+            theirs = [[row[0] for row in from_sympy(v)]
+                      for v in to_sympy(sympy, a).nullspace()]
+            assert ours == theirs
+
+    def test_inverse_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 4, 6):
+            a = fraction_matrix(rng, (n, n))
+            while to_sympy(sympy, a).det() == 0:
+                a = fraction_matrix(rng, (n, n))
+            inv = solve(a, identity(n, EXACT))
+            assert inv.tolist() == from_sympy(to_sympy(sympy, a).inv())
+
+    def test_tall_solve_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(37)
+        for shape in ((6, 3), (5, 5), (4, 2)):
+            a = with_zero_row(fraction_matrix(rng, shape), 1)
+            x = fraction_matrix(rng, (shape[1], 2))
+            b = a @ x
+            got = solve(a, b)
+            assert got.tolist() == from_sympy(to_sympy(sympy, a).solve(to_sympy(sympy, b)))
+            assert got.tolist() == x.tolist()
+
+    def test_solve_rejects_singular_and_inconsistent(self):
+        rng = np.random.default_rng(41)
+        singular = fraction_matrix(rng, (4, 4), of_rank=3)
+        with pytest.raises(ValueError):
+            solve(singular, identity(4, EXACT))
+        wide = fraction_matrix(rng, (2, 4))
+        with pytest.raises(ValueError):
+            solve(wide, fraction_matrix(rng, (2, 1)))
+        tall = fraction_matrix(rng, (5, 2))
+        b = tall @ fraction_matrix(rng, (2, 1))
+        b[0, 0] += 1
+        with pytest.raises(ValueError):
+            solve(tall, b)
 
 
 class TestEigenvalues:
