@@ -53,6 +53,7 @@ from .verdict import (
     MuNonzeroError,
     SearchConfig,
     Verdict,
+    WitnessVerificationError,
     construct_stable_point,
     decide,
     mu_zero_sampler,

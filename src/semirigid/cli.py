@@ -4,8 +4,9 @@ Subcommands analyze pairings, inspect kernels, work with commuting tuples,
 construct stable points, sample the quadratic cone, verify the desk-scale
 quotient consistency, and expose the model catalog.  Reports are JSON on
 stdout; timing goes to stderr so identical inputs with identical seeds give
-byte-identical reports.  Exit codes: 0 success, 1 failed verification suite,
-2 malformed input, 3 violated precondition.
+byte-identical reports.  Exit codes: 0 success, 1 a failed verification (a
+verification suite or the re-check of an emitted witness), 2 malformed input,
+3 violated precondition.
 
 Pairing arguments accept a file path or a pseudo-path ``catalog:NAME:P1[:P2]``
 expanding to the same JSON that ``catalog show`` prints.
@@ -47,6 +48,7 @@ from .serialize import (
 )
 from .verdict import (
     SearchConfig,
+    WitnessVerificationError,
     construct_stable_point,
     decide,
     mu_zero_sampler,
@@ -438,6 +440,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, started)
+    except WitnessVerificationError as exc:
+        sys.stderr.write(_error_json(exc) + "\n")
+        return EXIT_FAILED_CHECK
     except PreconditionError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_PRECONDITION

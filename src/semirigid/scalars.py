@@ -252,70 +252,110 @@ def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def _poly_divmod(num: list, den: list):
+    """Quotient and remainder of polynomials over Q (coefficients low to high).
+
+    ``den`` has a nonzero leading coefficient; the remainder has its zero
+    leading coefficients dropped, so the zero polynomial is ``[]``.
+    """
+    rem = list(num)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + len(den) - 1] / den[-1]
+        for j, x in enumerate(den):
+            rem[i + j] -= c * x
+    rem = rem[: len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_eval_mod(poly: list, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _integer_roots_monic(h: list) -> list[int]:
+    """Integer roots of a square-free monic integer polynomial (p-adic lifting).
+
+    p is the smallest odd prime at which every root of h mod p is simple; one
+    exists because only the primes dividing the (nonzero) discriminant fail.
+    Every integer root of h reduces to one of those roots, and Newton (Hensel)
+    lifting takes each to its unique lift modulo p^(2^k) > 2B, where
+    B = 1 + max|h_i| bounds the roots (Cauchy).  The symmetric residue of
+    each lift is then checked exactly, so the returned list is complete
+    (Loos, SIAM J. Comput. 1983).
+    """
+    dh = [i * c for i, c in enumerate(h)][1:]
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            roots = [r for r in range(p) if _poly_eval_mod(h, r, p) == 0]
+            if all(_poly_eval_mod(dh, r, p) for r in roots):
+                break
+        p += 2
+    bound = 2 * (1 + max((abs(c) for c in h[:-1]), default=0))
+    found = []
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _poly_eval_mod(h, r, m) * pow(_poly_eval_mod(dh, r, m), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if sum(c * r**i for i, c in enumerate(h)) == 0:
+            found.append(r)
+    return found
 
 
 def _rational_roots(coeffs: list[Fraction], degree: int) -> list[Fraction]:
-    """All roots with multiplicity, or raise if the polynomial does not split over Q."""
+    """All roots in ascending order with multiplicity, or raise if the
+    polynomial does not split over Q.
+
+    The distinct roots are those of the square-free part g = f / gcd(f, f').
+    With g cleared to a primitive integer polynomial of leading coefficient a,
+    h(y) = a^(deg g - 1) g(y / a) is monic with integer coefficients and its
+    integer roots are a times the rational roots of g.  Multiplicities come
+    from exact division of f.  Every step is polynomial in the bit size.
+    """
+    f = list(coeffs[: degree + 1])
+    # Euclid over Q: g = gcd(f, f'), then the square-free part f / g
+    df = [i * c for i, c in enumerate(f)][1:]
+    g = f
+    while df:
+        g, df = df, _poly_divmod(g, df)[1]
+    g = _poly_divmod(f, g)[0]
+    den = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * den) for c in g]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    a = ints[-1]
+    h = [c * a ** (len(ints) - 2 - i) for i, c in enumerate(ints[:-1])] + [1]
     roots = []
-    poly = list(coeffs[: degree + 1])
-    while len(poly) > 1:
-        if poly[0] == 0:
-            roots.append(Fraction(0))
-            poly = poly[1:]
-            continue
-        lcm = 1
-        for c in poly:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in poly]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        ints = [c // g for c in ints]
-        found = None
-        for q in _divisors(ints[-1]):
-            for p in _divisors(ints[0]):
-                if math.gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(poly):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+    for x in sorted(Fraction(y, a) for y in _integer_roots_monic(h)):
+        while True:
+            quot, rem = _poly_divmod(f, [-x, Fraction(1)])
+            if rem:
                 break
-        if found is None:
-            raise IrrationalSpectrumError(
-                "characteristic polynomial does not split over the rationals"
-            )
-        roots.append(found)
-        # synthetic division by (x - root)
-        new = [Fraction(0)] * (len(poly) - 1)
-        carry = poly[-1]
-        for i in range(len(poly) - 2, -1, -1):
-            new[i] = carry
-            carry = poly[i] + carry * found
-        poly = new
+            roots.append(x)
+            f = quot
+    if len(f) > 1:
+        raise IrrationalSpectrumError(
+            "characteristic polynomial does not split over the rationals"
+        )
     return roots
 
 
 def eigenvalues(a: np.ndarray, mode: ScalarMode) -> list:
     """Eigenvalues with multiplicity.
 
-    Exact mode requires the characteristic polynomial to split over Q and
-    raises :class:`IrrationalSpectrumError` otherwise.
+    Exact mode returns them in ascending order.  It requires the
+    characteristic polynomial to split over Q and raises
+    :class:`IrrationalSpectrumError` otherwise; that answer is exact.  The
+    roots come from p-adic (Hensel) lifting, so the time is polynomial in the
+    bit size of the entries.  Float mode returns them in LAPACK's order.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:

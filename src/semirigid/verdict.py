@@ -62,6 +62,10 @@ class MuNonzeroError(PreconditionError):
     """An operation requiring a mu-zero tuple received one with nonzero residual."""
 
 
+class WitnessVerificationError(RuntimeError):
+    """An emitted witness or its rank-2 factorization failed its independent re-check."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 64
@@ -124,15 +128,15 @@ def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: Sear
     """Independent re-check of an emitted witness; raises on failure."""
     if omega.is_rational() and mode.is_exact:
         if not all(x == 0 for x in apply(p, omega)):
-            raise RuntimeError("witness is not in the kernel")
+            raise WitnessVerificationError("witness is not in the kernel")
         if bivector_rank(omega, mode) != 2:
-            raise RuntimeError("witness does not have rank 2")
+            raise WitnessVerificationError("witness does not have rank 2")
         return
     check_mode = ScalarMode.floating(tol_rank=cfg.tol_rank)
     if _witness_residual(p, omega) > check_mode.tol_residual:
-        raise RuntimeError("witness is not in the kernel within tolerance")
+        raise WitnessVerificationError("witness is not in the kernel within tolerance")
     if bivector_rank(omega, check_mode) != 2:
-        raise RuntimeError("witness does not have rank 2 within tolerance")
+        raise WitnessVerificationError("witness does not have rank 2 within tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,8 @@ def _rank2_factor_exact(omega: Bivector):
     v = c2
     check = np.outer(u, v) - np.outer(v, u)
     if not np.all(check == m):
-        raise RuntimeError("exact rank-2 factorization failed to reconstruct the bivector")
+        raise WitnessVerificationError(
+            "exact rank-2 factorization failed to reconstruct the bivector")
     return u, v
 
 
@@ -290,7 +295,7 @@ def _rank2_factor_float(omega: Bivector, tol: float):
     v = scale * c[:, 1]
     check = np.outer(u, v) - np.outer(v, u)
     if np.linalg.norm(check - m) > tol * max(1.0, np.linalg.norm(m)):
-        raise RuntimeError("rank-2 factorization failed to reconstruct the bivector")
+        raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
     return u, v
 
 

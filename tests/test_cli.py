@@ -19,7 +19,8 @@ from semirigid.serialize import (
     tuple_from_json,
     tuple_to_json,
 )
-from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, decide
+from semirigid import verdict
+from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, SearchResult, decide
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +194,18 @@ class TestCliAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--pairing", str(path),
                                "--mode", "rational")
         assert code == 2
+
+    def test_witness_failing_recheck_exit_1(self, capsys, monkeypatch):
+        # e0 ^ e1 pairs to 1 under the symplectic form, so it is not in the kernel
+        outside = Bivector.basis_element(6, 0, 1)
+        monkeypatch.setattr(verdict, "witness_search",
+                            lambda k, cfg: SearchResult(outside, 0.0, 1))
+        code, out, err = run_cli(capsys, "analyze", "--pairing",
+                                 "catalog:symplectic-surface:6")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "WitnessVerificationError"
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIRIGID_SEED", "99")

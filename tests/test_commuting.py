@@ -1,6 +1,10 @@
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semirigid.commuting import (
     JointSpectrum,
@@ -21,6 +25,7 @@ from semirigid.commuting import (
 )
 from semirigid.exterior import Bivector, SkewPairing, apply, bivector_rank, pair_list
 from semirigid.scalars import ScalarMode, exact_matrix, float_matrix, to_float
+from util import unitriangular_pair
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -51,25 +56,6 @@ def conjugated_diagonal_float(rng, n, d, spread=3):
     mats = [p @ dg @ pinv for dg in diags]
     points = [tuple(complex(dg[j, j]) for dg in diags) for j in range(n)]
     return MatrixTuple.from_matrices(mats), points
-
-
-def unitriangular_pair(rng, n):
-    """Random integer P with determinant 1 and its exact inverse."""
-    upper = np.eye(n, dtype=int) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
-    lower = np.eye(n, dtype=int) + np.tril(rng.integers(-2, 3, size=(n, n)), -1)
-
-    def inv_uni(m):
-        nil = exact_matrix(m) - exact_matrix(np.eye(n, dtype=int))
-        out = exact_matrix(np.eye(n, dtype=int))
-        term = exact_matrix(np.eye(n, dtype=int))
-        for _ in range(n - 1):
-            term = -1 * (term @ nil)
-            out = out + term
-        return out
-
-    p = exact_matrix(lower) @ exact_matrix(upper)
-    pinv = inv_uni(upper) @ inv_uni(lower)
-    return p, pinv
 
 
 class TestChi:
@@ -424,3 +410,56 @@ def test_is_commuting_scale_invariant():
     for s in (1e-6, 1.0, 1e6):
         assert is_commuting(commuting.scaled(s), FLOAT)
         assert not is_commuting(noncommuting.scaled(s), FLOAT)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties of the exact joint spectrum (fixed-seed Hypothesis
+# profile from conftest.py)
+
+small_ints = st.integers(-3, 3)
+rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def commuting_rational_tuples(draw, diagonalizable=False):
+    """Polynomials of degree <= 2 in one upper-triangular integer matrix T.
+
+    They commute, and their joint eigenvalues are the polynomials evaluated
+    at the diagonal entries of T.  With ``diagonalizable`` T is diagonal.
+    """
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    t = np.diag(draw(st.lists(small_ints, min_size=n, max_size=n)))
+    if not diagonalizable:
+        upper = draw(st.lists(small_ints, min_size=n * n, max_size=n * n))
+        t = t + np.triu(np.reshape(upper, (n, n)), 1)
+    t = exact_matrix(t)
+    powers = [exact_matrix(np.eye(n, dtype=int)), t, t @ t]
+    coeffs = draw(st.lists(st.lists(small_ints, min_size=3, max_size=3),
+                           min_size=d, max_size=d))
+    return MatrixTuple.from_matrices(
+        [sum(c * pw for c, pw in zip(cs, powers)) for cs in coeffs])
+
+
+def conjugated(alpha, seed):
+    p, pinv = unitriangular_pair(np.random.default_rng(seed), alpha.n)
+    return MatrixTuple.from_matrices([p @ m @ pinv for m in alpha.matrices])
+
+
+class TestJointSpectrumMetamorphic:
+    @given(alpha=commuting_rational_tuples(), seed=st.integers(0, 2**16))
+    def test_unimodular_conjugation_preserves_exact_spectrum(self, alpha, seed):
+        spec = joint_spectrum(alpha, EXACT)
+        assert joint_spectrum(conjugated(alpha, seed), EXACT).multiset_equal(spec, EXACT)
+
+    @given(alpha=commuting_rational_tuples(), c=rationals)
+    def test_rational_scaling_scales_joint_eigenvalues(self, alpha, c):
+        scaled = [tuple(c * x for x in pt) for pt in joint_spectrum(alpha, EXACT).points]
+        spec = joint_spectrum(alpha.scaled(c), EXACT)
+        assert sorted(spec.points) == sorted(scaled)
+
+    @given(alpha=commuting_rational_tuples(diagonalizable=True), seed=st.integers(0, 2**16))
+    def test_exact_and_float_spectra_agree(self, alpha, seed):
+        beta = conjugated(alpha, seed)
+        exact = joint_spectrum(beta, EXACT)
+        assert exact.is_rational()
+        assert exact.multiset_equal(joint_spectrum(beta.to_float(), FLOAT), FLOAT)

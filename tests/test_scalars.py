@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from semirigid.commuting import MatrixTuple, joint_spectrum
 from semirigid.scalars import (
     Echelon,
     IrrationalSpectrumError,
@@ -16,6 +18,8 @@ from semirigid.scalars import (
     solve,
     to_float,
 )
+from semirigid.scalars import _rational_roots
+from util import unitriangular_pair
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -237,6 +241,42 @@ class TestExactEchelon:
             solve(tall, b)
 
 
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def planted_split_poly(rng):
+    """Random polynomial (coefficients low to high) that splits over Q, and its roots.
+
+    Roots have denominators up to 6 and multiplicities up to 4, zero is among
+    them in about a quarter of the draws, and the leading coefficient is not 1.
+    """
+    roots = []
+    for _ in range(int(rng.integers(1, 4))):
+        num = 0 if rng.random() < 0.15 else int(rng.integers(-40, 41))
+        roots += [Fraction(num, int(rng.integers(1, 7)))] * int(rng.integers(1, 5))
+    poly = [Fraction(int(rng.choice([-3, 2, 5])), int(rng.choice([1, 3, 7])))]
+    for r in roots:
+        poly = poly_mul(poly, [-r, Fraction(1)])
+    return poly, sorted(roots)
+
+
+# x^2 - 2, x^2 + 1, 3x^2 - x + 5, x^3 - 2, x^3 - x - 1, 2x^3 + 3x + 6: no rational roots
+IRREDUCIBLE_FACTORS = [
+    [-2, 0, 1], [1, 0, 1], [5, -1, 3], [-2, 0, 0, 1], [-1, -1, 0, 1], [6, 3, 0, 2],
+]
+
+
+def seconds(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         vals = eigenvalues(exact_matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]]), EXACT)
@@ -280,6 +320,52 @@ class TestEigenvalues:
         p = exact_matrix([[1, 1], [0, 1]])
         pinv = exact_matrix([[1, -1], [0, 1]])
         assert sorted(eigenvalues(p @ a @ pinv, EXACT)) == [1, 2]
+
+    def test_planted_roots_ascending_with_multiplicity(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            poly, roots = planted_split_poly(rng)
+            assert _rational_roots(poly, len(poly) - 1) == roots
+
+    def test_matches_sympy_roots(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = np.random.default_rng(62)
+        for _ in range(25):
+            poly, _ = planted_split_poly(rng)
+            expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                       for i, c in enumerate(poly))
+            oracle = sorted(Fraction(int(r.p), int(r.q)) for r, k in sympy.roots(expr, x).items()
+                            for _ in range(k))
+            assert _rational_roots(poly, len(poly) - 1) == oracle
+
+    def test_irreducible_factor_raises(self):
+        rng = np.random.default_rng(63)
+        for i in range(24):
+            split, _ = planted_split_poly(rng)
+            factor = [Fraction(c) for c in IRREDUCIBLE_FACTORS[i % len(IRREDUCIBLE_FACTORS)]]
+            poly = poly_mul(split, factor)
+            with pytest.raises(IrrationalSpectrumError):
+                _rational_roots(poly, len(poly) - 1)
+
+    def test_constant_and_linear(self):
+        assert _rational_roots([Fraction(3)], 0) == []
+        assert _rational_roots([Fraction(5), Fraction(-2)], 1) == [Fraction(5, 2)]
+
+    def test_large_eigenvalues_in_bounded_time(self):
+        near_million = [999983, 999999, 10**6 + 3, 10**6 + 33]
+        primes_near_1e12 = [999999999989, 1000000000039, 1000000000061, 1000000000063]
+        for vals in (near_million, primes_near_1e12):
+            out, took = seconds(eigenvalues, exact_matrix(np.diag(vals).astype(object)), EXACT)
+            assert out == vals and took < 2.0
+
+    def test_joint_spectrum_n8_in_bounded_time(self):
+        rng = np.random.default_rng(8)
+        p, pinv = unitriangular_pair(rng, 8)
+        diags = [[int(x) for x in rng.integers(-4, 5, size=8)] for _ in range(3)]
+        alpha = MatrixTuple.from_matrices([p @ exact_matrix(np.diag(dg)) @ pinv for dg in diags])
+        spec, took = seconds(joint_spectrum, alpha, EXACT)
+        assert sorted(spec.points) == sorted(zip(*diags)) and took < 2.0
 
 
 def test_to_float_roundtrip():

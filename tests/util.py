@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from semirigid.exterior import Bivector, SkewPairing, pair_list, wedge
-from semirigid.scalars import ScalarMode, rank
+from semirigid.scalars import ScalarMode, exact_matrix, rank
 
 EXACT = ScalarMode.exact()
 
@@ -59,3 +59,22 @@ def random_injective_pairing(rng, d, extra=2) -> SkewPairing:
         if rank(obj, EXACT) == npairs:
             entries = tuple(tuple(obj[k, idx] for k in range(m)) for idx in range(npairs))
             return SkewPairing(d, m, entries)
+
+
+def unitriangular_pair(rng, n):
+    """Random integer P with determinant 1 and its exact inverse."""
+    upper = np.eye(n, dtype=int) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
+    lower = np.eye(n, dtype=int) + np.tril(rng.integers(-2, 3, size=(n, n)), -1)
+
+    def inv_uni(m):
+        nil = exact_matrix(m) - exact_matrix(np.eye(n, dtype=int))
+        out = exact_matrix(np.eye(n, dtype=int))
+        term = exact_matrix(np.eye(n, dtype=int))
+        for _ in range(n - 1):
+            term = -1 * (term @ nil)
+            out = out + term
+        return out
+
+    p = exact_matrix(lower) @ exact_matrix(upper)
+    pinv = inv_uni(upper) @ inv_uni(lower)
+    return p, pinv
