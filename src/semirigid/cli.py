@@ -34,13 +34,12 @@ from .commuting import (
     trace_monomials,
 )
 from .exterior import kernel
-from .scalars import PreconditionError, ScalarMode
+from .scalars import PreconditionError, ScalarMode, resolve_mode
 from .serialize import (
     bivector_from_json,
     bivector_to_json,
     pairing_from_json,
     pairing_to_json,
-    resolve_mode,
     scalar_to_json,
     tuple_from_json,
     tuple_to_json,
@@ -120,6 +119,12 @@ def _search_config(args, seed: int) -> SearchConfig:
     return SearchConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
 
 
+def _requested_mode(args) -> ScalarMode | None:
+    """``--mode`` as a ScalarMode; None leaves the regime to the input."""
+    return {None: None, "rational": ScalarMode.exact(),
+            "complex": ScalarMode.floating()}[args.mode]
+
+
 def _emit(report: dict, started: float) -> int:
     sys.stdout.write(_canonical_json(report) + "\n")
     sys.stderr.write(json.dumps({"timing_ms": round(1000 * (time.monotonic() - started), 3)})
@@ -141,10 +146,9 @@ def _parse_epsilon(text: str):
 
 def _cmd_analyze(args, started):
     pairing, digest = _load_pairing(args.pairing)
-    mode = resolve_mode(pairing, args.mode)
     seed = _resolve_seed(args)
     cfg = _search_config(args, seed)
-    verdict = decide(pairing, mode, cfg)
+    verdict = decide(pairing, _requested_mode(args), cfg)
     report = {
         "tool_version": __version__,
         "input_digest": digest,
@@ -156,8 +160,7 @@ def _cmd_analyze(args, started):
 
 def _cmd_kernel(args, started):
     pairing, digest = _load_pairing(args.pairing)
-    mode = resolve_mode(pairing, args.mode)
-    k = kernel(pairing, mode)
+    k = kernel(pairing, resolve_mode(_requested_mode(args), pairing))
     report = {
         "tool_version": __version__,
         "input_digest": digest,
@@ -173,7 +176,7 @@ def _cmd_kernel(args, started):
 
 def _cmd_commuting(args, started):
     alpha, digest = _load_tuple(args.tuple)
-    mode = resolve_mode(alpha, args.mode)
+    mode = resolve_mode(_requested_mode(args), alpha)
     seed = _resolve_seed(args)
     if args.commuting_cmd == "spectrum":
         spectrum = joint_spectrum(alpha, mode)
@@ -213,18 +216,19 @@ def _cmd_commuting(args, started):
 def _cmd_construct(args, started):
     pairing, digest = _load_pairing(args.pairing)
     seed = _resolve_seed(args)
+    # --mode governs the input; a witness found by search keeps its own regime
+    mode = _requested_mode(args)
     if args.auto:
-        cfg = _search_config(args, seed)
-        verdict = decide(pairing, resolve_mode(pairing, args.mode), cfg)
+        verdict = decide(pairing, mode, _search_config(args, seed))
         if verdict.witness is None:
             raise _CliInputError(
                 f"no witness available: verdict is {verdict.status} "
                 f"({verdict.certificate})")
-        omega = verdict.witness
+        omega, mode = verdict.witness, None
     else:
         with open(args.witness, "rb") as fh:
             omega = bivector_from_json(json.loads(fh.read()))
-    alpha = construct_stable_point(pairing, omega, args.n, _parse_epsilon(args.epsilon))
+    alpha = construct_stable_point(pairing, omega, args.n, _parse_epsilon(args.epsilon), mode)
     report = {
         "tool_version": __version__,
         "input_digest": digest,

@@ -28,6 +28,7 @@ from .scalars import (
     is_exact_array,
     nullspace,
     rank,
+    resolve_mode,
     solve,
     to_float,
     zeros,
@@ -111,11 +112,10 @@ def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
 def _pairing_tensor(p: SkewPairing) -> np.ndarray:
     """Complex antisymmetric tensor C[k, i, j]: k-th W-coordinate of e_i wedge e_j."""
     d = p.dim_v
-    rows = np.array(p.entries, dtype=complex).reshape(len(p.entries), p.dim_w).T
     i, j = np.triu_indices(d, 1)
     c = np.zeros((p.dim_w, d, d), dtype=complex)
-    c[:, i, j] = rows
-    c[:, j, i] = -rows
+    c[:, i, j] = p.matrix()
+    c[:, j, i] = -c[:, i, j]
     return c
 
 
@@ -147,14 +147,10 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     if not (alpha.is_rational() and p.is_rational()):
         a = np.array(alpha.matrices, dtype=complex)
         return tuple(_mu_kernel(_pairing_tensor(p), a)[0])
-    mats = alpha.matrices
     out = [zeros((alpha.n, alpha.n), ScalarMode.exact()) for _ in range(p.dim_w)]
-    for (i, j), row in zip(pair_list(alpha.d), p.entries):
-        comm = None
+    for comm, row in zip(chi(alpha), p.entries):
         for k, c in enumerate(row):
             if c != 0:
-                if comm is None:
-                    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
                 out[k] = out[k] + c * comm
     return tuple(out)
 
@@ -175,12 +171,7 @@ def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
     if alpha.is_rational() != is_exact_array(h):
         alpha = alpha.to_float()
         h = to_float(h)
-    mats = alpha.matrices
-    coeffs = []
-    for i, j in pair_list(alpha.d):
-        comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-        coeffs.append(trace(comm @ h))
-    return Bivector(alpha.d, tuple(coeffs))
+    return Bivector(alpha.d, tuple(trace(comm @ h) for comm in chi(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +180,10 @@ def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
 _RANDOM_COMBINATION_RETRIES = 8
 
 
-def _check_regime(alpha: MatrixTuple, mode: ScalarMode) -> MatrixTuple:
-    if mode.is_exact:
-        if not alpha.is_rational():
-            raise ValueError("rational mode requires rational matrix entries")
-        return alpha
-    return alpha.to_float() if alpha.is_rational() else alpha
+def _in_regime(alpha: MatrixTuple, mode: ScalarMode | None):
+    """The resolved mode, and the tuple converted to float for a float mode."""
+    mode = resolve_mode(mode, alpha)
+    return (alpha if mode.is_exact else alpha.to_float()), mode
 
 
 def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
@@ -366,7 +355,8 @@ def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
     return q0 @ _block_diag(one, q1, mode)
 
 
-def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode, seed: int = 0):
+def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
+                               seed: int = 0):
     """Common triangularizing basis change for a commuting tuple.
 
     Returns (q, transformed) with every transformed matrix upper triangular
@@ -375,7 +365,7 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode, seed: int =
     groups, retrying on accidental collisions, and deflates by a common
     eigenvector when the repetition is structural.
     """
-    alpha = _check_regime(alpha, mode)
+    alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
     rng = np.random.default_rng(seed)
     q = _triangularize(list(alpha.matrices), mode, rng)
@@ -532,7 +522,7 @@ class _SpanBuilder:
         return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
-def rep_analysis(alpha: MatrixTuple, mode: ScalarMode) -> RepAnalysis:
+def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
     """Commutant, generated algebra, radical, and the derived stability flags.
 
     The commutant is the nullspace of the stacked Sylvester operators; the
@@ -541,7 +531,7 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode) -> RepAnalysis:
     (characteristic zero).  Irreducibility is algebra_dim == n^2 and
     stability (closed orbit with scalar stabilizer) coincides with it.
     """
-    alpha = _check_regime(alpha, mode)
+    alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
     eye = identity(n, mode)
 

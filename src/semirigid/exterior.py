@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalars import ScalarMode, nullspace, rank, to_float
+from .scalars import ScalarMode, nullspace, rank, resolve_mode, to_float
 
 YES = "yes"
 NO = "no"
@@ -181,18 +181,8 @@ class SkewPairing:
 
     def matrix(self) -> np.ndarray:
         """The dim_w x pair_count matrix of the pairing."""
-        p = pair_count(self.dim_v)
-        if self.is_rational():
-            m = np.empty((self.dim_w, p), dtype=object)
-            for k in range(self.dim_w):
-                for idx in range(p):
-                    m[k, idx] = self.entries[idx][k]
-            return m
-        m = np.zeros((self.dim_w, p), dtype=complex)
-        for k in range(self.dim_w):
-            for idx in range(p):
-                m[k, idx] = complex(self.entries[idx][k])
-        return m
+        rows = np.array(self.entries, dtype=object if self.is_rational() else complex)
+        return rows.reshape(pair_count(self.dim_v), self.dim_w).T
 
     def value(self, i: int, j: int):
         """Image of e_i wedge e_j in W, extended by antisymmetry."""
@@ -236,12 +226,11 @@ def apply(p: SkewPairing, omega: Bivector) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def kernel(p: SkewPairing, mode: ScalarMode) -> KernelSubspace:
+def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     """Basis of the kernel of the pairing, as bivectors."""
-    if mode.is_exact and not p.is_rational():
-        raise ValueError("rational mode requires rational pairing entries")
+    mode = resolve_mode(mode, p)
     m = p.matrix()
-    if not mode.is_exact and m.dtype == object:
+    if not mode.is_exact:
         m = to_float(m)
     basis = nullspace(m, mode)
     return KernelSubspace(p.dim_v, tuple(Bivector(p.dim_v, tuple(v)) for v in basis))
@@ -250,8 +239,8 @@ def kernel(p: SkewPairing, mode: ScalarMode) -> KernelSubspace:
 def bivector_rank(omega: Bivector, mode: ScalarMode) -> int:
     """Rank of the associated skew matrix; always even."""
     m = omega.skew_matrix()
-    if not mode.is_exact and m.dtype == object:
-        m = np.array([[complex(x) for x in row] for row in m], dtype=complex)
+    if not mode.is_exact:
+        m = to_float(m)
     r = rank(m, mode)
     if r % 2:
         # singular values of a skew matrix pair up; an odd count means the
@@ -307,7 +296,7 @@ def _fraction_sqrt(q: Fraction):
     return None
 
 
-def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode = ScalarMode.exact()
+def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
                               ) -> DecomposableDecision:
     """Exact decomposability decision for ambient dimension at most 4.
 
@@ -319,6 +308,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode = ScalarMode.e
     the complex numbers; when the discriminant is not a rational square the
     witness coefficients are floating point even for rational input.
     """
+    mode = resolve_mode(mode, *k.basis)
     d = k.dim_v
     if d >= 5:
         return DecomposableDecision(NOT_APPLICABLE)
@@ -352,7 +342,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode = ScalarMode.e
         return DecomposableDecision(YES, k2)
     # solve a x^2 + b x + c = 0 for the witness x*k1 + k2
     disc = b * b - 4 * a * c
-    if mode.is_exact and isinstance(disc, Fraction | int):
+    if mode.is_exact:
         root = _fraction_sqrt(Fraction(disc))
         if root is not None:
             x = (-b + root) / (2 * a)

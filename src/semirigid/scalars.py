@@ -4,6 +4,7 @@ All linear algebra in this package runs in one of two modes: exact rational
 (Python ``Fraction`` entries, tolerance-free) or complex floating point with
 an explicit tolerance policy.  The two regimes are never mixed inside a single
 computation; the only supported conversion is rational -> float.
+:func:`resolve_mode` is the one rule that picks the regime for given input.
 
 Matrices are plain numpy arrays: ``dtype=object`` holding ``Fraction``/``int``
 entries in rational mode, ``dtype=complex`` in float mode.
@@ -64,6 +65,21 @@ class ScalarMode:
     @property
     def is_exact(self) -> bool:
         return self.kind == RATIONAL
+
+
+def resolve_mode(mode: ScalarMode | None, *data) -> ScalarMode:
+    """The regime for the given pairings, tuples or bivectors.
+
+    ``None`` picks exact when every input is rational and float otherwise; a
+    float request is returned as it is, and an exact request on non-rational
+    input is refused rather than coerced.
+    """
+    rational = all(x.is_rational() for x in data)
+    if mode is None:
+        return ScalarMode.exact() if rational else ScalarMode.floating()
+    if mode.is_exact and not rational:
+        raise ValueError("rational mode requires rational input")
+    return mode
 
 
 def as_fraction(x) -> Fraction:

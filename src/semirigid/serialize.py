@@ -13,7 +13,7 @@ import numpy as np
 
 from .commuting import MatrixTuple
 from .exterior import Bivector, FilteredPairing, SkewPairing, pair_list
-from .scalars import COMPLEX, RATIONAL, ScalarMode, as_fraction
+from .scalars import COMPLEX, RATIONAL, as_fraction
 from .verdict import Evidence, Verdict
 
 
@@ -101,19 +101,6 @@ def pairing_from_json(obj: dict):
                                    tuple(int(x) for x in filt["v"]),
                                    tuple(int(x) for x in filt["w"]))
     return pairing, filtered
-
-
-def resolve_mode(data: SkewPairing | MatrixTuple, requested: str | None) -> ScalarMode:
-    """Default to the pairing's or tuple's own regime; converting to float is
-    explicit, reading float data as rational is refused."""
-    native = infer_kind(data)
-    if requested is None:
-        requested = native
-    if requested == RATIONAL and native == COMPLEX:
-        raise ValueError("cannot analyze complex data in rational mode")
-    if requested == RATIONAL:
-        return ScalarMode.exact()
-    return ScalarMode.floating()
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .exterior import (
     pair_index,
     quad_list,
 )
-from .scalars import PreconditionError, ScalarMode, to_float, zeros
+from .scalars import PreconditionError, ScalarMode, resolve_mode, to_float, zeros
 
 SEMI_RIGID = "semi_rigid"
 NOT_SEMI_RIGID = "not_semi_rigid"
@@ -103,12 +103,6 @@ class SearchResult:
     restarts_used: int
 
 
-def _default_mode(p: SkewPairing, mode: ScalarMode | None) -> ScalarMode:
-    if mode is not None:
-        return mode
-    return ScalarMode.exact() if p.is_rational() else ScalarMode.floating()
-
-
 def _float_coeffs(omega: Bivector) -> np.ndarray:
     return np.array([complex(c) for c in omega.coeffs])
 
@@ -124,19 +118,22 @@ def _witness_residual(p: SkewPairing, omega: Bivector) -> float:
     return float(np.linalg.norm(mf @ w) / scale)
 
 
+def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
+    """Whether the pairing kills the bivector: exactly for a rational bivector
+    in exact mode, else up to the default relative residual."""
+    if mode.is_exact and omega.is_rational():
+        return all(x == 0 for x in apply(p, omega))
+    return _witness_residual(p, omega) <= ScalarMode.floating().tol_residual
+
+
 def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: SearchConfig):
     """Independent re-check of an emitted witness; raises on failure."""
-    if omega.is_rational() and mode.is_exact:
-        if not all(x == 0 for x in apply(p, omega)):
-            raise WitnessVerificationError("witness is not in the kernel")
-        if bivector_rank(omega, mode) != 2:
-            raise WitnessVerificationError("witness does not have rank 2")
-        return
-    check_mode = ScalarMode.floating(tol_rank=cfg.tol_rank)
-    if _witness_residual(p, omega) > check_mode.tol_residual:
-        raise WitnessVerificationError("witness is not in the kernel within tolerance")
-    if bivector_rank(omega, check_mode) != 2:
-        raise WitnessVerificationError("witness does not have rank 2 within tolerance")
+    if not _in_kernel(p, omega, mode):
+        raise WitnessVerificationError("witness is not in the kernel")
+    if not (mode.is_exact and omega.is_rational()):
+        mode = ScalarMode.floating(tol_rank=cfg.tol_rank)
+    if bivector_rank(omega, mode) != 2:
+        raise WitnessVerificationError("witness does not have rank 2")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
     status is decided even if the search fails to produce the witness; an
     exhausted search alone yields Unknown, never a semi-rigid claim.
     """
-    mode = _default_mode(p, mode)
+    mode = resolve_mode(mode, p)
     k = kernel(p, mode)
     kd = k.dim
     if kd == 0:
@@ -259,24 +256,10 @@ def _rank2_factor_exact(omega: Bivector):
     j1 = next(j for j in range(d) if any(m[i, j] != 0 for i in range(d)))
     # skewness puts every nonzero entry of the first nonzero column below j1
     j2 = next(j for j in range(j1 + 1, d) if m[j1, j] != 0)
-    c1 = m[:, j1].copy()
-    c2 = m[:, j2].copy()
-    a = m[j1, j2]
-    # restrict to rows (j1, j2): the 2x2 block [[0, a], [-a, 0]] is invertible,
-    # and the skew rank-2 matrix factors through its first two pivot columns
-    crr = np.empty((2, 2), dtype=object)
-    crr[0, 0], crr[0, 1] = c1[j1], c2[j1]
-    crr[1, 0], crr[1, 1] = c1[j2], c2[j2]
-    det = crr[0, 0] * crr[1, 1] - crr[0, 1] * crr[1, 0]
-    inv = np.empty((2, 2), dtype=object)
-    inv[0, 0], inv[0, 1] = crr[1, 1] / det, -crr[0, 1] / det
-    inv[1, 0], inv[1, 1] = -crr[1, 0] / det, crr[0, 0] / det
-    omega_rr = np.empty((2, 2), dtype=object)
-    omega_rr[0, 0], omega_rr[0, 1] = Fraction(0), a
-    omega_rr[1, 0], omega_rr[1, 1] = -a, Fraction(0)
-    mm = inv @ omega_rr @ inv.T
-    u = mm[0, 1] * c1
-    v = c2
+    # a skew matrix of rank 2 is (c1 c2^T - c2 c1^T) / a, where c1, c2 are its
+    # columns j1, j2 and a = m[j1, j2] is nonzero
+    u = m[:, j1] / Fraction(m[j1, j2])
+    v = m[:, j2]
     check = np.outer(u, v) - np.outer(v, u)
     if not np.all(check == m):
         raise WitnessVerificationError(
@@ -309,12 +292,11 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if mode is None:
-        mode = ScalarMode.exact() if omega.is_rational() else ScalarMode.floating()
+    mode = resolve_mode(mode, omega)
     if bivector_rank(omega, mode) != 2:
         raise ValueError("bivector must have rank exactly 2")
     triple = regular_sl2_triple(n)
-    if mode.is_exact and omega.is_rational():
+    if mode.is_exact:
         u, v = _rank2_factor_exact(omega)
         x, y = triple.x, triple.y
     else:
@@ -324,9 +306,9 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
     return MatrixTuple(n, omega.dim_v, mats)
 
 
-def _sl_n_scan(n: int, exact: bool, seed: int):
+def _sl_n_scan(n: int, mode: ScalarMode, seed: int):
     """Traceless scan candidates: elementary, diagonal-traceless, then random."""
-    mode = ScalarMode.exact() if exact else ScalarMode.floating()
+    exact = mode.is_exact
     out = []
     for a in range(n):
         for b in range(n):
@@ -367,10 +349,8 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     2, which the contraction bound guarantees for any nonzero value.  Returns
     None when the tuple commutes (or no nonzero contraction is found).
     """
-    exact = alpha.is_rational() and p.is_rational()
-    if mode is None:
-        mode = ScalarMode.exact() if exact else ScalarMode.floating()
-    exact = exact and mode.is_exact
+    mode = resolve_mode(mode, alpha, p)
+    exact = mode.is_exact
     scale = tuple_scale(alpha)
     mus = mu(alpha, p)
     if exact:
@@ -387,7 +367,7 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
             return None
     elif chiscale <= mode.tol_residual * max(scale ** 2, 1e-300):
         return None
-    for h in _sl_n_scan(alpha.n, exact, seed):
+    for h in _sl_n_scan(alpha.n, mode, seed):
         w = trace_contraction(alpha, h)
         if exact:
             nonzero = not w.is_zero()
@@ -413,21 +393,11 @@ def construct_stable_point(p: SkewPairing, omega: Bivector, n: int, epsilon,
     """
     if not (complex(epsilon).real > 0 and complex(epsilon).imag == 0):
         raise ValueError("epsilon must be a positive real")
-    mode = _default_mode(p, mode) if omega.is_rational() else ScalarMode.floating()
-    if omega.is_rational() and p.is_rational() and mode.is_exact:
-        if not all(x == 0 for x in apply(p, omega)):
-            raise ValueError("bivector is not in the kernel of the pairing")
-    else:
-        check = ScalarMode.floating()
-        if _witness_residual(p, omega) > check.tol_residual:
-            raise ValueError("bivector is not in the kernel within tolerance")
+    mode = resolve_mode(mode, p, omega)
+    if not _in_kernel(p, omega, mode):
+        raise ValueError("bivector is not in the kernel of the pairing")
     alpha = witness_to_tuple(omega, n, mode)
-    if alpha.is_rational():
-        factor = epsilon if isinstance(epsilon, (int, Fraction)) else Fraction(epsilon)
-        factor = Fraction(factor)
-    else:
-        factor = complex(epsilon)
-    return alpha.scaled(factor)
+    return alpha.scaled(Fraction(epsilon) if mode.is_exact else complex(epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,24 @@ class TestCliAnalyze:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"]
 
-    def test_rational_mode_on_complex_data_exit_2(self, capsys, tmp_path):
-        p = SkewPairing.from_map(2, 1, {(0, 1): (1 + 0j,)})
+    @pytest.mark.parametrize("command", ["analyze", "kernel", "construct-auto",
+                                         "construct-witness"])
+    def test_rational_mode_on_complex_data_exit_2(self, capsys, tmp_path, command):
+        # e0 ^ e2 spans the kernel together with e1 ^ e2
+        p = SkewPairing.from_map(3, 1, {(0, 1): (1 + 0j,)})
         path = tmp_path / "c.json"
         path.write_text(json.dumps(pairing_to_json(p)))
-        code, _, err = run_cli(capsys, "analyze", "--pairing", str(path),
-                               "--mode", "rational")
-        assert code == 2
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps(bivector_to_json(Bivector.basis_element(3, 0, 2))))
+        argv = {"analyze": ["analyze"], "kernel": ["kernel"],
+                "construct-auto": ["construct", "stable", "--auto", "--n", "2"],
+                "construct-witness": ["construct", "stable", "--witness", str(witness),
+                                      "--n", "2"]}[command]
+        argv += ["--pairing", str(path)]
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--mode", "rational")
+        assert_value_error_exit_2(code, out, err)
+        assert json.loads(err)["error"]["message"] == "rational mode requires rational input"
 
     def test_witness_failing_recheck_exit_1(self, capsys, monkeypatch):
         # e0 ^ e1 pairs to 1 under the symplectic form, so it is not in the kernel
@@ -237,12 +248,16 @@ class TestCliCommuting:
         points = json.loads(out)["spectrum"]["points"]
         assert sorted(points) == sorted([["1/1", "3/1"], ["2/1", "4/1"]])
 
-    def test_rational_mode_on_complex_tuple_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["spectrum", "invariants", "analyze"])
+    def test_rational_mode_on_complex_tuple_exit_2(self, capsys, tmp_path, command):
         alpha = MatrixTuple.from_matrices([np.diag([1, 2]).astype(complex)])
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps(tuple_to_json(alpha)))
-        assert_value_error_exit_2(*run_cli(capsys, "commuting", "spectrum", "--tuple",
-                                           str(path), "--mode", "rational"))
+        argv = ("commuting", command, "--tuple", str(path))
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--mode", "rational")
+        assert_value_error_exit_2(code, out, err)
+        assert json.loads(err)["error"]["message"] == "rational mode requires rational input"
 
     def test_noncommuting_spectrum_exit_3(self, capsys, tmp_path):
         alpha = MatrixTuple.from_matrices(
@@ -294,6 +309,25 @@ class TestCliConstructAndSample:
                                "catalog:curve:2", "--witness", str(path),
                                "--n", "2", "--epsilon", "1")
         assert code == 0
+
+    def test_construct_stable_witness_honours_mode(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(bivector_to_json(Bivector.basis_element(4, 0, 2))))
+        argv = ("construct", "stable", "--pairing", "catalog:curve:2", "--witness", str(path),
+                "--n", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["tuple"]["scalar"] == "rational"
+        code, out, _ = run_cli(capsys, *argv, "--mode", "complex")
+        assert code == 0 and json.loads(out)["tuple"]["scalar"] == "complex"
+
+    def test_construct_stable_auto_searched_witness_keeps_its_regime(self, capsys):
+        # search finds a float witness for this rational pairing, and --mode
+        # rational governs only the pairing, so the float witness is still used
+        argv = ("construct", "stable", "--pairing", "catalog:symplectic-surface:6", "--auto",
+                "--n", "2", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["tuple"]["scalar"] == "complex"
+        assert run_cli(capsys, *argv, "--mode", "rational")[:2] == (0, out)
 
     def test_sample_mu_zero(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "mu-zero", "--pairing",

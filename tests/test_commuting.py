@@ -463,3 +463,22 @@ class TestJointSpectrumMetamorphic:
         exact = joint_spectrum(beta, EXACT)
         assert exact.is_rational()
         assert exact.multiset_equal(joint_spectrum(beta.to_float(), FLOAT), FLOAT)
+
+
+@st.composite
+def rational_tuples(draw):
+    """Integer tuples, n <= 4 and d <= 3; with ``upper`` all matrices are upper
+    triangular, so the first coordinate line is invariant and the
+    representation is reducible."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    mats = [np.reshape(draw(st.lists(small_ints, min_size=n * n, max_size=n * n)), (n, n))
+            for _ in range(d)]
+    if draw(st.booleans()):
+        mats = [np.triu(m) for m in mats]
+    return MatrixTuple.from_matrices([exact_matrix(m) for m in mats])
+
+
+class TestRepAnalysisMetamorphic:
+    @given(alpha=rational_tuples(), seed=st.integers(0, 2**16))
+    def test_unimodular_conjugation_preserves_exact_rep_analysis(self, alpha, seed):
+        assert rep_analysis(conjugated(alpha, seed), EXACT) == rep_analysis(alpha, EXACT)

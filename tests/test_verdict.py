@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from semirigid.commuting import (
     MatrixTuple,
@@ -23,9 +26,11 @@ from semirigid.exterior import (
     bivector_rank,
     kernel,
     pair_list,
+    wedge,
 )
 from semirigid.scalars import ScalarMode, exact_matrix
 from semirigid.verdict import (
+    CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
     CERT_KERNEL_ZERO,
     CERT_SEARCH_EXHAUSTED,
@@ -47,6 +52,7 @@ from util import (
     projective_distance,
     random_injective_pairing,
     random_rank2_bivector,
+    unitriangular_pair,
 )
 
 EXACT = ScalarMode.exact()
@@ -378,3 +384,51 @@ class TestSplitComponentDimension:
             split_component_dimension(0, 5)
         with pytest.raises(ValueError):
             split_component_dimension(2, -1)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariance of certified verdicts (fixed-seed Hypothesis profile
+# from conftest.py)
+
+CERTIFIED = {CERT_KERNEL_ZERO, CERT_EXACT_LOW_DIM, CERT_DIMENSION_CRITERION}
+# these certificates do not depend on the search, so a short one will do
+SHORT_SEARCH = SearchConfig(restarts=2, max_iterations=20)
+
+
+@st.composite
+def certified_pairings(draw):
+    """Small integer pairings, d <= 5.  At d = 5 only a zero kernel or one of
+    dimension >= 4 is certified, so dim W avoids 7-9 there."""
+    d = draw(st.integers(2, 5))
+    npairs = comb(d, 2)
+    m = draw(st.sampled_from([0, 1, 2, 4, 6, 10, 11]) if d == 5
+             else st.integers(0, npairs + 1))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=npairs, max_size=npairs))
+    return SkewPairing(d, m, tuple(tuple(row) for row in rows))
+
+
+def pulled_back(p, g):
+    """The pairing omega -> p((Lambda^2 g) omega)."""
+    return SkewPairing(p.dim_v, p.dim_w, tuple(
+        tuple(apply(p, wedge(g[:, i], g[:, j]))) for i, j in pair_list(p.dim_v)))
+
+
+def certified_decision(p):
+    v = decide(p, cfg=SHORT_SEARCH)
+    assume(v.certificate in CERTIFIED)
+    return v.status, v.certificate, v.evidence.kernel_dim
+
+
+class TestDecideMetamorphic:
+    @given(p=certified_pairings(), seed=st.integers(0, 2**16))
+    def test_unimodular_change_of_basis_keeps_verdict(self, p, seed):
+        g, _ = unitriangular_pair(np.random.default_rng(seed), p.dim_v)
+        assert certified_decision(pulled_back(p, g)) == certified_decision(p)
+
+    @given(p=certified_pairings(),
+           c=st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4)))
+    def test_rational_rescaling_keeps_verdict(self, p, c):
+        scaled = SkewPairing(p.dim_v, p.dim_w,
+                             tuple(tuple(c * x for x in row) for row in p.entries))
+        assert certified_decision(scaled) == certified_decision(p)
