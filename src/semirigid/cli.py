@@ -38,6 +38,7 @@ from .scalars import PreconditionError, ScalarMode, resolve_mode
 from .serialize import (
     bivector_from_json,
     bivector_to_json,
+    infer_kind,
     pairing_from_json,
     pairing_to_json,
     scalar_to_json,
@@ -133,11 +134,13 @@ def _emit(report: dict, started: float) -> int:
 
 
 def _parse_epsilon(text: str):
+    """``--epsilon`` as a Fraction ("p/q") or a float; ValueError otherwise."""
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"epsilon has a zero denominator: {text!r}")
         return Fraction(int(num), int(den))
-    value = float(text)
-    return value
+    return float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ def _cmd_commuting(args, started):
     seed = _resolve_seed(args)
     if args.commuting_cmd == "spectrum":
         spectrum = joint_spectrum(alpha, mode)
-        kind = "rational" if spectrum.is_rational() else "complex"
+        kind = infer_kind(spectrum)
         pts = sorted(
             ([scalar_to_json(x, kind) for x in p] for p in spectrum.points),
             key=lambda p: json.dumps(p))
@@ -188,7 +191,7 @@ def _cmd_commuting(args, started):
         key = "spectrum"
     elif args.commuting_cmd == "invariants":
         monos = trace_monomials(alpha, args.max_degree)
-        kind = "rational" if alpha.is_rational() else "complex"
+        kind = infer_kind(alpha)
         payload = {
             "max_degree": args.max_degree,
             "monomials": [
@@ -269,6 +272,8 @@ def _cmd_verify_chevalley(args, started):
     rng = np.random.default_rng(seed)
     mode = ScalarMode.floating()
     n, d = args.n, args.d
+    if min(n, d, args.samples) < 1:
+        raise ValueError("verify chevalley needs --n, --d and --samples >= 1")
     failures = {"power_sums": 0, "conjugation": 0, "perturbation": 0}
     for _ in range(args.samples):
         diags = [np.diag(rng.integers(-4, 5, size=n).astype(complex)) for _ in range(d)]
@@ -279,7 +284,7 @@ def _cmd_verify_chevalley(args, started):
         monos = trace_monomials(alpha, min(4, max(n, 2)))
         for word, val in monos.items():
             expected = sum(np.prod([pt[i - 1] for i in word]) for pt in points)
-            if abs(val - expected) > 1e-8 * max(1.0, abs(expected)):
+            if abs(val - expected) > mode.tol_residual * max(1.0, abs(expected)):
                 failures["power_sums"] += 1
                 break
         q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)

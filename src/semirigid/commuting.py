@@ -99,9 +99,7 @@ def chi_norm(alpha: MatrixTuple) -> float:
 
 
 def is_commuting(alpha: MatrixTuple, mode: ScalarMode) -> bool:
-    if mode.is_exact:
-        return all(np.all(c == 0) for c in chi(alpha))
-    return chi_norm(alpha) <= mode.tol_residual * tuple_scale(alpha) ** 2
+    return mode.vanishes(chi(alpha), tuple_scale(alpha) ** 2)
 
 
 def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
@@ -388,10 +386,11 @@ class JointSpectrum:
     def is_rational(self) -> bool:
         return all(isinstance(x, (int, Fraction)) for p in self.points for x in p)
 
-    def multiset_equal(self, other: "JointSpectrum", mode: ScalarMode) -> bool:
+    def multiset_equal(self, other: "JointSpectrum", mode: ScalarMode | None = None) -> bool:
+        mode = resolve_mode(mode, self, other)
         if self.n != other.n:
             return False
-        if mode.is_exact and self.is_rational() and other.is_rational():
+        if mode.is_exact:
             return sorted(self.points) == sorted(other.points)
         a = np.array([[complex(x) for x in p] for p in self.points])
         b = np.array([[complex(x) for x in p] for p in other.points])
@@ -401,7 +400,7 @@ class JointSpectrum:
         return bool(np.max(cost[rows, cols]) <= 10 * mode.tol_residual * scale)
 
 
-def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode) -> JointSpectrum:
+def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode | None = None) -> JointSpectrum:
     """Diagonal of a simultaneous triangularization, as a multiset of d-vectors."""
     _, tri = simultaneous_triangularize(alpha, mode, seed=0)
     points = tuple(
@@ -427,7 +426,8 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     return out
 
 
-def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple, mode: ScalarMode) -> bool:
+def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple,
+                        mode: ScalarMode | None = None) -> bool:
     """Whether two commuting tuples have equal joint spectra as multisets.
 
     Equality of the spectra is equivalent to agreement of all conjugation
@@ -436,6 +436,7 @@ def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple, mode: ScalarMode)
     """
     if (alpha.n, alpha.d) != (beta.n, beta.d):
         raise ValueError("tuples must share matrix size and length")
+    mode = resolve_mode(mode, alpha, beta)
     return joint_spectrum(alpha, mode).multiset_equal(joint_spectrum(beta, mode), mode)
 
 
@@ -559,6 +560,10 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
                 break
         frontier = new_frontier
     algebra_dim = span.dim
+    if not mode.is_exact:
+        # the trace form on the orthonormal basis: the products above grow
+        # like powers of the tuple's scale, and would make the rank scale-bound
+        basis_mats = [r.reshape(n, n) for r in span.rows]
 
     gram = zeros((algebra_dim, algebra_dim), mode)
     for i, bi in enumerate(basis_mats):
@@ -580,15 +585,15 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     )
 
 
-def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode) -> bool:
+def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bool:
     """Whether the commuting tuple has n pairwise distinct joint eigenvalue vectors.
 
     For a commuting tuple, distinctness forces the joint generalized
     eigenspaces to be lines, so it already implies simultaneous
     diagonalizability.
     """
-    spectrum = joint_spectrum(alpha, mode)
-    pts = spectrum.points
+    mode = resolve_mode(mode, alpha)
+    pts = joint_spectrum(alpha, mode).points
     if mode.is_exact:
         return len(set(pts)) == len(pts)
     arr = np.array([[complex(x) for x in p] for p in pts])

@@ -22,6 +22,9 @@ import numpy as np
 RATIONAL = "rational"
 COMPLEX = "complex"
 
+# the one default for both float tolerances
+DEFAULT_TOL = 1e-8
+
 
 class PreconditionError(Exception):
     """An operation was invoked on input violating its mathematical precondition."""
@@ -59,12 +62,21 @@ class ScalarMode:
         return cls(RATIONAL)
 
     @classmethod
-    def floating(cls, tol_rank: float = 1e-8, tol_residual: float = 1e-8) -> "ScalarMode":
+    def floating(cls, tol_rank: float = DEFAULT_TOL,
+                 tol_residual: float = DEFAULT_TOL) -> "ScalarMode":
         return cls(COMPLEX, tol_rank=tol_rank, tol_residual=tol_residual)
 
     @property
     def is_exact(self) -> bool:
         return self.kind == RATIONAL
+
+    def vanishes(self, arrays, scale: float = 1.0) -> bool:
+        """Whether every array is zero: entry by entry in rational mode, else
+        each Frobenius norm is at most ``tol_residual * scale``."""
+        if self.is_exact:
+            return all(np.all(np.asarray(a) == 0) for a in arrays)
+        bound = self.tol_residual * scale
+        return all(np.linalg.norm(to_float(np.asarray(a))) <= bound for a in arrays)
 
 
 def resolve_mode(mode: ScalarMode | None, *data) -> ScalarMode:
@@ -209,6 +221,13 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # rank / nullspace
 
 
+def _svd_rank(s: np.ndarray, mode: ScalarMode) -> int:
+    """Number of singular values (descending) above ``tol_rank`` times the largest."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > mode.tol_rank * s[0]))
+
+
 def rank(a: np.ndarray, mode: ScalarMode) -> int:
     """Rank of a matrix; exact elimination or SVD with a relative threshold."""
     a = np.asarray(a)
@@ -216,10 +235,7 @@ def rank(a: np.ndarray, mode: ScalarMode) -> int:
         return 0
     if mode.is_exact:
         return _echelon(a).rank
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > mode.tol_rank * s[0]))
+    return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode)
 
 
 def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
@@ -240,10 +256,8 @@ def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
                 v[pc] = -m[r][fc]
             basis.append(v)
         return basis
-    af = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(af)
-    r = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > mode.tol_rank * s[0]))
-    return [np.conj(vh[j]) for j in range(r, ncols)]
+    _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
+    return [np.conj(vh[j]) for j in range(_svd_rank(s, mode), ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def scalar_from_json(v, kind: str):
     raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
 
 
-def infer_kind(data: SkewPairing | MatrixTuple) -> str:
+def infer_kind(data) -> str:
+    """Wire kind of a pairing, tuple, bivector or spectrum."""
     return RATIONAL if data.is_rational() else COMPLEX
 
 
@@ -97,9 +98,11 @@ def pairing_from_json(obj: dict):
     filtered = None
     if "filtration" in obj:
         filt = obj["filtration"]
-        filtered = FilteredPairing(pairing,
-                                   tuple(int(x) for x in filt["v"]),
-                                   tuple(int(x) for x in filt["w"]))
+        if not (isinstance(filt, dict) and all(
+                isinstance(filt.get(k), list) and all(isinstance(x, int) for x in filt[k])
+                for k in ("v", "w"))):
+            raise ValueError("filtration must be an object whose v and w are lists of integers")
+        filtered = FilteredPairing(pairing, tuple(filt["v"]), tuple(filt["w"]))
     return pairing, filtered
 
 
@@ -126,6 +129,8 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
         raise ValueError(f"unknown scalar kind {kind!r}")
     if d < 1:
         raise ValueError("tuple needs at least one matrix")
+    if n < 1:
+        raise ValueError("tuple matrices need size n >= 1")
     if not isinstance(mats, list) or len(mats) != d:
         raise ValueError("matrices must be a list of d matrices")
     out = []
@@ -150,7 +155,7 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
 
 
 def bivector_to_json(w: Bivector) -> dict:
-    kind = RATIONAL if w.is_rational() else COMPLEX
+    kind = infer_kind(w)
     coeffs = []
     for (i, j), c in zip(pair_list(w.dim_v), w.coeffs):
         if c != 0:

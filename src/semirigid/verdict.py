@@ -23,9 +23,9 @@ from .commuting import (
     _mu_jacobian,
     _mu_kernel,
     _pairing_tensor,
-    chi,
     chi_norm,
     frobenius,
+    is_commuting,
     mu,
     regular_sl2_triple,
     trace_contraction,
@@ -45,7 +45,15 @@ from .exterior import (
     pair_index,
     quad_list,
 )
-from .scalars import PreconditionError, ScalarMode, resolve_mode, to_float, zeros
+from .scalars import (
+    DEFAULT_TOL,
+    PreconditionError,
+    ScalarMode,
+    rank,
+    resolve_mode,
+    to_float,
+    zeros,
+)
 
 SEMI_RIGID = "semi_rigid"
 NOT_SEMI_RIGID = "not_semi_rigid"
@@ -72,7 +80,7 @@ class SearchConfig:
     max_iterations: int = 200
     seed: int = 0
     tol_plucker: float = 1e-18
-    tol_rank: float = 1e-8
+    tol_rank: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
@@ -107,23 +115,13 @@ def _float_coeffs(omega: Bivector) -> np.ndarray:
     return np.array([complex(c) for c in omega.coeffs])
 
 
-def _witness_residual(p: SkewPairing, omega: Bivector) -> float:
-    """Relative residual of the pairing applied to a bivector."""
-    m = p.matrix()
-    mf = m if m.dtype != object else to_float(m)
-    w = _float_coeffs(omega)
-    scale = np.linalg.norm(mf) * np.linalg.norm(w)
-    if scale == 0:
-        return 0.0
-    return float(np.linalg.norm(mf @ w) / scale)
-
-
 def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     """Whether the pairing kills the bivector: exactly for a rational bivector
-    in exact mode, else up to the default relative residual."""
+    in exact mode, else up to the default residual relative to |p| |omega|."""
     if mode.is_exact and omega.is_rational():
-        return all(x == 0 for x in apply(p, omega))
-    return _witness_residual(p, omega) <= ScalarMode.floating().tol_residual
+        return mode.vanishes([apply(p, omega)])
+    m, w = to_float(p.matrix()), _float_coeffs(omega)
+    return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
 def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: SearchConfig):
@@ -187,8 +185,7 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
             best = min(best, f)
             if f <= cfg.tol_plucker:
                 omega = Bivector(d, tuple(basis @ x))
-                s = np.linalg.svd(omega.skew_matrix(), compute_uv=False)
-                if s[0] > 0 and int(np.sum(s > cfg.tol_rank * s[0])) == 2:
+                if rank(omega.skew_matrix(), ScalarMode.floating(tol_rank=cfg.tol_rank)) == 2:
                     return SearchResult(omega, f, r + 1)
                 break
             # restrict the step to the tangent space of the unit sphere: the
@@ -267,7 +264,7 @@ def _rank2_factor_exact(omega: Bivector):
     return u, v
 
 
-def _rank2_factor_float(omega: Bivector, tol: float):
+def _rank2_factor_float(omega: Bivector, mode: ScalarMode):
     m = to_float(omega.skew_matrix())
     uu, s, _ = np.linalg.svd(m)
     c = uu[:, :2]
@@ -277,7 +274,7 @@ def _rank2_factor_float(omega: Bivector, tol: float):
     u = (mm[0, 1] / scale) * c[:, 0]
     v = scale * c[:, 1]
     check = np.outer(u, v) - np.outer(v, u)
-    if np.linalg.norm(check - m) > tol * max(1.0, np.linalg.norm(m)):
+    if not mode.vanishes([check - m], max(1.0, np.linalg.norm(m))):
         raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
     return u, v
 
@@ -300,7 +297,7 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
         u, v = _rank2_factor_exact(omega)
         x, y = triple.x, triple.y
     else:
-        u, v = _rank2_factor_float(omega, mode.tol_residual)
+        u, v = _rank2_factor_float(omega, mode)
         x, y = to_float(triple.x), to_float(triple.y)
     mats = tuple(u[i] * x + v[i] * y for i in range(omega.dim_v))
     return MatrixTuple(n, omega.dim_v, mats)
@@ -350,32 +347,14 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     None when the tuple commutes (or no nonzero contraction is found).
     """
     mode = resolve_mode(mode, alpha, p)
-    exact = mode.is_exact
-    scale = tuple_scale(alpha)
-    mus = mu(alpha, p)
-    if exact:
-        if any(np.any(m != 0) for m in mus):
-            raise MuNonzeroError("tuple does not satisfy mu = 0")
-    else:
-        mres = max((frobenius(m) for m in mus), default=0.0)
-        if mres > mode.tol_residual * max(scale ** 2, 1e-300):
-            raise MuNonzeroError("tuple does not satisfy mu = 0 within tolerance")
-    commutators = chi(alpha)
-    chiscale = max((frobenius(c) for c in commutators), default=0.0)
-    if exact:
-        if all(np.all(c == 0) for c in commutators):
-            return None
-    elif chiscale <= mode.tol_residual * max(scale ** 2, 1e-300):
+    if not mode.vanishes(mu(alpha, p), tuple_scale(alpha) ** 2):
+        raise MuNonzeroError("tuple does not satisfy mu = 0")
+    if is_commuting(alpha, mode):
         return None
+    chiscale = chi_norm(alpha)
     for h in _sl_n_scan(alpha.n, mode, seed):
         w = trace_contraction(alpha, h)
-        if exact:
-            nonzero = not w.is_zero()
-        else:
-            hnorm = frobenius(h if isinstance(h, np.ndarray) else np.asarray(h))
-            wnorm = float(np.linalg.norm(_float_coeffs(w)))
-            nonzero = wnorm > mode.tol_residual * chiscale * max(hnorm, 1e-300)
-        if not nonzero:
+        if mode.vanishes([w.coeffs], chiscale * frobenius(h)):
             continue
         if alpha.n == 2 and bivector_rank(w, mode) != 2:
             continue
@@ -391,13 +370,18 @@ def construct_stable_point(p: SkewPairing, omega: Bivector, n: int, epsilon,
     at every scale, so shrinking epsilon produces stable points arbitrarily
     close to the origin of the cone.
     """
-    if not (complex(epsilon).real > 0 and complex(epsilon).imag == 0):
-        raise ValueError("epsilon must be a positive real")
     mode = resolve_mode(mode, p, omega)
+    # epsilon in the mode's own scalars, so that a rational one is never
+    # rounded; one with no positive finite value there (10**400 as a float) is refused
+    try:
+        eps = Fraction(epsilon) if mode.is_exact else complex(epsilon)
+    except (ArithmeticError, TypeError, ValueError):
+        eps = None
+    if not (eps is not None and eps.imag == 0 and 0 < eps.real < math.inf):
+        raise ValueError("epsilon must be a positive finite real")
     if not _in_kernel(p, omega, mode):
         raise ValueError("bivector is not in the kernel of the pairing")
-    alpha = witness_to_tuple(omega, n, mode)
-    return alpha.scaled(Fraction(epsilon) if mode.is_exact else complex(epsilon))
+    return witness_to_tuple(omega, n, mode).scaled(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +403,7 @@ class SamplerResult:
     converged: int
 
 
-def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
-                    mode: ScalarMode | None = None) -> SamplerResult:
+def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) -> SamplerResult:
     """Newton samples of the quadratic cone, labeled commuting/non-commuting.
 
     Starts are drawn with unit total Frobenius norm; when the kernel exposes
@@ -432,17 +415,16 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if mode is None or mode.is_exact:
-        mode = ScalarMode.floating()
+    mode = ScalarMode.floating()
     d = p.dim_v
     c = _pairing_tensor(p)
 
     starts = []
     # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway
-    basis = kernel(p, ScalarMode.floating()).basis if n >= 2 else ()
+    basis = kernel(p, mode).basis if n >= 2 else ()
     for b in basis:
-        if bivector_rank(b, ScalarMode.floating()) == 2:
-            seed_tuple = witness_to_tuple(b, n, ScalarMode.floating())
+        if bivector_rank(b, mode) == 2:
+            seed_tuple = witness_to_tuple(b, n, mode)
             z0 = np.array(seed_tuple.matrices, dtype=complex).reshape(-1)
             norm = np.linalg.norm(z0)
             if norm > 0:
@@ -463,10 +445,7 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
         for _ in range(cfg.max_iterations):
             mus, s = _mu_kernel(c, a)
             res = mus.reshape(-1)
-            scale = np.linalg.norm(a, axis=(1, 2)).max()
-            bound = mode.tol_residual * max(scale ** 2, 1e-300)
-            mures = float(np.linalg.norm(res))
-            if mures <= bound or res.size == 0:
+            if mode.vanishes([res], np.linalg.norm(a, axis=(1, 2)).max() ** 2):
                 ok = True
                 break
             step, *_ = np.linalg.lstsq(_mu_jacobian(s), -res, rcond=None)
@@ -477,10 +456,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig(),
             continue
         converged += 1
         alpha = MatrixTuple(n, d, tuple(a.copy()))
-        scale = tuple_scale(alpha)
-        chires = chi_norm(alpha)
-        commuting = scale == 0 or chires <= mode.tol_residual * scale ** 2
-        samples.append(MuZeroSample(alpha, commuting, mures, chires))
+        samples.append(MuZeroSample(alpha, is_commuting(alpha, mode),
+                                    float(np.linalg.norm(res)), chi_norm(alpha)))
     return SamplerResult(tuple(samples), len(starts), converged)
 
 

@@ -453,6 +453,18 @@ class TestCliMalformedInput:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("filtration", [
+        5,
+        {"v": [[1], 0, 0], "w": [0]},
+        {"v": [0, 0, 0]},
+        {"v": ["0", 0, 0], "w": [0]},
+    ])
+    def test_malformed_filtration_exit_2(self, capsys, tmp_path, filtration):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "rational",
+                                    "entries": [], "filtration": filtration}))
+        assert_value_error_exit_2(*run_cli(capsys, "analyze", "--pairing", str(path)))
+
     @pytest.mark.parametrize("matrices", [
         5,
         [5],
@@ -472,6 +484,40 @@ class TestCliMalformedInput:
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps({"n": 2, "d": 0, "scalar": "rational", "matrices": []}))
         assert_value_error_exit_2(*run_cli(capsys, "commuting", cmd, "--tuple", str(path)))
+
+    @pytest.mark.parametrize("cmd", ["spectrum", "invariants", "analyze"])
+    @pytest.mark.parametrize("n, matrices", [(0, [[]]), (-1, [[]])])
+    def test_nonpositive_matrix_size_exit_2(self, capsys, tmp_path, cmd, n, matrices):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": n, "d": 1, "scalar": "complex",
+                                    "matrices": matrices}))
+        code, out, err = run_cli(capsys, "commuting", cmd, "--tuple", str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "n >= 1" in err
+
+    @pytest.mark.parametrize("mode", ["rational", "complex"])
+    @pytest.mark.parametrize("epsilon", ["1/0", "inf", "-inf", "nan", "x", "1/x", "1e400"])
+    def test_bad_epsilon_exit_2(self, capsys, mode, epsilon):
+        assert_value_error_exit_2(*run_cli(
+            capsys, "construct", "stable", "--pairing", "catalog:curve:2", "--auto",
+            "--n", "2", f"--epsilon={epsilon}", "--mode", mode))
+
+    def test_rational_epsilon_beyond_float_range(self, capsys):
+        # exact: taken as it is; complex: it has no float value, so it is refused
+        argv = ("construct", "stable", "--pairing", "catalog:curve:2", "--auto", "--n", "2",
+                f"--epsilon={10**400}/1", "--mode")
+        code, out, _ = run_cli(capsys, *argv, "rational")
+        assert code == 0 and f"{10**400}/1" in out
+        assert_value_error_exit_2(*run_cli(capsys, *argv, "complex"))
+
+    @pytest.mark.parametrize("sizes", [("0", "2", "2"), ("2", "0", "2"), ("-1", "1", "2"),
+                                       ("2", "2", "0"), ("2", "2", "-3")])
+    def test_verify_chevalley_nonpositive_size_exit_2(self, capsys, sizes):
+        n, d, samples = sizes
+        code, out, err = run_cli(capsys, "verify", "chevalley", "--n", n, "--d", d,
+                                 "--samples", samples)
+        assert_value_error_exit_2(code, out, err)
+        assert "--n, --d and --samples >= 1" in err
 
     @pytest.mark.parametrize("coeffs", [
         5,

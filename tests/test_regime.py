@@ -9,7 +9,9 @@ import pytest
 from semirigid.catalog import catalog_build
 from semirigid.commuting import (
     MatrixTuple,
+    chevalley_separates,
     joint_spectrum,
+    regular_locus_test,
     rep_analysis,
     simultaneous_triangularize,
 )
@@ -43,6 +45,7 @@ PLANE = (Bivector(4, (1, 0, 0, 0, 0, 1)), Bivector(4, (1, 0, 0, 0, 0, -1)))
 # diag(1, 1 + 1e-12): exact arithmetic sees two eigenvalues and an algebra of
 # dimension 2, float arithmetic at tol_rank 1e-8 sees one and dimension 1
 SPLIT = MatrixTuple.from_matrices([exact_matrix([[1, 0], [0, 1 + Fraction(1, 10**12)]])])
+ONE = MatrixTuple.from_matrices([exact_matrix([[1, 0], [0, 1]])])
 
 
 def complex_pairing(p: SkewPairing) -> SkewPairing:
@@ -90,6 +93,16 @@ ENTRY_POINTS = {
                        lambda s: s.is_rational() and len(set(s.points)) == 2),
     "rep_analysis": (lambda r, mode: rep_analysis(tuple_(SPLIT, r), mode),
                      lambda out: out.algebra_dim == 2),
+    "regular_locus_test": (lambda r, mode: regular_locus_test(tuple_(SPLIT, r), mode),
+                           lambda distinct: distinct),
+    # both return whether the joint spectra agree: exactly they do not
+    "chevalley_separates": (
+        lambda r, mode: chevalley_separates(tuple_(SPLIT, r), tuple_(ONE, r), mode),
+        lambda same: not same),
+    "multiset_equal": (
+        lambda r, mode: joint_spectrum(tuple_(SPLIT, r)).multiset_equal(
+            joint_spectrum(tuple_(ONE, r)), mode),
+        lambda same: not same),
 }
 
 
@@ -108,6 +121,12 @@ class TestResolveMode:
         assert resolve_mode(EXACT, CURVE, STABLE) is EXACT
         with pytest.raises(ValueError, match=REFUSAL):
             resolve_mode(EXACT, CURVE, STABLE.to_float())
+
+    def test_one_float_tuple_puts_both_in_float(self):
+        # [[0, 1], [2, 0]] has eigenvalues +-sqrt(2): exact triangularization
+        # refuses it, so comparing it with its float copy must not try
+        alpha = MatrixTuple.from_matrices([exact_matrix([[0, 1], [2, 0]])])
+        assert chevalley_separates(alpha, alpha.to_float())
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

@@ -1,0 +1,116 @@
+"""One tolerance policy: ``ScalarMode.vanishes`` and ``scalars._svd_rank`` make
+every float zero and rank decision, and ``DEFAULT_TOL`` is the one default."""
+
+import inspect
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import semirigid
+from semirigid import scalars
+from semirigid.catalog import catalog_build
+from semirigid.commuting import MatrixTuple, is_commuting, rep_analysis
+from semirigid.exterior import Bivector
+from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
+from semirigid.verdict import SearchConfig, tuple_to_witness, witness_to_tuple
+
+EXACT = ScalarMode.exact()
+FLOAT = ScalarMode.floating()
+
+# genus-2 intersection form on V = C^4; e0 ^ e2 is a rank-2 element of its kernel
+CURVE = catalog_build("curve", [2]).pairing
+W = Bivector.basis_element(4, 0, 2)
+
+
+class TestVanishes:
+    def test_exact_mode_compares_entries_not_their_float_values(self):
+        tiny = exact_matrix([[0, Fraction(1, 10**400)], [0, 0]])
+        assert float(tiny[0, 1]) == 0.0
+        assert not EXACT.vanishes([tiny])
+        assert EXACT.vanishes([exact_matrix([[0, 0], [0, 0]]), np.zeros(3, dtype=object)])
+
+    def test_exact_mode_ignores_scale(self):
+        one = exact_matrix([[1]])
+        assert not EXACT.vanishes([one], scale=1e300)
+
+    def test_float_mode_bound_is_tol_residual_times_scale(self):
+        scale = 1e3
+        bound = FLOAT.tol_residual * scale
+        for norm, expected in ((0.99 * bound, True), (1.01 * bound, False)):
+            # two entries of equal modulus: Frobenius norm is |a| sqrt(2)
+            a = np.full(2, norm / np.sqrt(2), dtype=complex)
+            assert FLOAT.vanishes([np.zeros(2), a], scale) is expected
+        assert not FLOAT.vanishes([np.full(2, 0.99 * bound)], scale / 10)
+
+    def test_every_array_must_vanish(self):
+        assert not FLOAT.vanishes([np.zeros(2), np.ones(2)])
+        assert FLOAT.vanishes([])
+
+    def test_defaults_come_from_one_constant(self):
+        assert FLOAT == ScalarMode.floating(DEFAULT_TOL, DEFAULT_TOL)
+        assert SearchConfig().tol_rank == DEFAULT_TOL
+
+
+def _source_files():
+    return sorted(Path(semirigid.__file__).parent.glob("*.py"))
+
+
+class TestToleranceLiterals:
+    """The float regime's thresholds are written in one place each."""
+
+    def test_default_tolerance_is_written_once(self):
+        hits = [(f.name, line.strip()) for f in _source_files()
+                for line in f.read_text().splitlines() if "1e-8" in line]
+        assert hits == [("scalars.py", "DEFAULT_TOL = 1e-8")]
+
+    def test_no_ad_hoc_floor(self):
+        assert not [f.name for f in _source_files() if "1e-300" in f.read_text()]
+
+    def test_singular_value_threshold_only_in_svd_rank(self):
+        threshold = re.compile(r"s\s*>\s*[\w.]+\s*\*\s*s\[0\]")
+        hits = [f.name for f in _source_files() for _ in threshold.finditer(f.read_text())]
+        assert hits == ["scalars.py"]
+        assert threshold.search(inspect.getsource(scalars._svd_rank))
+
+    def test_tuple_to_witness_has_no_regime_branch(self):
+        assert "is_exact" not in inspect.getsource(tuple_to_witness)
+
+
+def _conjugated(mats, seed):
+    """The tuple conjugated by a seeded unitary, as a float tuple."""
+    rng = np.random.default_rng(seed)
+    n = mats[0].shape[0]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return MatrixTuple.from_matrices([q @ np.asarray(m, dtype=complex) @ q.conj().T
+                                      for m in mats])
+
+
+@st.composite
+def mu_zero_tuples(draw):
+    """Float tuples with mu = 0 for CURVE: the sl2 tuple through W (not
+    commuting) or four diagonal matrices (commuting), in a random basis."""
+    n = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        mats = witness_to_tuple(W, n, EXACT).matrices
+    else:
+        rng = np.random.default_rng(seed)
+        mats = [np.diag(rng.integers(-3, 4, size=n)) for _ in range(CURVE.dim_v)]
+    return _conjugated(mats, seed)
+
+
+class TestRescalingMetamorphic:
+    """Every float decision is relative to the input's scale, so multiplying a
+    tuple by s changes none of them."""
+
+    @given(alpha=mu_zero_tuples(), exponent=st.floats(-6, 6))
+    def test_rescaling_keeps_float_decisions(self, alpha, exponent):
+        scaled = alpha.scaled(10.0 ** exponent)
+        assert is_commuting(scaled, FLOAT) == is_commuting(alpha, FLOAT)
+        assert rep_analysis(scaled) == rep_analysis(alpha)
+        assert ((tuple_to_witness(scaled, CURVE) is None)
+                == (tuple_to_witness(alpha, CURVE) is None))
