@@ -190,15 +190,19 @@ def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
     return np.linalg.inv(q)
 
 
-def _group_eigenvalues(vals, mode: ScalarMode):
-    """Cluster eigenvalues; returns a list of (value, count) groups."""
+def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
+    """Cluster eigenvalues; returns a list of (value, count) groups.
+
+    In float mode two eigenvalues join when they differ by at most tol_rank
+    times ``scale``, the norm of the matrix they belong to.
+    """
     if mode.is_exact:
         groups = {}
         for v in vals:
             groups[v] = groups.get(v, 0) + 1
         return sorted(groups.items())
     arr = np.asarray(vals, dtype=complex)
-    thr = mode.tol_rank * max(1.0, float(np.max(np.abs(arr))))
+    thr = mode.tol_rank * scale
     parent = list(range(len(arr)))
 
     def find(i):
@@ -301,7 +305,7 @@ def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
         except IrrationalSpectrumError:
             saw_irrational = True
             continue
-        groups = _group_eigenvalues(vals, mode)
+        groups = _group_eigenvalues(vals, mode, frobenius(b))
         if len(groups) < 2:
             continue
         bases = []
@@ -394,7 +398,7 @@ class JointSpectrum:
             return sorted(self.points) == sorted(other.points)
         a = np.array([[complex(x) for x in p] for p in self.points])
         b = np.array([[complex(x) for x in p] for p in other.points])
-        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
         cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         rows, cols = linear_sum_assignment(cost)
         return bool(np.max(cost[rows, cols]) <= 10 * mode.tol_residual * scale)
@@ -414,6 +418,8 @@ def _min_rotation(word: tuple) -> tuple:
 
 def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     """Traces of products over words (1-based indices) up to cyclic rotation."""
+    if max_degree < 1:
+        raise ValueError("need max_degree >= 1")
     out = {}
     for degree in range(1, max_degree + 1):
         for word in product(range(1, alpha.d + 1), repeat=degree):
@@ -597,7 +603,7 @@ def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bo
     if mode.is_exact:
         return len(set(pts)) == len(pts)
     arr = np.array([[complex(x) for x in p] for p in pts])
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
+    scale = tuple_scale(alpha)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if np.linalg.norm(arr[i] - arr[j]) <= mode.tol_rank * scale:

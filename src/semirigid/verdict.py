@@ -42,8 +42,7 @@ from .exterior import (
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
-    pair_index,
-    quad_list,
+    plucker_pairs,
 )
 from .scalars import (
     DEFAULT_TOL,
@@ -137,21 +136,23 @@ def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: Sear
 # ---------------------------------------------------------------------------
 # witness search on the Plucker quadrics
 
+# partner of each column of the plucker_pairs table in its product, and the
+# product's sign: d/dw of w_ab w_ce - w_ac w_be + w_ae w_bc
+_PARTNER = [1, 0, 3, 2, 5, 4]
+_SIGN = np.array([1, 1, -1, -1, 1, 1])
 
-def _plucker_bilinear_tensor(basis: np.ndarray, d: int) -> np.ndarray:
-    """T[q, a, b]: coefficient on the q-th 4-wedge of basis_a wedge basis_b,
-    symmetrized; the search residual is R(x) = sum_ab x_a x_b T[:, a, b]."""
-    quads = quad_list(d)
-    idx = np.array(
-        [[pair_index(a, b, d), pair_index(c, e, d),
-          pair_index(a, c, d), pair_index(b, e, d),
-          pair_index(a, e, d), pair_index(b, c, d)]
-         for a, b, c, e in quads], dtype=int)
-    b1, b2, b3, b4, b5, b6 = (basis[idx[:, k], :] for k in range(6))
-    half = (np.einsum('qa,qb->qab', b1, b2)
-            - np.einsum('qa,qb->qab', b3, b4)
-            + np.einsum('qa,qb->qab', b5, b6))
-    return half + half.transpose(0, 2, 1)
+
+def _plucker_residual(blocks: np.ndarray, x: np.ndarray):
+    """Wedge square of w = basis @ x on the 4-wedges, and its Jacobian in x.
+
+    ``blocks`` is ``basis[plucker_pairs(d)]``, the six q x m row blocks of the
+    basis that the quadrics read, so both cost O(q m): the q x m x m bilinear
+    form is never built.
+    """
+    w = blocks @ x
+    res = 2 * (w[:, 0] * w[:, 1] - w[:, 2] * w[:, 3] + w[:, 4] * w[:, 5])
+    jac = (2 * _SIGN * w[:, _PARTNER])[:, None, :] @ blocks
+    return res, jac[:, 0, :]
 
 
 def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -159,9 +160,12 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
 
     Minimizes the squared norm of the wedge square over unit coefficient
     vectors in the given subspace; accepts when the normalized residual drops
-    below tol_plucker and the singular values confirm rank exactly 2.  The
-    per-restart seed is derived from (seed, restart index), so results do not
-    depend on scheduling.
+    below tol_plucker and the singular values confirm rank exactly 2.  A
+    restart also ends early at a stationary point with a nonzero residual,
+    where the gradient J^H res vanishes relative to |J| |res|: the
+    Gauss-Newton step is zero there, so further iterations cannot move it.
+    The per-restart seed is derived from (seed, restart index), so results do
+    not depend on scheduling.
     """
     if k.dim == 0:
         return SearchResult(None, float("inf"), 0)
@@ -169,18 +173,16 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     raw = np.column_stack([_float_coeffs(b) for b in k.basis])
     basis, _ = np.linalg.qr(raw)
     m = basis.shape[1]
-    tensor = _plucker_bilinear_tensor(basis, d)
+    blocks = basis[plucker_pairs(d)]
+    stationary = ScalarMode.floating()
     best = float("inf")
-
-    def residual(x):
-        return np.einsum('qab,a,b->q', tensor, x, x)
 
     for r in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, r))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         x /= np.linalg.norm(x)
         for _ in range(cfg.max_iterations):
-            res = residual(x)
+            res, jac = _plucker_residual(blocks, x)
             f = float(np.linalg.norm(res) ** 2)
             best = min(best, f)
             if f <= cfg.tol_plucker:
@@ -188,11 +190,17 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
                 if rank(omega.skew_matrix(), ScalarMode.floating(tol_rank=cfg.tol_rank)) == 2:
                     return SearchResult(omega, f, r + 1)
                 break
+            scale = np.linalg.norm(jac) * np.linalg.norm(res)
             # restrict the step to the tangent space of the unit sphere: the
             # residual is homogeneous quadratic, so the unrestricted step is
             # purely radial (Euler) and the renormalization would undo it
-            jac = 2 * np.einsum('qab,b->qa', tensor, x)
             jac = jac - np.outer(jac @ x, np.conj(x))
+            # first-order stationarity of Gauss-Newton (Nocedal & Wright,
+            # Numerical Optimization, 10.3): the step would be zero.  The
+            # scale takes |J| before the projection, which on a kernel line
+            # leaves only rounding, parallel to res
+            if stationary.vanishes([jac.conj().T @ res], scale):
+                break
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             if not np.all(np.isfinite(step)):
                 break

@@ -519,6 +519,16 @@ class TestCliMalformedInput:
         assert_value_error_exit_2(code, out, err)
         assert "--n, --d and --samples >= 1" in err
 
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_invariants_nonpositive_max_degree_exit_2(self, capsys, tmp_path, degree):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "scalar": "rational",
+                                    "matrices": [[["1", "0"], ["0", "2"]]]}))
+        code, out, err = run_cli(capsys, "commuting", "invariants", "--tuple", str(path),
+                                 "--max-degree", degree)
+        assert_value_error_exit_2(code, out, err)
+        assert "max_degree >= 1" in err
+
     @pytest.mark.parametrize("coeffs", [
         5,
         [5],

@@ -466,6 +466,30 @@ class TestJointSpectrumMetamorphic:
 
 
 @st.composite
+def diagonal_tuple_pairs(draw):
+    """Two exact diagonal integer tuples of one shape."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    diagonals = st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=d, max_size=d)
+    return tuple(exact_tuple(*(np.diag(v) for v in draw(diagonals))) for _ in range(2))
+
+
+class TestFloatSpectrumScaling:
+    @given(pair=diagonal_tuple_pairs(), k=st.integers(-12, 6))
+    def test_scaling_keeps_float_answers(self, pair, k):
+        # the float tolerances are relative, so 10^k alpha must give the exact
+        # answers of alpha at every k
+        alpha, beta = pair
+        a, b = (t.to_float().scaled(10.0 ** k) for t in pair)
+        assert regular_locus_test(a, FLOAT) == regular_locus_test(alpha, EXACT)
+        assert chevalley_separates(a, b, FLOAT) == chevalley_separates(alpha, beta, EXACT)
+
+    def test_small_distinct_points_stay_distinct(self):
+        a = float_tuple(np.diag([1e-9, 2e-9, 3e-9]))
+        assert regular_locus_test(a, FLOAT)
+        assert not chevalley_separates(a, float_tuple(np.diag([1e-9, 2e-9, 2e-9])), FLOAT)
+
+
+@st.composite
 def rational_tuples(draw):
     """Integer tuples, n <= 4 and d <= 3; with ``upper`` all matrices are upper
     triangular, so the first coordinate line is invariant and the

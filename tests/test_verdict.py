@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,8 @@ from semirigid.exterior import (
     bivector_rank,
     kernel,
     pair_list,
+    plucker_pairs,
+    plucker_square,
     wedge,
 )
 from semirigid.scalars import ScalarMode, exact_matrix
@@ -39,6 +42,7 @@ from semirigid.verdict import (
     UNKNOWN,
     MuNonzeroError,
     SearchConfig,
+    _plucker_residual,
     construct_stable_point,
     decide,
     mu_zero_sampler,
@@ -124,6 +128,20 @@ class TestDecide:
         assert v1 == v2
 
 
+def random_complex_kernel(rng, d, m):
+    """m random complex bivectors on C^d, as a subspace and as columns."""
+    cols = rng.standard_normal((comb(d, 2), m)) + 1j * rng.standard_normal((comb(d, 2), m))
+    basis = tuple(Bivector(d, tuple(complex(z) for z in cols[:, j])) for j in range(m))
+    return KernelSubspace(d, basis), cols
+
+
+def pairing_with_kernel(cols, d):
+    """Complex pairing whose kernel is exactly the column span of cols."""
+    q, _ = np.linalg.qr(cols, mode="complete")
+    ann = q[:, cols.shape[1]:].conj().T
+    return SkewPairing(d, ann.shape[0], tuple(tuple(complex(z) for z in row) for row in ann.T))
+
+
 class TestWitnessSearch:
     def test_single_rank2_generator_immediate(self):
         k = KernelSubspace(6, (Bivector.basis_element(6, 0, 1),))
@@ -147,6 +165,66 @@ class TestWitnessSearch:
         out = witness_search(KernelSubspace(6, (gen,)), SearchConfig(restarts=4))
         assert out.witness is None
         assert out.best_residual > 0.1
+
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_residual_is_the_plucker_square(self, d):
+        rng = np.random.default_rng(d)
+        _, basis = random_complex_kernel(rng, d, 3)
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        res, _ = _plucker_residual(basis[plucker_pairs(d)], x)
+        expected = plucker_square(Bivector(d, tuple(basis @ x)))
+        assert res.shape == (comb(d, 4),)
+        assert np.allclose(res, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_jacobian_central_difference(self, d):
+        rng = np.random.default_rng(d)
+        _, basis = random_complex_kernel(rng, d, 5)
+        blocks = basis[plucker_pairs(d)]
+        x, v = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2))
+        _, jac = _plucker_residual(blocks, x)
+        # the residual is homogeneous quadratic: the central difference is exact
+        central = _plucker_residual(blocks, x + v)[0] - _plucker_residual(blocks, x - v)[0]
+        assert np.allclose(central, 2 * jac @ v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["rank4_line", "below_bound"])
+    def test_restarts_stop_at_a_stationary_point(self, monkeypatch, case):
+        rng = np.random.default_rng(6)
+        if case == "rank4_line":
+            p = planted_kernel_pairing(rng, 6, 14, Bivector.from_pairs(6, {(0, 1): 1, (2, 3): 1}))
+            kd = 1
+        else:
+            kd = comb(4, 2)
+            p = pairing_with_kernel(random_complex_kernel(rng, 6, kd)[1], 6)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        cfg = SearchConfig(restarts=8)
+        v = decide(p, cfg=cfg)
+        assert (v.status, v.certificate) == (UNKNOWN, CERT_SEARCH_EXHAUSTED)
+        assert v.evidence.kernel_dim == kd and v.evidence.restarts_used == 8
+        # the Gauss-Newton step is zero at a stationary point: no restart may
+        # spin there for the rest of its iterations
+        assert len(calls) < cfg.restarts * cfg.max_iterations / 4
+
+    def test_search_memory_at_the_bound(self):
+        # d = 14 at the dimension bound: a q x m x m Plucker tensor would take
+        # 1001 x 67 x 67 complex entries, over 70 MB
+        d = 14
+        k, _ = random_complex_kernel(np.random.default_rng(14), d, comb(d - 2, 2) + 1)
+        tracemalloc.start()
+        try:
+            out = witness_search(k, SearchConfig(restarts=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.witness is not None
+        assert peak < 32e6
 
 
 class TestWitnessToTuple:
