@@ -78,6 +78,16 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file, and the digest of the file's bytes."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise _CliInputError(f"cannot read {what} file: {exc}") from exc
+    return json.loads(raw), _digest(raw)
+
+
 def _load_pairing(source: str):
     """Load a pairing from a file or a catalog:NAME:PARAMS pseudo-path."""
     if source.startswith("catalog:"):
@@ -85,22 +95,9 @@ def _load_pairing(source: str):
         entry = catalog_build(parts[1], parts[2:])
         text = _canonical_json(pairing_to_json(entry.pairing))
         return entry.pairing, _digest(text.encode())
-    try:
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _CliInputError(f"cannot read pairing file: {exc}") from exc
-    pairing, _ = pairing_from_json(json.loads(raw))
-    return pairing, _digest(raw)
-
-
-def _load_tuple(path: str):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _CliInputError(f"cannot read tuple file: {exc}") from exc
-    return tuple_from_json(json.loads(raw)), _digest(raw)
+    obj, digest = _read_json(source, "pairing")
+    pairing, _ = pairing_from_json(obj)
+    return pairing, digest
 
 
 def _resolve_seed(args) -> int:
@@ -178,7 +175,8 @@ def _cmd_kernel(args, started):
 
 
 def _cmd_commuting(args, started):
-    alpha, digest = _load_tuple(args.tuple)
+    obj, digest = _read_json(args.tuple, "tuple")
+    alpha = tuple_from_json(obj)
     mode = resolve_mode(_requested_mode(args), alpha)
     seed = _resolve_seed(args)
     if args.commuting_cmd == "spectrum":
@@ -229,8 +227,7 @@ def _cmd_construct(args, started):
                 f"({verdict.certificate})")
         omega, mode = verdict.witness, None
     else:
-        with open(args.witness, "rb") as fh:
-            omega = bivector_from_json(json.loads(fh.read()))
+        omega = bivector_from_json(_read_json(args.witness, "witness")[0])
     alpha = construct_stable_point(pairing, omega, args.n, _parse_epsilon(args.epsilon), mode)
     report = {
         "tool_version": __version__,

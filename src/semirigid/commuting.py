@@ -15,12 +15,10 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exterior import Bivector, SkewPairing, pair_list
 from .scalars import (
     Echelon,
-    IrrationalSpectrumError,
     PreconditionError,
     ScalarMode,
     eigenvalues,
@@ -175,9 +173,6 @@ def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
 # ---------------------------------------------------------------------------
 # simultaneous triangularization and joint spectra
 
-_RANDOM_COMBINATION_RETRIES = 8
-
-
 def _in_regime(alpha: MatrixTuple, mode: ScalarMode | None):
     """The resolved mode, and the tuple converted to float for a float mode."""
     mode = resolve_mode(mode, alpha)
@@ -188,6 +183,25 @@ def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
     if mode.is_exact:
         return solve(q, identity(q.shape[0], mode))
     return np.linalg.inv(q)
+
+
+def _clusters(points: np.ndarray, thr: float) -> list:
+    """Single-linkage clusters of the rows of ``points``: rows within ``thr``
+    of each other share one.  Index lists, each sorted, ordered by first index."""
+    near = np.linalg.norm(points[:, None] - points[None, :], axis=-1) <= thr
+    seen = np.zeros(len(points), dtype=bool)
+    out = []
+    for i in range(len(points)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        members = [i]
+        for j in members:
+            for k in np.flatnonzero(near[j] & ~seen):
+                seen[k] = True
+                members.append(int(k))
+        out.append(sorted(members))
+    return out
 
 
 def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
@@ -202,23 +216,7 @@ def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
             groups[v] = groups.get(v, 0) + 1
         return sorted(groups.items())
     arr = np.asarray(vals, dtype=complex)
-    thr = mode.tol_rank * scale
-    parent = list(range(len(arr)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if abs(arr[i] - arr[j]) <= thr:
-                parent[find(i)] = find(j)
-    members = {}
-    for i in range(len(arr)):
-        members.setdefault(find(i), []).append(arr[i])
-    groups = [(np.mean(vs), len(vs)) for vs in members.values()]
+    groups = [(np.mean(arr[c]), len(c)) for c in _clusters(arr[:, None], mode.tol_rank * scale)]
     return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
 
 
@@ -289,72 +287,55 @@ def _block_diag(top: np.ndarray, bottom: np.ndarray, mode: ScalarMode) -> np.nda
     return out
 
 
+def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
+    """Columns spanning the generalized eigenspaces of b, group by group
+    (orthonormalized in float mode), or None when a float eigenspace has the
+    wrong size or the columns do not span."""
+    n = b.shape[0]
+    bases = []
+    for lam, count in groups:
+        shifted = b - lam * identity(n, mode)
+        power = shifted
+        for _ in range(count - 1):
+            power = power @ shifted
+        basis = nullspace(power, mode)
+        if len(basis) != count:
+            return None
+        bases.append(np.column_stack(basis))
+    s = np.column_stack(bases)
+    if mode.is_exact:
+        return s if rank(s, mode) == n else None
+    return np.linalg.qr(s)[0]
+
+
 def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
     n = mats[0].shape[0]
     if n <= 1:
         return identity(n, mode)
-    saw_irrational = False
-    for _ in range(_RANDOM_COMBINATION_RETRIES):
-        if mode.is_exact:
-            coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
-        else:
-            coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        b = sum(c * m for c, m in zip(coeffs, mats))
-        try:
-            vals = eigenvalues(b, mode)
-        except IrrationalSpectrumError:
-            saw_irrational = True
-            continue
-        groups = _group_eigenvalues(vals, mode, frobenius(b))
-        if len(groups) < 2:
-            continue
-        bases = []
-        ok = True
-        for lam, count in groups:
-            shifted = b - lam * identity(n, mode)
-            power = shifted
-            for _ in range(count - 1):
-                power = power @ shifted
-            basis = nullspace(power, mode)
-            if len(basis) != count:
-                ok = False
-                break
-            bases.append(np.column_stack(basis))
-        if not ok:
-            continue
-        s = np.column_stack(bases)
-        if mode.is_exact:
-            if rank(s, mode) != n:
-                continue
-            q0 = s
-        else:
-            q0, _ = np.linalg.qr(s)
-        q0_inv = _inverse(q0, mode)
-        transformed = [q0_inv @ a @ q0 for a in mats]
+    if mode.is_exact:
+        coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
+    else:
+        coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    b = sum(c * m for c, m in zip(coeffs, mats))
+    # an irrational spectrum here stands: a rational triangular form would
+    # give every rational combination a rational spectrum
+    groups = _group_eigenvalues(eigenvalues(b, mode), mode, frobenius(b))
+    q0 = _eigenspace_basis(b, groups, mode) if len(groups) > 1 else None
+    if q0 is None:
+        # one eigenvalue group, or a split the tolerance cannot resolve:
+        # deflate by a common eigenvector
+        q0 = _complete_basis(_common_eigenvector(mats, mode), mode)
+        sizes = [1, n - 1]
+    else:
         sizes = [count for _, count in groups]
-        offs = np.cumsum([0] + sizes)
-        blocks_q = []
-        for g in range(len(sizes)):
-            lo, hi = offs[g], offs[g + 1]
-            sub = [t[lo:hi, lo:hi] for t in transformed]
-            blocks_q.append(_triangularize(sub, mode, rng))
-        qb = blocks_q[0]
-        for extra in blocks_q[1:]:
-            qb = _block_diag(qb, extra, mode)
-        return q0 @ qb
-    if mode.is_exact and saw_irrational:
-        raise IrrationalSpectrumError(
-            "random combinations have irrational spectra; tuple is not "
-            "triangularizable over the rationals")
-    # structurally repeated spectrum: deflate by a common eigenvector
-    v = _common_eigenvector(mats, mode)
-    q0 = _complete_basis(v, mode)
     q0_inv = _inverse(q0, mode)
     transformed = [q0_inv @ a @ q0 for a in mats]
-    sub = [t[1:, 1:] for t in transformed]
-    q1 = _triangularize(sub, mode, rng)
-    one = identity(1, mode)
-    return q0 @ _block_diag(one, q1, mode)
+    offs = np.cumsum([0] + sizes)
+    qb = None
+    for lo, hi in zip(offs, offs[1:]):
+        block = _triangularize([t[lo:hi, lo:hi] for t in transformed], mode, rng)
+        qb = block if qb is None else _block_diag(qb, block, mode)
+    return q0 @ qb
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -362,10 +343,12 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     """Common triangularizing basis change for a commuting tuple.
 
     Returns (q, transformed) with every transformed matrix upper triangular
-    (within tolerance in float mode); q is unitary in float mode.  Uses a
-    seeded random linear combination to split the space along eigenvalue
-    groups, retrying on accidental collisions, and deflates by a common
-    eigenvector when the repetition is structural.
+    (within tolerance in float mode); q is unitary in float mode.  At each
+    level one seeded random linear combination splits the space along its
+    eigenvalue groups; when it has a single group, or float mode cannot
+    resolve the split, the level deflates by a common eigenvector.  In
+    rational mode a combination whose spectrum does not split over Q raises
+    IrrationalSpectrumError.
     """
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
@@ -391,6 +374,9 @@ class JointSpectrum:
         return all(isinstance(x, (int, Fraction)) for p in self.points for x in p)
 
     def multiset_equal(self, other: "JointSpectrum", mode: ScalarMode | None = None) -> bool:
+        """Equality as multisets: exact in rational mode; in float mode every
+        single-linkage cluster of the union, at 10 tol_residual times the
+        largest coordinate, must hold as many points of each spectrum."""
         mode = resolve_mode(mode, self, other)
         if self.n != other.n:
             return False
@@ -399,9 +385,8 @@ class JointSpectrum:
         a = np.array([[complex(x) for x in p] for p in self.points])
         b = np.array([[complex(x) for x in p] for p in other.points])
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        rows, cols = linear_sum_assignment(cost)
-        return bool(np.max(cost[rows, cols]) <= 10 * mode.tol_residual * scale)
+        clusters = _clusters(np.concatenate([a, b]), 10 * mode.tol_residual * scale)
+        return all(2 * sum(i < self.n for i in c) == len(c) for c in clusters)
 
 
 def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode | None = None) -> JointSpectrum:
@@ -506,11 +491,13 @@ class _SpanBuilder:
         self.rows = []
         self.echelon = Echelon() if mode.is_exact else None
 
-    def add(self, v: np.ndarray) -> bool:
+    def add(self, v: np.ndarray, ref: float = 0.0) -> bool:
+        """Add v if it is new: in float mode, if its part outside the span
+        exceeds tol_rank times the larger of its norm and ``ref``."""
         if self.echelon is not None:
             return self.echelon.add(v)
         w = np.asarray(v, dtype=complex)
-        orig = np.linalg.norm(w)
+        orig = max(np.linalg.norm(w), ref)
         if orig == 0:
             return False
         for row in self.rows:
@@ -529,26 +516,18 @@ class _SpanBuilder:
         return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
-def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
-    """Commutant, generated algebra, radical, and the derived stability flags.
+def _algebra(alpha: MatrixTuple, mode: ScalarMode):
+    """Dimensions of the algebra the tuple (already in the mode's regime)
+    generates and of its radical.
 
-    The commutant is the nullspace of the stacked Sylvester operators; the
-    algebra is the multiplicative closure of identity and generators, capped
-    at n^2; the radical is the kernel of the trace form on the algebra
-    (characteristic zero).  Irreducibility is algebra_dim == n^2 and
-    stability (closed orbit with scalar stabilizer) coincides with it.
+    The algebra is the multiplicative closure of identity and generators,
+    capped at n^2; the radical is the kernel of the trace form on it
+    (characteristic zero).
     """
-    alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
-    eye = identity(n, mode)
-
-    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices]
-    stacked = np.concatenate(blocks, axis=0)
-    commutant_dim = n * n - rank(stacked, mode)
-
     span = _SpanBuilder(mode)
     basis_mats = []
-    for m in (eye, *alpha.matrices):
+    for m in (identity(n, mode), *alpha.matrices):
         if span.add(m.reshape(-1)):
             basis_mats.append(m)
     frontier = list(basis_mats)
@@ -557,7 +536,10 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
         for b in frontier:
             for g in alpha.matrices:
                 cand = b @ g
-                if span.add(cand.reshape(-1)):
+                # a float product that vanishes exactly still carries rounding
+                # of the size |b| |g|, so that is the scale it is judged at
+                ref = 0.0 if mode.is_exact else frobenius(b) * frobenius(g)
+                if span.add(cand.reshape(-1), ref):
                     basis_mats.append(cand)
                     new_frontier.append(cand)
                     if span.dim == n * n:
@@ -577,16 +559,31 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
             val = trace(bi @ basis_mats[j])
             gram[i, j] = val
             gram[j, i] = val
-    radical_dim = algebra_dim - rank(gram, mode)
+    return algebra_dim, algebra_dim - rank(gram, mode)
 
+
+def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
+    """Commutant, generated algebra, radical, and the derived stability flags.
+
+    The commutant is the nullspace of the stacked Sylvester operators; the
+    algebra and its radical come from :func:`_algebra`.  Irreducibility is
+    algebra_dim == n^2 and stability (closed orbit with scalar stabilizer)
+    coincides with it.
+    """
+    alpha, mode = _in_regime(alpha, mode)
+    n = alpha.n
+    eye = identity(n, mode)
+    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices]
+    stacked = np.concatenate(blocks, axis=0)
+    commutant_dim = n * n - rank(stacked, mode)
+    algebra_dim, radical_dim = _algebra(alpha, mode)
     irreducible = algebra_dim == n * n
-    semisimple = radical_dim == 0
     return RepAnalysis(
         commutant_dim=commutant_dim,
         algebra_dim=algebra_dim,
         radical_dim=radical_dim,
         irreducible=irreducible,
-        semisimple=semisimple,
+        semisimple=radical_dim == 0,
         stable=irreducible,
     )
 
@@ -594,18 +591,15 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
 def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bool:
     """Whether the commuting tuple has n pairwise distinct joint eigenvalue vectors.
 
-    For a commuting tuple, distinctness forces the joint generalized
-    eigenspaces to be lines, so it already implies simultaneous
+    A commutative algebra has one character per distinct joint eigenvalue
+    vector, so the algebra the tuple generates is semisimple of dimension n
+    exactly when the n vectors are distinct; that is the test, in both
+    regimes, and it needs no eigenvalues, so a rational tuple may have an
+    irrational spectrum.  Distinctness forces the joint generalized
+    eigenspaces to be lines, so it also implies simultaneous
     diagonalizability.
     """
-    mode = resolve_mode(mode, alpha)
-    pts = joint_spectrum(alpha, mode).points
-    if mode.is_exact:
-        return len(set(pts)) == len(pts)
-    arr = np.array([[complex(x) for x in p] for p in pts])
-    scale = tuple_scale(alpha)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(arr[i] - arr[j]) <= mode.tol_rank * scale:
-                return False
-    return True
+    alpha, mode = _in_regime(alpha, mode)
+    _require_commuting(alpha, mode)
+    algebra_dim, radical_dim = _algebra(alpha, mode)
+    return algebra_dim == alpha.n and radical_dim == 0

@@ -100,13 +100,6 @@ class Bivector:
             m[j, i] = -c
         return m
 
-    def coeff_array(self) -> np.ndarray:
-        if self.is_rational():
-            out = np.empty(len(self.coeffs), dtype=object)
-            out[:] = self.coeffs
-            return out
-        return np.array(self.coeffs, dtype=complex)
-
     def __add__(self, other: "Bivector") -> "Bivector":
         if self.dim_v != other.dim_v:
             raise ValueError("dimension mismatch")
@@ -338,20 +331,11 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     a = _pfaffian4(k1)
     c = _pfaffian4(k2)
     b = _pfaffian4(k1 + k2) - a - c
-    scale = 1
-    if not mode.is_exact:
-        scale = max(abs(complex(x)) for x in (*k1.coeffs, *k2.coeffs)) ** 2 or 1.0
-    tol = 0 if mode.is_exact else mode.tol_rank * scale
-
-    def small(x):
-        return x == 0 if mode.is_exact else abs(complex(x)) <= tol
-
-    if small(a) and small(b) and small(c):
-        # the quadric vanishes on the whole plane: every element works
+    scale = max(abs(x) for x in (*k1.coeffs, *k2.coeffs)) ** 2 or 1.0
+    # a vanishing a also covers a quadric that vanishes on the whole plane
+    if mode.vanishes([a], scale):
         return DecomposableDecision(YES, k1)
-    if small(a):
-        return DecomposableDecision(YES, k1)
-    if small(c):
+    if mode.vanishes([c], scale):
         return DecomposableDecision(YES, k2)
     # solve a x^2 + b x + c = 0 for the witness x*k1 + k2
     disc = b * b - 4 * a * c

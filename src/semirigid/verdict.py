@@ -20,15 +20,16 @@ import numpy as np
 
 from .commuting import (
     MatrixTuple,
+    _in_regime,
     _mu_jacobian,
     _mu_kernel,
     _pairing_tensor,
+    chi,
     chi_norm,
     frobenius,
     is_commuting,
     mu,
     regular_sl2_triple,
-    trace_contraction,
     tuple_scale,
 )
 from .exterior import (
@@ -51,7 +52,6 @@ from .scalars import (
     rank,
     resolve_mode,
     to_float,
-    zeros,
 )
 
 SEMI_RIGID = "semi_rigid"
@@ -311,60 +311,44 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
     return MatrixTuple(n, omega.dim_v, mats)
 
 
-def _sl_n_scan(n: int, mode: ScalarMode, seed: int):
-    """Traceless scan candidates: elementary, diagonal-traceless, then random."""
-    exact = mode.is_exact
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                h = zeros((n, n), mode)
-                h[a, b] = Fraction(1) if exact else 1.0 + 0j
-                out.append(h)
-    for a in range(n - 1):
-        h = zeros((n, n), mode)
-        one = Fraction(1) if exact else 1.0 + 0j
-        h[a, a] = one
-        h[a + 1, a + 1] = -one
-        out.append(h)
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        if exact:
-            h = np.empty((n, n), dtype=object)
-            vals = rng.integers(-9, 10, size=(n, n))
-            for i in range(n):
-                for j in range(n):
-                    h[i, j] = Fraction(int(vals[i, j]))
-            tr = sum(h[i, i] for i in range(n))
-            h[n - 1, n - 1] -= tr
-        else:
-            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h -= (np.trace(h) / n) * np.eye(n)
-        out.append(h)
-    return out
-
-
 def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
-                     mode: ScalarMode | None = None, seed: int = 0) -> Bivector | None:
+                     mode: ScalarMode | None = None) -> Bivector | None:
     """Extract a kernel bivector from a mu-zero tuple by trace contraction.
 
-    Scans traceless matrices (elementary, diagonal, then seeded random) and
-    returns the first nonzero contraction, which lands in the kernel of the
-    pairing.  For 2 x 2 tuples the result is returned only with rank exactly
-    2, which the contraction bound guarantees for any nonzero value.  Returns
-    None when the tuple commutes (or no nonzero contraction is found).
+    The contraction of the commutators chi_p against a traceless matrix lands
+    in the kernel of the pairing.  The candidates are read off the
+    commutators: first tr(chi_p E_ab) = chi_p[b, a] for a != b, then
+    chi_p[a, a] - chi_p[a+1, a+1], the contraction against
+    E_aa - E_(a+1)(a+1).  The first one that does not vanish at chi_norm
+    (the largest norm of a chi_p) times the norm of its matrix (1, then
+    sqrt 2) is returned; for 2 x 2 tuples only with rank exactly 2, which
+    the contraction bound guarantees for any nonzero value.  Returns None
+    when the tuple commutes.
+
+    A traceless matrix whose off-diagonal entries and consecutive diagonal
+    differences all vanish is zero.  If every candidate vanished, each chi_p
+    would have norm at most tol_residual * chi_norm * sqrt(n (n-1) (2n-1)),
+    so some candidate survives for every non-commuting tuple whenever
+    tol_residual < 1 / (2 n^(3/2)), which the default meets.
     """
     mode = resolve_mode(mode, alpha, p)
     if not mode.vanishes(mu(alpha, p), tuple_scale(alpha) ** 2):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
-    if is_commuting(alpha, mode):
+    alpha, mode = _in_regime(alpha, mode)
+    chis = chi(alpha)
+    if mode.vanishes(chis, tuple_scale(alpha) ** 2):
         return None
-    chiscale = chi_norm(alpha)
-    for h in _sl_n_scan(alpha.n, mode, seed):
-        w = trace_contraction(alpha, h)
-        if mode.vanishes([w.coeffs], chiscale * frobenius(h)):
+    chiscale = max(frobenius(c) for c in chis)
+    n = alpha.n
+    candidates = [(tuple(c[b, a] for c in chis), 1.0)
+                  for a in range(n) for b in range(n) if a != b]
+    candidates += [(tuple(c[a, a] - c[a + 1, a + 1] for c in chis), math.sqrt(2))
+                   for a in range(n - 1)]
+    for coeffs, norm in candidates:
+        if mode.vanishes([coeffs], chiscale * norm):
             continue
-        if alpha.n == 2 and bivector_rank(w, mode) != 2:
+        w = Bivector(alpha.d, coeffs)
+        if n == 2 and bivector_rank(w, mode) != 2:
             continue
         return w
     return None

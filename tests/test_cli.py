@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semirigid
 from semirigid.catalog import catalog_build, catalog_names
 from semirigid.cli import _search_config, build_parser, main
 from semirigid.commuting import MatrixTuple
@@ -542,6 +547,29 @@ class TestCliMalformedInput:
         assert_value_error_exit_2(*run_cli(capsys, "construct", "stable", "--pairing",
                                            "catalog:curve:2", "--witness", str(path),
                                            "--n", "2"))
+
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "stable", "--pairing", "catalog:curve:2", "--n", "2", "--witness"),
+        ("analyze", "--pairing"),
+        ("commuting", "spectrum", "--tuple"),
+    ])
+    def test_missing_input_file_exit_2(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "absent.json"))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "_CliInputError"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(semirigid.__file__).resolve().parent.parent)
+    code = ("import sys, semirigid.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCliSearchDefaults:

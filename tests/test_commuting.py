@@ -1,11 +1,13 @@
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semirigid import commuting
 from semirigid.commuting import (
     JointSpectrum,
     MatrixTuple,
@@ -24,7 +26,13 @@ from semirigid.commuting import (
     trace_monomials,
 )
 from semirigid.exterior import Bivector, SkewPairing, apply, bivector_rank, pair_list
-from semirigid.scalars import ScalarMode, exact_matrix, float_matrix, to_float
+from semirigid.scalars import (
+    IrrationalSpectrumError,
+    ScalarMode,
+    exact_matrix,
+    float_matrix,
+    to_float,
+)
 from util import unitriangular_pair
 
 EXACT = ScalarMode.exact()
@@ -46,6 +54,14 @@ def sl2_pair(n=2):
 
 def symplectic_pairing(d):
     return SkewPairing.from_map(d, 1, {(2 * k, 2 * k + 1): (1,) for k in range(d // 2)})
+
+
+def conjugated_float(*mats, seed):
+    """The tuple conjugated by a seeded well-conditioned complex matrix, in float."""
+    rng = np.random.default_rng(seed)
+    n = mats[0].shape[0]
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    return MatrixTuple.from_matrices([p @ m @ np.linalg.inv(p) for m in mats])
 
 
 def conjugated_diagonal_float(rng, n, d, spread=3):
@@ -197,7 +213,6 @@ class TestTriangularize:
         assert second[0, 0] == 1 and second[1, 1] == 1 and second[1, 0] == 0
 
     def test_irrational_joint_spectrum_raises_exact(self):
-        from semirigid.scalars import IrrationalSpectrumError
         alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
         with pytest.raises(IrrationalSpectrumError):
             simultaneous_triangularize(alpha, EXACT, seed=2)
@@ -225,6 +240,46 @@ class TestTriangularize:
                 assert np.linalg.norm(lower) <= 1e-8 * max(1.0, scale)
 
 
+def _count_eigenvalue_calls(monkeypatch):
+    calls = []
+    real = commuting.eigenvalues
+
+    def counting(a, mode):
+        calls.append(a.shape[0])
+        return real(a, mode)
+
+    monkeypatch.setattr(commuting, "eigenvalues", counting)
+    return calls
+
+
+class TestOneCombinationPerLevel:
+    """Each level draws one random combination: its eigenvalue groups split
+    the space, or the level deflates by a common eigenvector at once."""
+
+    def test_nilpotent_pair_deflates_at_once(self, monkeypatch):
+        calls = _count_eigenvalue_calls(monkeypatch)
+        j3 = np.zeros((3, 3), dtype=int)
+        j3[0, 1] = j3[1, 2] = 1
+        simultaneous_triangularize(exact_tuple(j3, j3 @ j3), EXACT)
+        assert len(calls) <= 4
+
+    def test_scalar_blocks_deflate_at_once(self, monkeypatch):
+        calls = _count_eigenvalue_calls(monkeypatch)
+        _, tri = simultaneous_triangularize(
+            exact_tuple(np.eye(4, dtype=int), np.diag([1, 1, 2, 2])), EXACT)
+        assert len(calls) <= 7
+        assert sorted(zip(*(np.diagonal(m) for m in tri.matrices))) == [
+            (1, 1), (1, 1), (1, 2), (1, 2)]
+
+    def test_irrational_combination_raises_at_once(self, monkeypatch):
+        calls = _count_eigenvalue_calls(monkeypatch)
+        with pytest.raises(IrrationalSpectrumError) as err:
+            simultaneous_triangularize(exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int)),
+                                       EXACT)
+        assert len(calls) == 1
+        assert "random combinations" not in str(err.value)
+
+
 class TestJointSpectrum:
     def test_diagonal_pair(self):
         alpha = exact_tuple(np.diag([1, 2]), np.diag([3, 4]))
@@ -242,6 +297,47 @@ class TestJointSpectrum:
             alpha, points = conjugated_diagonal_float(rng, 3, 2)
             spec = joint_spectrum(alpha, FLOAT)
             assert spec.multiset_equal(JointSpectrum(tuple(points)), FLOAT)
+
+
+def _same_multiset_brute_force(a, b, thr):
+    """Whether some matching of the points pairs each within thr."""
+    return any(all(np.linalg.norm(np.subtract(a[i], b[j])) <= thr for i, j in enumerate(perm))
+               for perm in permutations(range(len(b))))
+
+
+@st.composite
+def integer_spectrum_pairs(draw):
+    """Two spectra of n <= 5 integer points in C^d; the second is a shuffle of
+    the first or a fresh draw, and some of its points move by 1e-3."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    a = draw(st.lists(point, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = draw(st.permutations(a))
+    else:
+        b = draw(st.lists(point, min_size=n, max_size=n))
+    shift = draw(st.sampled_from([0.0, 1e-3]))
+    moved = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    b = [(p[0] + shift * m, *p[1:]) for p, m in zip(b, moved)]
+    return tuple(JointSpectrum(tuple(tuple(complex(x) for x in p) for p in pts))
+                 for pts in (a, b))
+
+
+class TestClusteredMultisetEqual:
+    @settings(max_examples=200)
+    @given(pair=integer_spectrum_pairs())
+    def test_agrees_with_brute_force_matching(self, pair):
+        a, b = pair
+        scale = max(abs(x) for p in a.points + b.points for x in p)
+        thr = 10 * FLOAT.tol_residual * scale
+        assert a.multiset_equal(b, FLOAT) == _same_multiset_brute_force(a.points, b.points, thr)
+
+    def test_equal_sized_clusters_with_unequal_sides_differ(self):
+        a = JointSpectrum(((0j,), (0j,), (5 + 0j,)))
+        b = JointSpectrum(((0j,), (5 + 0j,), (5 + 0j,)))
+        assert not a.multiset_equal(b, FLOAT)
+        assert not JointSpectrum(((0j,), (0j,))).multiset_equal(
+            JointSpectrum(((1 + 0j,), (1 + 0j,))), FLOAT)
 
 
 class TestTraceMonomials:
@@ -392,6 +488,38 @@ class TestRegularLocus:
         # matrix has a repeated eigenvalue
         alpha = exact_tuple(np.diag([1, 1]), np.diag([2, 3]))
         assert regular_locus_test(alpha, EXACT)
+
+    def test_irrational_spectrum_answered_exact(self):
+        # eigenvalues +-sqrt 2: distinct, though not rational
+        alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
+        assert regular_locus_test(alpha, EXACT)
+        assert not regular_locus_test(alpha.scaled(0), EXACT)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3])
+    def test_conjugated_jordan_block_not_regular(self, scale):
+        # one joint eigenvalue vector, (0, 0), three times; the float spectrum
+        # of a defective matrix scatters by eps^(1/3), far above any cluster
+        # threshold, so this needs the semisimplicity of the algebra
+        j3 = np.zeros((3, 3))
+        j3[0, 1] = j3[1, 2] = 1
+        alpha = conjugated_float(scale * j3, scale * scale * (j3 @ j3), seed=5)
+        assert not regular_locus_test(alpha, FLOAT)
+        out = rep_analysis(alpha, FLOAT)
+        assert (out.algebra_dim, out.radical_dim) == (3, 2)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3])
+    def test_conjugated_idempotents_regular(self, scale):
+        # joint vectors (1, 0), (0, 1), (0, 0); the product of the two is zero,
+        # and in float it is rounding noise that must not count as a new direction
+        alpha = conjugated_float(scale * np.diag([1.0, 0, 0]), scale * np.diag([0, 1.0, 0]),
+                                 seed=6)
+        assert regular_locus_test(alpha, FLOAT)
+        out = rep_analysis(alpha, FLOAT)
+        assert (out.algebra_dim, out.radical_dim) == (3, 0)
+
+    def test_not_commuting_raises(self):
+        with pytest.raises(NotCommutingError):
+            regular_locus_test(sl2_pair(2), EXACT)
 
     def test_regular_implies_semisimple_with_torus_commutant(self):
         rng = np.random.default_rng(61)

@@ -14,7 +14,7 @@ import semirigid
 from semirigid import scalars
 from semirigid.catalog import catalog_build
 from semirigid.commuting import MatrixTuple, is_commuting, rep_analysis
-from semirigid.exterior import Bivector
+from semirigid.exterior import Bivector, decomposable_exists_exact
 from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
 from semirigid.verdict import SearchConfig, tuple_to_witness, witness_to_tuple
 
@@ -78,6 +78,9 @@ class TestToleranceLiterals:
 
     def test_tuple_to_witness_has_no_regime_branch(self):
         assert "is_exact" not in inspect.getsource(tuple_to_witness)
+
+    def test_decomposable_exists_exact_has_no_own_zero_test(self):
+        assert "tol_rank" not in inspect.getsource(decomposable_exists_exact)
 
 
 def _conjugated(mats, seed):

@@ -13,10 +13,14 @@ from semirigid.commuting import (
     _mu_kernel,
     _pairing_tensor,
     chi,
+    chi_norm,
+    frobenius,
+    is_commuting,
     mu,
     mu_norm,
     regular_sl2_triple,
     rep_analysis,
+    trace_contraction,
     tuple_scale,
 )
 from semirigid.exterior import (
@@ -31,7 +35,7 @@ from semirigid.exterior import (
     plucker_square,
     wedge,
 )
-from semirigid.scalars import ScalarMode, exact_matrix
+from semirigid.scalars import ScalarMode, exact_matrix, to_float, zeros
 from semirigid.verdict import (
     CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
@@ -319,6 +323,112 @@ class TestTupleToWitness:
             alpha = witness_to_tuple(omega, 2)
             back = tuple_to_witness(alpha, p)
             assert back is not None and bivector_rank(back, EXACT) == 2
+
+
+def _reference_witness(alpha, p, mode):
+    """The contraction scan written out: E_ab for a != b, then
+    E_aa - E_(a+1)(a+1), each through trace_contraction, and the first value
+    that does not vanish at chi_norm times the matrix's norm (rank exactly 2
+    for n = 2)."""
+    if is_commuting(alpha, mode):
+        return None
+    n = alpha.n
+    one = Fraction(1) if mode.is_exact else 1.0 + 0j
+    scan = []
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                h = zeros((n, n), mode)
+                h[a, b] = one
+                scan.append(h)
+    for a in range(n - 1):
+        h = zeros((n, n), mode)
+        h[a, a], h[a + 1, a + 1] = one, -one
+        scan.append(h)
+    chiscale = chi_norm(alpha)
+    for h in scan:
+        w = trace_contraction(alpha, h)
+        if mode.vanishes([w.coeffs], chiscale * frobenius(h)):
+            continue
+        if n == 2 and bivector_rank(w, mode) != 2:
+            continue
+        return w
+    return None
+
+
+def _float_conjugate(alpha, rng):
+    n = alpha.n
+    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    return MatrixTuple.from_matrices(
+        [q @ to_float(m) @ np.linalg.inv(q) for m in alpha.matrices])
+
+
+def _exact_conjugate(alpha, rng):
+    p, pinv = unitriangular_pair(rng, alpha.n)
+    return MatrixTuple.from_matrices([p @ m @ pinv for m in alpha.matrices])
+
+
+def _block_sum(alpha, beta):
+    """The direct sum of two tuples of one length."""
+    n = alpha.n + beta.n
+    mats = []
+    for a, b in zip(alpha.matrices, beta.matrices):
+        m = zeros((n, n), EXACT)
+        m[:alpha.n, :alpha.n], m[alpha.n:, alpha.n:] = a, b
+        mats.append(m)
+    return MatrixTuple.from_matrices(mats)
+
+
+class TestTupleToWitnessReadsCommutators:
+    def test_matches_the_contraction_scan(self):
+        rng = np.random.default_rng(71)
+        found = 0
+        for trial in range(24):
+            d, n = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            omega, _, _ = random_rank2_bivector(rng, d)
+            p = planted_kernel_pairing(rng, d, int(rng.integers(1, 4)), omega)
+            # an sl2 tuple, a 4 x 4 direct sum of two scaled apart, or a
+            # commuting diagonal tuple
+            kind = trial % 3
+            if kind == 0:
+                alpha = witness_to_tuple(omega, n)
+            elif kind == 1:
+                alpha = _block_sum(witness_to_tuple(omega, 2).scaled(int(rng.integers(2, 4))),
+                                   witness_to_tuple(omega, 2))
+            else:
+                alpha = MatrixTuple.from_matrices(
+                    [exact_matrix(np.diag(rng.integers(-3, 4, size=n))) for _ in range(d)])
+            for mode, tup in ((EXACT, alpha), (EXACT, _exact_conjugate(alpha, rng)),
+                              (FLOAT, alpha.to_float()), (FLOAT, _float_conjugate(alpha, rng))):
+                got = tuple_to_witness(tup, p, mode)
+                assert got == _reference_witness(tup, p, mode)
+                found += got is not None
+        assert found >= 40
+
+    def test_diagonal_candidate_threshold_is_sqrt2_chi_norm(self):
+        # chi = diag(1, t^2, -t^2, -1) with 1 - t^2 = 2.4e-8: the first diagonal
+        # difference lies between 1 and sqrt 2 times tol * chi_norm, so it
+        # vanishes, and the second, 2 t^2, is the witness
+        t = np.sqrt(1 - 2.4e-8)
+        a1, a2 = np.zeros((4, 4), complex), np.zeros((4, 4), complex)
+        a1[0, 3], a1[1, 2], a2[3, 0], a2[2, 1] = 1, t, 1, t
+        alpha = MatrixTuple.from_matrices([a1, a2])
+        p = SkewPairing.zero(2, 1)
+        w = tuple_to_witness(alpha, p, FLOAT)
+        assert w == _reference_witness(alpha, p, FLOAT)
+        assert abs(w.coeffs[0] - 2) < 1e-6
+
+    @given(d=st.integers(2, 6), n=st.integers(2, 4), seed=st.integers(0, 2**16),
+           exact=st.booleans())
+    def test_conjugated_sl2_tuples_give_a_witness(self, d, n, seed, exact):
+        rng = np.random.default_rng(seed)
+        omega, _, _ = random_rank2_bivector(rng, d)
+        p = planted_kernel_pairing(rng, d, int(rng.integers(1, 4)), omega)
+        alpha = witness_to_tuple(omega, n)
+        alpha = _exact_conjugate(alpha, rng) if exact else _float_conjugate(alpha, rng)
+        w = tuple_to_witness(alpha, p)
+        assert w is not None
+        assert projective_distance(w, omega) < 1e-8
 
 
 class TestConstructStablePoint:
