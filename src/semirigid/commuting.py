@@ -491,13 +491,11 @@ class _SpanBuilder:
         self.rows = []
         self.echelon = Echelon() if mode.is_exact else None
 
-    def add(self, v: np.ndarray, ref: float = 0.0) -> bool:
-        """Add v if it is new: in float mode, if its part outside the span
-        exceeds tol_rank times the larger of its norm and ``ref``."""
+    def add(self, v: np.ndarray) -> bool:
         if self.echelon is not None:
             return self.echelon.add(v)
         w = np.asarray(v, dtype=complex)
-        orig = max(np.linalg.norm(w), ref)
+        orig = np.linalg.norm(w)
         if orig == 0:
             return False
         for row in self.rows:
@@ -516,15 +514,40 @@ class _SpanBuilder:
         return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
-def _algebra(alpha: MatrixTuple, mode: ScalarMode):
-    """Dimensions of the algebra the tuple (already in the mode's regime)
-    generates and of its radical.
+def _sylvester(alpha: MatrixTuple, mode: ScalarMode) -> np.ndarray:
+    """The maps X -> A X - X A on row-major vec(X), stacked over the tuple;
+    their common nullspace is the commutant."""
+    eye = identity(alpha.n, mode)
+    return np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices],
+                          axis=0)
 
-    The algebra is the multiplicative closure of identity and generators,
-    capped at n^2; the radical is the kernel of the trace form on it
-    (characteristic zero).
+
+def _radical_dim(basis_mats, mode: ScalarMode) -> int:
+    """Dimension of the kernel of the trace form (x, y) -> tr(xy) on the span
+    of a basis; the radical of the algebra it spans (characteristic zero)."""
+    k = len(basis_mats)
+    gram = zeros((k, k), mode)
+    for i, bi in enumerate(basis_mats):
+        for j in range(i, k):
+            val = trace(bi @ basis_mats[j])
+            gram[i, j] = val
+            gram[j, i] = val
+    return k - rank(gram, mode)
+
+
+def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
+    """Commutant, generated algebra, radical, and the derived stability flags.
+
+    The commutant is the nullspace of the stacked Sylvester operators; the
+    algebra is the multiplicative closure of identity and generators, capped
+    at n^2; the radical is the kernel of the trace form on the algebra.
+    Irreducibility is algebra_dim == n^2 and stability (closed orbit with
+    scalar stabilizer) coincides with it.
     """
+    alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
+    commutant_dim = n * n - rank(_sylvester(alpha, mode), mode)
+
     span = _SpanBuilder(mode)
     basis_mats = []
     for m in (identity(n, mode), *alpha.matrices):
@@ -536,10 +559,11 @@ def _algebra(alpha: MatrixTuple, mode: ScalarMode):
         for b in frontier:
             for g in alpha.matrices:
                 cand = b @ g
-                # a float product that vanishes exactly still carries rounding
-                # of the size |b| |g|, so that is the scale it is judged at
-                ref = 0.0 if mode.is_exact else frobenius(b) * frobenius(g)
-                if span.add(cand.reshape(-1), ref):
+                # a float product that vanishes exactly is rounding noise of the
+                # size |b| |g|, which is no new direction at its own norm
+                if not mode.is_exact and mode.vanishes([cand], frobenius(b) * frobenius(g)):
+                    continue
+                if span.add(cand.reshape(-1)):
                     basis_mats.append(cand)
                     new_frontier.append(cand)
                     if span.dim == n * n:
@@ -552,31 +576,7 @@ def _algebra(alpha: MatrixTuple, mode: ScalarMode):
         # the trace form on the orthonormal basis: the products above grow
         # like powers of the tuple's scale, and would make the rank scale-bound
         basis_mats = [r.reshape(n, n) for r in span.rows]
-
-    gram = zeros((algebra_dim, algebra_dim), mode)
-    for i, bi in enumerate(basis_mats):
-        for j in range(i, algebra_dim):
-            val = trace(bi @ basis_mats[j])
-            gram[i, j] = val
-            gram[j, i] = val
-    return algebra_dim, algebra_dim - rank(gram, mode)
-
-
-def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
-    """Commutant, generated algebra, radical, and the derived stability flags.
-
-    The commutant is the nullspace of the stacked Sylvester operators; the
-    algebra and its radical come from :func:`_algebra`.  Irreducibility is
-    algebra_dim == n^2 and stability (closed orbit with scalar stabilizer)
-    coincides with it.
-    """
-    alpha, mode = _in_regime(alpha, mode)
-    n = alpha.n
-    eye = identity(n, mode)
-    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices]
-    stacked = np.concatenate(blocks, axis=0)
-    commutant_dim = n * n - rank(stacked, mode)
-    algebra_dim, radical_dim = _algebra(alpha, mode)
+    radical_dim = _radical_dim(basis_mats, mode)
     irreducible = algebra_dim == n * n
     return RepAnalysis(
         commutant_dim=commutant_dim,
@@ -591,15 +591,19 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
 def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bool:
     """Whether the commuting tuple has n pairwise distinct joint eigenvalue vectors.
 
-    A commutative algebra has one character per distinct joint eigenvalue
-    vector, so the algebra the tuple generates is semisimple of dimension n
-    exactly when the n vectors are distinct; that is the test, in both
-    regimes, and it needs no eigenvalues, so a rational tuple may have an
-    irrational spectrum.  Distinctness forces the joint generalized
-    eigenspaces to be lines, so it also implies simultaneous
-    diagonalizability.
+    The test, in both regimes: the commutant is a semisimple algebra of
+    dimension n.  Distinct vectors make it the diagonal algebra of a common
+    eigenbasis.  Conversely the tuple is central in its commutant C, so a
+    semisimple C splits C^n by its central idempotents into blocks on each of
+    which it is a full matrix algebra, and dim C = n leaves n lines with
+    distinct joint eigenvalues.  The commutant's conditioning follows the
+    eigenvalue gaps, where the powers spanning the generated algebra follow
+    Vandermonde products; float mode judges it at tol_rank times the tuple's
+    norm and reads the trace form on its orthonormal basis.  No eigenvalues
+    are computed, so a rational tuple may have an irrational spectrum.
     """
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
-    algebra_dim, radical_dim = _algebra(alpha, mode)
-    return algebra_dim == alpha.n and radical_dim == 0
+    n = alpha.n
+    basis = nullspace(_sylvester(alpha, mode), mode, tuple_scale(alpha))
+    return len(basis) == n and _radical_dim([v.reshape(n, n) for v in basis], mode) == 0

@@ -221,11 +221,13 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # rank / nullspace
 
 
-def _svd_rank(s: np.ndarray, mode: ScalarMode) -> int:
-    """Number of singular values (descending) above ``tol_rank`` times the largest."""
+def _svd_rank(s: np.ndarray, mode: ScalarMode, scale: float | None = None) -> int:
+    """Number of singular values (descending) above ``tol_rank`` times the
+    largest, or times ``scale`` for a matrix built from data of that size."""
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > mode.tol_rank * s[0]))
+    ref = s[0] if scale is None else scale
+    return int(np.sum(s > mode.tol_rank * ref))
 
 
 def rank(a: np.ndarray, mode: ScalarMode) -> int:
@@ -238,8 +240,9 @@ def rank(a: np.ndarray, mode: ScalarMode) -> int:
     return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode)
 
 
-def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
-    """Basis of the right nullspace; len(basis) == cols - rank."""
+def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> list[np.ndarray]:
+    """Basis of the right nullspace; len(basis) == cols - rank.  In float mode
+    the basis is orthonormal and ``scale`` is passed to :func:`_svd_rank`."""
     a = np.asarray(a)
     nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
@@ -257,7 +260,7 @@ def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
             basis.append(v)
         return basis
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
-    return [np.conj(vh[j]) for j in range(_svd_rank(s, mode), ncols)]
+    return [np.conj(vh[j]) for j in range(_svd_rank(s, mode, scale), ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .commuting import (
     _pairing_tensor,
     chi,
     chi_norm,
-    frobenius,
     is_commuting,
     mu,
     regular_sl2_triple,
@@ -335,10 +334,9 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     if not mode.vanishes(mu(alpha, p), tuple_scale(alpha) ** 2):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
     alpha, mode = _in_regime(alpha, mode)
-    chis = chi(alpha)
-    if mode.vanishes(chis, tuple_scale(alpha) ** 2):
+    if is_commuting(alpha, mode):
         return None
-    chiscale = max(frobenius(c) for c in chis)
+    chis, chiscale = chi(alpha), chi_norm(alpha)
     n = alpha.n
     candidates = [(tuple(c[b, a] for c in chis), 1.0)
                   for a in range(n) for b in range(n) if a != b]

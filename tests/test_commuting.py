@@ -339,6 +339,18 @@ class TestClusteredMultisetEqual:
         assert not JointSpectrum(((0j,), (0j,))).multiset_equal(
             JointSpectrum(((1 + 0j,), (1 + 0j,))), FLOAT)
 
+    def test_points_chained_within_the_threshold_form_one_cluster(self):
+        # 1, 1 + 0.9 thr and 1 + 1.8 thr chain into one cluster that holds two
+        # points of each side, so the spectra agree, though no matching pairs
+        # every point within thr; a gap above thr breaks the chain
+        thr = 10 * FLOAT.tol_residual
+        a = JointSpectrum(((1 + 0j,), (1 + 0j,)))
+        b = JointSpectrum(((1 + 0.9 * thr + 0j,), (1 + 1.8 * thr + 0j,)))
+        assert a.multiset_equal(b, FLOAT) and b.multiset_equal(a, FLOAT)
+        assert not _same_multiset_brute_force(a.points, b.points, thr)
+        c = JointSpectrum(((1 + 0.9 * thr + 0j,), (1 + 2.1 * thr + 0j,)))
+        assert not a.multiset_equal(c, FLOAT)
+
 
 class TestTraceMonomials:
     def test_single_letter(self):
@@ -459,6 +471,18 @@ class TestRepAnalysis:
                 [q @ np.asarray(m, complex) @ np.linalg.inv(q) for m in alpha.matrices])
             assert rep_analysis(conj, FLOAT) == base
 
+    @pytest.mark.parametrize("eta, eps", [(Fraction(1, 10**4), Fraction(1, 10)),
+                                          (Fraction(1, 10**5), Fraction(1, 2))])
+    def test_float_partly_cancelling_product_counts(self, eta, eps):
+        # X = e1 v^T and Y = w e1^T with v . w = eps: XY = eps E_11 is far
+        # smaller than |X| |Y|, about 1/eta, and it is the product that makes
+        # the algebra all of gl_2; judged at its own norm it is new
+        x = exact_matrix([[1, eta], [0, 0]])
+        y = exact_matrix([[1, 0], [(eps - 1) / eta, 0]])
+        alpha = MatrixTuple.from_matrices([x, y])
+        assert rep_analysis(alpha, EXACT).algebra_dim == 4
+        assert rep_analysis(alpha.to_float(), FLOAT) == rep_analysis(alpha, EXACT)
+
     def test_irreducible_implies_invariants(self):
         rng = np.random.default_rng(59)
         seen = 0
@@ -475,7 +499,39 @@ class TestRepAnalysis:
         assert seen >= 5
 
 
+@st.composite
+def normal_float_tuples(draw):
+    """A unitarily conjugated diagonal float tuple and its joint eigenvalues:
+    integer points, or one integer point n times, shifted by 0 or 1e3 and
+    moved by 0, 1e-12 or 1e-2, so that every pairwise distance is far from
+    tol_rank times the tuple's norm."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    pts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):
+        pts[:] = pts[0]
+    pts[:, 0] += draw(st.sampled_from([0.0, 1e3]))
+    pts[:, 0] += np.array(draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-2]),
+                                        min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    alpha = MatrixTuple.from_matrices([u @ np.diag(pts[:, k]) @ u.conj().T for k in range(d)])
+    return alpha, pts
+
+
 class TestRegularLocus:
+    @settings(max_examples=100)
+    @given(case=normal_float_tuples())
+    def test_normal_tuples_follow_the_pairwise_distance_rule(self, case):
+        # on a normal tuple the commutant's singular values are the distances
+        # between joint eigenvalue vectors, so the float test separates them at
+        # tol_rank times the tuple's norm, not at the size of the largest gap
+        alpha, pts = case
+        thr = FLOAT.tol_rank * max(np.linalg.norm(pts, axis=0))
+        distinct = all(np.linalg.norm(pts[i] - pts[j]) > thr
+                       for i in range(len(pts)) for j in range(i))
+        assert regular_locus_test(alpha, FLOAT) == distinct
+
     def test_distinct_joint_vectors(self):
         assert regular_locus_test(exact_tuple(np.diag([1, 2]), np.diag([3, 4])), EXACT)
 
@@ -516,6 +572,27 @@ class TestRegularLocus:
         assert regular_locus_test(alpha, FLOAT)
         out = rep_analysis(alpha, FLOAT)
         assert (out.algebra_dim, out.radical_dim) == (3, 0)
+
+    def test_gaps_are_judged_at_the_tuple_norm(self):
+        # every gap is 1e-9, far below tol_rank times the norm of about 1.7e3,
+        # though it is the largest gap the commutant's operator sees
+        d = np.diag([1e3, 1e3 + 1e-9, 1e3 + 2e-9])
+        assert not regular_locus_test(float_tuple(d), FLOAT)
+        assert not regular_locus_test(conjugated_float(d, seed=8), FLOAT)
+        assert regular_locus_test(float_tuple(d - 1e3 * np.eye(3)), FLOAT)
+
+    @pytest.mark.parametrize("diagonal", [list(range(1, 15)),
+                                          [Fraction(k, 10) for k in range(10, 20)]])
+    def test_well_separated_large_spectra_regular(self, diagonal):
+        # the powers of one diagonal generator span the diagonal algebra only up
+        # to Vandermonde products, about 2e-9 and 4e-9 of the top power here,
+        # below tol_rank; the commutant follows the gaps of 1 and 0.1
+        d = np.diag(np.array(diagonal, dtype=float))
+        assert regular_locus_test(float_tuple(d), FLOAT)
+        assert regular_locus_test(conjugated_float(d, seed=7), FLOAT)
+        repeated = np.diag(np.array(diagonal[:-1] + diagonal[-2:-1], dtype=float))
+        assert not regular_locus_test(float_tuple(repeated), FLOAT)
+        assert not regular_locus_test(conjugated_float(repeated, seed=7), FLOAT)
 
     def test_not_commuting_raises(self):
         with pytest.raises(NotCommutingError):

@@ -71,7 +71,7 @@ class TestToleranceLiterals:
         assert not [f.name for f in _source_files() if "1e-300" in f.read_text()]
 
     def test_singular_value_threshold_only_in_svd_rank(self):
-        threshold = re.compile(r"s\s*>\s*[\w.]+\s*\*\s*s\[0\]")
+        threshold = re.compile(r"\bs\s*>\s*[\w.]+\s*\*")
         hits = [f.name for f in _source_files() for _ in threshold.finditer(f.read_text())]
         assert hits == ["scalars.py"]
         assert threshold.search(inspect.getsource(scalars._svd_rank))
