@@ -123,7 +123,9 @@ def _requested_mode(args) -> ScalarMode | None:
             "complex": ScalarMode.floating()}[args.mode]
 
 
-def _emit(report: dict, started: float) -> int:
+def _emit(started: float, digest: str, seed: int, **payload) -> int:
+    """Write the report: the envelope (version, input digest, seed) and the payload keys."""
+    report = {"tool_version": __version__, "input_digest": digest, "seed": seed, **payload}
     sys.stdout.write(_canonical_json(report) + "\n")
     sys.stderr.write(json.dumps({"timing_ms": round(1000 * (time.monotonic() - started), 3)})
                      + "\n")
@@ -149,29 +151,17 @@ def _cmd_analyze(args, started):
     seed = _resolve_seed(args)
     cfg = _search_config(args, seed)
     verdict = decide(pairing, _requested_mode(args), cfg)
-    report = {
-        "tool_version": __version__,
-        "input_digest": digest,
-        "seed": seed,
-        "verdict": verdict_to_json(verdict),
-    }
-    return _emit(report, started)
+    return _emit(started, digest, seed, verdict=verdict_to_json(verdict))
 
 
 def _cmd_kernel(args, started):
     pairing, digest = _load_pairing(args.pairing)
     k = kernel(pairing, resolve_mode(_requested_mode(args), pairing))
-    report = {
-        "tool_version": __version__,
-        "input_digest": digest,
-        "seed": _resolve_seed(args),
-        "kernel": {
-            "dim_v": k.dim_v,
-            "dim": k.dim,
-            "basis": [bivector_to_json(b) for b in k.basis],
-        },
-    }
-    return _emit(report, started)
+    return _emit(started, digest, _resolve_seed(args), kernel={
+        "dim_v": k.dim_v,
+        "dim": k.dim,
+        "basis": [bivector_to_json(b) for b in k.basis],
+    })
 
 
 def _cmd_commuting(args, started):
@@ -209,9 +199,7 @@ def _cmd_commuting(args, started):
             "stable": out.stable,
         }
         key = "analysis"
-    report = {"tool_version": __version__, "input_digest": digest,
-              "seed": seed, key: payload}
-    return _emit(report, started)
+    return _emit(started, digest, seed, **{key: payload})
 
 
 def _cmd_construct(args, started):
@@ -229,39 +217,27 @@ def _cmd_construct(args, started):
     else:
         omega = bivector_from_json(_read_json(args.witness, "witness")[0])
     alpha = construct_stable_point(pairing, omega, args.n, _parse_epsilon(args.epsilon), mode)
-    report = {
-        "tool_version": __version__,
-        "input_digest": digest,
-        "seed": seed,
-        "witness": bivector_to_json(omega),
-        "tuple": tuple_to_json(alpha),
-    }
-    return _emit(report, started)
+    return _emit(started, digest, seed,
+                 witness=bivector_to_json(omega), tuple=tuple_to_json(alpha))
 
 
 def _cmd_sample(args, started):
     pairing, digest = _load_pairing(args.pairing)
     seed = _resolve_seed(args)
     out = mu_zero_sampler(pairing, args.n, _search_config(args, seed))
-    report = {
-        "tool_version": __version__,
-        "input_digest": digest,
-        "seed": seed,
-        "samples": {
-            "attempted": out.attempted,
-            "converged": out.converged,
-            "points": [
-                {
-                    "matrices": tuple_to_json(s.alpha)["matrices"],
-                    "commuting": s.commuting,
-                    "mu_residual": s.mu_residual,
-                    "chi_residual": s.chi_residual,
-                }
-                for s in out.samples
-            ],
-        },
-    }
-    return _emit(report, started)
+    return _emit(started, digest, seed, samples={
+        "attempted": out.attempted,
+        "converged": out.converged,
+        "points": [
+            {
+                "matrices": tuple_to_json(s.alpha)["matrices"],
+                "commuting": s.commuting,
+                "mu_residual": s.mu_residual,
+                "chi_residual": s.chi_residual,
+            }
+            for s in out.samples
+        ],
+    })
 
 
 def _cmd_verify_chevalley(args, started):
@@ -295,14 +271,9 @@ def _cmd_verify_chevalley(args, started):
         if chevalley_separates(alpha, beta, mode):
             failures["perturbation"] += 1
     passed = not any(failures.values())
-    report = {
-        "tool_version": __version__,
-        "input_digest": _digest(f"chevalley:{n}:{d}:{args.samples}".encode()),
-        "seed": seed,
-        "chevalley": {"n": n, "d": d, "samples": args.samples,
-                      "passed": passed, "failures": failures},
-    }
-    code = _emit(report, started)
+    code = _emit(started, _digest(f"chevalley:{n}:{d}:{args.samples}".encode()), seed,
+                 chevalley={"n": n, "d": d, "samples": args.samples,
+                            "passed": passed, "failures": failures})
     return code if passed else EXIT_FAILED_CHECK
 
 
@@ -313,36 +284,22 @@ def _cmd_catalog(args, started):
             {"name": name, "params": catalog_signature(name), "notes": catalog_notes(name)}
             for name in catalog_names()
         ]
-        report = {"tool_version": __version__,
-                  "input_digest": _digest(b"catalog:list"),
-                  "seed": seed, "catalog": payload}
-        return _emit(report, started)
+        return _emit(started, _digest(b"catalog:list"), seed, catalog=payload)
     entry = catalog_build(args.name, args.params)
     pairing_json = pairing_to_json(entry.pairing)
-    report = {
-        "tool_version": __version__,
-        "input_digest": _digest(_canonical_json(pairing_json).encode()),
-        "seed": seed,
-        "entry": {
-            "name": entry.name,
-            "params": list(entry.params),
-            "expected_status": entry.expected_status,
-            "notes": entry.notes,
-            "pairing": pairing_json,
-        },
-    }
-    return _emit(report, started)
+    return _emit(started, _digest(_canonical_json(pairing_json).encode()), seed, entry={
+        "name": entry.name,
+        "params": list(entry.params),
+        "expected_status": entry.expected_status,
+        "notes": entry.notes,
+        "pairing": pairing_json,
+    })
 
 
 def _cmd_split_dim(args, started):
     value = split_component_dimension(args.n, args.dim_m)
-    report = {
-        "tool_version": __version__,
-        "input_digest": _digest(f"split-dim:{args.n}:{args.dim_m}".encode()),
-        "seed": _resolve_seed(args),
-        "split_component_dimension": value,
-    }
-    return _emit(report, started)
+    return _emit(started, _digest(f"split-dim:{args.n}:{args.dim_m}".encode()),
+                 _resolve_seed(args), split_component_dimension=value)
 
 
 # ---------------------------------------------------------------------------

@@ -514,12 +514,14 @@ class _SpanBuilder:
         return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
-def _sylvester(alpha: MatrixTuple, mode: ScalarMode) -> np.ndarray:
-    """The maps X -> A X - X A on row-major vec(X), stacked over the tuple;
-    their common nullspace is the commutant."""
+def _commutant(alpha: MatrixTuple, mode: ScalarMode) -> list:
+    """Basis of the commutant: the common nullspace of the maps X -> A X - X A
+    on row-major vec(X), judged in float mode at tol_rank times the tuple's
+    norm.  Its conditioning follows the eigenvalue gaps."""
     eye = identity(alpha.n, mode)
-    return np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices],
-                          axis=0)
+    stack = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices],
+                           axis=0)
+    return nullspace(stack, mode, tuple_scale(alpha))
 
 
 def _radical_dim(basis_mats, mode: ScalarMode) -> int:
@@ -546,7 +548,7 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     """
     alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
-    commutant_dim = n * n - rank(_sylvester(alpha, mode), mode)
+    commutant_dim = len(_commutant(alpha, mode))
 
     span = _SpanBuilder(mode)
     basis_mats = []
@@ -605,5 +607,5 @@ def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bo
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
     n = alpha.n
-    basis = nullspace(_sylvester(alpha, mode), mode, tuple_scale(alpha))
+    basis = _commutant(alpha, mode)
     return len(basis) == n and _radical_dim([v.reshape(n, n) for v in basis], mode) == 0

@@ -242,33 +242,16 @@ def bivector_rank(omega: Bivector, mode: ScalarMode) -> int:
     return r
 
 
-def quad_list(d: int) -> list[tuple[int, int, int, int]]:
-    return list(combinations(range(d), 4))
-
-
-def plucker_pairs(d: int) -> np.ndarray:
-    """Pair indices (ab, ce, ac, be, ae, bc) of every 4-subset a < b < c < e.
-
-    One row per entry of ``quad_list(d)``; the quadric of that row is
-    2 (w_ab w_ce - w_ac w_be + w_ae w_bc), the coefficient of w wedge w on
-    e_a wedge e_b wedge e_c wedge e_e.
-    """
-    rows = [[pair_index(a, b, d), pair_index(c, e, d), pair_index(a, c, d),
-             pair_index(b, e, d), pair_index(a, e, d), pair_index(b, c, d)]
-            for a, b, c, e in quad_list(d)]
-    return np.array(rows, dtype=int).reshape(-1, 6)
-
-
 def plucker_square(omega: Bivector) -> tuple:
     """Coefficients of omega wedge omega on the basis of 4-fold wedges.
 
     Zero exactly when the rank of omega is at most 2.  For d < 4 the target
     space is zero-dimensional and the empty tuple is returned.
     """
-    w = omega.coeffs
+    w = omega.coefficient
     return tuple(
-        2 * (w[ab] * w[ce] - w[ac] * w[be] + w[ae] * w[bc])
-        for ab, ce, ac, be, ae, bc in plucker_pairs(omega.dim_v).tolist()
+        2 * (w(a, b) * w(c, e) - w(a, c) * w(b, e) + w(a, e) * w(b, c))
+        for a, b, c, e in combinations(range(omega.dim_v), 4)
     )
 
 

@@ -42,13 +42,13 @@ from .exterior import (
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
-    plucker_pairs,
+    wedge,
 )
 from .scalars import (
     DEFAULT_TOL,
     PreconditionError,
     ScalarMode,
-    rank,
+    nullspace,
     resolve_mode,
     to_float,
 )
@@ -133,35 +133,31 @@ def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: Sear
 
 
 # ---------------------------------------------------------------------------
-# witness search on the Plucker quadrics
-
-# partner of each column of the plucker_pairs table in its product, and the
-# product's sign: d/dw of w_ab w_ce - w_ac w_be + w_ae w_bc
-_PARTNER = [1, 0, 3, 2, 5, 4]
-_SIGN = np.array([1, 1, -1, -1, 1, 1])
+# witness search on rank-2 factors
 
 
-def _plucker_residual(blocks: np.ndarray, x: np.ndarray):
-    """Wedge square of w = basis @ x on the 4-wedges, and its Jacobian in x.
+def _factor_residual(a3: np.ndarray, uv: np.ndarray):
+    """a(u wedge v) for the frame uv = [u v], and its (r, 2, d) Jacobian.
 
-    ``blocks`` is ``basis[plucker_pairs(d)]``, the six q x m row blocks of the
-    basis that the quadrics read, so both cost O(q m): the q x m x m bilinear
-    form is never built.
+    ``a3`` is the annihilator of the kernel as an antisymmetric (r, d, d)
+    array, so the residual is sum_ij a3[w, i, j] u_i v_j.  It is bilinear in
+    (u, v); by antisymmetry the blocks are d/du = a3 v and d/dv = -a3 u.
     """
-    w = blocks @ x
-    res = 2 * (w[:, 0] * w[:, 1] - w[:, 2] * w[:, 3] + w[:, 4] * w[:, 5])
-    jac = (2 * _SIGN * w[:, _PARTNER])[:, None, :] @ blocks
-    return res, jac[:, 0, :]
+    du = a3 @ uv[:, 1]
+    return du @ uv[:, 0], np.stack([du, -(a3 @ uv[:, 0])], axis=1)
 
 
 def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Seeded random-restart Gauss-Newton search for a rank-2 element.
+    """Seeded random-restart Gauss-Newton search for a rank-2 element u wedge v.
 
-    Minimizes the squared norm of the wedge square over unit coefficient
-    vectors in the given subspace; accepts when the normalized residual drops
-    below tol_plucker and the singular values confirm rank exactly 2.  A
-    restart also ends early at a stationary point with a nonzero residual,
-    where the gradient J^H res vanishes relative to |J| |res|: the
+    Solves a(u wedge v) = 0 for the orthonormal annihilator a of the subspace
+    over orthonormal frames [u v] (Edelman, Arias & Smith, SIAM J. Matrix
+    Anal. Appl. 20, 1998): each step moves the plane, and QR restores the
+    frame, so u wedge v has unit norm and rank exactly 2 throughout.  A
+    restart starts on the plane of the top two left singular vectors of a
+    random kernel element, and accepts when |a(u wedge v)|^2 drops below
+    tol_plucker.  It also ends early at a stationary point with a nonzero
+    residual, where the gradient J^H res vanishes relative to |J| |res|: the
     Gauss-Newton step is zero there, so further iterations cannot move it.
     The per-restart seed is derived from (seed, restart index), so results do
     not depend on scheduling.
@@ -170,45 +166,42 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
         return SearchResult(None, float("inf"), 0)
     d = k.dim_v
     raw = np.column_stack([_float_coeffs(b) for b in k.basis])
-    basis, _ = np.linalg.qr(raw)
-    m = basis.shape[1]
-    blocks = basis[plucker_pairs(d)]
-    stationary = ScalarMode.floating()
+    m = raw.shape[1]
+    floating = ScalarMode.floating()
+    ann = np.reshape(nullspace(raw.T, floating), (-1, raw.shape[0]))
+    iu = np.triu_indices(d, 1)
+    a3 = np.zeros((len(ann), d, d), dtype=complex)
+    a3[:, iu[0], iu[1]] = ann
+    a3[:, iu[1], iu[0]] = -ann
     best = float("inf")
 
     for r in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, r))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        x /= np.linalg.norm(x)
+        w = np.zeros((d, d), dtype=complex)
+        w[iu] = raw @ x
+        uv = np.linalg.svd(w - w.T)[0][:, :2]
         for _ in range(cfg.max_iterations):
-            res, jac = _plucker_residual(blocks, x)
+            res, jac = _factor_residual(a3, uv)
             f = float(np.linalg.norm(res) ** 2)
             best = min(best, f)
             if f <= cfg.tol_plucker:
-                omega = Bivector(d, tuple(basis @ x))
-                if rank(omega.skew_matrix(), ScalarMode.floating(tol_rank=cfg.tol_rank)) == 2:
-                    return SearchResult(omega, f, r + 1)
-                break
+                return SearchResult(wedge(uv[:, 0], uv[:, 1]), f, r + 1)
             scale = np.linalg.norm(jac) * np.linalg.norm(res)
-            # restrict the step to the tangent space of the unit sphere: the
-            # residual is homogeneous quadratic, so the unrestricted step is
-            # purely radial (Euler) and the renormalization would undo it
-            jac = jac - np.outer(jac @ x, np.conj(x))
+            # move the plane, not the frame inside it: a step inside the plane
+            # only rescales u wedge v, and J (u, 0) = res would keep J^H res
+            # from ever vanishing
+            jac = (jac - (jac @ uv) @ uv.conj().T).reshape(len(res), 2 * d)
             # first-order stationarity of Gauss-Newton (Nocedal & Wright,
             # Numerical Optimization, 10.3): the step would be zero.  The
-            # scale takes |J| before the projection, which on a kernel line
-            # leaves only rounding, parallel to res
-            if stationary.vanishes([jac.conj().T @ res], scale):
+            # scale takes |J| before the projection, so that a projected J of
+            # rounding size counts as stationary
+            if floating.vanishes([jac.conj().T @ res], scale):
                 break
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
-            step = step - np.vdot(x, step) * x
-            x = x + step
-            norm = np.linalg.norm(x)
-            if norm == 0:
-                break
-            x /= norm
+            uv, _ = np.linalg.qr(uv + step.reshape(2, d).T)
     return SearchResult(None, best, cfg.restarts)
 
 
@@ -281,7 +274,9 @@ def _rank2_factor_float(omega: Bivector, mode: ScalarMode):
     u = (mm[0, 1] / scale) * c[:, 0]
     v = scale * c[:, 1]
     check = np.outer(u, v) - np.outer(v, u)
-    if not mode.vanishes([check - m], max(1.0, np.linalg.norm(m))):
+    # at the witness's own norm, nonzero for rank 2: a floor would let a
+    # wrong factor of a small witness through
+    if not mode.vanishes([check - m], np.linalg.norm(m)):
         raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
     return u, v
 

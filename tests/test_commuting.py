@@ -483,6 +483,15 @@ class TestRepAnalysis:
         assert rep_analysis(alpha, EXACT).algebra_dim == 4
         assert rep_analysis(alpha.to_float(), FLOAT) == rep_analysis(alpha, EXACT)
 
+    def test_float_commutant_judged_at_the_tuple_norm(self):
+        # a split of 1e-12 is below tol_rank times the norm: the algebra is the
+        # scalars, and its commutant all of gl_2, the same call that
+        # regular_locus_test makes
+        alpha = MatrixTuple.from_matrices([np.diag([1.0, 1.0 + 1e-12]).astype(complex)])
+        out = rep_analysis(alpha, FLOAT)
+        assert (out.algebra_dim, out.commutant_dim) == (1, 4)
+        assert not regular_locus_test(alpha, FLOAT)
+
     def test_irreducible_implies_invariants(self):
         rng = np.random.default_rng(59)
         seen = 0

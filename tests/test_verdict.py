@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -31,8 +32,6 @@ from semirigid.exterior import (
     bivector_rank,
     kernel,
     pair_list,
-    plucker_pairs,
-    plucker_square,
     wedge,
 )
 from semirigid.scalars import ScalarMode, exact_matrix, to_float, zeros
@@ -46,7 +45,9 @@ from semirigid.verdict import (
     UNKNOWN,
     MuNonzeroError,
     SearchConfig,
-    _plucker_residual,
+    WitnessVerificationError,
+    _factor_residual,
+    _rank2_factor_float,
     construct_stable_point,
     decide,
     mu_zero_sampler,
@@ -57,6 +58,7 @@ from semirigid.verdict import (
 )
 from util import (
     planted_kernel_pairing,
+    planted_search_kernels,
     projective_distance,
     random_injective_pairing,
     random_rank2_bivector,
@@ -139,6 +141,16 @@ def random_complex_kernel(rng, d, m):
     return KernelSubspace(d, basis), cols
 
 
+def random_annihilator(rng, d, r):
+    """r random complex rows on the pairs, and the same as an antisymmetric
+    (r, d, d) array."""
+    ann = rng.standard_normal((r, comb(d, 2))) + 1j * rng.standard_normal((r, comb(d, 2)))
+    a3 = np.zeros((r, d, d), dtype=complex)
+    for p, (i, j) in enumerate(pair_list(d)):
+        a3[:, i, j], a3[:, j, i] = ann[:, p], -ann[:, p]
+    return ann, a3
+
+
 def pairing_with_kernel(cols, d):
     """Complex pairing whose kernel is exactly the column span of cols."""
     q, _ = np.linalg.qr(cols, mode="complete")
@@ -147,11 +159,20 @@ def pairing_with_kernel(cols, d):
 
 
 class TestWitnessSearch:
-    def test_single_rank2_generator_immediate(self):
+    def test_single_rank2_generator_immediate(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
         k = KernelSubspace(6, (Bivector.basis_element(6, 0, 1),))
         out = witness_search(k, SearchConfig(restarts=4))
         assert out.witness is not None
-        assert out.restarts_used == 1
+        # the start is the plane of a kernel element, here e0 wedge e1 itself
+        assert out.restarts_used == 1 and not calls
         assert projective_distance(out.witness, Bivector.basis_element(6, 0, 1)) < 1e-8
 
     def test_two_dim_plane_finds_component(self):
@@ -171,25 +192,25 @@ class TestWitnessSearch:
         assert out.best_residual > 0.1
 
     @pytest.mark.parametrize("d", range(4, 10))
-    def test_residual_is_the_plucker_square(self, d):
+    def test_residual_is_the_pairing_of_the_wedge(self, d):
         rng = np.random.default_rng(d)
-        _, basis = random_complex_kernel(rng, d, 3)
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        res, _ = _plucker_residual(basis[plucker_pairs(d)], x)
-        expected = plucker_square(Bivector(d, tuple(basis @ x)))
-        assert res.shape == (comb(d, 4),)
+        ann, a3 = random_annihilator(rng, d, 3)
+        uv = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+        res, jac = _factor_residual(a3, uv)
+        assert res.shape == (3,) and jac.shape == (3, 2, d)
+        expected = ann @ np.array(wedge(uv[:, 0], uv[:, 1]).coeffs)
         assert np.allclose(res, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", range(4, 10))
     def test_jacobian_central_difference(self, d):
         rng = np.random.default_rng(d)
-        _, basis = random_complex_kernel(rng, d, 5)
-        blocks = basis[plucker_pairs(d)]
-        x, v = (rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(2))
-        _, jac = _plucker_residual(blocks, x)
-        # the residual is homogeneous quadratic: the central difference is exact
-        central = _plucker_residual(blocks, x + v)[0] - _plucker_residual(blocks, x - v)[0]
-        assert np.allclose(central, 2 * jac @ v, rtol=0, atol=1e-12)
+        _, a3 = random_annihilator(rng, d, 5)
+        uv, delta = (rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+                     for _ in range(2))
+        _, jac = _factor_residual(a3, uv)
+        # the residual is bilinear in (u, v): the central difference is exact
+        central = _factor_residual(a3, uv + delta)[0] - _factor_residual(a3, uv - delta)[0]
+        assert np.allclose(central, 2 * np.einsum("wkd,dk->w", jac, delta), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["rank4_line", "below_bound"])
     def test_restarts_stop_at_a_stationary_point(self, monkeypatch, case):
@@ -230,6 +251,41 @@ class TestWitnessSearch:
         assert out.witness is not None
         assert peak < 32e6
 
+    def test_search_memory_at_d20(self):
+        # d = 20 at the dimension bound: the (r, d, d) annihilator has
+        # 36 x 20 x 20 complex entries, 0.2 MB
+        d = 20
+        k, _ = random_complex_kernel(np.random.default_rng(20), d, comb(d - 2, 2) + 1)
+        tracemalloc.start()
+        try:
+            out = witness_search(k, SearchConfig(restarts=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.witness is not None
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("d", [5, 8, 11])
+    def test_witness_is_a_unit_wedge_of_an_orthonormal_frame(self, d):
+        k, _ = random_complex_kernel(np.random.default_rng(d), d, comb(d - 2, 2) + 1)
+        out = witness_search(k, SearchConfig(restarts=8))
+        assert out.witness is not None
+        s = np.linalg.svd(out.witness.skew_matrix(), compute_uv=False)
+        assert np.allclose(s[:2], 1, rtol=0, atol=1e-12)
+        assert np.all(s[2:] < 1e-12)
+
+    def test_planted_kernels_below_the_bound(self):
+        kernels = planted_search_kernels()
+        found = 0
+        for k, plant in kernels:
+            out = witness_search(k, SearchConfig(restarts=16))
+            if out.witness is not None:
+                found += 1
+                # below the bound the planted line is the only decomposable one
+                assert projective_distance(out.witness, plant) < 1e-6
+        # the Plucker-quadric search this one replaced found 57 of these 60
+        # (it missed kernels 22, 32 and 58)
+        assert found >= 57
 
 class TestWitnessToTuple:
     def test_basis_witness_n2(self):
@@ -280,6 +336,39 @@ class TestWitnessToTuple:
         with pytest.raises(ValueError):
             witness_to_tuple(Bivector.zero(3), 2)
 
+
+class TestRank2FactorFloat:
+    @staticmethod
+    def scaled_wedge(norm):
+        rng = np.random.default_rng(17)
+        u, v = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        w = np.array(wedge(u, v).coeffs)
+        return Bivector(6, tuple(complex(z) for z in norm * w / np.linalg.norm(w)))
+
+    @pytest.mark.parametrize("norm", [1e-11, 1.0, 1e6])
+    def test_factor_reconstructs_the_witness(self, norm):
+        omega = self.scaled_wedge(norm)
+        u, v = _rank2_factor_float(omega, FLOAT)
+        rebuilt = np.array(wedge(u, v).coeffs)
+        assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12 * norm
+
+    def test_wrong_factor_of_a_small_witness_refused(self, monkeypatch):
+        # doubling the second singular vector gives a wrong factorization,
+        # off by about the witness's own norm of 1e-11
+        svd = np.linalg.svd
+
+        def doubled(a, *args, **kwargs):
+            uu, s, vh = svd(a, *args, **kwargs)
+            uu = uu.copy()
+            uu[:, 1] *= 2
+            return uu, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", doubled)
+        with pytest.raises(WitnessVerificationError):
+            _rank2_factor_float(self.scaled_wedge(1e-11), FLOAT)
+
+    def test_check_has_no_absolute_floor(self):
+        assert "max(1.0" not in inspect.getsource(_rank2_factor_float)
 
 class TestTupleToWitness:
     def test_commuting_returns_none(self):

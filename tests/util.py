@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
-from semirigid.exterior import Bivector, SkewPairing, pair_list, wedge
+from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, wedge
 from semirigid.scalars import ScalarMode, exact_matrix, rank
 
 EXACT = ScalarMode.exact()
@@ -29,6 +30,29 @@ def random_rank2_bivector(rng, d):
         w = wedge(u, v)
         if not w.is_zero():
             return w, u, v
+
+
+def planted_search_kernels():
+    """60 kernels below the dimension bound at d = 5..10, each spanned by one
+    planted u wedge v and random bivectors: 30 complex, then 30 integer.
+    Returns (kernel, plant) pairs."""
+    rng = np.random.default_rng(60)
+    out = []
+    for i in range(60):
+        d = 5 + i % 6
+        q, m = comb(d, 2), int(rng.integers(1, comb(d - 2, 2) + 1))
+        if i < 30:
+            u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+            plant = Bivector(d, tuple(complex(z) for z in wedge(u, v).coeffs))
+            rest = [Bivector(d, tuple(complex(z) for z in
+                                      rng.standard_normal(q) + 1j * rng.standard_normal(q)))
+                    for _ in range(m - 1)]
+        else:
+            plant, _, _ = random_rank2_bivector(rng, d)
+            rest = [Bivector(d, tuple(int(x) for x in rng.integers(-3, 4, size=q)))
+                    for _ in range(m - 1)]
+        out.append((KernelSubspace(d, (plant, *rest)), plant))
+    return out
 
 
 def planted_kernel_pairing(rng, d, m, plant: Bivector) -> SkewPairing:
