@@ -16,11 +16,12 @@ from itertools import product
 
 import numpy as np
 
-from .exterior import Bivector, SkewPairing, pair_list
+from .exterior import Bivector, SkewPairing, pair_list, skew
 from .scalars import (
     Echelon,
     PreconditionError,
     ScalarMode,
+    cleared,
     eigenvalues,
     identity,
     is_exact_array,
@@ -105,20 +106,12 @@ def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
         raise NotCommutingError("tuple is not pairwise commuting within tolerance")
 
 
-def _pairing_tensor(p: SkewPairing) -> np.ndarray:
-    """Complex antisymmetric tensor C[k, i, j]: k-th W-coordinate of e_i wedge e_j."""
-    d = p.dim_v
-    i, j = np.triu_indices(d, 1)
-    c = np.zeros((p.dim_w, d, d), dtype=complex)
-    c[:, i, j] = p.matrix()
-    c[:, j, i] = -c[:, i, j]
-    return c
-
-
 def _mu_kernel(c: np.ndarray, a: np.ndarray):
-    """Float mu of a tuple stacked as a (d, n, n) array, with its partial sums.
+    """mu of a tuple stacked as a (d, n, n) array, with its partial sums.
 
-    Returns mu, with mu_k = sum_ij C[k,i,j] A_i A_j, and S, with
+    ``c`` is the pairing as an antisymmetric (dim_w, d, d) array, C[k, i, j]
+    the k-th W-coordinate of e_i wedge e_j, in the dtype of ``a``.  Returns
+    mu, with mu_k = sum_ij C[k,i,j] A_i A_j, and S, with
     S_kb = sum_i C[k,i,b] A_i, so that mu_k = sum_b S_kb A_b and the
     derivative of mu_k along A_b is V -> S_kb V - V S_kb.
     """
@@ -140,15 +133,13 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     """Pairing-contracted commutators: one matrix per basis vector of W."""
     if alpha.d != p.dim_v:
         raise ValueError("tuple length does not match pairing dimension")
-    if not (alpha.is_rational() and p.is_rational()):
-        a = np.array(alpha.matrices, dtype=complex)
-        return tuple(_mu_kernel(_pairing_tensor(p), a)[0])
-    out = [zeros((alpha.n, alpha.n), ScalarMode.exact()) for _ in range(p.dim_w)]
-    for comm, row in zip(chi(alpha), p.entries):
-        for k, c in enumerate(row):
-            if c != 0:
-                out[k] = out[k] + c * comm
-    return tuple(out)
+    c, a = p.matrix(), np.array(alpha.matrices)
+    if resolve_mode(None, alpha, p).is_exact:
+        # integer arithmetic, one division: C = C' / e and A = A' / f give
+        # mu = mu(C', A') / (e f^2)
+        (c, e), (a, f) = cleared(c), cleared(a)
+        return tuple(_mu_kernel(skew(c, alpha.d), a)[0] * Fraction(1, e * f * f))
+    return tuple(_mu_kernel(skew(to_float(c), alpha.d), to_float(a))[0])
 
 
 def mu_norm(alpha: MatrixTuple, p: SkewPairing) -> float:

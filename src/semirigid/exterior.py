@@ -40,6 +40,17 @@ def pair_index(i: int, j: int, d: int) -> int:
     return i * d - i * (i + 1) // 2 + (j - i - 1)
 
 
+def skew(x, d: int) -> np.ndarray:
+    """The antisymmetric (..., d, d) array, in x's dtype, whose entries (i, j)
+    with i < j are the last axis of x, in :func:`pair_list` order."""
+    x = np.asarray(x)
+    i, j = np.triu_indices(d, 1)
+    m = np.zeros(x.shape[:-1] + (d, d), dtype=x.dtype)
+    m[..., i, j] = x
+    m[..., j, i] = -x
+    return m
+
+
 def is_rational_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
@@ -90,15 +101,8 @@ class Bivector:
 
     def skew_matrix(self) -> np.ndarray:
         """The associated d x d skew-symmetric matrix."""
-        d = self.dim_v
-        m = np.zeros((d, d), dtype=complex)
-        if self.is_rational():
-            m = np.empty((d, d), dtype=object)
-            m[...] = Fraction(0)
-        for (i, j), c in zip(pair_list(d), self.coeffs):
-            m[i, j] = c
-            m[j, i] = -c
-        return m
+        return skew(np.array(self.coeffs, dtype=object if self.is_rational() else complex),
+                    self.dim_v)
 
     def __add__(self, other: "Bivector") -> "Bivector":
         if self.dim_v != other.dim_v:
@@ -177,14 +181,6 @@ class SkewPairing:
         rows = np.array(self.entries, dtype=object if self.is_rational() else complex)
         return rows.reshape(pair_count(self.dim_v), self.dim_w).T
 
-    def value(self, i: int, j: int):
-        """Image of e_i wedge e_j in W, extended by antisymmetry."""
-        if i == j:
-            return tuple([0] * self.dim_w)
-        if i < j:
-            return self.entries[pair_index(i, j, self.dim_v)]
-        return tuple(-x for x in self.entries[pair_index(j, i, self.dim_v)])
-
 
 @dataclass(frozen=True)
 class KernelSubspace:
@@ -207,16 +203,10 @@ def apply(p: SkewPairing, omega: Bivector) -> np.ndarray:
     """Evaluate the pairing on a bivector; linear in the bivector."""
     if p.dim_v != omega.dim_v:
         raise ValueError("dimension mismatch")
-    out = [0] * p.dim_w
-    for row, c in zip(p.entries, omega.coeffs):
-        if c != 0:
-            for k in range(p.dim_w):
-                out[k] = out[k] + c * row[k]
-    if all(is_rational_scalar(x) for x in out):
-        arr = np.empty(p.dim_w, dtype=object)
-        arr[:] = out
-        return arr
-    return np.array(out, dtype=complex)
+    m, w = p.matrix(), np.array(omega.coeffs, dtype=object)
+    if not resolve_mode(None, p, omega).is_exact:
+        m, w = to_float(m), to_float(w)
+    return m @ w
 
 
 def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:

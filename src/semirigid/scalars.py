@@ -146,6 +146,16 @@ def is_exact_array(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
+def cleared(a) -> tuple[np.ndarray, int]:
+    """Rational entries with their denominators cleared: an object array of
+    Python ints and the lcm ``den`` of the denominators, so that a == ints / den."""
+    a = np.asarray(a, dtype=object)
+    den = math.lcm(*(x.denominator for x in a.flat))
+    ints = np.empty(a.shape, dtype=object)
+    ints.flat[:] = [int(x.numerator) * (den // x.denominator) for x in a.flat]
+    return ints, den
+
+
 # ---------------------------------------------------------------------------
 # exact elimination
 
@@ -172,8 +182,7 @@ class Echelon:
 
     def add(self, row) -> bool:
         """Add a row of Fraction/int entries; return whether the span grew."""
-        den = math.lcm(*(x.denominator for x in row))
-        v = [int(x.numerator) * (den // x.denominator) for x in row]
+        v = cleared(row)[0].tolist()
         det = self.det
         w = [det * x for x in v]
         for r, p in zip(self.rows, self.pivots):

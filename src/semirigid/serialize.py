@@ -1,12 +1,13 @@
 """JSON wire formats for pairings, tuples, bivectors, and verdicts.
 
 Rational scalars travel as strings "p/q" with q > 0 and gcd(p, q) = 1;
-complex scalars as two-element arrays [re, im] of decimal floats.  All keys
+complex scalars as two-element arrays [re, im] of finite decimal floats.  All keys
 are snake_case and emission is deterministic for identical values.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -39,12 +40,16 @@ def scalar_from_json(v, kind: str):
         raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {v!r}")
     if isinstance(v, (list, tuple)) and len(v) == 2:
         try:
-            return complex(float(v[0]), float(v[1]))
+            z = complex(float(v[0]), float(v[1]))
         except TypeError as exc:
             raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
+    elif isinstance(v, (int, float)):
+        z = complex(v)
+    else:
+        raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex scalar must be finite, got {v!r}")
+    return z
 
 
 def infer_kind(data) -> str:

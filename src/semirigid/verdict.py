@@ -23,9 +23,9 @@ from .commuting import (
     _in_regime,
     _mu_jacobian,
     _mu_kernel,
-    _pairing_tensor,
     chi,
     chi_norm,
+    frobenius,
     is_commuting,
     mu,
     regular_sl2_triple,
@@ -42,12 +42,13 @@ from .exterior import (
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
+    skew,
     wedge,
 )
 from .scalars import (
-    DEFAULT_TOL,
     PreconditionError,
     ScalarMode,
+    exact_matrix,
     nullspace,
     resolve_mode,
     to_float,
@@ -78,13 +79,12 @@ class SearchConfig:
     max_iterations: int = 200
     seed: int = 0
     tol_plucker: float = 1e-18
-    tol_rank: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        if not (self.tol_plucker > 0 and self.tol_rank > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_plucker > 0:
+            raise ValueError("tol_plucker must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,12 @@ def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
-def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode, cfg: SearchConfig):
+def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode):
     """Independent re-check of an emitted witness; raises on failure."""
     if not _in_kernel(p, omega, mode):
         raise WitnessVerificationError("witness is not in the kernel")
     if not (mode.is_exact and omega.is_rational()):
-        mode = ScalarMode.floating(tol_rank=cfg.tol_rank)
+        mode = ScalarMode.floating()
     if bivector_rank(omega, mode) != 2:
         raise WitnessVerificationError("witness does not have rank 2")
 
@@ -169,18 +169,13 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     m = raw.shape[1]
     floating = ScalarMode.floating()
     ann = np.reshape(nullspace(raw.T, floating), (-1, raw.shape[0]))
-    iu = np.triu_indices(d, 1)
-    a3 = np.zeros((len(ann), d, d), dtype=complex)
-    a3[:, iu[0], iu[1]] = ann
-    a3[:, iu[1], iu[0]] = -ann
+    a3 = skew(ann, d)
     best = float("inf")
 
     for r in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, r))
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        w = np.zeros((d, d), dtype=complex)
-        w[iu] = raw @ x
-        uv = np.linalg.svd(w - w.T)[0][:, :2]
+        uv = np.linalg.svd(skew(raw @ x, d))[0][:, :2]
         for _ in range(cfg.max_iterations):
             res, jac = _factor_residual(a3, uv)
             f = float(np.linalg.norm(res) ** 2)
@@ -226,14 +221,14 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
     if p.dim_v <= 4:
         dec = decomposable_exists_exact(k, mode)
         if dec.kind == YES:
-            _verify_witness(p, dec.witness, mode, cfg)
+            _verify_witness(p, dec.witness, mode)
             return Verdict(NOT_SEMI_RIGID, CERT_EXACT_LOW_DIM, dec.witness,
                            Evidence(kernel_dim=kd))
         assert dec.kind == NO
         return Verdict(SEMI_RIGID, CERT_EXACT_LOW_DIM, None, Evidence(kernel_dim=kd))
     result = witness_search(k, cfg)
     if result.witness is not None:
-        _verify_witness(p, result.witness, mode, cfg)
+        _verify_witness(p, result.witness, mode)
     evidence = Evidence(kernel_dim=kd, restarts_used=result.restarts_used,
                         best_residual=result.best_residual)
     if dimension_criterion(k):
@@ -247,36 +242,21 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
 # witness <-> tuple constructions
 
 
-def _rank2_factor_exact(omega: Bivector):
+def _rank2_factor(omega: Bivector, mode: ScalarMode):
+    """Vectors u, v with u wedge v = omega, for a bivector of rank 2."""
     m = omega.skew_matrix()
-    d = omega.dim_v
-    j1 = next(j for j in range(d) if any(m[i, j] != 0 for i in range(d)))
-    # skewness puts every nonzero entry of the first nonzero column below j1
-    j2 = next(j for j in range(j1 + 1, d) if m[j1, j] != 0)
+    # Fractions, so that the division below stays exact for int coefficients
+    m = exact_matrix(m) if mode.is_exact else to_float(m)
     # a skew matrix of rank 2 is (c1 c2^T - c2 c1^T) / a, where c1, c2 are its
-    # columns j1, j2 and a = m[j1, j2] is nonzero
-    u = m[:, j1] / Fraction(m[j1, j2])
+    # columns j1, j2 and a = m[j1, j2] is nonzero; the largest entry keeps the
+    # division well conditioned in float mode
+    j1, j2 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    u = m[:, j1] / m[j1, j2]
     v = m[:, j2]
-    check = np.outer(u, v) - np.outer(v, u)
-    if not np.all(check == m):
-        raise WitnessVerificationError(
-            "exact rank-2 factorization failed to reconstruct the bivector")
-    return u, v
-
-
-def _rank2_factor_float(omega: Bivector, mode: ScalarMode):
-    m = to_float(omega.skew_matrix())
-    uu, s, _ = np.linalg.svd(m)
-    c = uu[:, :2]
-    mm = c.conj().T @ m @ c.conj()
-    mm = (mm - mm.T) / 2
-    scale = math.sqrt(abs(mm[0, 1])) or 1.0
-    u = (mm[0, 1] / scale) * c[:, 0]
-    v = scale * c[:, 1]
     check = np.outer(u, v) - np.outer(v, u)
     # at the witness's own norm, nonzero for rank 2: a floor would let a
     # wrong factor of a small witness through
-    if not mode.vanishes([check - m], np.linalg.norm(m)):
+    if not mode.vanishes([check - m], frobenius(m)):
         raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
     return u, v
 
@@ -295,12 +275,10 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
     if bivector_rank(omega, mode) != 2:
         raise ValueError("bivector must have rank exactly 2")
     triple = regular_sl2_triple(n)
-    if mode.is_exact:
-        u, v = _rank2_factor_exact(omega)
-        x, y = triple.x, triple.y
-    else:
-        u, v = _rank2_factor_float(omega, mode)
-        x, y = to_float(triple.x), to_float(triple.y)
+    u, v = _rank2_factor(omega, mode)
+    x, y = triple.x, triple.y
+    if not mode.is_exact:
+        x, y = to_float(x), to_float(y)
     mats = tuple(u[i] * x + v[i] * y for i in range(omega.dim_v))
     return MatrixTuple(n, omega.dim_v, mats)
 
@@ -402,7 +380,7 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         raise ValueError("need n >= 1")
     mode = ScalarMode.floating()
     d = p.dim_v
-    c = _pairing_tensor(p)
+    c = skew(to_float(p.matrix()), d)
 
     starts = []
     # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway

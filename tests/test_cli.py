@@ -549,6 +549,30 @@ class TestCliMalformedInput:
                                            "--n", "2"))
 
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("kind", ["pairing", "tuple", "witness"])
+    def test_non_finite_complex_scalar_exit_2(self, capsys, tmp_path, kind, bad):
+        # json writes these as the non-standard literals Infinity, -Infinity and NaN
+        path = tmp_path / f"{kind}.json"
+        obj, argv = {
+            "pairing": (
+                {"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                 "entries": [{"i": 0, "j": 1, "values": [[bad, 0]]}]},
+                ("kernel", "--pairing")),
+            "tuple": (
+                {"n": 2, "d": 1, "scalar": "complex",
+                 "matrices": [[[[1, 0], [0, bad]], [[0, 0], [1, 0]]]]},
+                ("commuting", "spectrum", "--tuple")),
+            "witness": (
+                {"dim_v": 4, "coeffs": [{"i": 0, "j": 2, "value": [bad, 0]}]},
+                ("construct", "stable", "--pairing", "catalog:curve:2", "--n", "2",
+                 "--witness")),
+        }[kind]
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "must be finite" in err
+
     @pytest.mark.parametrize("argv", [
         ("construct", "stable", "--pairing", "catalog:curve:2", "--n", "2", "--witness"),
         ("analyze", "--pairing"),
@@ -583,9 +607,9 @@ class TestCliSearchDefaults:
     def test_explicit_flags_pass_through(self):
         args = build_parser().parse_args(
             ["analyze", "--pairing", "x", "--restarts", "3", "--max-iterations", "7",
-             "--tol-plucker", "1e-12", "--tol-rank", "1e-6"])
+             "--tol-plucker", "1e-12"])
         assert _search_config(args, 2) == SearchConfig(
-            restarts=3, max_iterations=7, seed=2, tol_plucker=1e-12, tol_rank=1e-6)
+            restarts=3, max_iterations=7, seed=2, tol_plucker=1e-12)
         args = build_parser().parse_args(
             ["sample", "mu-zero", "--pairing", "x", "--n", "2", "--starts", "5"])
         assert _search_config(args, 0) == SearchConfig(restarts=5)
@@ -593,7 +617,7 @@ class TestCliSearchDefaults:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--restarts", "0"),
         ("analyze", "--max-iterations", "0"),
-        ("analyze", "--tol-rank", "0"),
+        ("analyze", "--tol-plucker", "-1"),
         ("analyze", "--tol-plucker", "0"),
         ("analyze", "--restarts", "-2"),
         ("construct", "stable", "--auto", "--n", "2", "--restarts", "0"),
@@ -605,3 +629,12 @@ class TestCliSearchDefaults:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    def test_tol_rank_flag_is_a_usage_error(self, capsys):
+        # a witness is re-checked at the default rank tolerance; no flag sets it
+        code, out, err = run_cli(capsys, "analyze", "--pairing", "catalog:curve:2",
+                                 "--tol-rank", "1e-6")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "_CliInputError"

@@ -21,6 +21,7 @@ from semirigid.exterior import (
     pair_index,
     pair_list,
     plucker_square,
+    skew,
     wedge,
 )
 from semirigid.scalars import ScalarMode
@@ -52,7 +53,63 @@ class TestIndexing:
         assert w.coefficient(2, 2) == 0
 
 
+class TestSkew:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("dtype", [object, complex])
+    def test_lift_of_pair_coordinates(self, d, dtype):
+        rng = np.random.default_rng(d)
+        n = len(pair_list(d))
+        if dtype is object:
+            x = np.array([[Fraction(int(a), int(b)) for a, b in
+                           zip(rng.integers(-5, 6, size=n), rng.integers(1, 4, size=n))]
+                          for _ in range(3)], dtype=object)
+        else:
+            x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        m = skew(x, d)
+        assert m.shape == (3, d, d) and m.dtype == x.dtype
+        for idx, (i, j) in enumerate(pair_list(d)):
+            assert np.array_equal(m[:, i, j], x[:, idx])
+        assert np.array_equal(m, -m.transpose(0, 2, 1))
+        # one bivector, no leading axis
+        assert np.array_equal(skew(x[1], d), m[1])
+
+
+def loop_apply(p, omega):
+    """Reference: the pairing's rows weighted by the bivector's coefficients."""
+    out = [0] * p.dim_w
+    for row, c in zip(p.entries, omega.coeffs):
+        for k in range(p.dim_w):
+            out[k] = out[k] + c * row[k]
+    return out
+
+
 class TestApply:
+    @pytest.mark.parametrize("pairing_complex", [False, True])
+    @pytest.mark.parametrize("bivector_complex", [False, True])
+    def test_regime_and_values(self, pairing_complex, bivector_complex):
+        rng = np.random.default_rng((pairing_complex, bivector_complex))
+
+        def scalar(is_complex):
+            if is_complex:
+                return complex(rng.standard_normal(), rng.standard_normal())
+            return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+
+        for d in range(1, 6):
+            for m in range(4):
+                p = SkewPairing(d, m, tuple(tuple(scalar(pairing_complex) for _ in range(m))
+                                            for _ in pair_list(d)))
+                w = Bivector(d, tuple(scalar(bivector_complex) for _ in pair_list(d)))
+                out, ref = apply(p, w), loop_apply(p, w)
+                assert out.shape == (m,)
+                # for d = 1 or m = 0 one side holds no scalars at all
+                if d > 1 and (pairing_complex and m or bivector_complex):
+                    assert out.dtype == complex
+                    assert np.allclose(out, np.array(ref, dtype=complex), rtol=0, atol=1e-12)
+                else:
+                    assert out.dtype == object
+                    assert list(out) == ref
+
+
     def test_symplectic_d2(self):
         p = symplectic_pairing(2)
         out = apply(p, Bivector.basis_element(2, 0, 1))

@@ -1,6 +1,7 @@
 """One tolerance policy: ``ScalarMode.vanishes`` and ``scalars._svd_rank`` make
 every float zero and rank decision, and ``DEFAULT_TOL`` is the one default."""
 
+import dataclasses
 import inspect
 import re
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semirigid
-from semirigid import scalars
+from semirigid import commuting, scalars, verdict
 from semirigid.catalog import catalog_build
 from semirigid.commuting import MatrixTuple, is_commuting, rep_analysis
 from semirigid.exterior import Bivector, decomposable_exists_exact
@@ -52,7 +53,6 @@ class TestVanishes:
 
     def test_defaults_come_from_one_constant(self):
         assert FLOAT == ScalarMode.floating(DEFAULT_TOL, DEFAULT_TOL)
-        assert SearchConfig().tol_rank == DEFAULT_TOL
 
 
 def _source_files():
@@ -81,6 +81,22 @@ class TestToleranceLiterals:
 
     def test_decomposable_exists_exact_has_no_own_zero_test(self):
         assert "tol_rank" not in inspect.getsource(decomposable_exists_exact)
+
+    def test_search_has_no_rank_tolerance_of_its_own(self):
+        assert "tol_rank" not in {f.name for f in dataclasses.fields(SearchConfig)}
+
+
+class TestOneCopyPerBivectorMap:
+    """The skew lift, mu and the rank-2 factorization are written once."""
+
+    def test_skew_lift_only_in_exterior(self):
+        hits = [f.name for f in _source_files() if "triu_indices" in f.read_text()]
+        assert hits == ["exterior.py"]
+
+    def test_regime_copies_are_gone(self):
+        assert not hasattr(commuting, "_pairing_tensor")
+        assert not hasattr(verdict, "_rank2_factor_exact")
+        assert not hasattr(verdict, "_rank2_factor_float")
 
 
 def _conjugated(mats, seed):

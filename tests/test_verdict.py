@@ -12,7 +12,6 @@ from semirigid.commuting import (
     MatrixTuple,
     _mu_jacobian,
     _mu_kernel,
-    _pairing_tensor,
     chi,
     chi_norm,
     frobenius,
@@ -32,6 +31,7 @@ from semirigid.exterior import (
     bivector_rank,
     kernel,
     pair_list,
+    skew,
     wedge,
 )
 from semirigid.scalars import ScalarMode, exact_matrix, to_float, zeros
@@ -47,7 +47,7 @@ from semirigid.verdict import (
     SearchConfig,
     WitnessVerificationError,
     _factor_residual,
-    _rank2_factor_float,
+    _rank2_factor,
     construct_stable_point,
     decide,
     mu_zero_sampler,
@@ -348,27 +348,38 @@ class TestRank2FactorFloat:
     @pytest.mark.parametrize("norm", [1e-11, 1.0, 1e6])
     def test_factor_reconstructs_the_witness(self, norm):
         omega = self.scaled_wedge(norm)
-        u, v = _rank2_factor_float(omega, FLOAT)
+        u, v = _rank2_factor(omega, FLOAT)
         rebuilt = np.array(wedge(u, v).coeffs)
         assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12 * norm
 
-    def test_wrong_factor_of_a_small_witness_refused(self, monkeypatch):
-        # doubling the second singular vector gives a wrong factorization,
-        # off by about the witness's own norm of 1e-11
-        svd = np.linalg.svd
-
-        def doubled(a, *args, **kwargs):
-            uu, s, vh = svd(a, *args, **kwargs)
-            uu = uu.copy()
-            uu[:, 1] *= 2
-            return uu, s, vh
-
-        monkeypatch.setattr(np.linalg, "svd", doubled)
+    def test_wrong_factor_of_a_small_witness_refused(self):
+        # a rank-4 bivector has no factorization; the rank-2 part taken from
+        # its largest entry misses it by about its own norm of 1e-11
+        omega = Bivector.from_pairs(4, {(0, 1): 2e-11, (2, 3): 1e-11})
         with pytest.raises(WitnessVerificationError):
-            _rank2_factor_float(self.scaled_wedge(1e-11), FLOAT)
+            _rank2_factor(omega, FLOAT)
+
+    def test_rounding_noise_entry_is_not_the_pivot(self):
+        # u wedge v has (0, 1) entry u0 v1 - u1 v0 = 0, up to rounding noise;
+        # dividing by that entry would blow the factors up by 1e17
+        u, v = np.array([1.0, 0, 1, 2, 0]), np.array([0, 0, 1, -1, 3.0])
+        coeffs = list(wedge(u, v).coeffs)
+        coeffs[0] = 1e-17
+        omega = Bivector(5, tuple(complex(c) for c in coeffs))
+        f, g = _rank2_factor(omega, FLOAT)
+        rebuilt = np.array(wedge(f, g).coeffs)
+        assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12
+
+    def test_exact_factor_of_an_int_witness(self):
+        # int coefficients: the division by the pivot -7 must stay exact
+        omega = wedge([1, 2, 0, -1], [3, -1, 2, 1])
+        assert all(type(c) is int for c in omega.coeffs)
+        u, v = _rank2_factor(omega, EXACT)
+        assert all(isinstance(x, Fraction) for x in (*u, *v))
+        assert wedge(u, v) == omega
 
     def test_check_has_no_absolute_floor(self):
-        assert "max(1.0" not in inspect.getsource(_rank2_factor_float)
+        assert "max(1.0" not in inspect.getsource(_rank2_factor)
 
 class TestTupleToWitness:
     def test_commuting_returns_none(self):
@@ -595,14 +606,20 @@ def sparse_complex_pairing(rng, d, m):
 
 
 def commutator_loop_mu(p, mats):
-    """Reference mu: one commutator per pair, weighted into each W-coordinate."""
+    """Reference mu: one commutator per pair, weighted into each W-coordinate;
+    in Fractions for a rational pairing and rational matrices."""
     n = mats[0].shape[0]
-    out = [np.zeros((n, n), dtype=complex) for _ in range(p.dim_w)]
+    mode = EXACT if p.is_rational() and all(m.dtype == object for m in mats) else FLOAT
+    out = [zeros((n, n), mode) for _ in range(p.dim_w)]
     for (i, j), row in zip(pair_list(p.dim_v), p.entries):
         comm = mats[i] @ mats[j] - mats[j] @ mats[i]
         for k, c in enumerate(row):
-            out[k] += complex(c) * comm
+            out[k] = out[k] + (c if mode.is_exact else complex(c)) * comm
     return out
+
+
+def random_fraction(rng, max_den):
+    return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, max_den + 1)))
 
 
 class TestMuKernel:
@@ -612,9 +629,7 @@ class TestMuKernel:
     def test_residual_and_jacobian(self, d, m, n):
         rng = np.random.default_rng((d, m, n))
         p = sparse_complex_pairing(rng, d, m)
-        c = _pairing_tensor(p)
-        assert c.shape == (m, d, d)
-        assert np.array_equal(c, -c.transpose(0, 2, 1))
+        c = skew(to_float(p.matrix()), d)
         z = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
         v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
         mus, s = _mu_kernel(c, z)
@@ -631,6 +646,25 @@ class TestMuKernel:
         assert jac.shape == (m * n * n, d * n * n)
         central = (f(z + v) - f(z - v)) / 2
         assert np.allclose(jac @ v.reshape(-1), central, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_exact_mu_matches_the_commutator_loop(self, d, m):
+        # entries with different denominators on both sides, so that a wrong
+        # power of the tuple's or the pairing's denominator shows
+        rng = np.random.default_rng((d, m, 11))
+        for n in (1, 2, 3):
+            p = SkewPairing(d, m, tuple(tuple(random_fraction(rng, 6) for _ in range(m))
+                                        for _ in pair_list(d)))
+            alpha = MatrixTuple.from_matrices(
+                [exact_matrix([[random_fraction(rng, 4) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(d)])
+            got = mu(alpha, p)
+            assert len(got) == m
+            for g, e in zip(got, commutator_loop_mu(p, alpha.matrices)):
+                assert g.shape == (n, n)
+                assert all(isinstance(x, Fraction) for x in g.flat)
+                assert np.array_equal(g, e)
 
     def test_float_mu_matches_exact_on_rational_pairing(self):
         rng = np.random.default_rng(17)
