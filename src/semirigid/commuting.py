@@ -10,6 +10,7 @@ algebra, radical, irreducibility, stability).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -176,38 +177,22 @@ def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
     return np.linalg.inv(q)
 
 
-def _clusters(points: np.ndarray, thr: float) -> list:
-    """Single-linkage clusters of the rows of ``points``: rows within ``thr``
-    of each other share one.  Index lists, each sorted, ordered by first index."""
-    near = np.linalg.norm(points[:, None] - points[None, :], axis=-1) <= thr
-    seen = np.zeros(len(points), dtype=bool)
-    out = []
-    for i in range(len(points)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        members = [i]
-        for j in members:
-            for k in np.flatnonzero(near[j] & ~seen):
-                seen[k] = True
-                members.append(int(k))
-        out.append(sorted(members))
-    return out
-
-
 def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
     """Cluster eigenvalues; returns a list of (value, count) groups.
 
-    In float mode two eigenvalues join when they differ by at most tol_rank
-    times ``scale``, the norm of the matrix they belong to.
+    In float mode two eigenvalues join when a chain of them, each step at most
+    tol_rank times ``scale`` (the norm of their matrix), links them.
     """
     if mode.is_exact:
-        groups = {}
-        for v in vals:
-            groups[v] = groups.get(v, 0) + 1
-        return sorted(groups.items())
+        return sorted(Counter(vals).items())
     arr = np.asarray(vals, dtype=complex)
-    groups = [(np.mean(arr[c]), len(c)) for c in _clusters(arr[:, None], mode.tol_rank * scale)]
+    # single linkage: square the "within the threshold" relation until it is
+    # transitive; each row is then a cluster, kept at its first member
+    link = np.abs(arr[:, None] - arr[None, :]) <= mode.tol_rank * scale
+    for _ in range(len(arr).bit_length()):
+        link = link @ link
+    groups = [(np.mean(arr[row]), int(row.sum())) for i, row in enumerate(link)
+              if row.argmax() == i]
     return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
 
 
@@ -364,21 +349,6 @@ class JointSpectrum:
     def is_rational(self) -> bool:
         return all(isinstance(x, (int, Fraction)) for p in self.points for x in p)
 
-    def multiset_equal(self, other: "JointSpectrum", mode: ScalarMode | None = None) -> bool:
-        """Equality as multisets: exact in rational mode; in float mode every
-        single-linkage cluster of the union, at 10 tol_residual times the
-        largest coordinate, must hold as many points of each spectrum."""
-        mode = resolve_mode(mode, self, other)
-        if self.n != other.n:
-            return False
-        if mode.is_exact:
-            return sorted(self.points) == sorted(other.points)
-        a = np.array([[complex(x) for x in p] for p in self.points])
-        b = np.array([[complex(x) for x in p] for p in other.points])
-        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        clusters = _clusters(np.concatenate([a, b]), 10 * mode.tol_residual * scale)
-        return all(2 * sum(i < self.n for i in c) == len(c) for c in clusters)
-
 
 def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode | None = None) -> JointSpectrum:
     """Diagonal of a simultaneous triangularization, as a multiset of d-vectors."""
@@ -408,18 +378,47 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     return out
 
 
+def _power_sums(mats):
+    """tr(A_1^a_1 ... A_d^a_d), 1 <= |a| <= n, depth first over nondecreasing
+    words: one product per word on its prefix, at most n d held at a time."""
+    n = mats[0].shape[0]
+    stack = [(1, j, m) for j, m in enumerate(mats)]
+    while stack:
+        degree, j, m = stack.pop()
+        yield trace(m)
+        if degree < n:
+            stack += [(degree + 1, k, m @ mats[k]) for k in range(j, len(mats))]
+
+
 def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple,
                         mode: ScalarMode | None = None) -> bool:
     """Whether two commuting tuples have equal joint spectra as multisets.
 
-    Equality of the spectra is equivalent to agreement of all conjugation
-    invariants (trace monomials of degree up to n suffice), so this decides
-    whether the tuples map to the same point of the quotient.
+    The power sums p_a = tr(A_1^a_1 ... A_d^a_d), 1 <= |a| <= n, sum x^a over
+    the joint spectrum and determine it (Weyl's polarization theorem), so they
+    decide whether the tuples map to the same point of the quotient; no
+    eigenvalue is computed.  Rational mode clears both tuples with one common
+    denominator and compares integers, so irrational spectra get an exact
+    answer too.  Float mode divides both tuples by s, the larger tuple norm,
+    and judges each difference at tol_residual n, p_a at tol_residual n s^|a|:
+    equal means equal up to a backward error of tol_residual at the scale s,
+    and a cluster of m joint eigenvalues is resolved only to about
+    tol_residual^(1/m) s.
     """
     if (alpha.n, alpha.d) != (beta.n, beta.d):
         raise ValueError("tuples must share matrix size and length")
     mode = resolve_mode(mode, alpha, beta)
-    return joint_spectrum(alpha, mode).multiset_equal(joint_spectrum(beta, mode), mode)
+    if not mode.is_exact:
+        alpha, beta = alpha.to_float(), beta.to_float()
+    _require_commuting(alpha, mode)
+    _require_commuting(beta, mode)
+    mats = np.array(alpha.matrices + beta.matrices)
+    if mode.is_exact:
+        mats, _ = cleared(mats)
+    else:
+        mats = mats / (max(tuple_scale(alpha), tuple_scale(beta)) or 1.0)
+    sums = zip(_power_sums(mats[:alpha.d]), _power_sums(mats[alpha.d:]))
+    return all(mode.vanishes([x - y], alpha.n) for x, y in sums)
 
 
 # ---------------------------------------------------------------------------

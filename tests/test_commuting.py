@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from semirigid import commuting
 from semirigid.commuting import (
-    JointSpectrum,
     MatrixTuple,
     NotCommutingError,
     chevalley_separates,
@@ -296,60 +295,44 @@ class TestJointSpectrum:
         for _ in range(10):
             alpha, points = conjugated_diagonal_float(rng, 3, 2)
             spec = joint_spectrum(alpha, FLOAT)
-            assert spec.multiset_equal(JointSpectrum(tuple(points)), FLOAT)
+            # the points' coordinates are at most 3
+            assert _same_multiset_brute_force(spec.points, points, 30 * FLOAT.tol_residual)
+
+    def test_eigenvalue_groups_match_a_search_for_single_linkage_clusters(self):
+        # steps of 0.9 tol_rank chain values into one cluster, 1.1 breaks it
+        rng = np.random.default_rng(33)
+        steps = FLOAT.tol_rank * np.array([0, 0.9, 1.1, 1.8, 2.5])
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            vals = list(rng.integers(-1, 2, size=n) + rng.choice(steps, size=n)
+                        + 1j * rng.integers(0, 2, size=n))
+            assert (commuting._group_eigenvalues(vals, FLOAT, 1.0)
+                    == _single_linkage_groups(vals, FLOAT.tol_rank))
+
+
+def _single_linkage_groups(vals, thr):
+    """Reference clustering: each cluster grows from its first unseen value by
+    a search over the values within thr of a member."""
+    arr = np.asarray(vals, dtype=complex)
+    seen, groups = set(), []
+    for i in range(len(arr)):
+        if i in seen:
+            continue
+        seen.add(i)
+        members = [i]
+        for j in members:
+            for k in range(len(arr)):
+                if k not in seen and abs(arr[j] - arr[k]) <= thr:
+                    seen.add(k)
+                    members.append(k)
+        groups.append((np.mean(arr[sorted(members)]), len(members)))
+    return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
 
 
 def _same_multiset_brute_force(a, b, thr):
     """Whether some matching of the points pairs each within thr."""
     return any(all(np.linalg.norm(np.subtract(a[i], b[j])) <= thr for i, j in enumerate(perm))
                for perm in permutations(range(len(b))))
-
-
-@st.composite
-def integer_spectrum_pairs(draw):
-    """Two spectra of n <= 5 integer points in C^d; the second is a shuffle of
-    the first or a fresh draw, and some of its points move by 1e-3."""
-    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(-2, 2)] * d)
-    a = draw(st.lists(point, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        b = draw(st.permutations(a))
-    else:
-        b = draw(st.lists(point, min_size=n, max_size=n))
-    shift = draw(st.sampled_from([0.0, 1e-3]))
-    moved = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    b = [(p[0] + shift * m, *p[1:]) for p, m in zip(b, moved)]
-    return tuple(JointSpectrum(tuple(tuple(complex(x) for x in p) for p in pts))
-                 for pts in (a, b))
-
-
-class TestClusteredMultisetEqual:
-    @settings(max_examples=200)
-    @given(pair=integer_spectrum_pairs())
-    def test_agrees_with_brute_force_matching(self, pair):
-        a, b = pair
-        scale = max(abs(x) for p in a.points + b.points for x in p)
-        thr = 10 * FLOAT.tol_residual * scale
-        assert a.multiset_equal(b, FLOAT) == _same_multiset_brute_force(a.points, b.points, thr)
-
-    def test_equal_sized_clusters_with_unequal_sides_differ(self):
-        a = JointSpectrum(((0j,), (0j,), (5 + 0j,)))
-        b = JointSpectrum(((0j,), (5 + 0j,), (5 + 0j,)))
-        assert not a.multiset_equal(b, FLOAT)
-        assert not JointSpectrum(((0j,), (0j,))).multiset_equal(
-            JointSpectrum(((1 + 0j,), (1 + 0j,))), FLOAT)
-
-    def test_points_chained_within_the_threshold_form_one_cluster(self):
-        # 1, 1 + 0.9 thr and 1 + 1.8 thr chain into one cluster that holds two
-        # points of each side, so the spectra agree, though no matching pairs
-        # every point within thr; a gap above thr breaks the chain
-        thr = 10 * FLOAT.tol_residual
-        a = JointSpectrum(((1 + 0j,), (1 + 0j,)))
-        b = JointSpectrum(((1 + 0.9 * thr + 0j,), (1 + 1.8 * thr + 0j,)))
-        assert a.multiset_equal(b, FLOAT) and b.multiset_equal(a, FLOAT)
-        assert not _same_multiset_brute_force(a.points, b.points, thr)
-        c = JointSpectrum(((1 + 0.9 * thr + 0j,), (1 + 2.1 * thr + 0j,)))
-        assert not a.multiset_equal(c, FLOAT)
 
 
 class TestTraceMonomials:
@@ -416,6 +399,67 @@ class TestChevalleySeparates:
             traces_agree = all(
                 abs(ma[w] - mb[w]) < 1e-6 * max(1.0, abs(ma[w])) for w in ma)
             assert same_spec == traces_agree
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3])
+    def test_defective_float_tuple_equals_its_conjugate(self, scale):
+        j3 = np.diag([1.0, 1.0], 1)
+        alpha = float_tuple(scale * j3, scale * (j3 @ j3))
+        assert chevalley_separates(alpha, conjugated_float(*alpha.matrices, seed=5), FLOAT)
+
+    def test_nilpotent_jordan_block_equals_its_conjugate(self):
+        assert chevalley_separates(float_tuple([[0, 1], [0, 0]]),
+                                   float_tuple([[1, 1], [-1, -1]]), FLOAT)
+
+    def test_irrational_spectrum_equals_its_conjugate_exactly(self):
+        alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
+        p, pinv = unitriangular_pair(np.random.default_rng(3), 2)
+        conj = MatrixTuple.from_matrices([p @ m @ pinv for m in alpha.matrices])
+        assert chevalley_separates(alpha, conj, EXACT)
+
+    def test_irrational_spectra_differ_exactly(self):
+        # eigenvalues +-sqrt(2) against +-sqrt(3)
+        alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
+        beta = exact_tuple([[0, 1], [3, 0]], np.eye(2, dtype=int))
+        assert not chevalley_separates(alpha, beta, EXACT)
+
+    def test_denominators_are_cleared_in_common(self):
+        half_third = exact_tuple([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+        assert chevalley_separates(
+            half_third, exact_tuple([[Fraction(1, 3), 0], [0, Fraction(1, 2)]]), EXACT)
+        assert not chevalley_separates(
+            half_third, exact_tuple([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]), EXACT)
+        # half_third and 6 half_third clear to the same integers one by one
+        assert not chevalley_separates(half_third, half_third.scaled(6), EXACT)
+        # a conjugate that brings in a denominator
+        assert chevalley_separates(exact_tuple(np.diag([1, 2])),
+                                   exact_tuple([[1, Fraction(1, 2)], [0, 2]]), EXACT)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_top_degree_power_sum_separates(self, mode):
+        # diag(0, 0) and diag(1, -1) share p_1 = 0 and differ at p_2
+        zero, split = exact_tuple(np.diag([0, 0])), exact_tuple(np.diag([1, -1]))
+        assert not chevalley_separates(zero, split, mode)
+        assert not chevalley_separates(split, zero, mode)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_either_tuple_not_commuting_raises(self, mode):
+        diagonal = exact_tuple(np.diag([1, 2]), np.diag([3, 4]))
+        sl2 = sl2_pair()
+        with pytest.raises(NotCommutingError):
+            chevalley_separates(sl2, diagonal, mode)
+        with pytest.raises(NotCommutingError):
+            chevalley_separates(diagonal, sl2, mode)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_no_eigenvalues_computed(self, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("chevalley_separates computed eigenvalues")
+
+        monkeypatch.setattr(commuting, "eigenvalues", refuse)
+        monkeypatch.setattr(commuting, "simultaneous_triangularize", refuse)
+        alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
+        assert chevalley_separates(alpha, alpha, mode)
+        assert not chevalley_separates(alpha, alpha.scaled(2), mode)
 
 
 class TestSl2Triple:
@@ -663,7 +707,7 @@ class TestJointSpectrumMetamorphic:
     @given(alpha=commuting_rational_tuples(), seed=st.integers(0, 2**16))
     def test_unimodular_conjugation_preserves_exact_spectrum(self, alpha, seed):
         spec = joint_spectrum(alpha, EXACT)
-        assert joint_spectrum(conjugated(alpha, seed), EXACT).multiset_equal(spec, EXACT)
+        assert sorted(joint_spectrum(conjugated(alpha, seed), EXACT).points) == sorted(spec.points)
 
     @given(alpha=commuting_rational_tuples(), c=rationals)
     def test_rational_scaling_scales_joint_eigenvalues(self, alpha, c):
@@ -676,7 +720,10 @@ class TestJointSpectrumMetamorphic:
         beta = conjugated(alpha, seed)
         exact = joint_spectrum(beta, EXACT)
         assert exact.is_rational()
-        assert exact.multiset_equal(joint_spectrum(beta.to_float(), FLOAT), FLOAT)
+        floated = joint_spectrum(beta.to_float(), FLOAT)
+        scale = max(abs(x) for p in exact.points for x in p)
+        assert _same_multiset_brute_force(exact.points, floated.points,
+                                          10 * FLOAT.tol_residual * scale)
 
 
 @st.composite
