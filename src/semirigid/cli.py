@@ -15,6 +15,7 @@ expanding to the same JSON that ``catalog show`` prints.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -306,7 +307,9 @@ def _cmd_split_dim(args, started):
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="semirigid",
                      description="semi-rigidity analysis of skew pairings")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,9 +10,11 @@ algebra, radical, irreducibility, stability).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -90,8 +92,10 @@ def tuple_scale(alpha: MatrixTuple) -> float:
 
 def chi(alpha: MatrixTuple) -> tuple:
     """Pairwise commutators, one matrix per basis bivector (i < j)."""
-    mats = alpha.matrices
-    return tuple(mats[i] @ mats[j] - mats[j] @ mats[i] for i, j in pair_list(alpha.d))
+    # a rational tuple A = A' / f: [A_i, A_j] = [A'_i, A'_j] / f^2, one division
+    a, f = cleared(np.array(alpha.matrices)) if alpha.is_rational() else (alpha.matrices, None)
+    comms = (a[i] @ a[j] - a[j] @ a[i] for i, j in pair_list(alpha.d))
+    return tuple(comms) if f is None else tuple(c * Fraction(1, f * f) for c in comms)
 
 
 def chi_norm(alpha: MatrixTuple) -> float:
@@ -175,6 +179,15 @@ def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
     if mode.is_exact:
         return solve(q, identity(q.shape[0], mode))
     return np.linalg.inv(q)
+
+
+def _product(*factors) -> np.ndarray:
+    """Matrix product, broadcast over a (d, n, n) stack among the factors.
+    Rational factors are cleared, multiplied in integers and divided once."""
+    if factors[0].dtype != object:
+        return reduce(np.matmul, factors)
+    ints, dens = zip(*map(cleared, factors))
+    return reduce(np.matmul, ints) * Fraction(1, math.prod(dens))
 
 
 def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
@@ -304,14 +317,13 @@ def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
         sizes = [1, n - 1]
     else:
         sizes = [count for _, count in groups]
-    q0_inv = _inverse(q0, mode)
-    transformed = [q0_inv @ a @ q0 for a in mats]
+    transformed = _product(_inverse(q0, mode), np.array(mats), q0)
     offs = np.cumsum([0] + sizes)
     qb = None
     for lo, hi in zip(offs, offs[1:]):
         block = _triangularize([t[lo:hi, lo:hi] for t in transformed], mode, rng)
         qb = block if qb is None else _block_diag(qb, block, mode)
-    return q0 @ qb
+    return _product(q0, qb)
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -330,10 +342,8 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     _require_commuting(alpha, mode)
     rng = np.random.default_rng(seed)
     q = _triangularize(list(alpha.matrices), mode, rng)
-    q_inv = _inverse(q, mode)
-    transformed = MatrixTuple(alpha.n, alpha.d,
-                              tuple(q_inv @ a @ q for a in alpha.matrices))
-    return q, transformed
+    transformed = _product(_inverse(q, mode), np.array(alpha.matrices), q)
+    return q, MatrixTuple(alpha.n, alpha.d, tuple(transformed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,15 +376,17 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     """Traces of products over words (1-based indices) up to cyclic rotation."""
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
+    # a rational tuple A = A' / f: each trace in integers, divided by f^degree
+    mats, f = cleared(np.array(alpha.matrices)) if alpha.is_rational() else (alpha.matrices, None)
     out = {}
     for degree in range(1, max_degree + 1):
         for word in product(range(1, alpha.d + 1), repeat=degree):
             if word != _min_rotation(word):
                 continue
-            m = alpha.matrices[word[0] - 1]
+            m = mats[word[0] - 1]
             for idx in word[1:]:
-                m = m @ alpha.matrices[idx - 1]
-            out[word] = trace(m)
+                m = m @ mats[idx - 1]
+            out[word] = trace(m) if f is None else Fraction(trace(m), f ** degree)
     return out
 
 
@@ -504,27 +516,24 @@ class _SpanBuilder:
         return self.echelon.rank if self.echelon is not None else len(self.rows)
 
 
-def _commutant(alpha: MatrixTuple, mode: ScalarMode) -> list:
-    """Basis of the commutant: the common nullspace of the maps X -> A X - X A
-    on row-major vec(X), judged in float mode at tol_rank times the tuple's
-    norm.  Its conditioning follows the eigenvalue gaps."""
-    eye = identity(alpha.n, mode)
-    stack = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices],
-                           axis=0)
-    return nullspace(stack, mode, tuple_scale(alpha))
+def _generators(alpha: MatrixTuple, mode: ScalarMode):
+    """(I, A_1, ..., A_d) as one (d + 1, n, n) array, and the maps
+    X -> A X - X A on row-major vec(X) stacked over the tuple, whose common
+    nullspace is the commutant (conditioned by the eigenvalue gaps).  Rational
+    mode clears them by one denominator f, which scales a product of k of
+    them by f^k and so changes no span, nullspace or rank taken from them."""
+    gens = np.array([identity(alpha.n, mode), *alpha.matrices])
+    gens = cleared(gens)[0] if mode.is_exact else gens
+    eye = gens[0]
+    return gens, np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in gens[1:]])
 
 
-def _radical_dim(basis_mats, mode: ScalarMode) -> int:
+def _radical_dim(basis: np.ndarray, mode: ScalarMode) -> int:
     """Dimension of the kernel of the trace form (x, y) -> tr(xy) on the span
-    of a basis; the radical of the algebra it spans (characteristic zero)."""
-    k = len(basis_mats)
-    gram = zeros((k, k), mode)
-    for i, bi in enumerate(basis_mats):
-        for j in range(i, k):
-            val = trace(bi @ basis_mats[j])
-            gram[i, j] = val
-            gram[j, i] = val
-    return k - rank(gram, mode)
+    of a (k, n, n) basis; the radical of the algebra it spans (characteristic
+    zero).  tr(x y) is the sum of the entries of x * y^T."""
+    k = len(basis)
+    return k - rank(basis.reshape(k, -1) @ basis.transpose(0, 2, 1).reshape(k, -1).T, mode)
 
 
 def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
@@ -538,18 +547,19 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     """
     alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
-    commutant_dim = len(_commutant(alpha, mode))
+    gens, sylvester = _generators(alpha, mode)
+    commutant_dim = n * n - rank(sylvester, mode, tuple_scale(alpha))
 
     span = _SpanBuilder(mode)
     basis_mats = []
-    for m in (identity(n, mode), *alpha.matrices):
+    for m in gens:
         if span.add(m.reshape(-1)):
             basis_mats.append(m)
     frontier = list(basis_mats)
     while frontier and span.dim < n * n:
         new_frontier = []
         for b in frontier:
-            for g in alpha.matrices:
+            for g in gens[1:]:
                 cand = b @ g
                 # a float product that vanishes exactly is rounding noise of the
                 # size |b| |g|, which is no new direction at its own norm
@@ -568,7 +578,7 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
         # the trace form on the orthonormal basis: the products above grow
         # like powers of the tuple's scale, and would make the rank scale-bound
         basis_mats = [r.reshape(n, n) for r in span.rows]
-    radical_dim = _radical_dim(basis_mats, mode)
+    radical_dim = _radical_dim(np.array(basis_mats), mode)
     irreducible = algebra_dim == n * n
     return RepAnalysis(
         commutant_dim=commutant_dim,
@@ -597,5 +607,5 @@ def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bo
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
     n = alpha.n
-    basis = _commutant(alpha, mode)
-    return len(basis) == n and _radical_dim([v.reshape(n, n) for v in basis], mode) == 0
+    basis = nullspace(_generators(alpha, mode)[1], mode, tuple_scale(alpha))
+    return len(basis) == n and _radical_dim(np.array(basis).reshape(n, n, n), mode) == 0

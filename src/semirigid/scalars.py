@@ -239,14 +239,14 @@ def _svd_rank(s: np.ndarray, mode: ScalarMode, scale: float | None = None) -> in
     return int(np.sum(s > mode.tol_rank * ref))
 
 
-def rank(a: np.ndarray, mode: ScalarMode) -> int:
-    """Rank of a matrix; exact elimination or SVD with a relative threshold."""
+def rank(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> int:
+    """Rank of a matrix; exact elimination, or SVD with ``scale`` as in :func:`nullspace`."""
     a = np.asarray(a)
     if a.size == 0:
         return 0
     if mode.is_exact:
         return _echelon(a).rank
-    return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode)
+    return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode, scale)
 
 
 def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> list[np.ndarray]:
@@ -277,21 +277,23 @@ def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> li
 
 
 def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
-    """Monic characteristic polynomial of a rational matrix (Faddeev-LeVerrier).
+    """Monic characteristic polynomial of a rational matrix (Berkowitz, IPL 1984).
 
     Returned coefficients are [c_0, ..., c_{n-1}, 1] for
-    p(x) = x^n + c_{n-1} x^{n-1} + ... + c_0.
+    p(x) = x^n + c_{n-1} x^{n-1} + ... + c_0.  The division-free recursion runs
+    on the integers A' = f A, whose coefficient of x^(n-k) is f^k times A's:
+    bordering the leading k x k block M by row r, column c and corner a
+    multiplies its polynomial by the Toeplitz matrix of (1, -a, -r c, -r M c, ...).
     """
-    n = a.shape[0]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = identity(n, ScalarMode.exact())
-    for k in range(1, n + 1):
-        m = a @ m
-        c = -sum(m[i, i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i, i] = m[i, i] + c
-    return coeffs
+    a, f = cleared(a)
+    poly = np.array([1], dtype=object)
+    for k in range(len(a)):
+        r, toeplitz = a[k, :k], [1, -a[k, k]]
+        for _ in range(k):
+            toeplitz.append(-(r @ a[:k, k]))
+            r = r @ a[:k, :k]
+        poly = np.convolve(np.array(toeplitz, dtype=object), poly)[:k + 2]
+    return [Fraction(c, f ** k) for k, c in enumerate(poly)][::-1]
 
 
 def _poly_divmod(num: list, den: list):

@@ -10,6 +10,7 @@ import pytest
 
 import semirigid
 from semirigid.catalog import catalog_build, catalog_names
+from semirigid import cli
 from semirigid.cli import _search_config, build_parser, main
 from semirigid.commuting import MatrixTuple
 from semirigid.exterior import Bivector, FilteredPairing, SkewPairing
@@ -638,3 +639,52 @@ class TestCliSearchDefaults:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "_CliInputError"
+
+
+class TestParserBuiltOnce:
+    def _runs(self, tuple_path):
+        """Every subcommand with and without --seed (invariants also with and
+        without --max-degree), then a usage error, then all in reverse order."""
+        t = ("--tuple", tuple_path)
+        commands = [
+            ("analyze", "--pairing", "catalog:curve:2"),
+            ("kernel", "--pairing", "catalog:curve:2"),
+            ("commuting", "spectrum", *t),
+            ("commuting", "invariants", *t),
+            ("commuting", "invariants", *t, "--max-degree", "2"),
+            ("commuting", "analyze", *t),
+            ("construct", "stable", "--pairing", "catalog:curve:2", "--auto", "--n", "2"),
+            ("sample", "mu-zero", "--pairing", "catalog:curve:2", "--n", "2", "--starts", "1"),
+            ("verify", "chevalley", "--n", "2", "--d", "2", "--samples", "1"),
+            ("catalog", "list"),
+            ("catalog", "show", "curve", "2"),
+            ("split-dim", "--n", "3", "--dim-m", "2"),
+        ]
+        runs = [argv + extra for argv in commands for extra in ((), ("--seed", "7"))]
+        return runs + [("commuting", "invariants", *t, "--max-degree")] + runs[::-1]
+
+    def _outcomes(self, capsys, runs):
+        return [run_cli(capsys, *argv)[:2] for argv in runs]
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("SEMIRIGID_SEED", raising=False)
+        alpha = MatrixTuple.from_matrices(
+            [exact_matrix([[2, 1], [0, 2]]),
+             exact_matrix([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 2)]])])
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(tuple_to_json(alpha)))
+        runs = self._runs(str(path))
+        assert build_parser() is build_parser()
+        shared = self._outcomes(capsys, runs)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert self._outcomes(capsys, runs) == shared
+        for argv, (code, out) in zip(runs, shared):
+            if argv[-1] == "--max-degree":
+                assert code == 2 and out == ""
+                continue
+            assert code == 0
+            report = json.loads(out)
+            # no flag of an earlier call carries over into a later one
+            assert report["seed"] == (7 if "--seed" in argv else 0)
+            if "invariants" in argv:
+                assert report["invariants"]["max_degree"] == (2 if "2" in argv else 4)

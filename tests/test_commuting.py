@@ -32,7 +32,13 @@ from semirigid.scalars import (
     float_matrix,
     to_float,
 )
-from util import unitriangular_pair
+from util import (
+    fraction_chi,
+    fraction_rep_analysis,
+    fraction_triangularize,
+    mixed_fraction_matrix,
+    unitriangular_pair,
+)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -763,7 +769,80 @@ def rational_tuples(draw):
     return MatrixTuple.from_matrices([exact_matrix(m) for m in mats])
 
 
+SCALINGS = [Fraction(1, 7), Fraction(-3, 5), Fraction(12)]
+
+
 class TestRepAnalysisMetamorphic:
     @given(alpha=rational_tuples(), seed=st.integers(0, 2**16))
     def test_unimodular_conjugation_preserves_exact_rep_analysis(self, alpha, seed):
         assert rep_analysis(conjugated(alpha, seed), EXACT) == rep_analysis(alpha, EXACT)
+
+    @given(alpha=rational_tuples(), c=st.sampled_from(SCALINGS))
+    def test_rational_scaling_keeps_rep_analysis(self, alpha, c):
+        assert rep_analysis(alpha.scaled(c), EXACT) == rep_analysis(alpha, EXACT)
+
+    @given(alpha=rational_tuples(), c=st.sampled_from(SCALINGS))
+    def test_rational_scaling_scales_chi_by_its_square(self, alpha, c):
+        for scaled, base in zip(chi(alpha.scaled(c)), chi(alpha)):
+            assert scaled.tolist() == (c * c * base).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the cleared integer products against the same formulas in Fractions
+
+
+def mixed_denominator_tuples(commuting_only):
+    """Seeded tuples with n <= 6, d <= 3 and denominators up to 6.
+
+    The commuting ones are polynomials in an upper-triangular matrix,
+    conjugated by a unimodular P, so their spectra are rational; (J3, J3^2)
+    takes the deflation path.  Without ``commuting_only`` random tuples join,
+    pairs up to n = 4 (the full matrix algebra) and single matrices beyond.
+    """
+    rng = np.random.default_rng(70)
+    j3 = exact_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    out = [MatrixTuple.from_matrices([j3, j3 @ j3]),
+           MatrixTuple.from_matrices([j3 * Fraction(2, 3), j3 @ j3 * Fraction(-1, 5)])]
+    for n in range(1, 7):
+        t = np.triu(mixed_fraction_matrix(rng, n))
+        powers = [exact_matrix(np.eye(n, dtype=int)), t, t @ t]
+        p, pinv = unitriangular_pair(rng, n)
+        out.append(MatrixTuple.from_matrices(
+            [p @ sum(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))) * pw
+                     for pw in powers) @ pinv for _ in range(1 + n % 3)]))
+        if not commuting_only:
+            out.append(MatrixTuple.from_matrices(
+                [mixed_fraction_matrix(rng, n) for _ in range(2 if n <= 4 else 1)]))
+    return out
+
+
+class TestClearedProductsMatchFractions:
+    def test_chi(self):
+        for alpha in mixed_denominator_tuples(commuting_only=False):
+            ours, ref = chi(alpha), fraction_chi(alpha)
+            assert [m.tolist() for m in ours] == [m.tolist() for m in ref]
+            assert all(type(x) is Fraction for m in ours for x in m.flat)
+
+    def test_simultaneous_triangularize(self):
+        for seed, alpha in enumerate(mixed_denominator_tuples(commuting_only=True)):
+            q, tri = simultaneous_triangularize(alpha, EXACT, seed=seed)
+            ref_q, ref_tri = fraction_triangularize(alpha, seed)
+            assert q.tolist() == ref_q.tolist()
+            assert [m.tolist() for m in tri.matrices] == [m.tolist() for m in ref_tri]
+            assert all(type(x) is Fraction for m in (q, *tri.matrices) for x in m.flat)
+
+    def test_rep_analysis(self):
+        for alpha in mixed_denominator_tuples(commuting_only=False):
+            assert rep_analysis(alpha, EXACT) == fraction_rep_analysis(alpha)
+
+    def test_trace_monomials(self):
+        for alpha in mixed_denominator_tuples(commuting_only=False):
+            expected = {}
+            for word in trace_monomials(alpha, 4):
+                m = alpha.matrices[word[0] - 1]
+                for idx in word[1:]:
+                    m = m @ alpha.matrices[idx - 1]
+                expected[word] = sum(m[i, i] for i in range(alpha.n))
+            out = trace_monomials(alpha, 4)
+            assert out == expected
+            assert all(type(x) is Fraction for x in out.values())

@@ -18,7 +18,7 @@ from semirigid.scalars import (
     solve,
     to_float,
 )
-from semirigid.scalars import _rational_roots
+from semirigid.scalars import _char_poly_exact, _rational_roots
 from util import unitriangular_pair
 
 EXACT = ScalarMode.exact()
@@ -366,6 +366,59 @@ class TestEigenvalues:
         alpha = MatrixTuple.from_matrices([p @ exact_matrix(np.diag(dg)) @ pinv for dg in diags])
         spec, took = seconds(joint_spectrum, alpha, EXACT)
         assert sorted(spec.points) == sorted(zip(*diags)) and took < 2.0
+
+
+def sympy_char_poly(sympy, a):
+    """Coefficients of the characteristic polynomial from sympy, low to high."""
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(to_sympy(sympy, a).charpoly().all_coeffs())]
+
+
+class TestCharPoly:
+    """Berkowitz on the cleared integer matrix against sympy's charpoly."""
+
+    def test_matches_sympy_with_mixed_denominators(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(64)
+        for n in range(1, 9):
+            for _ in range(4):
+                a = exact_matrix([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                                   for _ in range(n)] for _ in range(n)])
+                assert _char_poly_exact(a) == sympy_char_poly(sympy, a)
+
+    def test_nilpotent_scalar_and_one_by_one(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(65)
+        nilpotent = np.triu(fraction_matrix(rng, (5, 5)), 1)
+        scalar = exact_matrix(np.eye(4, dtype=int)) * Fraction(-5, 3)
+        cases = [
+            (nilpotent, [0] * 5 + [1]),
+            (scalar, [Fraction(625, 81), Fraction(500, 27), Fraction(50, 3), Fraction(20, 3), 1]),
+            (exact_matrix([[Fraction(-3, 7)]]), [Fraction(3, 7), 1]),
+            (exact_matrix([[0]]), [0, 1]),
+        ]
+        for a, expected in cases:
+            assert _char_poly_exact(a) == sympy_char_poly(sympy, a) == expected
+            assert all(type(c) is Fraction for c in _char_poly_exact(a))
+
+    def test_entries_near_two_to_the_200(self):
+        # the integer recursion stays polynomial in the bit size of the entries
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(66)
+        a = exact_matrix([[Fraction(int.from_bytes(rng.bytes(25), "big") * (-1) ** (i + j),
+                                    int(rng.integers(1, 8)))
+                           for j in range(6)] for i in range(6)])
+        coeffs, took = seconds(_char_poly_exact, a)
+        assert coeffs == sympy_char_poly(sympy, a) and took < 1.0
+
+    def test_exact_eigenvalues_at_n8_in_milliseconds(self):
+        rng = np.random.default_rng(67)
+        p, pinv = unitriangular_pair(rng, 8)
+        vals = [Fraction(int(x), int(y)) for x, y in zip(rng.integers(-4, 5, size=8),
+                                                         rng.integers(1, 4, size=8))]
+        a = p @ exact_matrix(np.diag(vals).astype(object)) @ pinv
+        out, took = seconds(eigenvalues, a, EXACT)
+        assert out == sorted(vals) and took < 0.5
 
 
 def test_to_float_roundtrip():

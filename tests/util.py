@@ -5,8 +5,19 @@ from math import comb
 
 import numpy as np
 
+from semirigid import commuting
+from semirigid.commuting import RepAnalysis, trace
 from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, wedge
-from semirigid.scalars import ScalarMode, exact_matrix, rank
+from semirigid.scalars import (
+    Echelon,
+    ScalarMode,
+    eigenvalues,
+    exact_matrix,
+    identity,
+    nullspace,
+    rank,
+    solve,
+)
 
 EXACT = ScalarMode.exact()
 
@@ -102,3 +113,81 @@ def unitriangular_pair(rng, n):
     p = exact_matrix(lower) @ exact_matrix(upper)
     pinv = inv_uni(upper) @ inv_uni(lower)
     return p, pinv
+
+
+# ---------------------------------------------------------------------------
+# the exact tuple layer in Fraction arithmetic, one product at a time: the
+# references for the cleared integer products in ``commuting``
+
+
+def fraction_chi(alpha):
+    mats = alpha.matrices
+    return tuple(mats[i] @ mats[j] - mats[j] @ mats[i] for i, j in pair_list(alpha.d))
+
+
+def _fraction_inverse(q):
+    return solve(q, identity(q.shape[0], EXACT))
+
+
+def _fraction_triangularize(mats, rng):
+    n = mats[0].shape[0]
+    if n <= 1:
+        return identity(n, EXACT)
+    coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
+    b = sum(c * m for c, m in zip(coeffs, mats))
+    groups = commuting._group_eigenvalues(eigenvalues(b, EXACT), EXACT, commuting.frobenius(b))
+    q0 = commuting._eigenspace_basis(b, groups, EXACT) if len(groups) > 1 else None
+    if q0 is None:
+        q0 = commuting._complete_basis(commuting._common_eigenvector(mats, EXACT), EXACT)
+        sizes = [1, n - 1]
+    else:
+        sizes = [count for _, count in groups]
+    q0_inv = _fraction_inverse(q0)
+    transformed = [q0_inv @ a @ q0 for a in mats]
+    offs = np.cumsum([0] + sizes)
+    qb = None
+    for lo, hi in zip(offs, offs[1:]):
+        block = _fraction_triangularize([t[lo:hi, lo:hi] for t in transformed], rng)
+        qb = block if qb is None else commuting._block_diag(qb, block, EXACT)
+    return q0 @ qb
+
+
+def fraction_triangularize(alpha, seed=0):
+    """(q, transformed matrices) of ``simultaneous_triangularize`` in rational mode."""
+    q = _fraction_triangularize(list(alpha.matrices), np.random.default_rng(seed))
+    q_inv = _fraction_inverse(q)
+    return q, [q_inv @ a @ q for a in alpha.matrices]
+
+
+def fraction_rep_analysis(alpha) -> RepAnalysis:
+    """``rep_analysis`` in rational mode: the commutant's basis counted, the
+    closure of the identity and the generators, tr(b_i b_j) as a matrix product."""
+    n, eye = alpha.n, identity(alpha.n, EXACT)
+    stack = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in alpha.matrices])
+    commutant_dim = len(nullspace(stack, EXACT))
+    span, basis = Echelon(), []
+    for m in (eye, *alpha.matrices):
+        if span.add(m.reshape(-1)):
+            basis.append(m)
+    frontier = list(basis)
+    while frontier and span.rank < n * n:
+        new_frontier = []
+        for b in frontier:
+            for g in alpha.matrices:
+                cand = b @ g
+                if span.rank < n * n and span.add(cand.reshape(-1)):
+                    basis.append(cand)
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    gram = exact_matrix([[trace(x @ y) for y in basis] for x in basis])
+    radical_dim = len(basis) - rank(gram, EXACT)
+    algebra_dim = span.rank
+    return RepAnalysis(commutant_dim=commutant_dim, algebra_dim=algebra_dim,
+                       radical_dim=radical_dim, irreducible=algebra_dim == n * n,
+                       semisimple=radical_dim == 0, stable=algebra_dim == n * n)
+
+
+def mixed_fraction_matrix(rng, n):
+    """n x n entries p/q with p in [-5, 5] and q in [1, 6]."""
+    return exact_matrix([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+                          for _ in range(n)] for _ in range(n)])
