@@ -26,6 +26,7 @@ from .scalars import (
     ScalarMode,
     cleared,
     eigenvalues,
+    exact_matrix,
     identity,
     is_exact_array,
     nullspace,
@@ -42,9 +43,14 @@ class NotCommutingError(PreconditionError):
 
 
 def _as_matrix(m) -> np.ndarray:
+    """An array as it is; nested lists become a Fraction array when every
+    entry is an int or a Fraction, and a complex array otherwise."""
     a = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrices must be square")
+    if a is not m:
+        rational = all(isinstance(x, (int, np.integer, Fraction)) for x in a.flat)
+        a = exact_matrix(a) if rational else a.astype(complex)
     return a
 
 
@@ -279,7 +285,7 @@ def _block_diag(top: np.ndarray, bottom: np.ndarray, mode: ScalarMode) -> np.nda
 def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
     """Columns spanning the generalized eigenspaces of b, group by group
     (orthonormalized in float mode), or None when a float eigenspace has the
-    wrong size or the columns do not span."""
+    wrong size."""
     n = b.shape[0]
     bases = []
     for lam, count in groups:
@@ -292,9 +298,8 @@ def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
             return None
         bases.append(np.column_stack(basis))
     s = np.column_stack(bases)
-    if mode.is_exact:
-        return s if rank(s, mode) == n else None
-    return np.linalg.qr(s)[0]
+    # exact generalized eigenspaces of distinct eigenvalues form a direct sum
+    return s if mode.is_exact else np.linalg.qr(s)[0]
 
 
 def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
@@ -495,7 +500,7 @@ class _SpanBuilder:
 
     def add(self, v: np.ndarray) -> bool:
         if self.echelon is not None:
-            return self.echelon.add(v)
+            return self.echelon.add(v.tolist())
         w = np.asarray(v, dtype=complex)
         orig = np.linalg.norm(w)
         if orig == 0:

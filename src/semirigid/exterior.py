@@ -11,6 +11,7 @@ Pfaffian; higher dimensions are handled by the verdict engine's search.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,8 +174,13 @@ class SkewPairing:
             rows[pair_index(i, j, d)] = list(vec)
         return cls(d, m, tuple(tuple(r) for r in rows))
 
-    def is_rational(self) -> bool:
+    @functools.cached_property
+    def _rational(self) -> bool:
         return all(is_rational_scalar(x) for row in self.entries for x in row)
+
+    def is_rational(self) -> bool:
+        """Whether every entry is rational; scanned once, as the pairing is frozen."""
+        return self._rational
 
     def matrix(self) -> np.ndarray:
         """The dim_w x pair_count matrix of the pairing."""

@@ -12,6 +12,9 @@ entries in rational mode, ``dtype=complex`` in float mode.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -150,9 +153,10 @@ def cleared(a) -> tuple[np.ndarray, int]:
     """Rational entries with their denominators cleared: an object array of
     Python ints and the lcm ``den`` of the denominators, so that a == ints / den."""
     a = np.asarray(a, dtype=object)
-    den = math.lcm(*(x.denominator for x in a.flat))
+    flat = a.ravel().tolist()
+    den = math.lcm(*(x.denominator for x in flat))
     ints = np.empty(a.shape, dtype=object)
-    ints.flat[:] = [int(x.numerator) * (den // x.denominator) for x in a.flat]
+    ints.flat[:] = [int(x.numerator) * (den // x.denominator) for x in flat]
     return ints, den
 
 
@@ -161,14 +165,14 @@ def cleared(a) -> tuple[np.ndarray, int]:
 
 
 class Echelon:
-    """Incremental fraction-free Gauss-Jordan elimination over Q.
+    """Incremental fraction-free Gauss-Jordan elimination of integer rows.
 
-    Each row has its denominators cleared on the way in (row scaling keeps the
-    row space).  The stored rows are the integer matrix ``det * RREF``: each
-    holds ``det`` at its own pivot and 0 at every other pivot, where ``det`` is
-    the pivot minor of the rows taken so far.  Every update divides exactly by
-    the previous ``det`` (Bareiss, Math. Comp. 1968), so entries stay minors
-    of the input.
+    The stored rows are the integer matrix ``det * RREF``: each holds ``det``
+    at its own pivot and 0 at every other pivot, where ``det`` is the pivot
+    minor of the rows taken so far.  Every update divides exactly by the
+    previous ``det`` (Bareiss, Math. Comp. 1968), so entries stay minors of
+    the input.  It serves the one incremental span, the algebra closure of
+    ``commuting.rep_analysis``; rank, nullspace and solve use :func:`_rref`.
     """
 
     def __init__(self):
@@ -181,12 +185,11 @@ class Echelon:
         return len(self.pivots)
 
     def add(self, row) -> bool:
-        """Add a row of Fraction/int entries; return whether the span grew."""
-        v = cleared(row)[0].tolist()
+        """Add a row of Python ints; return whether the span grew."""
         det = self.det
-        w = [det * x for x in v]
+        w = [det * x for x in row]
         for r, p in zip(self.rows, self.pivots):
-            c = v[p]
+            c = row[p]
             if c:
                 w = [x - c * y for x, y in zip(w, r)]
         q = next((j for j, x in enumerate(w) if x), None)
@@ -199,19 +202,156 @@ class Echelon:
         self.det = new
         return True
 
-    def rref(self):
-        """Reduced row echelon form as Fraction rows, and its sorted pivot columns."""
-        order = sorted(range(self.rank), key=self.pivots.__getitem__)
-        return ([[Fraction(x, self.det) for x in self.rows[i]] for i in order],
-                [self.pivots[i] for i in order])
+
+@functools.cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^31, counting down: 2^31 - 1, 2^31 - 19, ..."""
+    n = 1 << 31 if i == 0 else _prime(i - 1)
+    while True:
+        n -= 1
+        if n % 2 and all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            return n
 
 
-def _echelon(a: np.ndarray) -> Echelon:
-    """Echelon of the rows of a rational matrix."""
-    ech = Echelon()
-    for row in (a if a.dtype == object else exact_matrix(a)):
-        ech.add(row)
-    return ech
+def _gauss_jordan_mod(a: np.ndarray, p: int, width: int):
+    """Gauss-Jordan elimination, in place, of an int64 matrix of residues mod
+    p, with pivots taken in its first ``width`` columns.  Returns the reduced
+    matrix, whose k-th row holds the k-th pivot, the pivot columns and the
+    rows of ``a``, in pivot order, that are independent mod p.  A product of
+    two residues is below 2^62, so each update is exact in int64.
+    """
+    rows, pivots = list(range(len(a))), []
+    for j in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        if not a[r, j]:
+            nonzero = a[r:, j].nonzero()[0]
+            if not nonzero.size:
+                continue
+            i = r + int(nonzero[0])
+            a[r], a[i] = a[i], a[r].copy()
+            rows[r], rows[i] = rows[i], rows[r]
+        inverse = pow(int(a[r, j]), -1, p)
+        # one update scales row r by the inverse and clears column j elsewhere;
+        # row r is zero left of column j, so the update may span every column
+        factor = a[:, j] * inverse % p
+        factor[r] = (1 - inverse) % p
+        a -= factor[:, None] * a[r]
+        a %= p
+        pivots.append(j)
+    return a, pivots, rows[:len(pivots)]
+
+
+def _times_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for int64 residues below 2^31; y is split into 16-bit
+    halves so that no sum of products leaves int64 (y has under 2^15 rows)."""
+    hi, lo = np.divmod(y, 1 << 16)
+    return ((x @ hi % p << 16) + x @ lo) % p
+
+
+def _wang(u: list, m: int):
+    """Numerators and one common denominator of the rationals whose residues
+    mod m are u, with numerators and denominators at most sqrt(m / 2) (Wang,
+    SYMSAC 1981), or None.  Each entry is first multiplied by the denominator
+    found so far, so only the entries that add to it need Euclid's algorithm."""
+    bound, den = math.isqrt(m // 2), 1
+    for x in u:
+        v = den * x % m
+        if min(v, m - v) <= bound:
+            continue
+        r0, r1, t0, t1 = m, v, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound or math.gcd(r1, t1) != 1:
+            return None
+    half = m // 2
+    return [v - m if v > half else v for v in (den * x % m for x in u)], den
+
+
+def _digits(a: np.ndarray, rows: list, pivots: list, free: list, first: np.ndarray, p: int):
+    """The p-adic digits of B^-1 C for B = A[R, P] and C = A[R, F], from the
+    first (Dixon, Numer. Math. 40, 1982): each step subtracts B times the last
+    digit from the residual, divides by p exactly and multiplies by B^-1 mod p."""
+    yield first
+    b, c = a[rows][:, pivots], a[rows][:, free]
+    r = len(rows)
+    inverse = _gauss_jordan_mod(
+        np.hstack([(b % p).astype(np.int64), np.eye(r, dtype=np.int64)]), p, r)[0][:, r:]
+    # |residual| stays below max|a| (r + 1), so int64 holds the steps when
+    # max|a| (r + 1) (p + 1) does; larger entries take the same steps on ints
+    big = max((abs(x) for x in a[rows].flat), default=0)
+    if big * (r + 1) * (p + 1) < 1 << 63:
+        b, c = b.astype(np.int64), c.astype(np.int64)
+    residual, digit = c, first
+    while True:
+        residual = (residual - b @ digit.astype(b.dtype)) // p
+        digit = _times_mod(inverse, (residual % p).astype(np.int64), p)
+        yield digit
+
+
+def _lift(a: np.ndarray, reduced: np.ndarray, pivots: list, rows: list, p: int):
+    """Y with A[R, P] Y = A[R, F] on the free columns F, lifted p-adically
+    from its residues in the reduced matrix, checked on every row.
+
+    Returns Y as integer numerators and one denominator when A[:, P] Y =
+    A[:, F] holds over Z on all rows and column j of Y is zero at every pivot
+    to the right of free column j; None when a candidate solves the r rows
+    exactly but fails that check, which only an unlucky prime causes.
+    """
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    shape = (len(pivots), len(free))
+    # pivots at or right of free column j, which column j of Y must not use
+    right = [(k, j) for j, f in enumerate(free) for k in range(bisect.bisect(pivots, f), shape[0])]
+    # Hadamard: each r x r minor of A[R], so each numerator and the common
+    # denominator, is at most h, the product of its row norms; once m / 2
+    # reaches h^2 the reconstruction cannot miss
+    h2 = None
+    u, m = [0] * (shape[0] * shape[1]), 1
+    for digit in _digits(a, rows, pivots, free, reduced[:len(rows), free], p):
+        u = [x + d * m for x, d in zip(u, digit.ravel().tolist())]
+        m *= p
+        cand = _wang(u, m)
+        if cand is not None:
+            num, den = np.array(cand[0], dtype=object).reshape(shape), cand[1]
+            residual = a[:, pivots] @ num - den * a[:, free]
+            if not residual.any():
+                return None if any(num[k, j] for k, j in right) else (num, den)
+            if not residual[rows].any():
+                return None
+        h2 = h2 or math.prod(int(sum(x * x for x in row)) for row in a[rows])
+        if m // 2 >= h2:
+            return None
+
+
+def _rref(a: np.ndarray):
+    """Pivot columns P of a rational matrix's reduced row echelon form, and
+    the solution Y of A[:, P] Y = A[:, F] on the free columns F, as integer
+    numerators and one denominator.
+
+    The matrix is cleared once and reduced mod a prime p < 2^31.  A nonzero
+    minor mod p is nonzero over Z, so a pivot in every column mod p is a
+    proof and needs no rational arithmetic.  Otherwise Y is lifted p-adically
+    from the r rows independent mod p and checked on every row
+    (:func:`_lift`).  A passing check proves that the rank is r, that P is
+    the rational pivot set (each free column lies in the span of the pivots
+    to its left, and the pivot columns are independent) and that -Y is the
+    free part of the RREF.  A failing one means that p divides the pivot
+    minor of the rational pivot rows and columns, so the next prime is
+    taken.  Only the primes dividing that one nonzero minor can fail, so the
+    loop takes time polynomial in the bit size.
+    """
+    ints = cleared(a)[0]
+    for i in itertools.count():
+        p = _prime(i)
+        reduced, pivots, rows = _gauss_jordan_mod((ints % p).astype(np.int64), p, ints.shape[1])
+        if len(pivots) == ints.shape[1]:
+            return pivots, (np.empty((len(pivots), 0), dtype=object), 1)
+        out = _lift(ints, reduced, pivots, rows, p)
+        if out is not None:
+            return pivots, out
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,11 +359,10 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises ValueError when a is rank deficient or the system is inconsistent.
     """
-    k = a.shape[1]
-    m, pivots = _echelon(np.concatenate([a, b], axis=1)).rref()
-    if pivots != list(range(k)):
+    pivots, (num, den) = _rref(np.concatenate([a, b], axis=1))
+    if pivots != list(range(a.shape[1])):
         raise ValueError("linear system has no unique exact solution")
-    return np.array([row[k:] for row in m], dtype=object)
+    return np.array([[Fraction(x, den) for x in row] for row in num.tolist()], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +384,29 @@ def rank(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> int:
     if a.size == 0:
         return 0
     if mode.is_exact:
-        return _echelon(a).rank
+        # a wide matrix has the rank of its transpose, whose columns a full
+        # rank mod p settles
+        return len(_rref(a.T if a.shape[0] < a.shape[1] else a)[0])
     return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode, scale)
 
 
 def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> list[np.ndarray]:
-    """Basis of the right nullspace; len(basis) == cols - rank.  In float mode
-    the basis is orthonormal and ``scale`` is passed to :func:`_svd_rank`."""
+    """Basis of the right nullspace; len(basis) == cols - rank.  In exact mode
+    it is the basis read off the RREF; in float mode it is orthonormal and
+    ``scale`` is passed to :func:`_svd_rank`."""
     a = np.asarray(a)
     nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
         return [identity(ncols, mode)[:, j] for j in range(ncols)] if ncols else []
     if mode.is_exact:
-        m, pivots = _echelon(a).rref()
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = np.empty(ncols, dtype=object)
-            v[...] = Fraction(0)
+        pivots, (num, den) = _rref(a)
+        zero, basis = Fraction(0), []
+        for j, fc in enumerate(c for c in range(ncols) if c not in pivots):
+            v = [zero] * ncols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
+            for pc, x in zip(pivots, num[:, j].tolist()):
+                v[pc] = Fraction(-x, den)
+            basis.append(np.array(v, dtype=object))
         return basis
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
     return [np.conj(vh[j]) for j in range(_svd_rank(s, mode, scale), ncols)]

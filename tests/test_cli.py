@@ -597,6 +597,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_catalog_list_searches_for_no_primes():
+    # the modular engine finds its primes on first use, not at import
+    src = str(Path(semirigid.__file__).resolve().parent.parent)
+    code = ("import sys, semirigid.cli as c, semirigid.scalars as s; "
+            "c.main(['catalog', 'list']); print(s._prime.cache_info().currsize, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout and out.stderr.splitlines()[-1] == "0"
+
+
 class TestCliSearchDefaults:
     def test_unset_flags_take_search_config_defaults(self):
         for argv in (["analyze", "--pairing", "x"],

@@ -79,6 +79,30 @@ def conjugated_diagonal_float(rng, n, d, spread=3):
     return MatrixTuple.from_matrices(mats), points
 
 
+class TestFromLists:
+    FLOATS = [[[0.5, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+
+    def test_float_lists_take_the_float_regime(self):
+        alpha = MatrixTuple.from_matrices(self.FLOATS)
+        assert not alpha.is_rational()
+        assert all(m.dtype == complex for m in alpha.matrices)
+        assert chi_norm(alpha) == 0
+        assert rep_analysis(alpha).algebra_dim == 2
+        assert sorted(complex(p[0]).real for p in joint_spectrum(alpha).points) == [0.5, 1.0]
+        assert mu(alpha, SkewPairing.from_map(2, 1, {(0, 1): (1,)}))[0].dtype == complex
+
+    def test_integer_and_fraction_lists_stay_exact(self):
+        alpha = MatrixTuple.from_matrices([[[1, 2], [0, 1]], [[Fraction(1, 2), 0], [0, 3]]])
+        assert alpha.is_rational()
+        assert all(type(x) is Fraction for m in alpha.matrices for x in m.flat)
+        assert rep_analysis(alpha) == rep_analysis(exact_tuple([[1, 2], [0, 1]],
+                                                               [[Fraction(1, 2), 0], [0, 3]]))
+
+    def test_one_float_entry_makes_the_matrix_complex(self):
+        alpha = MatrixTuple.from_matrices([[[1, 2], [0, 1.5]]])
+        assert alpha.matrices[0].dtype == complex and not alpha.is_rational()
+
+
 class TestChi:
     def test_diagonal_tuple_commutes(self):
         alpha = exact_tuple(np.diag([1, 2]), np.diag([3, 4]))

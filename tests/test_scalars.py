@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from semirigid import scalars
 from semirigid.commuting import MatrixTuple, joint_spectrum
+from semirigid.exterior import SkewPairing, kernel
 from semirigid.scalars import (
     Echelon,
     IrrationalSpectrumError,
     ScalarMode,
+    cleared,
     eigenvalues,
     exact_matrix,
     float_matrix,
@@ -18,8 +23,9 @@ from semirigid.scalars import (
     solve,
     to_float,
 )
-from semirigid.scalars import _char_poly_exact, _rational_roots
-from util import unitriangular_pair
+from semirigid.scalars import _char_poly_exact, _rational_roots, _rref
+from util import (echelon_nullspace, echelon_rank, echelon_rref, echelon_solve,
+                  unitriangular_pair)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -146,8 +152,24 @@ def with_zero_row(a, at):
     return np.concatenate([a[:at], z, a[at:]], axis=0)
 
 
+def with_zero_column(a, at):
+    z = np.empty((a.shape[0], 1), dtype=object)
+    z[...] = Fraction(0)
+    return np.concatenate([a[:, :at], z, a[:, at:]], axis=1)
+
+
+def huge_matrix(rng, shape, of_rank=None):
+    """Entries near 2^200 over small denominators; a given rank as in fraction_matrix."""
+    if of_rank is not None:
+        return huge_matrix(rng, (shape[0], of_rank)) @ fraction_matrix(rng, (of_rank, shape[1]))
+    return exact_matrix([[Fraction((1 << 200) + int.from_bytes(rng.bytes(20), "big")
+                                   * int(rng.choice([-1, 1])), int(rng.integers(1, 8)))
+                          for _ in range(shape[1])] for _ in range(shape[0])])
+
+
 def oracle_inputs():
-    """Tall, wide, rank-deficient and zero-row rational matrices with denominators."""
+    """Tall, wide, rank-deficient and zero-row rational matrices with denominators,
+    zero columns, 1 x n, n x 1 and empty shapes, and entries near 2^200."""
     rng = np.random.default_rng(23)
     out = []
     for _ in range(4):
@@ -160,6 +182,14 @@ def oracle_inputs():
             with_zero_row(fraction_matrix(rng, (3, 3)), 3),
         ]
     out.append(np.empty((0, 4), dtype=object))
+    rng = np.random.default_rng(71)
+    out += [np.empty((3, 0), dtype=object), fraction_matrix(rng, (1, 5)),
+            fraction_matrix(rng, (5, 1)), exact_matrix([[0, 0, 0]]), exact_matrix([[0], [0]])]
+    for shape, r in (((6, 6), 3), ((5, 8), 2), ((8, 5), 4), ((7, 7), 6), ((4, 9), 1)):
+        a = fraction_matrix(rng, shape, of_rank=r)
+        out += [with_zero_column(with_zero_row(a, 2), 1), with_zero_column(a, shape[1]),
+                huge_matrix(rng, shape, of_rank=r)]
+    out += [huge_matrix(rng, (4, 4)), huge_matrix(rng, (6, 3)), huge_matrix(rng, (3, 6))]
     return out
 
 
@@ -173,24 +203,27 @@ def from_sympy(m):
             for i in range(m.rows)]
 
 
+def sympy_nullspace(sympy, a):
+    return [[row[0] for row in from_sympy(v)] for v in to_sympy(sympy, a).nullspace()]
+
+
 class TestExactEchelon:
     def test_rref_and_rank_match_sympy(self):
         sympy = pytest.importorskip("sympy")
         for a in oracle_inputs():
-            ech = Echelon()
-            for row in a:
-                ech.add(row)
-            rows, pivots = ech.rref()
+            rows, pivots = echelon_rref(a)
             expected, expected_pivots = to_sympy(sympy, a).rref()
             assert pivots == list(expected_pivots)
             assert rows == from_sympy(expected)[:len(pivots)]
             assert rank(a, EXACT) == len(expected_pivots)
+            if a.size:
+                assert _rref(a)[0] == list(expected_pivots)
 
     def test_rows_are_det_times_rref(self):
         rng = np.random.default_rng(29)
         a = with_zero_row(fraction_matrix(rng, (5, 6), of_rank=4), 2)
         ech = Echelon()
-        grew = [ech.add(row) for row in a]
+        grew = [ech.add(cleared(row)[0].tolist()) for row in a]
         assert grew.count(True) == ech.rank == 4
         for row, p in zip(ech.rows, ech.pivots):
             assert all(isinstance(x, int) for x in row)
@@ -200,10 +233,7 @@ class TestExactEchelon:
     def test_nullspace_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         for a in oracle_inputs():
-            ours = [list(v) for v in nullspace(a, EXACT)]
-            theirs = [[row[0] for row in from_sympy(v)]
-                      for v in to_sympy(sympy, a).nullspace()]
-            assert ours == theirs
+            assert [list(v) for v in nullspace(a, EXACT)] == sympy_nullspace(sympy, a)
 
     def test_inverse_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -239,6 +269,109 @@ class TestExactEchelon:
         b[0, 0] += 1
         with pytest.raises(ValueError):
             solve(tall, b)
+
+
+def determinant_p0():
+    """A dense 3 x 3 integer matrix whose determinant is the first prime."""
+    p0 = scalars._prime(0)
+    lower = exact_matrix([[1, 0, 0], [2, 1, 0], [-1, 3, 1]])
+    upper = exact_matrix([[1, 2, -1], [0, 1, 4], [0, 0, 1]])
+    return lower @ exact_matrix(np.diag([1, 1, p0]).astype(object)) @ upper
+
+
+@pytest.fixture
+def primes_taken(monkeypatch):
+    """The indices of the primes the engine asks for."""
+    taken, prime = [], scalars._prime
+    monkeypatch.setattr(scalars, "_prime", lambda i: taken.append(i) or prime(i))
+    return taken
+
+
+class TestModularEngine:
+    def test_pivot_that_vanishes_mod_the_first_prime(self, primes_taken):
+        # mod p0 the pivot is column 1, over Q it is column 0
+        sympy = pytest.importorskip("sympy")
+        p0 = scalars._prime(0)
+        a = exact_matrix([[p0, 1]])
+        assert [list(v) for v in nullspace(a, EXACT)] == sympy_nullspace(sympy, a)
+        assert rank(a, EXACT) == 1
+        assert solve(exact_matrix([[p0]]), exact_matrix([[1]])).tolist() == [[Fraction(1, p0)]]
+        assert 1 in primes_taken
+
+    def test_determinant_divisible_by_the_first_prime(self, primes_taken):
+        sympy = pytest.importorskip("sympy")
+        a = determinant_p0()
+        assert to_sympy(sympy, a).det() == scalars._prime(0)
+        assert rank(a, EXACT) == 3
+        assert nullspace(a, EXACT) == []
+        inv = solve(a, identity(3, EXACT))
+        assert inv.tolist() == from_sympy(to_sympy(sympy, a).inv())
+        assert 1 in primes_taken
+        # with a dependent row appended, the rank loss mod p0 hides a pivot
+        # that only a row outside the r rows used can reveal
+        b = np.concatenate([a, a[:1] + a[2:]])
+        assert rank(b, EXACT) == 3
+        assert nullspace(b.T, EXACT)[0].tolist() == sympy_nullspace(sympy, b.T)[0]
+
+    def test_solve_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(73)
+        for a in (fraction_matrix(rng, (1, 1)), fraction_matrix(rng, (6, 4)),
+                  with_zero_row(fraction_matrix(rng, (5, 5)), 0),
+                  huge_matrix(rng, (5, 3)), huge_matrix(rng, (4, 4))):
+            x = fraction_matrix(rng, (a.shape[1], 2))
+            b = a @ x
+            got = solve(a, b)
+            assert got.tolist() == x.tolist()
+            assert got.tolist() == from_sympy(to_sympy(sympy, a).solve(to_sympy(sympy, b)))
+
+    def test_solve_refuses_what_sympy_cannot_solve_uniquely(self):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(79)
+        tall = huge_matrix(rng, (5, 2))
+        inconsistent = tall @ fraction_matrix(rng, (2, 1))
+        inconsistent[4, 0] += 1
+        cases = [(fraction_matrix(rng, (4, 4), of_rank=3), identity(4, EXACT)),
+                 (fraction_matrix(rng, (2, 4)), fraction_matrix(rng, (2, 1))),
+                 (with_zero_column(fraction_matrix(rng, (4, 2)), 1), fraction_matrix(rng, (4, 1))),
+                 (tall, inconsistent)]
+        for a, b in cases:
+            with pytest.raises(ValueError):
+                solve(a, b)
+            sa = to_sympy(sympy, a)
+            assert not sa.rank() == a.shape[1] == sa.row_join(to_sympy(sympy, b)).rank()
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+    def test_matches_the_echelon_references(self, m, n, r, data):
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        left = data.draw(st.lists(st.lists(entries, min_size=min(r, n), max_size=min(r, n)),
+                                  min_size=m, max_size=m))
+        right = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=min(r, n), max_size=min(r, n)))
+        a = exact_matrix(left) @ exact_matrix(right) if min(r, n) else exact_matrix([[0] * n] * m)
+        assert rank(a, EXACT) == echelon_rank(a)
+        assert [list(v) for v in nullspace(a, EXACT)] == echelon_nullspace(a)
+        b = exact_matrix(data.draw(st.lists(st.lists(entries, min_size=1, max_size=1),
+                                            min_size=m, max_size=m)))
+        try:
+            want = echelon_solve(a, b)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve(a, b)
+        else:
+            assert solve(a, b).tolist() == want
+
+    @pytest.mark.parametrize("rows,dim,limit", [(190, 0, 0.5), (130, 60, 1.2)])
+    def test_exact_kernel_at_d20_in_bounded_time(self, rows, dim, limit):
+        rng = np.random.default_rng(20)
+        mat = rng.integers(-3, 4, size=(rows, 190))
+        p = SkewPairing(20, rows, tuple(tuple(int(x) for x in col) for col in mat.T))
+        k, took = seconds(kernel, p)
+        assert k.dim == dim and took < limit
+        if dim:
+            # every sixth basis vector, on cleared integers
+            basis = cleared(np.array([b.coeffs for b in k.basis[::6]], dtype=object))[0]
+            assert not np.any(mat.astype(object) @ basis.T)
 
 
 def poly_mul(p, q):

@@ -11,6 +11,7 @@ from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list,
 from semirigid.scalars import (
     Echelon,
     ScalarMode,
+    cleared,
     eigenvalues,
     exact_matrix,
     identity,
@@ -167,7 +168,7 @@ def fraction_rep_analysis(alpha) -> RepAnalysis:
     commutant_dim = len(nullspace(stack, EXACT))
     span, basis = Echelon(), []
     for m in (eye, *alpha.matrices):
-        if span.add(m.reshape(-1)):
+        if span.add(cleared(m.reshape(-1))[0].tolist()):
             basis.append(m)
     frontier = list(basis)
     while frontier and span.rank < n * n:
@@ -175,7 +176,7 @@ def fraction_rep_analysis(alpha) -> RepAnalysis:
         for b in frontier:
             for g in alpha.matrices:
                 cand = b @ g
-                if span.rank < n * n and span.add(cand.reshape(-1)):
+                if span.rank < n * n and span.add(cleared(cand.reshape(-1))[0].tolist()):
                     basis.append(cand)
                     new_frontier.append(cand)
         frontier = new_frontier
@@ -191,3 +192,49 @@ def mixed_fraction_matrix(rng, n):
     """n x n entries p/q with p in [-5, 5] and q in [1, 6]."""
     return exact_matrix([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
                           for _ in range(n)] for _ in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# exact rank, nullspace and solve by incremental Bareiss elimination of the
+# cleared rows: the references for the modular engine in ``scalars``
+
+
+def echelon_rref(a):
+    """Reduced row echelon form of a rational matrix as Fraction rows, and its
+    sorted pivot columns."""
+    ech = Echelon()
+    for row in np.asarray(a, dtype=object):
+        ech.add(cleared(row)[0].tolist())
+    order = sorted(range(ech.rank), key=ech.pivots.__getitem__)
+    return ([[Fraction(x, ech.det) for x in ech.rows[i]] for i in order],
+            [ech.pivots[i] for i in order])
+
+
+def echelon_rank(a) -> int:
+    return len(echelon_rref(a)[1]) if np.asarray(a).size else 0
+
+
+def echelon_nullspace(a) -> list:
+    """The nullspace basis read off the RREF, one list per free column."""
+    ncols = a.shape[1]
+    if a.shape[0] == 0:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    m, pivots = echelon_rref(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def echelon_solve(a, b) -> list:
+    """Rows of X with a X = b, or ValueError when a is rank deficient or the
+    system is inconsistent."""
+    k = a.shape[1]
+    m, pivots = echelon_rref(np.concatenate([a, b], axis=1))
+    if pivots != list(range(k)):
+        raise ValueError("linear system has no unique exact solution")
+    return [row[k:] for row in m]
