@@ -274,14 +274,6 @@ def _complete_basis(v: np.ndarray, mode: ScalarMode) -> np.ndarray:
     return q
 
 
-def _block_diag(top: np.ndarray, bottom: np.ndarray, mode: ScalarMode) -> np.ndarray:
-    k, m = top.shape[0], bottom.shape[0]
-    out = zeros((k + m, k + m), mode)
-    out[:k, :k] = top
-    out[k:, k:] = bottom
-    return out
-
-
 def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
     """Columns spanning the generalized eigenspaces of b, group by group
     (orthonormalized in float mode), or None when a float eigenspace has the
@@ -302,10 +294,12 @@ def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
     return s if mode.is_exact else np.linalg.qr(s)[0]
 
 
-def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
+def _triangularize(mats, mode: ScalarMode, rng):
+    """(q, q^-1) with every q^-1 A q upper triangular; q^-1 is assembled from
+    each level's inverse of q0 and the blocks' own inverses."""
     n = mats[0].shape[0]
     if n <= 1:
-        return identity(n, mode)
+        return identity(n, mode), identity(n, mode)
     if mode.is_exact:
         coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
     else:
@@ -322,13 +316,14 @@ def _triangularize(mats, mode: ScalarMode, rng) -> np.ndarray:
         sizes = [1, n - 1]
     else:
         sizes = [count for _, count in groups]
-    transformed = _product(_inverse(q0, mode), np.array(mats), q0)
+    q0_inv = _inverse(q0, mode)
+    transformed = _product(q0_inv, np.array(mats), q0)
     offs = np.cumsum([0] + sizes)
-    qb = None
+    qb, qb_inv = zeros((n, n), mode), zeros((n, n), mode)
     for lo, hi in zip(offs, offs[1:]):
-        block = _triangularize([t[lo:hi, lo:hi] for t in transformed], mode, rng)
-        qb = block if qb is None else _block_diag(qb, block, mode)
-    return _product(q0, qb)
+        qb[lo:hi, lo:hi], qb_inv[lo:hi, lo:hi] = _triangularize(
+            [t[lo:hi, lo:hi] for t in transformed], mode, rng)
+    return _product(q0, qb), _product(qb_inv, q0_inv)
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -346,8 +341,8 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
     rng = np.random.default_rng(seed)
-    q = _triangularize(list(alpha.matrices), mode, rng)
-    transformed = _product(_inverse(q, mode), np.array(alpha.matrices), q)
+    q, q_inv = _triangularize(list(alpha.matrices), mode, rng)
+    transformed = _product(q_inv, np.array(alpha.matrices), q)
     return q, MatrixTuple(alpha.n, alpha.d, tuple(transformed))
 
 

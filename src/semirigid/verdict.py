@@ -375,6 +375,17 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     Residual acceptance is scaled by the squared tuple norm, matching the
     quadratic scaling of the system.  Non-converged starts are dropped and
     counted.
+
+    mu is a homogeneous quadratic, so Euler's identity gives J(a) a = 2 mu(a),
+    and J kills the scalar directions A_b + cI.  So -a/2 solves the Newton
+    system, and the min-norm ``lstsq`` step is -1/2 of a's projection on the
+    row space of J.  When that step is -x/2, x the traceless part of a, the
+    start is on the ray a = T + tX toward a scalar tuple T, where J = t J(X)
+    and mu = t^2 mu(X): every later step is half the one before, and is taken
+    without a solve.  On an injective pairing (kernel of J = the scalars) the
+    first step is already the ray step; the residual falls 4x per iteration,
+    the linear rate of Newton at a singular root (Griewank & Osborne, SIAM J.
+    Numer. Anal. 20, 1983).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -404,16 +415,21 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     converged = 0
     for z in starts:
         a = z.reshape(d, n, n)
-        ok = False
+        ok = on_ray = False
         for _ in range(cfg.max_iterations):
             mus, s = _mu_kernel(c, a)
             res = mus.reshape(-1)
             if mode.vanishes([res], np.linalg.norm(a, axis=(1, 2)).max() ** 2):
                 ok = True
                 break
-            step, *_ = np.linalg.lstsq(_mu_jacobian(s), -res, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
+            if on_ray:
+                step = step / 2
+            else:
+                step, *_ = np.linalg.lstsq(_mu_jacobian(s), -res, rcond=None)
+                if not np.all(np.isfinite(step)):
+                    break
+                x = (a - np.trace(a, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)).reshape(-1)
+                on_ray = mode.vanishes([step + x / 2], np.linalg.norm(x))
             a = a + step.reshape(d, n, n)
         if not ok:
             continue

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from semirigid.catalog import catalog_build
 from semirigid.commuting import (
     MatrixTuple,
     _mu_jacobian,
@@ -596,6 +597,70 @@ class TestMuZeroSampler:
             scale = tuple_scale(s.alpha)
             assert mu_norm(s.alpha, p) <= 1e-8 * max(scale ** 2, 1e-300)
 
+    @pytest.mark.parametrize("entry, n", [("identity:4", 3), ("torus:2", 4)])
+    def test_one_solve_per_start_on_injective_pairings(self, monkeypatch, entry, n):
+        name, arg = entry.split(":")
+        p = catalog_build(name, (arg,)).pairing
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        out = mu_zero_sampler(p, n, SearchConfig(restarts=8, seed=0))
+        assert out.attempted == out.converged == 8
+        # the first step of every start is already the ray step; a solve at
+        # every iteration took about 15 per start
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("entry", ["identity:3", "identity:4", "torus:2", "curve:3",
+                                       "symplectic-surface:4"])
+    def test_matches_plain_newton(self, entry):
+        name, arg = entry.split(":")
+        p = catalog_build(name, (arg,)).pairing
+        for n in (2, 3, 4):
+            for seed in range(3):
+                cfg = SearchConfig(restarts=4, seed=seed)
+                got = mu_zero_sampler(p, n, cfg)
+                attempted, points = plain_newton_samples(p, n, cfg)
+                assert (got.attempted, got.converged) == (attempted, len(points))
+                for s, a in zip(got.samples, points):
+                    alpha = MatrixTuple(n, p.dim_v, tuple(a))
+                    assert s.commuting == is_commuting(alpha, FLOAT)
+                    scale = tuple_scale(alpha)
+                    assert np.linalg.norm(np.array(s.alpha.matrices) - a) <= 1e-10 * scale
+
+
+def plain_newton_samples(p, n, cfg):
+    """``mu_zero_sampler``'s starts, each run through Newton with one ``lstsq``
+    per iteration; returns the number of starts and the converged points."""
+    d = p.dim_v
+    c = skew(to_float(p.matrix()), d)
+    starts = []
+    for b in kernel(p, FLOAT).basis:
+        if bivector_rank(b, FLOAT) == 2:
+            z0 = np.array(witness_to_tuple(b, n, FLOAT).matrices, dtype=complex)
+            starts.append(z0 / np.linalg.norm(z0))
+            break
+    idx = 0
+    while len(starts) < cfg.restarts:
+        rng = np.random.default_rng((cfg.seed, idx))
+        z0 = rng.standard_normal(d * n * n) + 1j * rng.standard_normal(d * n * n)
+        starts.append((z0 / np.linalg.norm(z0)).reshape(d, n, n))
+        idx += 1
+    points = []
+    for a in starts:
+        for _ in range(cfg.max_iterations):
+            mus, s = _mu_kernel(c, a)
+            if FLOAT.vanishes([mus], np.linalg.norm(a, axis=(1, 2)).max() ** 2):
+                points.append(a)
+                break
+            step, *_ = np.linalg.lstsq(_mu_jacobian(s), -mus.reshape(-1), rcond=None)
+            a = a + step.reshape(d, n, n)
+    return len(starts), points
+
 
 def sparse_complex_pairing(rng, d, m):
     rows = []
@@ -646,6 +711,24 @@ class TestMuKernel:
         assert jac.shape == (m * n * n, d * n * n)
         central = (f(z + v) - f(z - v)) / 2
         assert np.allclose(jac @ v.reshape(-1), central, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_euler_identity_and_scalar_kernel(self, d, m, n):
+        # the sampler's ray step rests on both: mu is homogeneous quadratic, so
+        # J(a) a = 2 mu(a), and mu only sees commutators, so J kills A_b + cI
+        rng = np.random.default_rng((d, m, n))
+        p = sparse_complex_pairing(rng, d, m)
+        c = skew(to_float(p.matrix()), d)
+        a = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        mus, s = _mu_kernel(c, a)
+        jac = _mu_jacobian(s)
+        assert np.allclose(jac @ a.reshape(-1), 2 * mus.reshape(-1), rtol=0, atol=1e-12)
+        for b in range(d):
+            scalar = np.zeros((d, n, n))
+            scalar[b] = np.eye(n)
+            assert np.allclose(jac @ scalar.reshape(-1), 0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 3])

@@ -18,6 +18,7 @@ from semirigid.scalars import (
     nullspace,
     rank,
     solve,
+    zeros,
 )
 
 EXACT = ScalarMode.exact()
@@ -146,10 +147,9 @@ def _fraction_triangularize(mats, rng):
     q0_inv = _fraction_inverse(q0)
     transformed = [q0_inv @ a @ q0 for a in mats]
     offs = np.cumsum([0] + sizes)
-    qb = None
+    qb = zeros((n, n), EXACT)
     for lo, hi in zip(offs, offs[1:]):
-        block = _fraction_triangularize([t[lo:hi, lo:hi] for t in transformed], rng)
-        qb = block if qb is None else commuting._block_diag(qb, block, EXACT)
+        qb[lo:hi, lo:hi] = _fraction_triangularize([t[lo:hi, lo:hi] for t in transformed], rng)
     return q0 @ qb
 
 
