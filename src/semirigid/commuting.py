@@ -144,13 +144,13 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     """Pairing-contracted commutators: one matrix per basis vector of W."""
     if alpha.d != p.dim_v:
         raise ValueError("tuple length does not match pairing dimension")
-    c, a = p.matrix(), np.array(alpha.matrices)
+    a = np.array(alpha.matrices)
     if resolve_mode(None, alpha, p).is_exact:
         # integer arithmetic, one division: C = C' / e and A = A' / f give
         # mu = mu(C', A') / (e f^2)
-        (c, e), (a, f) = cleared(c), cleared(a)
+        (c, e), (a, f) = p.cleared_form, cleared(a)
         return tuple(_mu_kernel(skew(c, alpha.d), a)[0] * Fraction(1, e * f * f))
-    return tuple(_mu_kernel(skew(to_float(c), alpha.d), to_float(a))[0])
+    return tuple(_mu_kernel(skew(to_float(p.matrix()), alpha.d), to_float(a))[0])
 
 
 def mu_norm(alpha: MatrixTuple, p: SkewPairing) -> float:

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalars import ScalarMode, nullspace, rank, resolve_mode, to_float
+from .scalars import ScalarMode, cleared, nullspace, rank, resolve_mode, to_float
 
 YES = "yes"
 NO = "no"
@@ -133,7 +133,9 @@ class SkewPairing:
     """Skew pairing into W: tensor rows indexed by pairs (i, j), i < j.
 
     ``entries[p][k]`` is the k-th W-coordinate of the image of the p-th basis
-    bivector.  ``dim_w == 0`` encodes the identically-zero pairing.
+    bivector.  ``dim_w == 0`` encodes the identically-zero pairing.  A
+    rational pairing may instead be built from its cleared form
+    (:meth:`from_cleared`), which makes ``entries`` only when they are read.
     """
 
     dim_v: int
@@ -147,6 +149,28 @@ class SkewPairing:
             raise ValueError("entry rows do not match dim_v")
         if any(len(row) != self.dim_w for row in self.entries):
             raise ValueError("entry row length does not match dim_w")
+
+    @classmethod
+    def from_cleared(cls, d: int, m: int, ints: np.ndarray, den: int) -> "SkewPairing":
+        """The rational pairing with matrix ints / den, given as
+        :func:`scalars.cleared` returns it: a dim_w x pair_count object array
+        of Python ints and den > 0 with gcd(den, ints) = 1."""
+        if d < 1 or ints.shape != (m, pair_count(d)):
+            raise ValueError("need dim_v >= 1 and a dim_w x pair_count matrix")
+        ints.flags.writeable = False
+        p = object.__new__(cls)
+        p.__dict__.update(dim_v=d, dim_w=m, cleared_form=(ints, den), _rational=True)
+        return p
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: the entries of a
+        # pairing built by from_cleared, until they are first read
+        if name != "entries" or "cleared_form" not in self.__dict__:
+            raise AttributeError(name)
+        ints, den = self.cleared_form
+        entries = tuple(tuple(Fraction(x, den) for x in row) for row in ints.T.tolist())
+        self.__dict__["entries"] = entries
+        return entries
 
     @classmethod
     def zero(cls, d: int, m: int) -> "SkewPairing":
@@ -173,6 +197,15 @@ class SkewPairing:
                 raise ValueError("value vector length does not match dim_w")
             rows[pair_index(i, j, d)] = list(vec)
         return cls(d, m, tuple(tuple(r) for r in rows))
+
+    @functools.cached_property
+    def cleared_form(self) -> tuple[np.ndarray, int]:
+        """The matrix of a rational pairing as :func:`scalars.cleared` gives
+        it, (ints, den) with matrix() == ints / den; made once and read-only.
+        The exact kernel, ``apply`` and ``mu`` read the pairing here."""
+        ints, den = cleared(self.matrix())
+        ints.flags.writeable = False
+        return ints, den
 
     @functools.cached_property
     def _rational(self) -> bool:
@@ -209,18 +242,18 @@ def apply(p: SkewPairing, omega: Bivector) -> np.ndarray:
     """Evaluate the pairing on a bivector; linear in the bivector."""
     if p.dim_v != omega.dim_v:
         raise ValueError("dimension mismatch")
-    m, w = p.matrix(), np.array(omega.coeffs, dtype=object)
+    w = np.array(omega.coeffs, dtype=object)
     if not resolve_mode(None, p, omega).is_exact:
-        m, w = to_float(m), to_float(w)
-    return m @ w
+        return to_float(p.matrix()) @ to_float(w)
+    ints, den = p.cleared_form
+    return ints @ w * Fraction(1, den)
 
 
 def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     """Basis of the kernel of the pairing, as bivectors."""
     mode = resolve_mode(mode, p)
-    m = p.matrix()
-    if not mode.is_exact:
-        m = to_float(m)
+    # ints / den and ints have one kernel
+    m = p.cleared_form[0] if mode.is_exact else to_float(p.matrix())
     basis = nullspace(m, mode)
     return KernelSubspace(p.dim_v, tuple(Bivector(p.dim_v, tuple(v)) for v in basis))
 

@@ -151,9 +151,13 @@ def is_exact_array(a: np.ndarray) -> bool:
 
 def cleared(a) -> tuple[np.ndarray, int]:
     """Rational entries with their denominators cleared: an object array of
-    Python ints and the lcm ``den`` of the denominators, so that a == ints / den."""
+    Python ints and the lcm ``den`` of the denominators, so that a == ints / den
+    and gcd(den, ints) = 1.  An array of Python ints is returned as it is,
+    with den 1; callers only read the result."""
     a = np.asarray(a, dtype=object)
     flat = a.ravel().tolist()
+    if set(map(type, flat)) <= {int}:
+        return a, 1
     den = math.lcm(*(x.denominator for x in flat))
     ints = np.empty(a.shape, dtype=object)
     ints.flat[:] = [int(x.numerator) * (den // x.denominator) for x in flat]
@@ -400,9 +404,9 @@ def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> li
         return [identity(ncols, mode)[:, j] for j in range(ncols)] if ncols else []
     if mode.is_exact:
         pivots, (num, den) = _rref(a)
-        zero, basis = Fraction(0), []
+        basis = []
         for j, fc in enumerate(c for c in range(ncols) if c not in pivots):
-            v = [zero] * ncols
+            v = [Fraction(0)] * ncols
             v[fc] = Fraction(1)
             for pc, x in zip(pivots, num[:, j].tolist()):
                 v[pc] = Fraction(-x, den)

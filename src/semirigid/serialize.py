@@ -1,19 +1,25 @@
 """JSON wire formats for pairings, tuples, bivectors, and verdicts.
 
-Rational scalars travel as strings "p/q" with q > 0 and gcd(p, q) = 1;
-complex scalars as two-element arrays [re, im] of finite decimal floats.  All keys
-are snake_case and emission is deterministic for identical values.
+Rational scalars are written as strings "p/q" with q > 0 and gcd(p, q) = 1,
+and read from integers and strings "p" or "p/q" with any nonzero q; complex
+scalars travel as two-element arrays [re, im] of finite decimal floats.
+Booleans are not scalars.  A rational pairing is parsed straight to its
+cleared form, one integer matrix and one denominator, with no Fraction per
+entry.  All keys are snake_case and emission is deterministic for identical
+values.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .commuting import MatrixTuple
-from .exterior import Bivector, FilteredPairing, SkewPairing, pair_list
+from .exterior import Bivector, FilteredPairing, SkewPairing, pair_count, pair_index, pair_list
 from .scalars import COMPLEX, RATIONAL, as_fraction
 from .verdict import Evidence, Verdict
 
@@ -26,30 +32,66 @@ def scalar_to_json(x, kind: str):
     return [z.real, z.imag]
 
 
+def _ratios(values: list) -> tuple[list, list]:
+    """Rational wire scalars, integers or strings "p" or "p/q", as their
+    numerators and their denominators q > 0, not reduced.  The list is split
+    at its first slashes and read as integers at once."""
+    if not values:
+        return [], []
+    kinds = set(map(type, values))
+    if not kinds <= {str, int}:
+        bad = next(v for v in values if type(v) not in (str, int))
+        raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {bad!r}")
+    texts = values if kinds == {str} else list(map(str, values))
+    nums, slashes, dens = zip(*map(str.partition, texts, repeat("/")))
+    ps = list(map(int, nums))
+    # "p" has no q; a q with a slash of its own is no integer, and int()
+    # refuses it
+    qs = (list(map(int, dens)) if all(slashes)
+          else [int(q) if slash else 1 for slash, q in zip(slashes, dens)])
+    if min(qs) <= 0:
+        if 0 in qs:
+            raise ValueError(f"rational scalar has a zero denominator: {values[qs.index(0)]!r}")
+        ps = [-p if q < 0 else p for p, q in zip(ps, qs)]
+        qs = list(map(abs, qs))
+    return ps, qs
+
+
 def scalar_from_json(v, kind: str):
     if kind == RATIONAL:
-        if isinstance(v, str):
-            if "/" in v:
-                num, den = v.split("/", 1)
-                if int(den) == 0:
-                    raise ValueError(f"rational scalar has a zero denominator: {v!r}")
-                return Fraction(int(num), int(den))
-            return Fraction(int(v))
-        if isinstance(v, int):
-            return Fraction(v)
-        raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {v!r}")
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+        (p,), (q,) = _ratios([v])
+        return Fraction(p, q)
+    # a boolean is no number here, though Python counts it as an int
+    if isinstance(v, (list, tuple)) and len(v) == 2 and not any(type(x) is bool for x in v):
         try:
             z = complex(float(v[0]), float(v[1]))
         except TypeError as exc:
             raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
-    elif isinstance(v, (int, float)):
+    elif isinstance(v, (int, float)) and type(v) is not bool:
         z = complex(v)
     else:
-        raise ValueError(f"complex scalar must be a [re, im] pair, got {v!r}")
+        raise ValueError(f"complex scalar must be a [re, im] pair of numbers, got {v!r}")
     if not cmath.isfinite(z):
         raise ValueError(f"complex scalar must be finite, got {v!r}")
     return z
+
+
+def _by_pair(items, d: int, what: str) -> dict:
+    """The objects of a list of {"i": i, "j": j, ...} by their pair index;
+    i and j are integers, not booleans, with 0 <= i < j < d, and no pair
+    comes twice."""
+    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+        raise ValueError(f"{what} must be a list of objects")
+    out = {}
+    for x in items:
+        i, j = x.get("i"), x.get("j")
+        if not (type(i) is int and type(j) is int):
+            raise ValueError(f"{what} indices must be integers, got {x!r}")
+        k = pair_index(i, j, d)  # refuses all but 0 <= i < j < d
+        if k in out:
+            raise ValueError(f"{what} list the pair ({i}, {j}) twice")
+        out[k] = x
+    return out
 
 
 def infer_kind(data) -> str:
@@ -74,8 +116,26 @@ def pairing_to_json(p: SkewPairing, filtration: FilteredPairing | None = None) -
     return out
 
 
+def _cleared_columns(cols: dict, m: int, n: int):
+    """The m x n matrix with the wire scalars cols[k] in column k and zeros
+    elsewhere, cleared: integers and one denominator den > 0 with
+    gcd(den, ints) = 1, as :func:`scalars.cleared` gives it."""
+    ps, qs = _ratios([x for vec in cols.values() for x in vec])
+    den = math.lcm(*set(qs))
+    if den > 1:
+        # when den is 1 every q is, and the numerators are the integers
+        ps = [p * (den // q) for p, q in zip(ps, qs)]
+    g = math.gcd(den, *ps)
+    if g > 1:
+        ps, den = [p // g for p in ps], den // g
+    ints = np.zeros((m, n), dtype=object)
+    ints[:, list(cols)] = np.array(ps, dtype=object).reshape(len(cols), m).T
+    return ints, den
+
+
 def pairing_from_json(obj: dict):
-    """Parse a pairing; returns (pairing, filtered_or_none)."""
+    """Parse a pairing; returns (pairing, filtered_or_none).  A rational
+    pairing is built from its cleared form."""
     try:
         d = int(obj["dim_v"])
         m = int(obj["dim_w"])
@@ -84,22 +144,21 @@ def pairing_from_json(obj: dict):
         raise ValueError(f"pairing object missing field: {exc}") from exc
     if kind not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown scalar kind {kind!r}")
-    values = {}
-    entries = obj.get("entries", [])
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise ValueError("pairing entries must be a list of objects")
-    for entry in entries:
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except TypeError as exc:
-            raise ValueError(f"pairing entry indices must be integers, got {entry!r}") from exc
-        if not 0 <= i < j < d:
-            raise ValueError(f"pairing entries require 0 <= i < j < dim_v, got ({i}, {j})")
-        vec = entry["values"]
+    if d < 1 or m < 0:
+        raise ValueError("need dim_v >= 1 and dim_w >= 0")
+    cols = {}
+    for k, entry in _by_pair(obj.get("entries", []), d, "pairing entries").items():
+        vec = entry.get("values")
         if not (isinstance(vec, list) and len(vec) == m):
             raise ValueError(f"entry values must be a list of dim_w = {m} scalars, got {vec!r}")
-        values[(i, j)] = tuple(scalar_from_json(x, kind) for x in vec)
-    pairing = SkewPairing.from_map(d, m, values)
+        cols[k] = vec
+    n = pair_count(d)
+    if kind == RATIONAL:
+        pairing = SkewPairing.from_cleared(d, m, *_cleared_columns(cols, m, n))
+    else:
+        pairing = SkewPairing(d, m, tuple(
+            tuple(scalar_from_json(x, kind) for x in cols[k]) if k in cols else (0,) * m
+            for k in range(n)))
     filtered = None
     if "filtration" in obj:
         filt = obj["filtration"]
@@ -145,9 +204,7 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
             raise ValueError("matrices must be n x n lists of scalars")
         if kind == RATIONAL:
             a = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] = scalar_from_json(m[i][j], kind)
+            a.flat[:] = list(map(Fraction, *_ratios([x for row in m for x in row])))
         else:
             a = np.array([[scalar_from_json(x, kind) for x in row] for row in m],
                          dtype=complex)
@@ -174,20 +231,12 @@ def bivector_from_json(obj: dict) -> Bivector:
         coeffs = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bivector object missing field: {exc}") from exc
-    if not (isinstance(coeffs, list) and all(isinstance(c, dict) for c in coeffs)):
-        raise ValueError("bivector coeffs must be a list of objects")
-    values = {}
-    for c in coeffs:
-        try:
-            i, j = int(c["i"]), int(c["j"])
-        except TypeError as exc:
-            raise ValueError(f"bivector coeff indices must be integers, got {c!r}") from exc
-        if not 0 <= i < j < d:
-            raise ValueError(f"bivector coeffs require 0 <= i < j < dim_v, got ({i}, {j})")
+    values = [0] * pair_count(d)
+    for k, c in _by_pair(coeffs, d, "bivector coeffs").items():
         v = c["value"]
         kind = RATIONAL if isinstance(v, (str, int)) else COMPLEX
-        values[(i, j)] = scalar_from_json(v, kind)
-    return Bivector.from_pairs(d, values)
+        values[k] = scalar_from_json(v, kind)
+    return Bivector(d, tuple(values))
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -435,8 +435,11 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
             continue
         converged += 1
         alpha = MatrixTuple(n, d, tuple(a.copy()))
-        samples.append(MuZeroSample(alpha, is_commuting(alpha, mode),
-                                    float(np.linalg.norm(res)), chi_norm(alpha)))
+        # is_commuting's test, on the one chi: each commutator's norm within
+        # tol_residual times the squared tuple scale
+        chi_res = chi_norm(alpha)
+        samples.append(MuZeroSample(alpha, chi_res <= mode.tol_residual * tuple_scale(alpha) ** 2,
+                                    float(np.linalg.norm(res)), chi_res))
     return SamplerResult(tuple(samples), len(starts), converged)
 
 

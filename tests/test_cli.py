@@ -3,18 +3,21 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import semirigid
 from semirigid.catalog import catalog_build, catalog_names
 from semirigid import cli
 from semirigid.cli import _search_config, build_parser, main
 from semirigid.commuting import MatrixTuple
-from semirigid.exterior import Bivector, FilteredPairing, SkewPairing
-from semirigid.scalars import ScalarMode, exact_matrix
+from semirigid.exterior import Bivector, FilteredPairing, SkewPairing, kernel, pair_list
+from semirigid.scalars import ScalarMode, cleared, exact_matrix
 from semirigid.serialize import (
     bivector_from_json,
     bivector_to_json,
@@ -54,6 +57,18 @@ class TestScalarJson:
         with pytest.raises(ValueError):
             scalar_from_json(0.5, "rational")
 
+    def test_rational_reads_unreduced_and_negative_denominators(self):
+        assert scalar_from_json("2/-4", "rational") == Fraction(-1, 2)
+        assert scalar_from_json("-6/-4", "rational") == Fraction(3, 2)
+        assert scalar_from_json("5/-1", "rational") == -5
+
+    @pytest.mark.parametrize("kind, v", [("rational", True), ("rational", False),
+                                         ("complex", True), ("complex", [True, 0]),
+                                         ("complex", [0, False])])
+    def test_booleans_are_not_scalars(self, kind, v):
+        with pytest.raises(ValueError):
+            scalar_from_json(v, kind)
+
     def test_complex_pairs(self):
         assert scalar_to_json(1 + 2j, "complex") == [1.0, 2.0]
         assert scalar_from_json([1.5, -2.0], "complex") == 1.5 - 2j
@@ -89,6 +104,98 @@ class TestPairingJson:
         p = SkewPairing.from_map(3, 1, {(0, 2): (1 + 1j,)})
         back, _ = pairing_from_json(pairing_to_json(p))
         assert back.entries == p.entries
+
+
+def wire_fraction(v) -> Fraction:
+    """Reference reading of a rational wire scalar, one Fraction at a time."""
+    if isinstance(v, int):
+        return Fraction(v)
+    num, _, den = v.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+BIG = 2**200
+WIRE_RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(BIG - 3, BIG + 3) | st.integers(-BIG - 3, -BIG + 3),
+    st.builds(str, st.integers(-9, 9)),
+    st.builds("{}/{}".format, st.integers(-12, 12) | st.integers(BIG - 3, BIG + 3),
+              st.integers(-12, -1) | st.integers(1, 12) | st.just(-BIG)),
+)
+
+
+@st.composite
+def rational_pairing_files(draw):
+    d, m = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    pairs = draw(st.lists(st.sampled_from(pair_list(d)), unique=True)) if d > 1 else []
+    entries = [{"i": i, "j": j, "values": draw(st.lists(WIRE_RATIONALS, min_size=m, max_size=m))}
+               for i, j in pairs]
+    return {"dim_v": d, "dim_w": m, "scalar": "rational", "entries": entries}
+
+
+def rational_file(d, m, values):
+    return {"dim_v": d, "dim_w": m, "scalar": "rational",
+            "entries": [{"i": i, "j": j, "values": v} for (i, j), v in values.items()]}
+
+
+class TestRationalPairingWire:
+    """A rational pairing file is parsed straight to its cleared form."""
+
+    @given(obj=rational_pairing_files())
+    # every denominator +-1, so none is scaled: the sign of "3/-1" is the parser's
+    @example(obj=rational_file(2, 1, {(0, 1): ["3/-1"]}))
+    @example(obj=rational_file(3, 2, {(0, 1): ["2/-4", "6/4"], (1, 2): ["1/3", 5]}))
+    @example(obj=rational_file(3, 0, {(0, 2): []}))
+    @example(obj=rational_file(4, 2, {(0, 3): [f"{BIG}/{-BIG - 2}", "7"]}))
+    def test_same_pairing_as_one_fraction_per_entry(self, obj):
+        p, _ = pairing_from_json(obj)
+        ref = SkewPairing.from_map(obj["dim_v"], obj["dim_w"], {
+            (e["i"], e["j"]): tuple(map(wire_fraction, e["values"])) for e in obj["entries"]})
+        assert p == ref and hash(p) == hash(ref)
+        assert p.entries == ref.entries
+        assert p.is_rational() and ref.is_rational()
+        ints, den = p.cleared_form
+        want_ints, want_den = cleared(ref.matrix())
+        assert (ints.tolist(), den) == (want_ints.tolist(), want_den)
+        assert all(type(x) is int for x in ints.flat) and type(den) is int and den > 0
+        assert kernel(p).basis == kernel(ref).basis
+        assert pairing_to_json(p) == pairing_to_json(ref)
+
+    def test_cleared_form_is_read_only(self):
+        p, _ = pairing_from_json(rational_file(3, 1, {(0, 1): ["1/2"]}))
+        ints, den = p.cleared_form
+        assert (ints.tolist(), den) == ([[1, 0, 0]], 2)
+        with pytest.raises(ValueError):
+            ints[0, 0] = 5
+        with pytest.raises(AttributeError):
+            p.dim_w = 2
+
+    def test_zero_kernel_analyze_builds_no_fraction(self, capsys, tmp_path, monkeypatch):
+        # a unit upper triangular integer matrix with each row divided by its
+        # own q has full column rank, so the kernel is zero
+        d, n = 9, comb(9, 2)
+        rng = np.random.default_rng(9)
+        rows = [[int(rng.integers(-3, 4)) if c > r else int(c == r) for c in range(n)]
+                for r in range(n)]
+        qs = [int(q) for q in rng.integers(1, 6, size=n)]
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": d, "dim_w": n, "scalar": "rational", "entries": [
+            {"i": i, "j": j, "values": [f"{rows[r][k]}/{qs[r]}" for r in range(n)]}
+            for k, (i, j) in enumerate(pair_list(d))]}))
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        assert Fraction(1, 2) == Fraction(2, 4) and len(built) == 2
+        built.clear()
+        code, out, _ = run_cli(capsys, "analyze", "--pairing", str(path))
+        assert code == 0
+        assert json.loads(out)["verdict"]["certificate"] == "kernel_zero"
+        assert built == []
 
 
 class TestTupleJson:
@@ -440,6 +547,12 @@ class TestCliMalformedInput:
         [{"i": [0], "j": 1, "values": ["1"]}],
         [{"i": None, "j": 1, "values": ["1"]}],
         [{"i": 0, "j": 1, "values": ["1/0"]}],
+        [{"i": 0, "j": 1, "values": [True]}],
+        [{"i": 0, "j": 1, "values": ["1/2/3"]}],
+        [{"i": 0.7, "j": 1, "values": ["1"]}],
+        [{"i": "0", "j": 1, "values": ["1"]}],
+        [{"i": False, "j": 1, "values": ["1"]}],
+        [{"i": 0, "j": 1, "values": ["1"]}, {"i": 0, "j": 1, "values": ["2"]}],
     ])
     def test_malformed_rational_pairing_exit_2(self, capsys, tmp_path, entries):
         path = tmp_path / "pairing.json"
@@ -450,6 +563,19 @@ class TestCliMalformedInput:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("entries", [
+        [{"i": 0, "j": 1, "values": [True]}],
+        [{"i": 0, "j": 1, "values": [[True, 0]]}],
+        [{"i": 0.7, "j": 1, "values": [[1, 0]]}],
+        [{"i": "0", "j": 1, "values": [[1, 0]]}],
+        [{"i": 0, "j": 1, "values": [[1, 0]]}, {"i": 0, "j": 1, "values": [[2, 0]]}],
+    ])
+    def test_malformed_complex_pairing_exit_2(self, capsys, tmp_path, entries):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                                    "entries": entries}))
+        assert_value_error_exit_2(*run_cli(capsys, "kernel", "--pairing", str(path)))
 
     def test_complex_scalar_with_non_numeric_part_exit_2(self, capsys, tmp_path):
         path = tmp_path / "pairing.json"
@@ -541,6 +667,10 @@ class TestCliMalformedInput:
         [[0, 1, "1"]],
         [{"i": [0], "j": 1, "value": "1"}],
         [{"i": None, "j": 1, "value": "1"}],
+        # (0, 2) lies in the kernel of curve:2, so these are refused for their form
+        [{"i": "0", "j": 2, "value": "1"}],
+        [{"i": 0, "j": 2, "value": True}],
+        [{"i": 0, "j": 2, "value": "1"}, {"i": 0, "j": 2, "value": "2"}],
     ])
     def test_malformed_witness_exit_2(self, capsys, tmp_path, coeffs):
         path = tmp_path / "witness.json"

@@ -207,6 +207,31 @@ def sympy_nullspace(sympy, a):
     return [[row[0] for row in from_sympy(v)] for v in to_sympy(sympy, a).nullspace()]
 
 
+class TestCleared:
+    def test_fractions_share_the_least_denominator(self):
+        ints, den = cleared(np.array([[Fraction(1, 2), Fraction(-2, 3)], [4, Fraction(0)]],
+                                     dtype=object))
+        assert (ints.tolist(), den) == ([[3, -4], [24, 0]], 6)
+
+    def test_python_ints_are_returned_as_they_are(self):
+        a = np.array([[2**70, -3], [0, 5]], dtype=object)
+        ints, den = cleared(a)
+        assert ints is a and den == 1
+
+    @pytest.mark.parametrize("a", [
+        np.array([True, False, True]),
+        np.array([True, 2, Fraction(1)], dtype=object),
+        np.array([np.int64(2**62), np.int64(-3)], dtype=object),
+    ])
+    def test_other_integers_become_python_ints(self, a):
+        ints, den = cleared(a)
+        assert den == 1
+        assert all(type(x) is int for x in ints.flat)
+        assert ints.tolist() == [int(x) for x in a]
+        # Python ints do not wrap around where int64 would
+        assert (ints * ints).tolist() == [int(x) ** 2 for x in a]
+
+
 class TestExactEchelon:
     def test_rref_and_rank_match_sympy(self):
         sympy = pytest.importorskip("sympy")
