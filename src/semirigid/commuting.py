@@ -21,7 +21,6 @@ import numpy as np
 
 from .exterior import Bivector, SkewPairing, pair_list, skew
 from .scalars import (
-    Echelon,
     PreconditionError,
     ScalarMode,
     cleared,
@@ -36,6 +35,7 @@ from .scalars import (
     to_float,
     zeros,
 )
+from .scalars import _full_rank_mod_p, _rref
 
 
 class NotCommutingError(PreconditionError):
@@ -485,37 +485,6 @@ class RepAnalysis:
     stable: bool
 
 
-class _SpanBuilder:
-    """Incremental span of vectors, exact echelon or float orthonormal."""
-
-    def __init__(self, mode: ScalarMode):
-        self.mode = mode
-        self.rows = []
-        self.echelon = Echelon() if mode.is_exact else None
-
-    def add(self, v: np.ndarray) -> bool:
-        if self.echelon is not None:
-            return self.echelon.add(v.tolist())
-        w = np.asarray(v, dtype=complex)
-        orig = np.linalg.norm(w)
-        if orig == 0:
-            return False
-        for row in self.rows:
-            w = w - np.vdot(row, w) * row
-        # re-orthogonalize once for stability
-        for row in self.rows:
-            w = w - np.vdot(row, w) * row
-        norm = np.linalg.norm(w)
-        if norm <= self.mode.tol_rank * orig:
-            return False
-        self.rows.append(w / norm)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.rank if self.echelon is not None else len(self.rows)
-
-
 def _generators(alpha: MatrixTuple, mode: ScalarMode):
     """(I, A_1, ..., A_d) as one (d + 1, n, n) array, and the maps
     X -> A X - X A on row-major vec(X) stacked over the tuple, whose common
@@ -536,6 +505,54 @@ def _radical_dim(basis: np.ndarray, mode: ScalarMode) -> int:
     return k - rank(basis.reshape(k, -1) @ basis.transpose(0, 2, 1).reshape(k, -1).T, mode)
 
 
+def _algebra_basis(gens: np.ndarray, mode: ScalarMode) -> list | None:
+    """A basis of the algebra that gens = (I, A_1, ..., A_d) generate, or
+    None when it is all of M_n.
+
+    Each round keeps, in order, the candidates new to the span: first the
+    generators, then the products b A_k of the elements b the last round
+    kept.  Rational mode reads them off the pivots of one
+    :func:`scalars._rref`, after one full-rank pass mod p on a stack of n^2
+    or more vectors.  Float mode keeps a candidate that two Gram-Schmidt
+    passes leave above tol_rank times its own norm, and returns the
+    orthonormal basis: the products grow like powers of the tuple's scale,
+    and would make the trace form's rank scale-bound.
+    """
+    n2 = gens[0].size
+    span, cands = [], list(gens)
+    while len(span) < n2:
+        if mode.is_exact:
+            stack = np.array(span + cands).reshape(-1, n2)
+            if len(stack) >= n2 and _full_rank_mod_p(stack):
+                return None
+            # the span is independent, so it takes the first pivots
+            new = [cands[j - len(span)] for j in _rref(stack.T)[0][len(span):]]
+            span += new
+        else:
+            new = []
+            for c in cands:
+                w = c.reshape(-1)
+                orig = np.linalg.norm(w)
+                for row in span + span:  # twice, for stability
+                    w = w - np.vdot(row, w) * row
+                norm = np.linalg.norm(w)
+                if orig and norm > mode.tol_rank * orig:
+                    span.append(w / norm)
+                    new.append(c)
+                    if len(span) == n2:
+                        break
+        if not new:
+            return span
+        products = ((b @ g, b, g) for b in new for g in gens[1:])
+        # float products are formed as the span takes them, so none is formed
+        # past n^2; one that vanishes exactly is rounding noise of the size
+        # |b| |g|, which is no new direction at its own norm
+        cands = ([c for c, _, _ in products] if mode.is_exact else
+                 (c for c, b, g in products
+                  if not mode.vanishes([c], frobenius(b) * frobenius(g))))
+    return None
+
+
 def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnalysis:
     """Commutant, generated algebra, radical, and the derived stability flags.
 
@@ -550,35 +567,10 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     gens, sylvester = _generators(alpha, mode)
     commutant_dim = n * n - rank(sylvester, mode, tuple_scale(alpha))
 
-    span = _SpanBuilder(mode)
-    basis_mats = []
-    for m in gens:
-        if span.add(m.reshape(-1)):
-            basis_mats.append(m)
-    frontier = list(basis_mats)
-    while frontier and span.dim < n * n:
-        new_frontier = []
-        for b in frontier:
-            for g in gens[1:]:
-                cand = b @ g
-                # a float product that vanishes exactly is rounding noise of the
-                # size |b| |g|, which is no new direction at its own norm
-                if not mode.is_exact and mode.vanishes([cand], frobenius(b) * frobenius(g)):
-                    continue
-                if span.add(cand.reshape(-1)):
-                    basis_mats.append(cand)
-                    new_frontier.append(cand)
-                    if span.dim == n * n:
-                        break
-            if span.dim == n * n:
-                break
-        frontier = new_frontier
-    algebra_dim = span.dim
-    if not mode.is_exact:
-        # the trace form on the orthonormal basis: the products above grow
-        # like powers of the tuple's scale, and would make the rank scale-bound
-        basis_mats = [r.reshape(n, n) for r in span.rows]
-    radical_dim = _radical_dim(np.array(basis_mats), mode)
+    basis = _algebra_basis(gens, mode)
+    algebra_dim = n * n if basis is None else len(basis)
+    # M_n is simple, so its radical is 0
+    radical_dim = 0 if basis is None else _radical_dim(np.array(basis).reshape(-1, n, n), mode)
     irreducible = algebra_dim == n * n
     return RepAnalysis(
         commutant_dim=commutant_dim,

@@ -168,45 +168,6 @@ def cleared(a) -> tuple[np.ndarray, int]:
 # exact elimination
 
 
-class Echelon:
-    """Incremental fraction-free Gauss-Jordan elimination of integer rows.
-
-    The stored rows are the integer matrix ``det * RREF``: each holds ``det``
-    at its own pivot and 0 at every other pivot, where ``det`` is the pivot
-    minor of the rows taken so far.  Every update divides exactly by the
-    previous ``det`` (Bareiss, Math. Comp. 1968), so entries stay minors of
-    the input.  It serves the one incremental span, the algebra closure of
-    ``commuting.rep_analysis``; rank, nullspace and solve use :func:`_rref`.
-    """
-
-    def __init__(self):
-        self.rows = []
-        self.pivots = []
-        self.det = 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, row) -> bool:
-        """Add a row of Python ints; return whether the span grew."""
-        det = self.det
-        w = [det * x for x in row]
-        for r, p in zip(self.rows, self.pivots):
-            c = row[p]
-            if c:
-                w = [x - c * y for x, y in zip(w, r)]
-        q = next((j for j, x in enumerate(w) if x), None)
-        if q is None:
-            return False
-        new = w[q]
-        self.rows = [[(new * x - r[q] * y) // det for x, y in zip(r, w)] for r in self.rows]
-        self.rows.append(w)
-        self.pivots.append(q)
-        self.det = new
-        return True
-
-
 @functools.cache
 def _prime(i: int) -> int:
     """The i-th prime below 2^31, counting down: 2^31 - 1, 2^31 - 19, ..."""
@@ -356,6 +317,14 @@ def _rref(a: np.ndarray):
         out = _lift(ints, reduced, pivots, rows, p)
         if out is not None:
             return pivots, out
+
+
+def _full_rank_mod_p(a: np.ndarray) -> bool:
+    """Whether a rational matrix has a pivot in every column mod the first
+    prime, which proves full column rank over Q.  False proves nothing."""
+    ints, p = cleared(a)[0], _prime(0)
+    width = ints.shape[1]
+    return len(_gauss_jordan_mod((ints % p).astype(np.int64), p, width)[1]) == width
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 Rational scalars are written as strings "p/q" with q > 0 and gcd(p, q) = 1,
 and read from integers and strings "p" or "p/q" with any nonzero q; complex
 scalars travel as two-element arrays [re, im] of finite decimal floats.
-Booleans are not scalars.  A rational pairing is parsed straight to its
-cleared form, one integer matrix and one denominator, with no Fraction per
-entry.  All keys are snake_case and emission is deterministic for identical
-values.
+Booleans are not scalars, and sizes are JSON integers.  A rational pairing
+is parsed straight to its cleared form, one integer matrix and one
+denominator, with no Fraction per entry.  All keys are snake_case and
+emission is deterministic for identical values.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ def _by_pair(items, d: int, what: str) -> dict:
     return out
 
 
+def _integer(v, what: str) -> int:
+    """v, which must be a JSON integer, not a boolean."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def infer_kind(data) -> str:
     """Wire kind of a pairing, tuple, bivector or spectrum."""
     return RATIONAL if data.is_rational() else COMPLEX
@@ -137,8 +144,8 @@ def pairing_from_json(obj: dict):
     """Parse a pairing; returns (pairing, filtered_or_none).  A rational
     pairing is built from its cleared form."""
     try:
-        d = int(obj["dim_v"])
-        m = int(obj["dim_w"])
+        d = _integer(obj["dim_v"], "dim_v")
+        m = _integer(obj["dim_w"], "dim_w")
         kind = obj["scalar"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"pairing object missing field: {exc}") from exc
@@ -163,7 +170,7 @@ def pairing_from_json(obj: dict):
     if "filtration" in obj:
         filt = obj["filtration"]
         if not (isinstance(filt, dict) and all(
-                isinstance(filt.get(k), list) and all(isinstance(x, int) for x in filt[k])
+                isinstance(filt.get(k), list) and all(type(x) is int for x in filt[k])
                 for k in ("v", "w"))):
             raise ValueError("filtration must be an object whose v and w are lists of integers")
         filtered = FilteredPairing(pairing, tuple(filt["v"]), tuple(filt["w"]))
@@ -183,8 +190,8 @@ def tuple_to_json(alpha: MatrixTuple) -> dict:
 
 def tuple_from_json(obj: dict) -> MatrixTuple:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n = _integer(obj["n"], "n")
+        d = _integer(obj["d"], "d")
         kind = obj["scalar"]
         mats = obj["matrices"]
     except (KeyError, TypeError) as exc:
@@ -227,7 +234,7 @@ def bivector_to_json(w: Bivector) -> dict:
 
 def bivector_from_json(obj: dict) -> Bivector:
     try:
-        d = int(obj["dim_v"])
+        d = _integer(obj["dim_v"], "dim_v")
         coeffs = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bivector object missing field: {exc}") from exc
@@ -260,8 +267,8 @@ def verdict_from_json(obj: dict) -> Verdict:
         certificate=obj["certificate"],
         witness=witness,
         evidence=Evidence(
-            kernel_dim=int(ev.get("kernel_dim", 0)),
-            restarts_used=int(ev.get("restarts_used", 0)),
+            kernel_dim=_integer(ev.get("kernel_dim", 0), "kernel_dim"),
+            restarts_used=_integer(ev.get("restarts_used", 0), "restarts_used"),
             best_residual=ev.get("best_residual"),
         ),
     )

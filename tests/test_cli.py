@@ -232,6 +232,15 @@ class TestVerdictJson:
         v2 = decide(catalog_build("torus", (1,)).pairing)
         assert verdict_from_json(verdict_to_json(v2)) == v2
 
+    @pytest.mark.parametrize("field, value", [("kernel_dim", True), ("kernel_dim", 1.5),
+                                              ("restarts_used", "3")])
+    def test_evidence_counts_are_integers(self, field, value):
+        from semirigid.serialize import verdict_from_json, verdict_to_json
+        obj = verdict_to_json(decide(catalog_build("torus", (1,)).pairing))
+        obj["evidence"][field] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            verdict_from_json(obj)
+
 
 class TestCatalog:
     def test_expected_verdicts_hold(self):
@@ -590,12 +599,55 @@ class TestCliMalformedInput:
         {"v": [[1], 0, 0], "w": [0]},
         {"v": [0, 0, 0]},
         {"v": ["0", 0, 0], "w": [0]},
+        {"v": [True, 0, 0], "w": [0]},
     ])
     def test_malformed_filtration_exit_2(self, capsys, tmp_path, filtration):
         path = tmp_path / "pairing.json"
         path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "rational",
                                     "entries": [], "filtration": filtration}))
         assert_value_error_exit_2(*run_cli(capsys, "analyze", "--pairing", str(path)))
+
+    # sizes must be JSON integers, not floats, strings or booleans
+    @pytest.mark.parametrize("cmd", ["kernel", "analyze"])
+    @pytest.mark.parametrize("dims", [
+        {"dim_v": 3.7, "dim_w": "1"},
+        {"dim_v": True, "dim_w": 1},
+        {"dim_v": 3, "dim_w": 1.0},
+        {"dim_v": "3", "dim_w": 1},
+        {"dim_v": 3, "dim_w": False},
+    ])
+    def test_non_integer_pairing_dims_exit_2(self, capsys, tmp_path, cmd, dims):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({**dims, "scalar": "rational",
+                                    "entries": [{"i": 0, "j": 1, "values": ["1"]}]}))
+        code, out, err = run_cli(capsys, cmd, "--pairing", str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("cmd", ["spectrum", "analyze"])
+    @pytest.mark.parametrize("sizes", [
+        {"n": 2.5, "d": 1},
+        {"n": "2", "d": 1},
+        {"n": 2, "d": True},
+        {"n": 2, "d": 1.0},
+    ])
+    def test_non_integer_tuple_sizes_exit_2(self, capsys, tmp_path, cmd, sizes):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({**sizes, "scalar": "rational",
+                                    "matrices": [[["1", "0"], ["0", "2"]]]}))
+        code, out, err = run_cli(capsys, "commuting", cmd, "--tuple", str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("dim_v", [4.0, "4", True])
+    def test_non_integer_witness_dim_exit_2(self, capsys, tmp_path, dim_v):
+        # (0, 2) lies in the kernel of curve:2, so only the dimension is wrong
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": dim_v, "coeffs": [{"i": 0, "j": 2, "value": "1"}]}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", "catalog:curve:2",
+                                 "--witness", str(path), "--n", "2")
+        assert_value_error_exit_2(code, out, err)
+        assert "must be an integer" in err
 
     @pytest.mark.parametrize("matrices", [
         5,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirigid import commuting
+from semirigid import commuting, scalars
 from semirigid.commuting import (
     MatrixTuple,
     NotCommutingError,
@@ -36,6 +36,7 @@ from util import (
     fraction_chi,
     fraction_rep_analysis,
     fraction_triangularize,
+    incremental_float_rep_analysis,
     mixed_fraction_matrix,
     unitriangular_pair,
 )
@@ -513,6 +514,27 @@ class TestSl2Triple:
             regular_sl2_triple(1)
 
 
+def float_closure_tuples():
+    """Seeded dense and conjugated block-upper-triangular float tuples, then
+    diag(1..14), which loses its top power below tol_rank (algebra_dim 13), a
+    pair whose product is far smaller than |X| |Y|, and two idempotents whose
+    product is rounding noise."""
+    out = []
+    for seed in range(6):
+        rng = np.random.default_rng([72, seed])
+        n, d = 2 + seed, 1 + seed % 3
+        block = rng.integers(-3, 4, size=(2, n, n)).astype(complex)
+        block[:, n // 2:, :n // 2] = 0
+        out += [MatrixTuple.from_matrices(list(rng.standard_normal((d, n, n)))),
+                conjugated_float(*block, seed=seed)]
+    return out + [
+        float_tuple(np.diag(np.arange(1.0, 15.0))),
+        MatrixTuple.from_matrices([exact_matrix([[1, Fraction(1, 10**4)], [0, 0]]),
+                                   exact_matrix([[1, 0], [-9 * 10**3, 0]])]).to_float(),
+        conjugated_float(np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), seed=6),
+    ]
+
+
 class TestRepAnalysis:
     def test_sl2_pair_irreducible(self):
         out = rep_analysis(sl2_pair(2), EXACT)
@@ -565,6 +587,35 @@ class TestRepAnalysis:
         out = rep_analysis(alpha, FLOAT)
         assert (out.algebra_dim, out.commutant_dim) == (1, 4)
         assert not regular_locus_test(alpha, FLOAT)
+
+    def test_generator_vanishing_mod_the_first_prime(self):
+        # A = diag(0, 2^31 - 1) is 0 mod the first prime, 2^31 - 1, which sees
+        # only the identity; the algebra is the diagonal one
+        out = rep_analysis(exact_tuple(np.diag([0, 2**31 - 1])), EXACT)
+        assert (out.algebra_dim, out.radical_dim, out.commutant_dim) == (2, 0, 2)
+
+    def test_last_round_of_a_dense_pair_makes_no_lift(self, monkeypatch):
+        # a dense pair at n = 6 spans M_6 with its words of length <= 5; the
+        # last round stacks 63 vectors, whose full rank mod p ends the closure
+        lifted = []
+
+        def lift(a, *args):
+            lifted.append(a.shape)
+            return original(a, *args)
+
+        original = scalars._lift
+        monkeypatch.setattr(scalars, "_lift", lift)
+        rng = np.random.default_rng(71)
+        alpha = exact_tuple(*rng.integers(-9, 10, size=(2, 6, 6)))
+        assert rep_analysis(alpha, EXACT).irreducible
+        # the closure's stacks have 36 rows (the commutant's has 72); round 2
+        # repeats A and B as I A and I B, so it lifts
+        closure = [cols for rows, cols in lifted if rows == 36]
+        assert closure == [9]
+
+    @pytest.mark.parametrize("alpha", float_closure_tuples())
+    def test_float_matches_the_incremental_closure(self, alpha):
+        assert rep_analysis(alpha, FLOAT) == incremental_float_rep_analysis(alpha, FLOAT)
 
     def test_irreducible_implies_invariants(self):
         rng = np.random.default_rng(59)
@@ -840,6 +891,20 @@ def mixed_denominator_tuples(commuting_only):
     return out
 
 
+def closure_tuples():
+    """Seeded integer tuples whose closure runs several rounds: dense ones,
+    which span M_n, and block-upper-triangular ones, which do not."""
+    rng = np.random.default_rng(73)
+    out = [MatrixTuple.from_matrices([exact_matrix(m) for m in
+                                      rng.integers(-9, 10, size=(d, n, n))])
+           for n, d in ((3, 3), (4, 2))]
+    for n in (3, 4, 5):
+        block = rng.integers(-3, 4, size=(2, n, n))
+        block[:, n // 2 + 1:, :n // 2 + 1] = 0
+        out.append(MatrixTuple.from_matrices([exact_matrix(m) for m in block]))
+    return out
+
+
 class TestClearedProductsMatchFractions:
     def test_chi(self):
         for alpha in mixed_denominator_tuples(commuting_only=False):
@@ -856,7 +921,7 @@ class TestClearedProductsMatchFractions:
             assert all(type(x) is Fraction for m in (q, *tri.matrices) for x in m.flat)
 
     def test_rep_analysis(self):
-        for alpha in mixed_denominator_tuples(commuting_only=False):
+        for alpha in [*mixed_denominator_tuples(commuting_only=False), *closure_tuples()]:
             assert rep_analysis(alpha, EXACT) == fraction_rep_analysis(alpha)
 
     def test_trace_monomials(self):

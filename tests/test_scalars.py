@@ -10,7 +10,6 @@ from semirigid import scalars
 from semirigid.commuting import MatrixTuple, joint_spectrum
 from semirigid.exterior import SkewPairing, kernel
 from semirigid.scalars import (
-    Echelon,
     IrrationalSpectrumError,
     ScalarMode,
     cleared,
@@ -24,7 +23,7 @@ from semirigid.scalars import (
     to_float,
 )
 from semirigid.scalars import _char_poly_exact, _rational_roots, _rref
-from util import (echelon_nullspace, echelon_rank, echelon_rref, echelon_solve,
+from util import (Echelon, echelon_nullspace, echelon_rank, echelon_rref, echelon_solve,
                   unitriangular_pair)
 
 EXACT = ScalarMode.exact()

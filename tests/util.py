@@ -6,10 +6,9 @@ from math import comb
 import numpy as np
 
 from semirigid import commuting
-from semirigid.commuting import RepAnalysis, trace
+from semirigid.commuting import RepAnalysis, frobenius, trace, tuple_scale
 from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, wedge
 from semirigid.scalars import (
-    Echelon,
     ScalarMode,
     cleared,
     eigenvalues,
@@ -188,6 +187,49 @@ def fraction_rep_analysis(alpha) -> RepAnalysis:
                        semisimple=radical_dim == 0, stable=algebra_dim == n * n)
 
 
+def incremental_float_rep_analysis(alpha, mode) -> RepAnalysis:
+    """``rep_analysis`` in float mode, one candidate at a time: each is kept
+    when two Gram-Schmidt passes against the orthonormal rows so far leave
+    more than tol_rank times its own norm, and a product b g is skipped when
+    it vanishes at |b| |g|."""
+    n = alpha.n
+    gens, sylvester = commuting._generators(alpha, mode)
+    commutant_dim = n * n - rank(sylvester, mode, tuple_scale(alpha))
+    rows = []
+
+    def add(m):
+        w = np.asarray(m, dtype=complex).reshape(-1)
+        orig = np.linalg.norm(w)
+        if orig == 0:
+            return False
+        for row in rows:
+            w = w - np.vdot(row, w) * row
+        for row in rows:
+            w = w - np.vdot(row, w) * row
+        norm = np.linalg.norm(w)
+        if norm <= mode.tol_rank * orig:
+            return False
+        rows.append(w / norm)
+        return True
+
+    frontier = [m for m in gens if add(m)]
+    while frontier and len(rows) < n * n:
+        new_frontier = []
+        for b in frontier:
+            for g in gens[1:]:
+                cand = b @ g
+                if mode.vanishes([cand], frobenius(b) * frobenius(g)):
+                    continue
+                if len(rows) < n * n and add(cand):
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    algebra_dim = len(rows)
+    radical_dim = commuting._radical_dim(np.array(rows).reshape(-1, n, n), mode)
+    return RepAnalysis(commutant_dim=commutant_dim, algebra_dim=algebra_dim,
+                       radical_dim=radical_dim, irreducible=algebra_dim == n * n,
+                       semisimple=radical_dim == 0, stable=algebra_dim == n * n)
+
+
 def mixed_fraction_matrix(rng, n):
     """n x n entries p/q with p in [-5, 5] and q in [1, 6]."""
     return exact_matrix([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
@@ -197,6 +239,45 @@ def mixed_fraction_matrix(rng, n):
 # ---------------------------------------------------------------------------
 # exact rank, nullspace and solve by incremental Bareiss elimination of the
 # cleared rows: the references for the modular engine in ``scalars``
+
+
+class Echelon:
+    """Incremental fraction-free Gauss-Jordan elimination of integer rows.
+
+    The stored rows are the integer matrix ``det * RREF``: each holds ``det``
+    at its own pivot and 0 at every other pivot, where ``det`` is the pivot
+    minor of the rows taken so far.  Every update divides exactly by the
+    previous ``det`` (Bareiss, Math. Comp. 1968), so entries stay minors of
+    the input.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+        self.det = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row) -> bool:
+        """Add a row of Python ints; return whether the span grew."""
+        det = self.det
+        w = [det * x for x in row]
+        for r, p in zip(self.rows, self.pivots):
+            c = row[p]
+            if c:
+                w = [x - c * y for x, y in zip(w, r)]
+        q = next((j for j, x in enumerate(w) if x), None)
+        if q is None:
+            return False
+        new = w[q]
+        self.rows = [[(new * x - r[q] * y) // det for x, y in zip(r, w)] for r in self.rows]
+        self.rows.append(w)
+        self.pivots.append(q)
+        self.det = new
+        return True
+
 
 
 def echelon_rref(a):
