@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -102,12 +103,13 @@ def _load_pairing(source: str):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SEMIRIGID_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    """``--seed``, else ``SEMIRIGID_SEED``, else 0; a negative seed is refused."""
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        seed = int(os.environ.get("SEMIRIGID_SEED", 0))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _search_config(args, seed: int) -> SearchConfig:
@@ -257,7 +259,7 @@ def _cmd_verify_chevalley(args, started):
         points = [tuple(dg[j, j] for dg in diags) for j in range(n)]
         monos = trace_monomials(alpha, min(4, max(n, 2)))
         for word, val in monos.items():
-            expected = sum(np.prod([pt[i - 1] for i in word]) for pt in points)
+            expected = sum(math.prod(pt[i - 1] for i in word) for pt in points)
             if abs(val - expected) > mode.tol_residual * max(1.0, abs(expected)):
                 failures["power_sums"] += 1
                 break

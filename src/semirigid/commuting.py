@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product, repeat
 
 import numpy as np
 
@@ -390,32 +390,22 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     return out
 
 
-def _power_sums(mats):
-    """tr(A_1^a_1 ... A_d^a_d), 1 <= |a| <= n, depth first over nondecreasing
-    words: one product per word on its prefix, at most n d held at a time."""
-    n = mats[0].shape[0]
-    stack = [(1, j, m) for j, m in enumerate(mats)]
-    while stack:
-        degree, j, m = stack.pop()
-        yield trace(m)
-        if degree < n:
-            stack += [(degree + 1, k, m @ mats[k]) for k in range(j, len(mats))]
-
-
 def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple,
                         mode: ScalarMode | None = None) -> bool:
     """Whether two commuting tuples have equal joint spectra as multisets.
 
-    The power sums p_a = tr(A_1^a_1 ... A_d^a_d), 1 <= |a| <= n, sum x^a over
-    the joint spectrum and determine it (Weyl's polarization theorem), so they
-    decide whether the tuples map to the same point of the quotient; no
-    eigenvalue is computed.  Rational mode clears both tuples with one common
-    denominator and compares integers, so irrational spectra get an exact
-    answer too.  Float mode divides both tuples by s, the larger tuple norm,
-    and judges each difference at tol_residual n, p_a at tol_residual n s^|a|:
-    equal means equal up to a backward error of tol_residual at the scale s,
-    and a cluster of m joint eigenvalues is resolved only to about
-    tol_residual^(1/m) s.
+    B_t = sum_i t_i A_i has the eigenvalues <t, x> over the joint spectrum,
+    and tr(B_t^j), j = 1..n, fix them; no eigenvalue is computed.  The k =
+    (d-1)(2n-1) + 1 directions t = (1, s, ..., s^(d-1)), s distinct, decide:
+    unequal spectra differ by a nonzero signed measure on at most 2n points,
+    and as any d directions are independent, a point q != p shares p's fibre
+    in at most d-1 of them, so some direction separates p (Renyi 1952,
+    Heppes 1956).  Rational mode takes s = 0..k-1 on both tuples cleared with
+    one common denominator and compares integers, exact for irrational
+    spectra too.  Float mode takes the k-th roots of unity, divides both
+    tuples by d times the larger tuple norm, so that |B_t| <= 1, and judges
+    each difference at tol_residual n; a cluster of m joint eigenvalues is
+    resolved to about tol_residual^(1/m) times that scale.
     """
     if (alpha.n, alpha.d) != (beta.n, beta.d):
         raise ValueError("tuples must share matrix size and length")
@@ -424,13 +414,18 @@ def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple,
         alpha, beta = alpha.to_float(), beta.to_float()
     _require_commuting(alpha, mode)
     _require_commuting(beta, mode)
-    mats = np.array(alpha.matrices + beta.matrices)
+    n, d = alpha.n, alpha.d
+    k = (d - 1) * (2 * n - 1) + 1
+    mats = np.array(alpha.matrices + beta.matrices).reshape(2, d, n, n)
     if mode.is_exact:
-        mats, _ = cleared(mats)
+        mats, s = cleared(mats)[0], np.arange(k, dtype=object)
     else:
-        mats = mats / (max(tuple_scale(alpha), tuple_scale(beta)) or 1.0)
-    sums = zip(_power_sums(mats[:alpha.d]), _power_sums(mats[alpha.d:]))
-    return all(mode.vanishes([x - y], alpha.n) for x, y in sums)
+        mats = mats / (d * max(tuple_scale(alpha), tuple_scale(beta)) or 1.0)
+        s = np.exp(2j * np.pi * np.arange(k) / k)
+    b = np.tensordot(np.vander(s, d, increasing=True), mats, (1, 1))  # (k, 2, n, n)
+    powers = accumulate(repeat(b, n), np.matmul)  # B_t^j, j = 1..n
+    sums = np.array([np.trace(p, axis1=2, axis2=3) for p in powers])
+    return mode.vanishes(np.ravel(sums[..., 0] - sums[..., 1]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ class SearchConfig:
             raise ValueError("restarts and max_iterations must be positive")
         if not self.tol_plucker > 0:
             raise ValueError("tol_plucker must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -501,6 +501,24 @@ class TestCliVerifyAndMisc:
         assert code == 0
         assert json.loads(out)["chevalley"]["passed"] is True
 
+    def test_verify_chevalley_failures_exit_1(self, capsys, monkeypatch):
+        separates, monomials = cli.chevalley_separates, cli.trace_monomials
+
+        def one_wrong_value(alpha, max_degree):
+            out = monomials(alpha, max_degree)
+            out[(1,)] += 1
+            return out
+
+        monkeypatch.setattr(cli, "chevalley_separates", lambda *a: not separates(*a))
+        monkeypatch.setattr(cli, "trace_monomials", one_wrong_value)
+        code, out, _ = run_cli(capsys, "verify", "chevalley", "--n", "2", "--d", "2",
+                               "--samples", "3", "--seed", "3")
+        assert code == 1
+        report = json.loads(out)  # exactly one JSON document on stdout
+        assert report["chevalley"]["passed"] is False
+        assert report["chevalley"]["failures"] == {
+            "power_sums": 3, "conjugation": 3, "perturbation": 3}
+
     def test_split_dim(self, capsys):
         code, out, _ = run_cli(capsys, "split-dim", "--n", "63", "--dim-m", "10")
         assert code == 0
@@ -816,6 +834,10 @@ class TestCliSearchDefaults:
         ("analyze", "--restarts", "-2"),
         ("construct", "stable", "--auto", "--n", "2", "--restarts", "0"),
         ("sample", "mu-zero", "--n", "2", "--starts", "0"),
+        ("analyze", "--seed", "-1"),
+        ("kernel", "--seed", "-1"),
+        ("construct", "stable", "--auto", "--n", "2", "--seed", "-1"),
+        ("sample", "mu-zero", "--n", "2", "--seed", "-1"),
     ])
     def test_zero_or_negative_settings_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--pairing", "catalog:curve:2")
@@ -823,6 +845,30 @@ class TestCliSearchDefaults:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--pairing", "catalog:curve:3"),
+        ("commuting", "spectrum", "--tuple", "TUPLE"),
+        ("commuting", "invariants", "--tuple", "TUPLE"),
+        ("commuting", "analyze", "--tuple", "TUPLE"),
+        ("verify", "chevalley", "--n", "2", "--d", "2", "--samples", "1"),
+        ("catalog", "list"),
+        ("catalog", "show", "curve", "2"),
+        ("split-dim", "--n", "3", "--dim-m", "2"),
+    ])
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "scalar": "rational",
+                                    "matrices": [[["1", "0"], ["0", "2"]]]}))
+        argv = [str(path) if a == "TUPLE" else a for a in argv]
+        monkeypatch.delenv("SEMIRIGID_SEED", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--seed", "-3")
+        assert_value_error_exit_2(code, out, err)
+        assert "got -3" in err
+        monkeypatch.setenv("SEMIRIGID_SEED", "-3")
+        code, out, err = run_cli(capsys, *argv)
+        assert_value_error_exit_2(code, out, err)
+        assert "got -3" in err
 
     def test_tol_rank_flag_is_a_usage_error(self, capsys):
         # a witness is re-checked at the default rank tolerance; no flag sets it

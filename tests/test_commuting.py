@@ -1,10 +1,11 @@
 
+import time
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semirigid import commuting, scalars
@@ -39,6 +40,7 @@ from util import (
     incremental_float_rep_analysis,
     mixed_fraction_matrix,
     unitriangular_pair,
+    walk_separates,
 )
 
 EXACT = ScalarMode.exact()
@@ -492,6 +494,36 @@ class TestChevalleySeparates:
         assert chevalley_separates(alpha, alpha, mode)
         assert not chevalley_separates(alpha, alpha.scaled(2), mode)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("points, other", [
+        ([[0, 0], [1, 1]], [[0, 1], [1, 0]]),  # x and y agree
+        ([[0, 0], [1, 0]], [[0, 1], [1, -1]]),  # x and x + y agree
+        ([[0, 0], [1, 0]], [[Fraction(1, 2), Fraction(-1, 2)],
+                            [Fraction(1, 2), Fraction(1, 2)]]),  # x + y and x - y agree
+    ])
+    def test_spectra_agreeing_on_two_directions_differ(self, mode, points, other):
+        alpha, beta, same = spectrum_pair(points, other, 4)
+        assert not same and not chevalley_separates(alpha, beta, mode)
+        assert chevalley_separates(beta, conjugated(beta, 6), mode)
+
+    @pytest.mark.parametrize("mode, limit", [(FLOAT, 0.1), (EXACT, 0.5)])
+    def test_n8_d8_walks_no_words(self, mode, limit):
+        # the C(16, 8) - 1 word walk takes 0.3 s in float and 0.6-1 s exact on a
+        # 2-vCPU host
+        rng = np.random.default_rng(8)
+        diags = [np.diag(rng.integers(-4, 5, size=8)) for _ in range(8)]
+        if mode.is_exact:
+            alpha = exact_tuple(*diags)
+            beta = conjugated(alpha, 8)
+        else:
+            alpha, beta = (conjugated_float(*diags, seed=s) for s in (1, 2))
+        took = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert chevalley_separates(alpha, beta, mode)
+            took.append(time.perf_counter() - start)
+        assert min(took) < limit
+
 
 class TestSl2Triple:
     def test_n2_matrices(self):
@@ -829,6 +861,45 @@ class TestFloatSpectrumScaling:
         a = float_tuple(np.diag([1e-9, 2e-9, 3e-9]))
         assert regular_locus_test(a, FLOAT)
         assert not chevalley_separates(a, float_tuple(np.diag([1e-9, 2e-9, 2e-9])), FLOAT)
+
+
+def spectrum_pair(points, other, seed):
+    """Unimodular conjugates of the diagonal integer tuples with joint spectra
+    ``points`` and ``other`` (n x d), and whether those multisets agree."""
+    alpha, beta = (conjugated(exact_tuple(*(np.diag(c) for c in np.transpose(p))), seed + i)
+                   for i, p in enumerate((points, other)))
+    return alpha, beta, sorted(map(tuple, points)) == sorted(map(tuple, other))
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """A pair from ``spectrum_pair``: the second spectrum is the first permuted,
+    then left alone, with one coordinate bumped, or with one coordinate column
+    reversed, which keeps every coordinate projection."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    points = np.array(draw(st.lists(st.lists(small_ints, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    other = points[draw(st.permutations(range(n)))]
+    j = draw(st.integers(0, d - 1))
+    change = draw(st.sampled_from(["none", "bump", "reverse"]))
+    if change == "bump":
+        other[draw(st.integers(0, n - 1)), j] += 1
+    elif change == "reverse":
+        other[:, j] = other[::-1, j].copy()
+    return spectrum_pair(points, other, draw(st.integers(0, 2**16)))
+
+
+class TestChevalleyAgainstWordWalk:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @given(pair=spectrum_pairs())
+    @example(pair=spectrum_pair([[2]], [[2]], 0))
+    @example(pair=spectrum_pair([[2]], [[3]], 0))
+    @example(pair=spectrum_pair([[1], [2], [-1]], [[2], [-1], [1]], 1))
+    @example(pair=spectrum_pair([[0, 0], [1, 1], [2, 0]], [[0, 1], [1, 0], [2, 0]], 2))
+    def test_agrees_with_the_word_walk(self, mode, pair):
+        alpha, beta, same = pair
+        assert chevalley_separates(alpha, beta, mode) == same
+        assert walk_separates(alpha, beta, mode) == same
 
 
 @st.composite

@@ -93,6 +93,16 @@ class TestDecide:
         assert bivector_rank(v.witness, mode) == 2
         assert v.evidence.kernel_dim == 5
 
+    @pytest.mark.parametrize("mode", [None, FLOAT])
+    def test_rank4_kernel_line_d4_semirigid(self, mode):
+        # the kernel is the line of e0^e1 + e2^e3, whose Pfaffian is 1
+        p = SkewPairing.from_map(4, 5, {(0, 2): (1, 0, 0, 0, 0), (0, 3): (0, 1, 0, 0, 0),
+                                        (1, 2): (0, 0, 1, 0, 0), (1, 3): (0, 0, 0, 1, 0),
+                                        (0, 1): (0, 0, 0, 0, 1), (2, 3): (0, 0, 0, 0, -1)})
+        v = decide(p, mode)
+        assert v.status == SEMI_RIGID and v.certificate == CERT_EXACT_LOW_DIM
+        assert v.witness is None and v.evidence.kernel_dim == 1
+
     def test_identity_pairing_semirigid(self):
         for d in (2, 3, 4, 5):
             v = decide(SkewPairing.identity(d))
@@ -567,6 +577,11 @@ class TestConstructStablePoint:
         assert rep_analysis(alpha, EXACT).irreducible
 
 
+def test_search_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="got -1"):
+        SearchConfig(seed=-1)
+
+
 class TestMuZeroSampler:
     def test_injective_pairing_all_commuting(self):
         p = symplectic_pairing(2)
@@ -589,6 +604,11 @@ class TestMuZeroSampler:
         assert out.converged == out.attempted == 6
         labels = {s.commuting for s in out.samples}
         assert False in labels
+
+    def test_unconverged_starts_give_no_sample(self):
+        out = mu_zero_sampler(catalog_build("identity", [3]).pairing, 3,
+                              SearchConfig(restarts=6, max_iterations=1))
+        assert (out.attempted, out.converged, out.samples) == (6, 0, ())
 
     def test_samples_satisfy_mu(self):
         p = symplectic_pairing(4)

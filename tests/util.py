@@ -319,3 +319,37 @@ def echelon_solve(a, b) -> list:
     if pivots != list(range(k)):
         raise ValueError("linear system has no unique exact solution")
     return [row[k:] for row in m]
+
+
+# ---------------------------------------------------------------------------
+# joint spectra compared by the power sums of all words: the reference for the
+# direction power sums of ``commuting.chevalley_separates``
+
+
+def _word_power_sums(mats):
+    """tr(A_1^a_1 ... A_d^a_d), 1 <= |a| <= n, depth first over nondecreasing
+    words: one product per word on its prefix, at most n d held at a time."""
+    n = mats[0].shape[0]
+    stack = [(1, j, m) for j, m in enumerate(mats)]
+    while stack:
+        degree, j, m = stack.pop()
+        yield trace(m)
+        if degree < n:
+            stack += [(degree + 1, k, m @ mats[k]) for k in range(j, len(mats))]
+
+
+def walk_separates(alpha, beta, mode) -> bool:
+    """Whether two commuting tuples have equal joint spectra, by the C(n+d, d) - 1
+    power sums p_a, 1 <= |a| <= n, of each (Weyl's polarization theorem).
+    Rational mode compares the integers of both tuples cleared with one common
+    denominator; float mode divides both by the larger tuple norm and judges
+    each difference at tol_residual n."""
+    if not mode.is_exact:
+        alpha, beta = alpha.to_float(), beta.to_float()
+    mats = np.array(alpha.matrices + beta.matrices)
+    if mode.is_exact:
+        mats, _ = cleared(mats)
+    else:
+        mats = mats / (max(tuple_scale(alpha), tuple_scale(beta)) or 1.0)
+    sums = zip(_word_power_sums(mats[:alpha.d]), _word_power_sums(mats[alpha.d:]))
+    return all(mode.vanishes([x - y], alpha.n) for x, y in sums)
