@@ -40,6 +40,7 @@ from .scalars import PreconditionError, ScalarMode, resolve_mode
 from .serialize import (
     bivector_from_json,
     bivector_to_json,
+    canonical_json,
     infer_kind,
     pairing_from_json,
     pairing_to_json,
@@ -72,10 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(message)
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
@@ -95,7 +92,7 @@ def _load_pairing(source: str):
     if source.startswith("catalog:"):
         parts = source.split(":")
         entry = catalog_build(parts[1], parts[2:])
-        text = _canonical_json(pairing_to_json(entry.pairing))
+        text = canonical_json(pairing_to_json(entry.pairing))
         return entry.pairing, _digest(text.encode())
     obj, digest = _read_json(source, "pairing")
     pairing, _ = pairing_from_json(obj)
@@ -129,7 +126,7 @@ def _requested_mode(args) -> ScalarMode | None:
 def _emit(started: float, digest: str, seed: int, **payload) -> int:
     """Write the report: the envelope (version, input digest, seed) and the payload keys."""
     report = {"tool_version": __version__, "input_digest": digest, "seed": seed, **payload}
-    sys.stdout.write(_canonical_json(report) + "\n")
+    sys.stdout.write(canonical_json(report) + "\n")
     sys.stderr.write(json.dumps({"timing_ms": round(1000 * (time.monotonic() - started), 3)})
                      + "\n")
     return EXIT_OK
@@ -290,7 +287,7 @@ def _cmd_catalog(args, started):
         return _emit(started, _digest(b"catalog:list"), seed, catalog=payload)
     entry = catalog_build(args.name, args.params)
     pairing_json = pairing_to_json(entry.pairing)
-    return _emit(started, _digest(_canonical_json(pairing_json).encode()), seed, entry={
+    return _emit(started, _digest(canonical_json(pairing_json).encode()), seed, entry={
         "name": entry.name,
         "params": list(entry.params),
         "expected_status": entry.expected_status,

@@ -118,7 +118,8 @@ def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
 
 
 def _mu_kernel(c: np.ndarray, a: np.ndarray):
-    """mu of a tuple stacked as a (d, n, n) array, with its partial sums.
+    """mu of a tuple stacked as a (d, n, n) array, with its partial sums; a
+    (..., d, n, n) stack of tuples gives one of each per tuple.
 
     ``c`` is the pairing as an antisymmetric (dim_w, d, d) array, C[k, i, j]
     the k-th W-coordinate of e_i wedge e_j, in the dtype of ``a``.  Returns
@@ -126,8 +127,8 @@ def _mu_kernel(c: np.ndarray, a: np.ndarray):
     S_kb = sum_i C[k,i,b] A_i, so that mu_k = sum_b S_kb A_b and the
     derivative of mu_k along A_b is V -> S_kb V - V S_kb.
     """
-    s = np.einsum('kib,inm->kbnm', c, a)
-    return np.einsum('kbnm,bml->knl', s, a), s
+    s = np.einsum('kib,...inm->...kbnm', c, a)
+    return np.einsum('...kbnm,...bml->...knl', s, a), s
 
 
 def _mu_jacobian(s: np.ndarray) -> np.ndarray:

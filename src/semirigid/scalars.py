@@ -78,8 +78,13 @@ class ScalarMode:
         each Frobenius norm is at most ``tol_residual * scale``."""
         if self.is_exact:
             return all(np.all(np.asarray(a) == 0) for a in arrays)
-        bound = self.tol_residual * scale
-        return all(np.linalg.norm(to_float(np.asarray(a))) <= bound for a in arrays)
+        return all(self.negligible(np.linalg.norm(to_float(np.asarray(a))), scale)
+                   for a in arrays)
+
+    def negligible(self, norms, scale=1.0):
+        """The float test of :meth:`vanishes` on norms already taken, entry by
+        entry: each norm at most ``tol_residual * scale``."""
+        return norms <= self.tol_residual * scale
 
 
 def resolve_mode(mode: ScalarMode | None, *data) -> ScalarMode:

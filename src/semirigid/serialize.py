@@ -6,7 +6,8 @@ scalars travel as two-element arrays [re, im] of finite decimal floats.
 Booleans are not scalars, and sizes are JSON integers.  A rational pairing
 is parsed straight to its cleared form, one integer matrix and one
 denominator, with no Fraction per entry.  All keys are snake_case and
-emission is deterministic for identical values.
+emission is deterministic for identical values: :func:`canonical_json`
+writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -74,6 +76,25 @@ def scalar_from_json(v, kind: str):
     if not cmath.isfinite(z):
         raise ValueError(f"complex scalar must be finite, got {v!r}")
     return z
+
+
+def _complex_values(vecs: list) -> list:
+    """The complex wire scalars of the lists ``vecs``, in order.  Lists of
+    [re, im] pairs of ints and floats are read in one numpy pass; anything
+    else, and any value that is not finite, goes through
+    :func:`scalar_from_json` one by one, which refuses it with its message."""
+    flat = [x for vec in vecs for x in vec]
+    if all(type(x) is list and len(x) == 2 for x in flat):
+        parts = [y for x in flat for y in x]
+        if set(map(type, parts)) <= {int, float}:
+            try:
+                pairs = np.array(parts, dtype=float).reshape(-1, 2)
+            except OverflowError:
+                pairs = None
+            if pairs is not None and np.isfinite(pairs).all():
+                # a view, so that each part keeps its bits, the sign of zero too
+                return pairs.view(complex).reshape(-1).tolist()
+    return [scalar_from_json(x, COMPLEX) for x in flat]
 
 
 def _by_pair(items, d: int, what: str) -> dict:
@@ -163,9 +184,10 @@ def pairing_from_json(obj: dict):
     if kind == RATIONAL:
         pairing = SkewPairing.from_cleared(d, m, *_cleared_columns(cols, m, n))
     else:
-        pairing = SkewPairing(d, m, tuple(
-            tuple(scalar_from_json(x, kind) for x in cols[k]) if k in cols else (0,) * m
-            for k in range(n)))
+        keys = sorted(cols)
+        values = _complex_values([cols[k] for k in keys])
+        rows = {k: tuple(values[i * m:(i + 1) * m]) for i, k in enumerate(keys)}
+        pairing = SkewPairing(d, m, tuple(rows.get(k, (0,) * m) for k in range(n)))
     filtered = None
     if "filtration" in obj:
         filt = obj["filtration"]
@@ -272,3 +294,50 @@ def verdict_from_json(obj: dict) -> Verdict:
             best_residual=ev.get("best_residual"),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x - x == 0:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _write(obj, pad: str) -> str:
+    """One JSON value whose line starts after ``pad`` ("\n" and the indent)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # rows of [re, im] pairs, the bulk of a complex report, by one template
+        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+        return "[" + inner + ("," + inner).join([
+            pair % (_float_text(x[0]), _float_text(x[1]))
+            if type(x) is list and len(x) == 2 and type(x[0]) is float and type(x[1]) is float
+            else _write(x, inner) for x in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _write(v, inner)
+            for k, v in sorted(obj.items())]) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a JSON value whose
+    keys are strings, without the pure-Python encoder that ``indent`` makes
+    json use."""
+    return _write(obj, "\n")

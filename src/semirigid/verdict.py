@@ -138,67 +138,129 @@ def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode):
 # witness search on rank-2 factors
 
 
-def _factor_residual(a3: np.ndarray, uv: np.ndarray):
-    """a(u wedge v) for the frame uv = [u v], and its (r, 2, d) Jacobian.
+def _tangent_system(a3t: np.ndarray, g: np.ndarray):
+    """Residuals, tangent Jacobians and scales of a stack of unitary frames.
 
-    ``a3`` is the annihilator of the kernel as an antisymmetric (r, d, d)
-    array, so the residual is sum_ij a3[w, i, j] u_i v_j.  It is bilinear in
-    (u, v); by antisymmetry the blocks are d/du = a3 v and d/dv = -a3 u.
+    ``a3t`` is the annihilator of the kernel as an antisymmetric (r, d, d)
+    array a, laid out as (d, r d) with a3t[i, w d + j] = a[w, i, j].  Each
+    frame G of the (L, d, d) stack ``g`` holds the plane [u v] in its first
+    two columns and G_perp in the rest.  One product P = [u v]^T a_w G gives
+    the residual u^T a_w v = P[0, w, 1] and, by antisymmetry, the Jacobian
+    along u + G_perp z_u, v + G_perp z_v: [-v^T a_w G_perp, u^T a_w G_perp],
+    r x (2d - 4).  |P| is the norm of the Jacobian in (u, v) before the
+    plane is projected out.
     """
-    du = a3 @ uv[:, 1]
-    return du @ uv[:, 0], np.stack([du, -(a3 @ uv[:, 0])], axis=1)
+    n, d, _ = g.shape
+    r = a3t.shape[1] // d
+    uv = g[:, :, :2].transpose(0, 2, 1).reshape(2 * n, d)
+    p = ((uv @ a3t).reshape(n, 2 * r, d) @ g).reshape(n, 2, r, d)
+    jac = np.concatenate([-p[:, 1, :, 2:], p[:, 0, :, 2:]], axis=2)
+    return p[:, 0, :, 1], jac, np.linalg.norm(p.reshape(n, -1), axis=1)
+
+
+def _min_norm_step(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Min-norm solutions z of J z = -res for a stack, from J^H J = V diag(lam) V^H
+    and grad = J^H res.  An eigenvalue at or below (2d - 4) eps lam_max, the
+    column count times the rounding of the Gram matrix, counts as zero."""
+    lam, vec = np.linalg.eigh(np.swapaxes(jac.conj(), 1, 2) @ jac)
+    coef = (np.swapaxes(vec.conj(), 1, 2) @ grad[..., None])[..., 0]
+    kept = lam > lam.shape[1] * np.finfo(float).eps * lam[:, -1:]
+    return -(vec @ np.divide(coef, lam, out=np.zeros_like(coef), where=kept)[..., None])[..., 0]
+
+
+def _start_frames(raw: np.ndarray, d: int, seed: int, restarts) -> np.ndarray:
+    """The unitary U of the SVD of a random kernel element, one per restart
+    index, each element drawn from ``default_rng((seed, index))``."""
+    m = raw.shape[1]
+    starts = []
+    for r in restarts:
+        rng = np.random.default_rng((seed, r))
+        starts.append(raw @ (rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+    return np.linalg.svd(skew(np.array(starts), d))[0]
+
+
+def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
+    """Run the restarts of the start frames ``g`` in lockstep.
+
+    Returns the index of the first restart that converged (None if none
+    did), its frame [u v], and the least |res|^2 each restart reached.  The
+    live set shrinks only when a restart ends: it converged, it is
+    stationary, its step is not finite, or a restart before it converged.
+    """
+    floating = ScalarMode.floating()
+    live = np.arange(len(g))
+    best = np.full(len(g), np.inf)
+    winner, plane = None, None
+    for _ in range(cfg.max_iterations):
+        res, jac, scale = _tangent_system(a3t, g)
+        norm = np.linalg.norm(res, axis=1)
+        best[live] = np.minimum(best[live], norm ** 2)
+        ended = norm ** 2 <= cfg.tol_plucker
+        if ended.any():
+            first = int(np.argmax(ended))
+            winner, plane = int(live[first]), g[first, :, :2]
+        grad = (np.swapaxes(jac.conj(), 1, 2) @ res[..., None])[..., 0]
+        # first-order stationarity of Gauss-Newton (Nocedal & Wright,
+        # Numerical Optimization, 10.3): the step would be zero.  |P| is |J|
+        # before the plane is projected out, so that a tangent J of rounding
+        # size counts as stationary
+        ended |= floating.negligible(np.linalg.norm(grad, axis=1), scale * norm)
+        if winner is not None:
+            ended |= live > winner
+        if ended.any():
+            live, g, jac, grad = live[~ended], g[~ended], jac[~ended], grad[~ended]
+            # with a winner, only restarts before it are left
+            if not live.size:
+                break
+        step = _min_norm_step(jac, grad)
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            live, g, step = live[finite], g[finite], step[finite]
+            if not live.size:
+                break
+        z = step.reshape(len(g), 2, -1).transpose(0, 2, 1)
+        g = np.linalg.qr(g[:, :, :2] + g[:, :, 2:] @ z, mode="complete")[0]
+    return winner, plane, best
 
 
 def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Seeded random-restart Gauss-Newton search for a rank-2 element u wedge v.
 
     Solves a(u wedge v) = 0 for the orthonormal annihilator a of the subspace
-    over orthonormal frames [u v] (Edelman, Arias & Smith, SIAM J. Matrix
-    Anal. Appl. 20, 1998): each step moves the plane, and QR restores the
-    frame, so u wedge v has unit norm and rank exactly 2 throughout.  A
-    restart starts on the plane of the top two left singular vectors of a
-    random kernel element, and accepts when |a(u wedge v)|^2 drops below
-    tol_plucker.  It also ends early at a stationary point with a nonzero
-    residual, where the gradient J^H res vanishes relative to |J| |res|: the
-    Gauss-Newton step is zero there, so further iterations cannot move it.
-    The per-restart seed is derived from (seed, restart index), so results do
-    not depend on scheduling.
+    over unitary frames G = [u v G_perp] (Edelman, Arias & Smith, SIAM J.
+    Matrix Anal. Appl. 20, 1998).  A step moves u and v along G_perp, so it
+    moves the plane and not the frame inside it, in tangent coordinates
+    2d - 4 wide where the Jacobian has full rank at a generic point; it is
+    the min-norm Gauss-Newton step from ``eigh`` of J^H J, and a complete QR
+    restores the frame, so u wedge v has unit norm and rank exactly 2
+    throughout.  A restart starts on the plane of the top two left singular
+    vectors of a random kernel element, and accepts when |a(u wedge v)|^2
+    drops below tol_plucker.  It also ends early at a stationary point with
+    a nonzero residual, where the gradient J^H res vanishes relative to
+    |J| |res|: the step is zero there, so further iterations cannot move it.
+
+    At the dimension bound the restarts run one at a time, as the first one
+    almost always finds the witness.  Below it every restart runs, all in
+    lockstep as one stack; the result is the one of running them in order:
+    the first restart to converge wins, and the best residual is taken over
+    the restarts up to it.  The per-restart seed is derived from
+    (seed, restart index), so results do not depend on scheduling.
     """
     if k.dim == 0:
         return SearchResult(None, float("inf"), 0)
     d = k.dim_v
     raw = np.column_stack([_float_coeffs(b) for b in k.basis])
-    m = raw.shape[1]
-    floating = ScalarMode.floating()
-    ann = np.reshape(nullspace(raw.T, floating), (-1, raw.shape[0]))
-    a3 = skew(ann, d)
-    best = float("inf")
-
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
-        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        uv = np.linalg.svd(skew(raw @ x, d))[0][:, :2]
-        for _ in range(cfg.max_iterations):
-            res, jac = _factor_residual(a3, uv)
-            f = float(np.linalg.norm(res) ** 2)
-            best = min(best, f)
-            if f <= cfg.tol_plucker:
-                return SearchResult(wedge(uv[:, 0], uv[:, 1]), f, r + 1)
-            scale = np.linalg.norm(jac) * np.linalg.norm(res)
-            # move the plane, not the frame inside it: a step inside the plane
-            # only rescales u wedge v, and J (u, 0) = res would keep J^H res
-            # from ever vanishing
-            jac = (jac - (jac @ uv) @ uv.conj().T).reshape(len(res), 2 * d)
-            # first-order stationarity of Gauss-Newton (Nocedal & Wright,
-            # Numerical Optimization, 10.3): the step would be zero.  The
-            # scale takes |J| before the projection, so that a projected J of
-            # rounding size counts as stationary
-            if floating.vanishes([jac.conj().T @ res], scale):
-                break
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            uv, _ = np.linalg.qr(uv + step.reshape(2, d).T)
+    ann = np.reshape(nullspace(raw.T, ScalarMode.floating()), (-1, raw.shape[0]))
+    a3t = skew(ann, d).transpose(1, 0, 2).reshape(d, -1)
+    restarts = range(cfg.restarts)
+    batches = [[r] for r in restarts] if dimension_criterion(k) else [restarts]
+    best = math.inf
+    for batch in batches:
+        winner, plane, least = _gauss_newton(a3t, _start_frames(raw, d, cfg.seed, batch), cfg)
+        if winner is not None:
+            best = min(best, float(least[:winner + 1].min()))
+            return SearchResult(wedge(plane[:, 0], plane[:, 1]), best, batch[winner] + 1)
+        best = min(best, float(least.min()))
     return SearchResult(None, best, cfg.restarts)
 
 
@@ -388,6 +450,12 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     first step is already the ray step; the residual falls 4x per iteration,
     the linear rate of Newton at a singular root (Griewank & Osborne, SIAM J.
     Numer. Anal. 20, 1983).
+
+    All starts run in lockstep as one (S, d, n, n) stack: one batched mu
+    kernel per iteration and one halving of every step on the ray, while each
+    start off the ray keeps its own ``lstsq``.  A start leaves the stack when
+    it converges or its step is not finite; the samples come out in start
+    order, each with the norm of its own residual, as if run one by one.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -413,36 +481,45 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         starts.append(z0 / np.linalg.norm(z0))
         idx += 1
 
-    samples = []
-    converged = 0
-    for z in starts:
-        a = z.reshape(d, n, n)
-        ok = on_ray = False
-        for _ in range(cfg.max_iterations):
-            mus, s = _mu_kernel(c, a)
-            res = mus.reshape(-1)
-            if mode.vanishes([res], np.linalg.norm(a, axis=(1, 2)).max() ** 2):
-                ok = True
+    # every start in one (S, d, n, n) stack; a start leaves it when it ends
+    a = np.array(starts).reshape(-1, d, n, n)
+    live = np.arange(len(a))
+    step = np.zeros_like(a)
+    on_ray = np.zeros(len(a), dtype=bool)
+    points = {}
+    for _ in range(cfg.max_iterations):
+        mus, s = _mu_kernel(c, a)
+        res = mus.reshape(len(a), -1)
+        norms = np.array([np.linalg.norm(r) for r in res])
+        ok = mode.negligible(norms, np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2)
+        ended = ok.copy()
+        step[on_ray] /= 2
+        for i in np.flatnonzero(~(ok | on_ray)):
+            x, *_ = np.linalg.lstsq(_mu_jacobian(s[i]), -res[i], rcond=None)
+            if not np.all(np.isfinite(x)):
+                ended[i] = True
+                continue
+            step[i] = x.reshape(d, n, n)
+            t = (a[i] - np.trace(a[i], axis1=1, axis2=2)[:, None, None] / n * np.eye(n)).reshape(-1)
+            on_ray[i] = mode.vanishes([x + t / 2], np.linalg.norm(t))
+        for i in np.flatnonzero(ok):
+            points[live[i]] = (a[i], norms[i])
+        if ended.any():
+            live, a, step, on_ray = live[~ended], a[~ended], step[~ended], on_ray[~ended]
+            if not live.size:
                 break
-            if on_ray:
-                step = step / 2
-            else:
-                step, *_ = np.linalg.lstsq(_mu_jacobian(s), -res, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                x = (a - np.trace(a, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)).reshape(-1)
-                on_ray = mode.vanishes([step + x / 2], np.linalg.norm(x))
-            a = a + step.reshape(d, n, n)
-        if not ok:
-            continue
-        converged += 1
-        alpha = MatrixTuple(n, d, tuple(a.copy()))
+        a = a + step
+
+    samples = []
+    for i in sorted(points):
+        point, res_norm = points[i]
+        alpha = MatrixTuple(n, d, tuple(point))
         # is_commuting's test, on the one chi: each commutator's norm within
         # tol_residual times the squared tuple scale
         chi_res = chi_norm(alpha)
         samples.append(MuZeroSample(alpha, chi_res <= mode.tol_residual * tuple_scale(alpha) ** 2,
-                                    float(np.linalg.norm(res)), chi_res))
-    return SamplerResult(tuple(samples), len(starts), converged)
+                                    float(res_norm), chi_res))
+    return SamplerResult(tuple(samples), len(starts), len(points))
 
 
 def split_component_dimension(n: int, dim_m: int) -> int:

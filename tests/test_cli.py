@@ -21,6 +21,7 @@ from semirigid.scalars import ScalarMode, cleared, exact_matrix
 from semirigid.serialize import (
     bivector_from_json,
     bivector_to_json,
+    canonical_json,
     pairing_from_json,
     pairing_to_json,
     scalar_from_json,
@@ -104,6 +105,73 @@ class TestPairingJson:
         p = SkewPairing.from_map(3, 1, {(0, 2): (1 + 1j,)})
         back, _ = pairing_from_json(pairing_to_json(p))
         assert back.entries == p.entries
+
+
+class TestComplexPairingWire:
+    """Complex pairings are read in one numpy pass; a value it cannot take goes
+    through ``scalar_from_json``, which refuses it as before."""
+
+    @staticmethod
+    def one_by_one(obj):
+        d, m = obj["dim_v"], obj["dim_w"]
+        cols = {pair_list(d).index((e["i"], e["j"])): e["values"] for e in obj["entries"]}
+        return tuple(tuple(scalar_from_json(x, "complex") for x in cols[k]) if k in cols
+                     else (0,) * m for k in range(comb(d, 2)))
+
+    @given(d=st.integers(2, 6), m=st.integers(0, 4), data=st.data())
+    def test_matches_the_scalar_parser(self, d, m, data):
+        part = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+        pairs = data.draw(st.lists(st.sampled_from(pair_list(d)), unique=True))
+        entries = [{"i": i, "j": j,
+                    "values": data.draw(st.lists(st.lists(part, min_size=2, max_size=2),
+                                                 min_size=m, max_size=m))}
+                   for i, j in pairs]
+        obj = {"dim_v": d, "dim_w": m, "scalar": "complex", "entries": entries}
+        p, _ = pairing_from_json(obj)
+        want = self.one_by_one(obj)
+        assert p.entries == want
+        assert p == SkewPairing(d, m, want) and hash(p) == hash(SkewPairing(d, m, want))
+        # each part keeps its bits, the sign of a zero too
+        assert [repr(z) for row in p.entries for z in row] == [repr(z) for row in want for z in row]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([True, 1.0], "must be a [re, im] pair of numbers"),
+        ([1.0, 2.0, 3.0], "must be a [re, im] pair of numbers"),
+        ([None, 1.0], "parts must be numbers"),
+        ([float("inf"), 0.0], "must be finite"),
+        ([0.0, float("nan")], "must be finite"),
+    ])
+    def test_refusals_keep_their_messages(self, bad, message):
+        obj = {"dim_v": 3, "dim_w": 2, "scalar": "complex",
+               "entries": [{"i": 0, "j": 1, "values": [[1.0, 2.0], [3.0, 4.0]]},
+                           {"i": 1, "j": 2, "values": [[5.0, 6.0], bad]}]}
+        with pytest.raises(ValueError, match=message.replace("[", r"\[").replace("]", r"\]")):
+            pairing_from_json(obj)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300)
+    | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3)),
+    max_leaves=30)
+
+
+class TestCanonicalJson:
+    """The report writer gives the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @given(JSON_VALUES)
+    @example({"": [], "b": {}, "a": [[1.0, -0.0], [1e-300, 2**70]]})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 10**40])
+    @example({"\u00e9\u2603\x00\x1f\"\\": "\ud83d\ude00\n\t", "x": [[[0.5, 1.5]]]})
+    @example([[1.0, 2], [True, 1.0], [1.0, None], [1.0, 2.0, 3.0], (1.0, 2.0)])
+    def test_matches_json_dumps(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_non_json_values_are_refused(self):
+        for obj in ({(1, 2): 3}, [object()], {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                canonical_json(obj)
 
 
 def wire_fraction(v) -> Fraction:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -47,8 +48,9 @@ from semirigid.verdict import (
     MuNonzeroError,
     SearchConfig,
     WitnessVerificationError,
-    _factor_residual,
     _rank2_factor,
+    _tangent_system,
+    _verify_witness,
     construct_stable_point,
     decide,
     mu_zero_sampler,
@@ -57,9 +59,12 @@ from semirigid.verdict import (
     witness_search,
     witness_to_tuple,
 )
+from semirigid import verdict
 from util import (
+    factor_residual,
     planted_kernel_pairing,
     planted_search_kernels,
+    projected_search,
     projective_distance,
     random_injective_pairing,
     random_rank2_bivector,
@@ -162,6 +167,11 @@ def random_annihilator(rng, d, r):
     return ann, a3
 
 
+def k_columns(k):
+    """The basis of a kernel as the columns of a complex matrix."""
+    return np.array([[complex(c) for c in b.coeffs] for b in k.basis]).T
+
+
 def pairing_with_kernel(cols, d):
     """Complex pairing whose kernel is exactly the column span of cols."""
     q, _ = np.linalg.qr(cols, mode="complete")
@@ -169,16 +179,23 @@ def pairing_with_kernel(cols, d):
     return SkewPairing(d, ann.shape[0], tuple(tuple(complex(z) for z in row) for row in ann.T))
 
 
+def count_solves(monkeypatch):
+    """The restarts that take a step in each stacked solve of the search: the
+    stack size of every ``np.linalg.eigh`` call, in order."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
 class TestWitnessSearch:
     def test_single_rank2_generator_immediate(self, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        calls = count_solves(monkeypatch)
         k = KernelSubspace(6, (Bivector.basis_element(6, 0, 1),))
         out = witness_search(k, SearchConfig(restarts=4))
         assert out.witness is not None
@@ -207,7 +224,7 @@ class TestWitnessSearch:
         rng = np.random.default_rng(d)
         ann, a3 = random_annihilator(rng, d, 3)
         uv = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
-        res, jac = _factor_residual(a3, uv)
+        res, jac = factor_residual(a3, uv)
         assert res.shape == (3,) and jac.shape == (3, 2, d)
         expected = ann @ np.array(wedge(uv[:, 0], uv[:, 1]).coeffs)
         assert np.allclose(res, expected, rtol=0, atol=1e-12)
@@ -218,10 +235,31 @@ class TestWitnessSearch:
         _, a3 = random_annihilator(rng, d, 5)
         uv, delta = (rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
                      for _ in range(2))
-        _, jac = _factor_residual(a3, uv)
+        _, jac = factor_residual(a3, uv)
         # the residual is bilinear in (u, v): the central difference is exact
-        central = _factor_residual(a3, uv + delta)[0] - _factor_residual(a3, uv - delta)[0]
+        central = factor_residual(a3, uv + delta)[0] - factor_residual(a3, uv - delta)[0]
         assert np.allclose(central, 2 * np.einsum("wkd,dk->w", jac, delta), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_tangent_system(self, d):
+        rng = np.random.default_rng(d)
+        ann, a3 = random_annihilator(rng, d, 5)
+        a3t = a3.transpose(1, 0, 2).reshape(d, -1)
+        g = np.linalg.qr(rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)))[0]
+        res, jac, scale = _tangent_system(a3t, g)
+        assert res.shape == (3, 5) and jac.shape == (3, 5, 2 * d - 4)
+        for frame, r, j, p_norm in zip(g, res, jac, scale):
+            u, v, perp = frame[:, 0], frame[:, 1], frame[:, 2:]
+            assert np.allclose(r, ann @ np.array(wedge(u, v).coeffs), rtol=0, atol=1e-12)
+            # |P| is the norm of the Jacobian in (u, v) before the projection
+            assert np.isclose(p_norm, np.linalg.norm(factor_residual(a3, frame[:, :2])[1]))
+            # bilinear again: moving u and v along G_perp, the central
+            # difference is exact
+            z = rng.standard_normal(2 * d - 4) + 1j * rng.standard_normal(2 * d - 4)
+            move = perp @ z.reshape(2, d - 2).T
+            central = (factor_residual(a3, frame[:, :2] + move)[0]
+                       - factor_residual(a3, frame[:, :2] - move)[0])
+            assert np.allclose(central, 2 * j @ z, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["rank4_line", "below_bound"])
     def test_restarts_stop_at_a_stationary_point(self, monkeypatch, case):
@@ -232,21 +270,78 @@ class TestWitnessSearch:
         else:
             kd = comb(4, 2)
             p = pairing_with_kernel(random_complex_kernel(rng, 6, kd)[1], 6)
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        steps = count_solves(monkeypatch)
         cfg = SearchConfig(restarts=8)
         v = decide(p, cfg=cfg)
         assert (v.status, v.certificate) == (UNKNOWN, CERT_SEARCH_EXHAUSTED)
         assert v.evidence.kernel_dim == kd and v.evidence.restarts_used == 8
         # the Gauss-Newton step is zero at a stationary point: no restart may
         # spin there for the rest of its iterations
-        assert len(calls) < cfg.restarts * cfg.max_iterations / 4
+        assert sum(steps) < cfg.restarts * cfg.max_iterations / 4
+
+    def test_below_the_bound_one_solve_per_iteration(self, monkeypatch):
+        # the restarts run in lockstep: as many stacked solves as the longest
+        # restart takes steps, where one at a time they took one per step
+        rng = np.random.default_rng(6)
+        k, _ = random_complex_kernel(rng, 6, comb(4, 2))
+        cfg = SearchConfig(restarts=8, seed=2)
+        log = []
+        for name in ("svd", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
+                                **kw: (log.append(_n), _f(*a, **kw))[1])
+        reference = projected_search(k, cfg)
+        monkeypatch.undo()
+        # one svd starts each restart of the reference
+        per_restart = [len(list(g)) for key, g in itertools.groupby(log[log.index("svd"):],
+                                                                      lambda n: n == "svd")
+                       if not key]
+        assert len(per_restart) == cfg.restarts
+        sizes = count_solves(monkeypatch)
+        out = witness_search(k, cfg)
+        assert out.witness is None and reference.witness is None
+        assert len(sizes) == max(per_restart) < sum(per_restart) == sum(sizes)
+
+    # (d, kernel dimension, seed): below, at and above the bound at d = 5..10
+    REFERENCE_CASES = [(d, comb(d - 2, 2) + 1 + shift, d + shift)
+                       for d in range(5, 11) for shift in (-1, 0, 1)]
+
+    def test_matches_the_projected_search(self):
+        """The tangent-coordinate search and the projected ``lstsq`` search it
+        replaced give the same status, restarts and residual, and the same
+        witness unless they land on two decomposables of one kernel."""
+        other_decomposable = 0
+        for d, m, seed in self.REFERENCE_CASES:
+            k, _ = random_complex_kernel(np.random.default_rng((d, m, seed)), d, max(m, 1))
+            cfg = SearchConfig(restarts=8, seed=seed)
+            got, want = witness_search(k, cfg), projected_search(k, cfg)
+            assert (got.witness is None) == (want.witness is None)
+            assert got.restarts_used == want.restarts_used
+            if got.witness is None:
+                assert got.best_residual == pytest.approx(want.best_residual, rel=1e-13)
+            elif projective_distance(got.witness, want.witness) > 1e-10:
+                other_decomposable += 1
+                for w in (got.witness, want.witness):
+                    _verify_witness(pairing_with_kernel(k_columns(k), d), w, FLOAT)
+        assert other_decomposable == 0
+
+    def test_lockstep_matches_one_restart_at_a_time(self, monkeypatch):
+        """Below the bound the restarts run in lockstep; run one at a time, as
+        at the bound, they give the same result."""
+        cases = [k for k, _ in planted_search_kernels()[:30:5]]
+        cases += [random_complex_kernel(np.random.default_rng(d), d, comb(d - 2, 2))[0]
+                  for d in (5, 6, 7)]
+        for k in cases:
+            cfg = SearchConfig(restarts=8, seed=k.dim_v)
+            for bound in (False, True):
+                monkeypatch.setattr(verdict, "dimension_criterion", lambda _, b=bound: b)
+                out = witness_search(k, cfg)
+                if not bound:
+                    lockstep = out
+            assert (out.witness is None) == (lockstep.witness is None)
+            assert out.restarts_used == lockstep.restarts_used
+            assert out.best_residual == pytest.approx(lockstep.best_residual, rel=1e-12, abs=1e-30)
+            if out.witness is not None:
+                assert np.allclose(out.witness.coeffs, lockstep.witness.coeffs, rtol=0, atol=1e-12)
 
     def test_search_memory_at_the_bound(self):
         # d = 14 at the dimension bound: a q x m x m Plucker tensor would take
