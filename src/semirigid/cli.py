@@ -113,7 +113,7 @@ def _search_config(args, seed: int) -> SearchConfig:
     """Search settings from the flags given; unset ones keep SearchConfig's defaults,
     and explicit ones pass through unchanged for SearchConfig to validate."""
     given = {name: getattr(args, name, None)
-             for name in ("restarts", "max_iterations", "tol_plucker")}
+             for name in ("restarts", "max_iterations")}
     return SearchConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
 
 
@@ -321,7 +321,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["rational", "complex"], default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-    p.add_argument("--tol-plucker", dest="tol_plucker", type=float, default=None)
     add_seed(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -282,11 +282,7 @@ def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
     n = b.shape[0]
     bases = []
     for lam, count in groups:
-        shifted = b - lam * identity(n, mode)
-        power = shifted
-        for _ in range(count - 1):
-            power = power @ shifted
-        basis = nullspace(power, mode)
+        basis = nullspace(_product(*repeat(b - lam * identity(n, mode), count)), mode)
         if len(basis) != count:
             return None
         bases.append(np.column_stack(basis))

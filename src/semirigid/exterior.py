@@ -356,9 +356,10 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
         if root is not None:
             x = (-b + root) / (2 * a)
             return DecomposableDecision(YES, x * k1 + k2)
-    x = (-complex(b) + cmath.sqrt(complex(disc))) / (2 * complex(a))
-    witness = Bivector(d, tuple(x * complex(u) + complex(v)
-                                for u, v in zip(k1.coeffs, k2.coeffs)))
+    a, b, disc = to_float(np.array([a, b, disc], dtype=object)).tolist()
+    x = (-b + cmath.sqrt(disc)) / (2 * a)
+    u, v = to_float(np.array([k1.coeffs, k2.coeffs], dtype=object)).tolist()
+    witness = Bivector(d, tuple(x * s + t for s, t in zip(u, v)))
     return DecomposableDecision(YES, witness)
 
 

@@ -16,7 +16,6 @@ import bisect
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ import numpy as np
 RATIONAL = "rational"
 COMPLEX = "complex"
 
-# the one default for both float tolerances
+# the one float tolerance
 DEFAULT_TOL = 1e-8
 
 
@@ -39,35 +38,27 @@ class IrrationalSpectrumError(PreconditionError):
 
 @dataclass(frozen=True)
 class ScalarMode:
-    """Arithmetic regime plus the tolerances used by floating-point decisions.
+    """Arithmetic regime; float decisions read the one tolerance ``DEFAULT_TOL``.
 
     ``tol_rank`` is relative to the largest singular value; ``tol_residual``
     bounds accepted residuals relative to the natural scale of the input.
-    Both are ignored (with a warning) in rational mode.
+    Both are class attributes, not fields, and rational mode reads neither.
     """
 
     kind: str
-    tol_rank: float = 0.0
-    tol_residual: float = 0.0
+    tol_rank = tol_residual = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind not in (RATIONAL, COMPLEX):
             raise ValueError(f"unknown scalar mode {self.kind!r}")
-        if self.kind == RATIONAL:
-            if self.tol_rank or self.tol_residual:
-                warnings.warn("tolerances are ignored in exact rational mode", stacklevel=3)
-        else:
-            if not (self.tol_rank > 0 and self.tol_residual > 0):
-                raise ValueError("complex mode requires strictly positive tolerances")
 
     @classmethod
     def exact(cls) -> "ScalarMode":
         return cls(RATIONAL)
 
     @classmethod
-    def floating(cls, tol_rank: float = DEFAULT_TOL,
-                 tol_residual: float = DEFAULT_TOL) -> "ScalarMode":
-        return cls(COMPLEX, tol_rank=tol_rank, tol_residual=tol_residual)
+    def floating(cls) -> "ScalarMode":
+        return cls(COMPLEX)
 
     @property
     def is_exact(self) -> bool:
@@ -127,9 +118,13 @@ def float_matrix(rows) -> np.ndarray:
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
-    """Explicit (lossy) rational -> complex float conversion."""
+    """Explicit (lossy) rational -> complex float conversion, the only one;
+    a value beyond the float range is refused."""
     if a.dtype == object:
-        out = np.array([complex(x) for x in a.reshape(-1)], dtype=complex)
+        try:
+            out = np.array([complex(x) for x in a.reshape(-1)], dtype=complex)
+        except OverflowError:
+            raise PreconditionError("a rational value is outside the float range") from None
         return out.reshape(a.shape)
     return np.asarray(a, dtype=complex)
 

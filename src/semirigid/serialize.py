@@ -65,14 +65,17 @@ def scalar_from_json(v, kind: str):
         return Fraction(p, q)
     # a boolean is no number here, though Python counts it as an int
     if isinstance(v, (list, tuple)) and len(v) == 2 and not any(type(x) is bool for x in v):
-        try:
-            z = complex(float(v[0]), float(v[1]))
-        except TypeError as exc:
-            raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
+        parts = v
     elif isinstance(v, (int, float)) and type(v) is not bool:
-        z = complex(v)
+        parts = v, 0
     else:
         raise ValueError(f"complex scalar must be a [re, im] pair of numbers, got {v!r}")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except TypeError as exc:
+        raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
+    except OverflowError:
+        raise ValueError("complex scalar part is outside the float range") from None
     if not cmath.isfinite(z):
         raise ValueError(f"complex scalar must be finite, got {v!r}")
     return z

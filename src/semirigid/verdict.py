@@ -46,6 +46,7 @@ from .exterior import (
     wedge,
 )
 from .scalars import (
+    DEFAULT_TOL,
     PreconditionError,
     ScalarMode,
     exact_matrix,
@@ -78,13 +79,10 @@ class SearchConfig:
     restarts: int = 64
     max_iterations: int = 200
     seed: int = 0
-    tol_plucker: float = 1e-18
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        if not self.tol_plucker > 0:
-            raise ValueError("tol_plucker must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -111,16 +109,12 @@ class SearchResult:
     restarts_used: int
 
 
-def _float_coeffs(omega: Bivector) -> np.ndarray:
-    return np.array([complex(c) for c in omega.coeffs])
-
-
 def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     """Whether the pairing kills the bivector: exactly for a rational bivector
-    in exact mode, else up to the default residual relative to |p| |omega|."""
+    in exact mode, else up to DEFAULT_TOL relative to |p| |omega|."""
     if mode.is_exact and omega.is_rational():
         return mode.vanishes([apply(p, omega)])
-    m, w = to_float(p.matrix()), _float_coeffs(omega)
+    m, w = to_float(p.matrix()), to_float(np.array(omega.coeffs, dtype=object))
     return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
@@ -136,6 +130,12 @@ def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode):
 
 # ---------------------------------------------------------------------------
 # witness search on rank-2 factors
+
+# a restart accepts at |a(u wedge v)|^2 <= (DEFAULT_TOL / 10)^2 = 1e-18: the
+# annihilator a is orthonormal and |u wedge v| = 1, so an accepted witness is
+# within DEFAULT_TOL / 10 of the kernel and passes the re-check of
+# _verify_witness at DEFAULT_TOL with a margin of 10
+_ACCEPTANCE = (DEFAULT_TOL / 10) ** 2
 
 
 def _tangent_system(a3t: np.ndarray, g: np.ndarray):
@@ -195,7 +195,7 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
         res, jac, scale = _tangent_system(a3t, g)
         norm = np.linalg.norm(res, axis=1)
         best[live] = np.minimum(best[live], norm ** 2)
-        ended = norm ** 2 <= cfg.tol_plucker
+        ended = norm ** 2 <= _ACCEPTANCE
         if ended.any():
             first = int(np.argmax(ended))
             winner, plane = int(live[first]), g[first, :, :2]
@@ -235,7 +235,7 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     restores the frame, so u wedge v has unit norm and rank exactly 2
     throughout.  A restart starts on the plane of the top two left singular
     vectors of a random kernel element, and accepts when |a(u wedge v)|^2
-    drops below tol_plucker.  It also ends early at a stationary point with
+    drops to ``_ACCEPTANCE``.  It also ends early at a stationary point with
     a nonzero residual, where the gradient J^H res vanishes relative to
     |J| |res|: the step is zero there, so further iterations cannot move it.
 
@@ -249,7 +249,7 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     if k.dim == 0:
         return SearchResult(None, float("inf"), 0)
     d = k.dim_v
-    raw = np.column_stack([_float_coeffs(b) for b in k.basis])
+    raw = to_float(np.array([b.coeffs for b in k.basis], dtype=object).T)
     ann = np.reshape(nullspace(raw.T, ScalarMode.floating()), (-1, raw.shape[0]))
     a3t = skew(ann, d).transpose(1, 0, 2).reshape(d, -1)
     restarts = range(cfg.restarts)
@@ -272,23 +272,22 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
            cfg: SearchConfig = SearchConfig()) -> Verdict:
     """Three-valued semi-rigidity verdict with a mandatory certificate.
 
-    Pipeline: zero kernel is certified immediately; ambient dimension at most
-    4 is decided exactly; when the dimension bound certifies existence the
-    status is decided even if the search fails to produce the witness; an
-    exhausted search alone yields Unknown, never a semi-rigid claim.
+    Pipeline: zero kernel is certified immediately; the exact rule decides
+    every kernel in its domain (ambient dimension at most 4); when the
+    dimension bound certifies existence the status is decided even if the
+    search fails to produce the witness; an exhausted search alone yields
+    Unknown, never a semi-rigid claim.
     """
     mode = resolve_mode(mode, p)
     k = kernel(p, mode)
     kd = k.dim
     if kd == 0:
         return Verdict(SEMI_RIGID, CERT_KERNEL_ZERO, None, Evidence(kernel_dim=0))
-    if p.dim_v <= 4:
-        dec = decomposable_exists_exact(k, mode)
-        if dec.kind == YES:
-            _verify_witness(p, dec.witness, mode)
-            return Verdict(NOT_SEMI_RIGID, CERT_EXACT_LOW_DIM, dec.witness,
-                           Evidence(kernel_dim=kd))
-        assert dec.kind == NO
+    dec = decomposable_exists_exact(k, mode)
+    if dec.kind == YES:
+        _verify_witness(p, dec.witness, mode)
+        return Verdict(NOT_SEMI_RIGID, CERT_EXACT_LOW_DIM, dec.witness, Evidence(kernel_dim=kd))
+    if dec.kind == NO:
         return Verdict(SEMI_RIGID, CERT_EXACT_LOW_DIM, None, Evidence(kernel_dim=kd))
     result = witness_search(k, cfg)
     if result.witness is not None:

@@ -680,6 +680,54 @@ class TestCliMalformedInput:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"]["type"] == "ValueError"
 
+    # a part too large for a float: in a complex file it is malformed input
+    # (exit 2), in a rational pairing that a float stage needs, a violated
+    # precondition (exit 3)
+    @pytest.mark.parametrize("argv, code", [
+        (("kernel", "--pairing", "COMPLEX"), 2),
+        (("analyze", "--pairing", "BARE"), 2),
+        (("commuting", "analyze", "--tuple", "TUPLE"), 2),
+        (("construct", "stable", "--pairing", "catalog:curve:2", "--witness", "WITNESS",
+          "--n", "2"), 2),
+        (("kernel", "--pairing", "RATIONAL", "--mode", "complex"), 3),
+        (("analyze", "--pairing", "RATIONAL"), 3),
+        (("sample", "mu-zero", "--pairing", "RATIONAL", "--n", "2"), 3),
+        (("construct", "stable", "--pairing", "RATIONAL", "--auto", "--n", "2"), 3),
+        # at d = 4 the Pfaffian's roots are irrational, and its coefficients huge
+        (("analyze", "--pairing", "PFAFFIAN"), 3),
+    ])
+    def test_value_outside_the_float_range_is_refused(self, capsys, tmp_path, argv, code):
+        big = 10**400
+        files = {
+            "COMPLEX": {"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                        "entries": [{"i": 0, "j": 1, "values": [[big, 0]]}]},
+            "BARE": {"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                     "entries": [{"i": 0, "j": 1, "values": [big]}]},
+            "TUPLE": {"n": 2, "d": 1, "scalar": "complex",
+                      "matrices": [[[[0, 0], [1, 0]], [[0, big], [0, 0]]]]},
+            "WITNESS": {"dim_v": 4, "coeffs": [{"i": 0, "j": 2, "value": [0, big]}]},
+            # at d = 5 the kernel is at the dimension bound, and its basis
+            # holds -10^400
+            "RATIONAL": {"dim_v": 5, "dim_w": 1, "scalar": "rational",
+                         "entries": [{"i": 0, "j": 1, "values": ["1"]},
+                                     {"i": 0, "j": 2, "values": [str(big)]}]},
+            "PFAFFIAN": {"dim_v": 4, "dim_w": 4, "scalar": "rational", "entries": [
+                {"i": i, "j": j, "values": values} for (i, j), values in zip(
+                    pair_list(4), [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                   ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                                   ["2", "0", str(big), "3"], ["1", "5", "0", "7"]])]},
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == (
+            "ValueError" if code == 2 else "PreconditionError")
+        assert "outside the float range" in lines[0]
+
     @pytest.mark.parametrize("filtration", [
         5,
         {"v": [[1], 0, 0], "w": [0]},
@@ -886,10 +934,8 @@ class TestCliSearchDefaults:
 
     def test_explicit_flags_pass_through(self):
         args = build_parser().parse_args(
-            ["analyze", "--pairing", "x", "--restarts", "3", "--max-iterations", "7",
-             "--tol-plucker", "1e-12"])
-        assert _search_config(args, 2) == SearchConfig(
-            restarts=3, max_iterations=7, seed=2, tol_plucker=1e-12)
+            ["analyze", "--pairing", "x", "--restarts", "3", "--max-iterations", "7"])
+        assert _search_config(args, 2) == SearchConfig(restarts=3, max_iterations=7, seed=2)
         args = build_parser().parse_args(
             ["sample", "mu-zero", "--pairing", "x", "--n", "2", "--starts", "5"])
         assert _search_config(args, 0) == SearchConfig(restarts=5)
@@ -897,8 +943,8 @@ class TestCliSearchDefaults:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--restarts", "0"),
         ("analyze", "--max-iterations", "0"),
-        ("analyze", "--tol-plucker", "-1"),
-        ("analyze", "--tol-plucker", "0"),
+        ("analyze", "--max-iterations", "-1"),
+        ("sample", "mu-zero", "--n", "2", "--starts", "-1"),
         ("analyze", "--restarts", "-2"),
         ("construct", "stable", "--auto", "--n", "2", "--restarts", "0"),
         ("sample", "mu-zero", "--n", "2", "--starts", "0"),
@@ -942,6 +988,16 @@ class TestCliSearchDefaults:
         # a witness is re-checked at the default rank tolerance; no flag sets it
         code, out, err = run_cli(capsys, "analyze", "--pairing", "catalog:curve:2",
                                  "--tol-rank", "1e-6")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "_CliInputError"
+
+    @pytest.mark.parametrize("value", ["1e-12", "-1", "0"])
+    def test_tol_plucker_flag_is_a_usage_error(self, capsys, value):
+        # the search accepts at a residual derived from the one tolerance
+        code, out, err = run_cli(capsys, "analyze", "--pairing", "catalog:curve:2",
+                                 "--tol-plucker", value)
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1

@@ -109,9 +109,8 @@ class TestResolveMode:
         assert resolve_mode(None).is_exact
 
     def test_float_request_is_returned_unchanged(self):
-        loose = ScalarMode.floating(tol_rank=1e-3)
-        assert resolve_mode(loose, CURVE) is loose
-        assert resolve_mode(loose, complex_pairing(CURVE)) is loose
+        assert resolve_mode(FLOAT, CURVE) is FLOAT
+        assert resolve_mode(FLOAT, complex_pairing(CURVE)) is FLOAT
 
     def test_exact_request_on_non_rational_input_is_refused(self):
         assert resolve_mode(EXACT, CURVE, STABLE) is EXACT

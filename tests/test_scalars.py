@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -39,15 +40,17 @@ def random_complex_matrix(rng, shape):
 
 
 class TestMode:
-    def test_exact_mode_flags_tolerances(self):
-        with pytest.warns(UserWarning):
-            ScalarMode("rational", tol_rank=1e-8)
+    def test_tolerances_are_not_settable(self):
+        with pytest.raises(TypeError):
+            ScalarMode("complex", tol_rank=1e-3)
+        with pytest.raises(TypeError):
+            ScalarMode.floating(1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FLOAT.tol_residual = 1e-3
 
-    def test_complex_mode_requires_positive_tolerances(self):
-        with pytest.raises(ValueError):
-            ScalarMode("complex", tol_rank=0.0, tol_residual=1e-8)
-        with pytest.raises(ValueError):
-            ScalarMode("complex", tol_rank=1e-8, tol_residual=0.0)
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            ScalarMode("real")
 
 
 class TestRank:

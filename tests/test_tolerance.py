@@ -52,7 +52,8 @@ class TestVanishes:
         assert FLOAT.vanishes([])
 
     def test_defaults_come_from_one_constant(self):
-        assert FLOAT == ScalarMode.floating(DEFAULT_TOL, DEFAULT_TOL)
+        for mode in (FLOAT, EXACT, ScalarMode):
+            assert mode.tol_rank == mode.tol_residual == DEFAULT_TOL
 
 
 def _source_files():
@@ -84,6 +85,16 @@ class TestToleranceLiterals:
 
     def test_search_has_no_rank_tolerance_of_its_own(self):
         assert "tol_rank" not in {f.name for f in dataclasses.fields(SearchConfig)}
+
+    def test_scalar_mode_has_the_single_field_kind(self):
+        assert [f.name for f in dataclasses.fields(ScalarMode)] == ["kind"]
+
+    def test_search_config_has_no_tolerance_field(self):
+        assert ([f.name for f in dataclasses.fields(SearchConfig)]
+                == ["restarts", "max_iterations", "seed"])
+
+    def test_search_acceptance_derives_from_default_tol(self):
+        assert verdict._ACCEPTANCE == (DEFAULT_TOL / 10) ** 2 == 1e-18
 
 
 class TestOneCopyPerBivectorMap:

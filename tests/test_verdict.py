@@ -213,6 +213,23 @@ class TestWitnessSearch:
         assert min(projective_distance(out.witness, e01),
                    projective_distance(out.witness, e23)) < 1e-6
 
+    def test_every_returned_witness_passes_the_recheck(self):
+        """An accepted restart is within DEFAULT_TOL / 10 of the kernel, so
+        its witness passes the re-check at DEFAULT_TOL: at the bound, and one
+        below it with a planted u wedge v, at d = 5..8."""
+        for d in range(5, 9):
+            rng = np.random.default_rng(d)
+            bound = comb(d - 2, 2) + 1
+            for m in (bound, bound - 1):
+                _, cols = random_complex_kernel(rng, d, m)
+                if m < bound:
+                    u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+                    cols[:, 0] = np.array(wedge(u, v).coeffs, dtype=complex)
+                k = KernelSubspace(d, tuple(Bivector(d, tuple(map(complex, c))) for c in cols.T))
+                out = witness_search(k, SearchConfig(seed=d))
+                assert out.witness is not None
+                _verify_witness(pairing_with_kernel(cols, d), out.witness, FLOAT)
+
     def test_rank4_line_has_no_witness(self):
         gen = Bivector.from_pairs(6, {(0, 1): 1, (2, 3): 1})
         out = witness_search(KernelSubspace(6, (gen,)), SearchConfig(restarts=4))

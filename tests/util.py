@@ -19,7 +19,7 @@ from semirigid.scalars import (
     solve,
     zeros,
 )
-from semirigid.verdict import SearchResult
+from semirigid.verdict import _ACCEPTANCE, SearchResult
 
 EXACT = ScalarMode.exact()
 
@@ -394,7 +394,7 @@ def projected_search(k: KernelSubspace, cfg) -> SearchResult:
             res, jac = factor_residual(a3, uv)
             f = float(np.linalg.norm(res) ** 2)
             best = min(best, f)
-            if f <= cfg.tol_plucker:
+            if f <= _ACCEPTANCE:
                 return SearchResult(wedge(uv[:, 0], uv[:, 1]), f, r + 1)
             scale = np.linalg.norm(jac) * np.linalg.norm(res)
             jac = (jac - (jac @ uv) @ uv.conj().T).reshape(len(res), 2 * d)
