@@ -133,12 +133,16 @@ def _mu_kernel(c: np.ndarray, a: np.ndarray):
 
 def _mu_jacobian(s: np.ndarray) -> np.ndarray:
     """Jacobian of the row-major flattened mu in the flattened tuple: block
-    (k, b) is S_kb (x) I - I (x) S_kb^T."""
-    m, d, n, _ = s.shape
-    eye = np.eye(n)
-    jac = (np.einsum('kbpr,qs->kpqbrs', s, eye)
-           - np.einsum('pr,kbsq->kpqbrs', eye, s))
-    return jac.reshape(m * n * n, d * n * n)
+    (k, b) is S_kb (x) I - I (x) S_kb^T.  A (..., m, d, n, n) stack of S, as
+    :func:`_mu_kernel` returns it, gives one Jacobian per tuple, written into
+    one array with no temporary of its size."""
+    *lead, m, d, n, _ = s.shape
+    # jac[..., k, p, q, b, r, t] = S_kb[p, r] delta_qt - delta_pr S_kb[t, q]
+    jac = np.zeros((*lead, m, n, n, d, n, n), dtype=s.dtype)
+    for q in range(n):
+        jac[..., q, :, :, q] += np.swapaxes(s, -3, -2)
+        jac[..., q, :, :, q, :] -= np.moveaxis(s, -1, -3)
+    return jac.reshape(*lead, m * n * n, d * n * n)
 
 
 def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:

@@ -70,10 +70,11 @@ def scalar_from_json(v, kind: str):
         parts = v, 0
     else:
         raise ValueError(f"complex scalar must be a [re, im] pair of numbers, got {v!r}")
+    # float() would also read a string part such as "1e3" or " 2 "
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise ValueError(f"complex scalar parts must be numbers, got {v!r}")
     try:
         z = complex(float(parts[0]), float(parts[1]))
-    except TypeError as exc:
-        raise ValueError(f"complex scalar parts must be numbers, got {v!r}") from exc
     except OverflowError:
         raise ValueError("complex scalar part is outside the float range") from None
     if not cmath.isfinite(z):

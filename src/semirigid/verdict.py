@@ -158,14 +158,40 @@ def _tangent_system(a3t: np.ndarray, g: np.ndarray):
     return p[:, 0, :, 1], jac, np.linalg.norm(p.reshape(n, -1), axis=1)
 
 
-def _min_norm_step(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Min-norm solutions z of J z = -res for a stack, from J^H J = V diag(lam) V^H
-    and grad = J^H res.  An eigenvalue at or below (2d - 4) eps lam_max, the
-    column count times the rounding of the Gram matrix, counts as zero."""
-    lam, vec = np.linalg.eigh(np.swapaxes(jac.conj(), 1, 2) @ jac)
-    coef = (np.swapaxes(vec.conj(), 1, 2) @ grad[..., None])[..., 0]
-    kept = lam > lam.shape[1] * np.finfo(float).eps * lam[:, -1:]
-    return -(vec @ np.divide(coef, lam, out=np.zeros_like(coef), where=kept)[..., None])[..., 0]
+# the damping of the Gram matrix of _min_norm_step, relative to its largest
+# diagonal entry: a few roundings of that entry
+_DAMPING = 10 * np.finfo(float).eps
+
+
+def _min_norm_step(jac: np.ndarray, res: np.ndarray, full_rank: bool) -> np.ndarray:
+    """Min-norm solutions z of J z = -res for a stack of Jacobians, each from
+    one Gram system damped by mu = 10 eps max diag(Gram) and one stacked
+    ``np.linalg.solve`` (damped Gauss-Newton, Nocedal & Wright 10.3).
+
+    With ``full_rank`` (J has full column rank), the column form
+    (J^H J + mu I) z = -J^H res.  Otherwise the row form z = -J^H y with
+    (J J^H + mu I) y = res, then one refinement step with the same matrix,
+    y += (J J^H + mu I)^-1 (res - J J^H y), which takes the bias of the
+    damping from mu / sigma^2 to its square on a direction of singular value
+    sigma.  The column form of a J of deficient column rank would hand the LU
+    a Gram matrix singular up to mu, which amplifies the rounding of J^H res
+    along the null directions of J by max diag / mu; the row form's Gram
+    matrix has the null directions of J^H instead, and res has no component
+    along them when J z = -res is consistent.  A zero Jacobian gets mu = 1,
+    so that its step is zero and not a singular solve.
+    """
+    jh = np.swapaxes(jac.conj(), 1, 2)
+    gram, rhs = (jh @ jac, jh @ res[..., None]) if full_rank else (jac @ jh, res[..., None])
+    top = np.diagonal(gram, axis1=1, axis2=2).real.max(axis=1, initial=0)
+    mu = np.where(top > 0, _DAMPING * top, 1.0)[:, None]
+    diag = np.arange(gram.shape[1])
+    # damped in place: J^H J y (or J J^H y) is then gram @ y - mu y
+    gram[:, diag, diag] += mu
+    y = np.linalg.solve(gram, rhs)
+    if full_rank:
+        return -y[..., 0]
+    y += np.linalg.solve(gram, rhs - gram @ y + mu[..., None] * y)
+    return -(jh @ y)[..., 0]
 
 
 def _start_frames(raw: np.ndarray, d: int, seed: int, restarts) -> np.ndarray:
@@ -186,8 +212,15 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
     did), its frame [u v], and the least |res|^2 each restart reached.  The
     live set shrinks only when a restart ends: it converged, it is
     stationary, its step is not finite, or a restart before it converged.
+    Each iteration takes one damped Gram solve for the whole stack
+    (:func:`_min_norm_step`): in the column form when J has at least 2d - 4
+    rows, which holds at and below the dimension bound, else in the row form.
     """
     floating = ScalarMode.floating()
+    # 2d - 4 tangent coordinates: J has full column rank at a generic point
+    # when it has at least as many rows
+    d = g.shape[1]
+    full_rank = a3t.shape[1] // d >= 2 * d - 4
     live = np.arange(len(g))
     best = np.full(len(g), np.inf)
     winner, plane = None, None
@@ -208,11 +241,11 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
         if winner is not None:
             ended |= live > winner
         if ended.any():
-            live, g, jac, grad = live[~ended], g[~ended], jac[~ended], grad[~ended]
+            live, g, jac, res = live[~ended], g[~ended], jac[~ended], res[~ended]
             # with a winner, only restarts before it are left
             if not live.size:
                 break
-        step = _min_norm_step(jac, grad)
+        step = _min_norm_step(jac, res, full_rank)
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():
             live, g, step = live[finite], g[finite], step[finite]
@@ -231,9 +264,11 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     Matrix Anal. Appl. 20, 1998).  A step moves u and v along G_perp, so it
     moves the plane and not the frame inside it, in tangent coordinates
     2d - 4 wide where the Jacobian has full rank at a generic point; it is
-    the min-norm Gauss-Newton step from ``eigh`` of J^H J, and a complete QR
-    restores the frame, so u wedge v has unit norm and rank exactly 2
-    throughout.  A restart starts on the plane of the top two left singular
+    the min-norm Gauss-Newton step from one Gram system damped by
+    mu = 10 eps max diag (:func:`_min_norm_step`), (J^H J + mu I) when J has
+    at least 2d - 4 rows and J^H (J J^H + mu I)^-1 when it is wide, and a
+    complete QR restores the frame, so u wedge v has unit norm and rank
+    exactly 2 throughout.  A restart starts on the plane of the top two left singular
     vectors of a random kernel element, and accepts when |a(u wedge v)|^2
     drops to ``_ACCEPTANCE``.  It also ends early at a stationary point with
     a nonzero residual, where the gradient J^H res vanishes relative to
@@ -441,8 +476,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
 
     mu is a homogeneous quadratic, so Euler's identity gives J(a) a = 2 mu(a),
     and J kills the scalar directions A_b + cI.  So -a/2 solves the Newton
-    system, and the min-norm ``lstsq`` step is -1/2 of a's projection on the
-    row space of J.  When that step is -x/2, x the traceless part of a, the
+    system, and the min-norm step is -1/2 of a's projection on the row space
+    of J.  When that step is -x/2, x the traceless part of a, the
     start is on the ray a = T + tX toward a scalar tuple T, where J = t J(X)
     and mu = t^2 mu(X): every later step is half the one before, and is taken
     without a solve.  On an injective pairing (kernel of J = the scalars) the
@@ -451,9 +486,12 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     Numer. Anal. 20, 1983).
 
     All starts run in lockstep as one (S, d, n, n) stack: one batched mu
-    kernel per iteration and one halving of every step on the ray, while each
-    start off the ray keeps its own ``lstsq``.  A start leaves the stack when
-    it converges or its step is not finite; the samples come out in start
+    kernel per iteration, one halving of every step on the ray, and one
+    stacked step for the starts off it (:func:`_min_norm_step`).  That step
+    is always in the row form: by Euler's identity J x = -mu is consistent
+    at every a, while J has the trace rows and the scalar columns as null
+    directions whatever its shape.  A start leaves the stack when it
+    converges or its step is not finite; the samples come out in start
     order, each with the norm of its own residual, as if run one by one.
     """
     if n < 1:
@@ -493,14 +531,15 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         ok = mode.negligible(norms, np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2)
         ended = ok.copy()
         step[on_ray] /= 2
-        for i in np.flatnonzero(~(ok | on_ray)):
-            x, *_ = np.linalg.lstsq(_mu_jacobian(s[i]), -res[i], rcond=None)
-            if not np.all(np.isfinite(x)):
-                ended[i] = True
-                continue
-            step[i] = x.reshape(d, n, n)
-            t = (a[i] - np.trace(a[i], axis1=1, axis2=2)[:, None, None] / n * np.eye(n)).reshape(-1)
-            on_ray[i] = mode.vanishes([x + t / 2], np.linalg.norm(t))
+        off = np.flatnonzero(~(ok | on_ray))
+        if off.size:
+            x = _min_norm_step(_mu_jacobian(s[off]), res[off], False)
+            ended[off] = ~np.isfinite(x).all(axis=1)
+            step[off] = x.reshape(-1, d, n, n)
+            t = a[off] - np.trace(a[off], axis1=2, axis2=3)[..., None, None] / n * np.eye(n)
+            t = t.reshape(off.size, -1)
+            on_ray[off] = mode.negligible(np.linalg.norm(x + t / 2, axis=1),
+                                          np.linalg.norm(t, axis=1))
         for i in np.flatnonzero(ok):
             points[live[i]] = (a[i], norms[i])
         if ended.any():

@@ -2,7 +2,7 @@
 
 OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when numpy is first imported, so it is
 set here, before any test module imports numpy; with threading, the first
-float ``qr``/``lstsq`` call of a process can stall for tenths of a second and
+float LAPACK call of a process can stall for tenths of a second and
 lands on whichever timing test comes first.  Property-based tests draw the
 same examples on every run (``derandomize``), keep no example database and
 have no per-example deadline, so the suite stays deterministic and its run

@@ -31,6 +31,7 @@ from semirigid.serialize import (
 )
 from semirigid import verdict
 from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, SearchResult, decide
+from util import eigh_min_norm_step
 
 
 def run_cli(capsys, *argv):
@@ -491,6 +492,25 @@ class TestCliConstructAndSample:
         assert report["tuple"]["n"] == 3 and report["tuple"]["d"] == 4
         assert report["witness"]["coeffs"]
 
+    def test_construct_stable_auto_witnesses_match_the_eigh_step(self, capsys, monkeypatch):
+        # curve:3 has a one-row annihilator, so the search's J is wide: its
+        # row-form step must give the witnesses of the eigh min-norm step
+        def witnesses():
+            out = []
+            for n in range(2, 9):
+                code, report, _ = run_cli(capsys, "construct", "stable", "--pairing",
+                                          "catalog:curve:3", "--auto", "--n", str(n),
+                                          "--seed", str(n))
+                assert code == 0
+                w = bivector_from_json(json.loads(report)["witness"])
+                out.append([complex(c) for c in w.coeffs])
+            return np.array(out)
+
+        got = witnesses()
+        monkeypatch.setattr(verdict, "_min_norm_step", eigh_min_norm_step)
+        want = witnesses()
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_construct_stable_witness_file(self, capsys, tmp_path):
         w = Bivector.basis_element(4, 0, 2)
         path = tmp_path / "witness.json"
@@ -740,6 +760,38 @@ class TestCliMalformedInput:
         path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "rational",
                                     "entries": [], "filtration": filtration}))
         assert_value_error_exit_2(*run_cli(capsys, "analyze", "--pairing", str(path)))
+
+    # complex parts are JSON numbers: float() would read the strings, and
+    # Python counts a boolean as an int
+    NON_NUMBER_PARTS = [["1", "0"], ["1e3", " 2 "], [1.0, "0"], [None, 1.0], [{}, 0], [0, True]]
+
+    @pytest.mark.parametrize("value", NON_NUMBER_PARTS)
+    def test_complex_pairing_non_number_parts_exit_2(self, capsys, tmp_path, value):
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "complex",
+                                    "entries": [{"i": 0, "j": 1, "values": [value]}]}))
+        code, out, err = run_cli(capsys, "kernel", "--pairing", str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "numbers" in err
+
+    @pytest.mark.parametrize("value", NON_NUMBER_PARTS)
+    def test_complex_tuple_non_number_parts_exit_2(self, capsys, tmp_path, value):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "scalar": "complex",
+                                    "matrices": [[[value, [0, 0]], [[0, 0], [2, 0]]]]}))
+        code, out, err = run_cli(capsys, "commuting", "analyze", "--tuple", str(path))
+        assert_value_error_exit_2(code, out, err)
+        assert "numbers" in err
+
+    @pytest.mark.parametrize("value", NON_NUMBER_PARTS)
+    def test_complex_witness_non_number_parts_exit_2(self, capsys, tmp_path, value):
+        # (0, 2) lies in the kernel of curve:2, so only the value's parts are wrong
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": 4, "coeffs": [{"i": 0, "j": 2, "value": value}]}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", "catalog:curve:2",
+                                 "--witness", str(path), "--n", "2")
+        assert_value_error_exit_2(code, out, err)
+        assert "numbers" in err
 
     # sizes must be JSON integers, not floats, strings or booleans
     @pytest.mark.parametrize("cmd", ["kernel", "analyze"])

@@ -48,6 +48,7 @@ from semirigid.verdict import (
     MuNonzeroError,
     SearchConfig,
     WitnessVerificationError,
+    _min_norm_step,
     _rank2_factor,
     _tangent_system,
     _verify_witness,
@@ -180,17 +181,114 @@ def pairing_with_kernel(cols, d):
 
 
 def count_solves(monkeypatch):
-    """The restarts that take a step in each stacked solve of the search: the
-    stack size of every ``np.linalg.eigh`` call, in order."""
+    """The stack size of every ``np.linalg.solve`` call, in order: in the
+    search's column form, the restarts that take a step in each stacked
+    solve."""
     sizes = []
-    eigh = np.linalg.eigh
+    solve = np.linalg.solve
 
     def counted(a, *args, **kwargs):
         sizes.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     return sizes
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def pinv_step(jac, res, rtol):
+    """Min-norm solutions of J z = -res from ``np.linalg.pinv``, singular
+    values at or below rtol sigma_max counted as zero; and the condition
+    number of each J on the singular values it keeps."""
+    steps, conds = [], []
+    for j, r in zip(jac, res):
+        sv = np.linalg.svd(j, compute_uv=False)
+        kept = sv[sv > rtol * sv[0]]
+        steps.append(-np.linalg.pinv(j, rcond=rtol) @ r)
+        conds.append(kept[0] / kept[-1])
+    return np.array(steps), np.array(conds)
+
+
+def sampler_jacobians(rng, entry, n, deltas):
+    """mu's Jacobians and residuals, flattened as the sampler solves them, at
+    a = D + delta X for random diagonal D and random X, one per delta: the
+    smaller delta, the nearer a commuting tuple and the worse conditioned J."""
+    name, arg = entry.split(":")
+    p = catalog_build(name, (arg,)).pairing
+    d = p.dim_v
+    a = np.zeros((len(deltas), d, n, n), dtype=complex)
+    a[..., range(n), range(n)] = complex_normal(rng, len(deltas), d, n)
+    a += np.array(deltas)[:, None, None, None] * complex_normal(rng, len(deltas), d, n, n)
+    mus, s = _mu_kernel(skew(to_float(p.matrix()), d), a)
+    return _mu_jacobian(s), mus.reshape(len(deltas), -1)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestMinNormStep:
+    """The damped Gram solve of ``_min_norm_step`` against the min-norm step
+    of ``np.linalg.pinv``."""
+
+    @staticmethod
+    def conditioned(rng, count, rows, cols, cond):
+        """Complex Jacobians of full rank min(rows, cols), singular values
+        spread from 1 down to 1 / cond."""
+        k = min(rows, cols)
+        u = np.linalg.qr(complex_normal(rng, count, rows, rows))[0][..., :k]
+        v = np.linalg.qr(complex_normal(rng, count, cols, cols))[0][..., :k]
+        return (u * np.logspace(0, -np.log10(cond), k)) @ np.swapaxes(v.conj(), 1, 2)
+
+    @pytest.mark.parametrize("rows, cols", [(14, 8), (24, 24), (8, 8)])
+    def test_column_form_full_rank(self, rows, cols):
+        rng = np.random.default_rng((rows, cols))
+        jac = self.conditioned(rng, 6, rows, cols, 10)
+        res = complex_normal(rng, 6, rows)
+        want, _ = pinv_step(jac, res, 1e-12)
+        err = np.linalg.norm(_min_norm_step(jac, res, True) - want, axis=1)
+        # the Gram matrix squares the condition number, 10 here, and the
+        # damping's bias is 10 eps cond^2
+        assert np.all(err <= 1e3 * EPS * 10 ** 2 * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("cols", [6, 8, 24])
+    def test_row_form_one_row(self, cols):
+        # the search's J on curve:3, whose annihilator has one row
+        rng = np.random.default_rng(cols)
+        jac, res = complex_normal(rng, 6, 1, cols), complex_normal(rng, 6, 1)
+        want, _ = pinv_step(jac, res, 1e-12)
+        err = np.linalg.norm(_min_norm_step(jac, res, False) - want, axis=1)
+        assert np.all(err <= 100 * EPS * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("entry, n", [("identity:3", 3), ("identity:4", 2), ("torus:2", 2),
+                                          ("curve:3", 2), ("symplectic-surface:4", 3)])
+    def test_row_form_on_sampler_jacobians(self, entry, n):
+        # J kills the scalar tuples and the trace rows of J^H are zero, both
+        # exactly; J x = -mu is consistent by Euler's identity
+        rng = np.random.default_rng(n)
+        jac, res = sampler_jacobians(rng, entry, n, [1, 1e-1, 1e-2])
+        want, cond = pinv_step(jac, res, 1e-10)
+        assert cond.max() > 50
+        err = np.linalg.norm(_min_norm_step(jac, res, False) - want, axis=1)
+        # undamped, the null directions make the solve singular; without the
+        # refinement step the damping's bias is 10 eps cond^2
+        assert np.all(err <= 100 * EPS * cond * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_zero_jacobian_in_the_stack(self, full_rank):
+        rng = np.random.default_rng(0)
+        if full_rank:
+            jac, res = self.conditioned(rng, 3, 14, 8, 10), complex_normal(rng, 3, 14)
+        else:
+            jac, res = sampler_jacobians(rng, "identity:3", 2, [1, 1, 1])
+        jac[1] = 0
+        step = _min_norm_step(jac, res, full_rank)
+        assert np.all(step[1] == 0)
+        want, _ = pinv_step(jac[::2], res[::2], 1e-10)
+        err = np.linalg.norm(step[::2] - want, axis=1)
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
 
 
 class TestWitnessSearch:
@@ -733,19 +831,30 @@ class TestMuZeroSampler:
     def test_one_solve_per_start_on_injective_pairings(self, monkeypatch, entry, n):
         name, arg = entry.split(":")
         p = catalog_build(name, (arg,)).pairing
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: pytest.fail("lstsq called"))
+        sizes = count_solves(monkeypatch)
         out = mu_zero_sampler(p, n, SearchConfig(restarts=8, seed=0))
         assert out.attempted == out.converged == 8
+        # each step is a solve and its refinement, on the same stack of starts
+        first, refinement = sizes[::2], sizes[1::2]
+        assert first == refinement
         # the first step of every start is already the ray step; a solve at
         # every iteration took about 15 per start
-        assert len(calls) <= 8
+        assert sum(first) <= 8
+
+    def test_sampler_memory(self):
+        # identity:4 at n = 4: each stacked step holds the 8 Jacobians
+        # (8 x 96 x 64 complex, 0.8 MB), their conjugate transposes and the
+        # 8 x 96 x 96 Gram matrices (1.2 MB), about 2.9 MB in all
+        p = catalog_build("identity", ("4",)).pairing
+        tracemalloc.start()
+        try:
+            out = mu_zero_sampler(p, 4, SearchConfig(restarts=8, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.converged == 8
+        assert peak < 4e6
 
     @pytest.mark.parametrize("entry", ["identity:3", "identity:4", "torus:2", "curve:3",
                                        "symplectic-surface:4"])

@@ -405,3 +405,15 @@ def projected_search(k: KernelSubspace, cfg) -> SearchResult:
                 break
             uv, _ = np.linalg.qr(uv + step.reshape(2, d).T)
     return SearchResult(None, best, cfg.restarts)
+
+
+def eigh_min_norm_step(jac, res, full_rank):
+    """Min-norm solutions of J z = -res from J^H J = V diag(lam) V^H, an
+    eigenvalue at or below (columns) eps lam_max counted as zero, with the
+    signature of ``verdict._min_norm_step``: the reference for its damped
+    Gram solve on a wide J."""
+    jh = np.swapaxes(jac.conj(), 1, 2)
+    lam, vec = np.linalg.eigh(jh @ jac)
+    coef = np.swapaxes(vec.conj(), 1, 2) @ (jh @ res[..., None])
+    kept = (lam > lam.shape[1] * np.finfo(float).eps * lam[:, -1:])[..., None]
+    return -(vec @ np.divide(coef, lam[..., None], out=np.zeros_like(coef), where=kept))[..., 0]
