@@ -35,7 +35,7 @@ from .scalars import (
     to_float,
     zeros,
 )
-from .scalars import _full_rank_mod_p, _rref
+from .scalars import _full_rank_mod_p, _kernel_basis, _rref
 
 
 class NotCommutingError(PreconditionError):
@@ -96,12 +96,17 @@ def tuple_scale(alpha: MatrixTuple) -> float:
     return max((frobenius(m) for m in alpha.matrices), default=0.0)
 
 
+def _commutators(a):
+    return (a[i] @ a[j] - a[j] @ a[i] for i, j in pair_list(len(a)))
+
+
 def chi(alpha: MatrixTuple) -> tuple:
     """Pairwise commutators, one matrix per basis bivector (i < j)."""
     # a rational tuple A = A' / f: [A_i, A_j] = [A'_i, A'_j] / f^2, one division
-    a, f = cleared(np.array(alpha.matrices)) if alpha.is_rational() else (alpha.matrices, None)
-    comms = (a[i] @ a[j] - a[j] @ a[i] for i, j in pair_list(alpha.d))
-    return tuple(comms) if f is None else tuple(c * Fraction(1, f * f) for c in comms)
+    if not alpha.is_rational():
+        return tuple(_commutators(alpha.matrices))
+    a, f = cleared(np.array(alpha.matrices))
+    return tuple(c * Fraction(1, f * f) for c in _commutators(a))
 
 
 def chi_norm(alpha: MatrixTuple) -> float:
@@ -109,6 +114,9 @@ def chi_norm(alpha: MatrixTuple) -> float:
 
 
 def is_commuting(alpha: MatrixTuple, mode: ScalarMode) -> bool:
+    if resolve_mode(mode, alpha).is_exact:
+        # the cleared integer commutators [A'_i, A'_j] = f^2 [A_i, A_j] against 0
+        return not any(c.any() for c in _commutators(cleared(np.array(alpha.matrices))[0]))
     return mode.vanishes(chi(alpha), tuple_scale(alpha) ** 2)
 
 
@@ -186,12 +194,6 @@ def _in_regime(alpha: MatrixTuple, mode: ScalarMode | None):
     return (alpha if mode.is_exact else alpha.to_float()), mode
 
 
-def _inverse(q: np.ndarray, mode: ScalarMode) -> np.ndarray:
-    if mode.is_exact:
-        return solve(q, identity(q.shape[0], mode))
-    return np.linalg.inv(q)
-
-
 def _product(*factors) -> np.ndarray:
     """Matrix product, broadcast over a (d, n, n) stack among the factors.
     Rational factors are cleared, multiplied in integers and divided once."""
@@ -202,13 +204,11 @@ def _product(*factors) -> np.ndarray:
 
 
 def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
-    """Cluster eigenvalues; returns a list of (value, count) groups.
+    """Cluster float eigenvalues; returns a list of (value, count) groups.
 
-    In float mode two eigenvalues join when a chain of them, each step at most
-    tol_rank times ``scale`` (the norm of their matrix), links them.
+    Two eigenvalues join when a chain of them, each step at most tol_rank
+    times ``scale`` (the norm of their matrix), links them.
     """
-    if mode.is_exact:
-        return sorted(Counter(vals).items())
     arr = np.asarray(vals, dtype=complex)
     # single linkage: square the "within the threshold" relation until it is
     # transitive; each row is then a cluster, kept at its first member
@@ -220,69 +220,52 @@ def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
     return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
 
 
-def _restriction(a: np.ndarray, s: np.ndarray, mode: ScalarMode) -> np.ndarray:
-    """Matrix of a on the invariant subspace spanned by the columns of s."""
-    if mode.is_exact:
-        return solve(s, a @ s)
-    m, *_ = np.linalg.lstsq(s, a @ s, rcond=None)
-    return m
-
-
-def _common_eigenvector(mats, mode: ScalarMode) -> np.ndarray:
-    n = mats[0].shape[0]
-    s = identity(n, mode)
+def _common_eigenvector(mats: np.ndarray, mode: ScalarMode) -> np.ndarray:
+    """A common eigenvector of a commuting (d, n, n) stack: s spans the common
+    eigenspace so far of each matrix's least eigenvalue (first in float
+    order).  On integers, s is a product of RREF kernel bases, so s[rows] is
+    a positive multiple of I and (a s)[rows] that of a's restriction."""
+    n = mats.shape[-1]
+    s, rows = (np.eye(n, dtype=object) if mode.is_exact else identity(n, mode)), list(range(n))
     for a in mats:
         if s.shape[1] == 1:
             break
-        m = _restriction(a, s, mode)
-        vals = eigenvalues(m, mode)
         if mode.is_exact:
-            lam = min(vals)
-        else:
-            lam = sorted(vals, key=lambda z: (z.real, z.imag))[0]
-        shifted = m - lam * identity(m.shape[0], mode)
-        basis = nullspace(shifted, mode)
+            m = (a @ s)[rows]
+            lam = min(eigenvalues(m, mode))
+            basis, free, _ = _kernel_basis(
+                lam.denominator * m - lam.numerator * np.eye(len(m), dtype=object))
+            s, rows = s @ basis, [rows[j] for j in free]
+            continue
+        m, *_ = np.linalg.lstsq(s, a @ s, rcond=None)
+        lam = sorted(eigenvalues(m, mode), key=lambda z: (z.real, z.imag))[0]
+        basis = nullspace(m - lam * identity(m.shape[0], mode), mode)
         if not basis:
             # defective eigenvalue at the rank tolerance: fall back to the
             # numerically best eigenvector
             w, vecs = np.linalg.eig(np.asarray(m, dtype=complex))
             idx = int(np.argmin(np.abs(w - lam)))
             basis = [vecs[:, idx]]
-        cols = np.column_stack(basis)
-        s = s @ cols
-        if not mode.is_exact:
-            s, _ = np.linalg.qr(s)
+        s, _ = np.linalg.qr(s @ np.column_stack(basis))
     v = s[:, 0]
-    if not mode.is_exact:
-        v = v / np.linalg.norm(v)
-    return v
+    return v * Fraction(1, v[rows[0]]) if mode.is_exact else v / np.linalg.norm(v)
 
 
 def _complete_basis(v: np.ndarray, mode: ScalarMode) -> np.ndarray:
-    """Invertible matrix with first column spanning v (unitary in float mode)."""
+    """[v, e_R], R all indices but v's first nonzero entry (its largest in
+    float mode, where the basis is made unitary): invertible, first column v."""
     n = v.shape[0]
     if mode.is_exact:
         pivot = next(i for i in range(n) if v[i] != 0)
     else:
         pivot = int(np.argmax(np.abs(np.asarray(v, dtype=complex))))
-    m = zeros((n, n), mode)
-    m[:, 0] = v
-    one = Fraction(1) if mode.is_exact else 1.0 + 0j
-    j = 1
-    for k in range(n):
-        if k != pivot:
-            m[k, j] = one
-            j += 1
-    if mode.is_exact:
-        return m
-    q, _ = np.linalg.qr(m)
-    return q
+    m = np.column_stack([v, identity(n, mode)[:, [k for k in range(n) if k != pivot]]])
+    return m if mode.is_exact else np.linalg.qr(m)[0]
 
 
 def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
-    """Columns spanning the generalized eigenspaces of b, group by group
-    (orthonormalized in float mode), or None when a float eigenspace has the
-    wrong size."""
+    """Orthonormal columns spanning the generalized eigenspaces of a float b,
+    group by group, or None when an eigenspace has the wrong size."""
     n = b.shape[0]
     bases = []
     for lam, count in groups:
@@ -290,41 +273,85 @@ def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
         if len(basis) != count:
             return None
         bases.append(np.column_stack(basis))
-    s = np.column_stack(bases)
-    # exact generalized eigenspaces of distinct eigenvalues form a direct sum
-    return s if mode.is_exact else np.linalg.qr(s)[0]
+    return np.linalg.qr(np.column_stack(bases))[0]
 
 
-def _triangularize(mats, mode: ScalarMode, rng):
-    """(q, q^-1) with every q^-1 A q upper triangular; q^-1 is assembled from
-    each level's inverse of q0 and the blocks' own inverses."""
-    n = mats[0].shape[0]
-    if n <= 1:
-        return identity(n, mode), identity(n, mode)
+def _exact_blocks(mats: np.ndarray, b: np.ndarray, groups, scale: int, mode: ScalarMode):
+    """q0 of a rational level of :func:`_triangularize`, and its scaled blocks."""
+    n = b.shape[0]
+    if len(groups) > 1:
+        # A' S' = S' M on ker (r B' - p)^k for the group p / r: (A' S')[F] = den M
+        kernels = [_kernel_basis(reduce(np.matmul, repeat(
+            lam.denominator * b - lam.numerator * np.eye(n, dtype=object), count)))
+            for lam, count in groups]
+        q0 = np.hstack([s * Fraction(1, den) for s, _, den in kernels])
+        return q0, [((mats @ s)[:, free], scale * den) for s, free, den in kernels]
+    v = _common_eigenvector(mats, mode)
+    w = cleared(v)[0]
+    p = next(i for i, x in enumerate(w) if x)
+    w, rest = (w if w[p] > 0 else -w), [i for i in range(n) if i != p]
+    # q0 = [v, e_R]: q0^-1 A q0 = [[lam, A[p, R] / v_p], [0, A[R, R] - v_R A[p, R] / v_p]]
+    block = w[p] * mats[:, rest][:, :, rest] - w[rest, None] * mats[:, None, p, rest]
+    return _complete_basis(v, mode), [
+        ((mats @ w)[:, p, None, None], scale * w[p]), (block, scale * w[p])]
+
+
+def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
+    """The diagonal of a triangular form q^-1 A q of the commuting (d, n, n)
+    stack A = ``mats`` / ``scale``, top to bottom, and a function building q.
+
+    Each level splits along the eigenvalue groups of one seeded combination
+    B, or, with one group (or a float split the tolerance cannot resolve),
+    deflates by a common eigenvector v; its diagonal blocks recurse, and the
+    1 x 1 leaves are the points.  Float mode forms q0^-1 A q0.  Rational mode
+    runs on the integers A' = scale A and inverts nothing: for the group
+    p / r and S' the kernel basis of (r B' - p)^k, S'[F] = den I, the block
+    is (A' S')[F]; v cleared, v_p > 0 its first nonzero entry and R the rest,
+    gives the point (A' v)_p / v_p and the block v_p A'[R, R] - v_R (x) A'[p, R].
+    These are positive multiples of the blocks of q0^-1 A q0, so the groups,
+    draws and q are the conjugations' own.  Each of the at most n levels adds
+    one denominator to the entries: the time is polynomial in the bit size.
+    """
+    d, n, _ = mats.shape
+    if n == 1:
+        point = [Fraction(x, scale) for x in mats[:, 0, 0]] if mode.is_exact else mats[:, 0, 0]
+        return [tuple(point)], lambda: identity(1, mode)
     if mode.is_exact:
-        coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
+        coeffs = [int(c) for c in rng.integers(-99, 100, size=d)]
     else:
-        coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     b = sum(c * m for c, m in zip(coeffs, mats))
     # an irrational spectrum here stands: a rational triangular form would
     # give every rational combination a rational spectrum
-    groups = _group_eigenvalues(eigenvalues(b, mode), mode, frobenius(b))
-    q0 = _eigenspace_basis(b, groups, mode) if len(groups) > 1 else None
-    if q0 is None:
-        # one eigenvalue group, or a split the tolerance cannot resolve:
-        # deflate by a common eigenvector
-        q0 = _complete_basis(_common_eigenvector(mats, mode), mode)
-        sizes = [1, n - 1]
+    vals = eigenvalues(b, mode)
+    if mode.is_exact:
+        q0, blocks = _exact_blocks(mats, b, sorted(Counter(vals).items()), scale, mode)
     else:
+        groups = _group_eigenvalues(vals, mode, frobenius(b))
+        q0 = _eigenspace_basis(b, groups, mode) if len(groups) > 1 else None
         sizes = [count for _, count in groups]
-    q0_inv = _inverse(q0, mode)
-    transformed = _product(q0_inv, np.array(mats), q0)
-    offs = np.cumsum([0] + sizes)
-    qb, qb_inv = zeros((n, n), mode), zeros((n, n), mode)
-    for lo, hi in zip(offs, offs[1:]):
-        qb[lo:hi, lo:hi], qb_inv[lo:hi, lo:hi] = _triangularize(
-            [t[lo:hi, lo:hi] for t in transformed], mode, rng)
-    return _product(q0, qb), _product(qb_inv, q0_inv)
+        if q0 is None:
+            q0, sizes = _complete_basis(_common_eigenvector(mats, mode), mode), [1, n - 1]
+        t = np.linalg.inv(q0) @ mats @ q0
+        offs = np.cumsum([0] + sizes)
+        blocks = [(t[:, lo:hi, lo:hi], 1) for lo, hi in zip(offs, offs[1:])]
+    children = [_triangularize(block, s, mode, rng) for block, s in blocks]
+
+    def basis():
+        qb, lo = zeros((n, n), mode), 0
+        for q in (child() for _, child in children):
+            qb[lo:lo + len(q), lo:lo + len(q)] = q
+            lo += len(q)
+        return _product(q0, qb)
+    return [p for points, _ in children for p in points], basis
+
+
+def _leaves(alpha: MatrixTuple, mode: ScalarMode, seed: int):
+    """:func:`_triangularize` on a commuting tuple already in its regime."""
+    _require_commuting(alpha, mode)
+    mats = np.array(alpha.matrices)
+    return _triangularize(*(cleared(mats) if mode.is_exact else (mats, 1)), mode,
+                          np.random.default_rng(seed))
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -332,17 +359,15 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     """Common triangularizing basis change for a commuting tuple.
 
     Returns (q, transformed) with every transformed matrix upper triangular
-    (within tolerance in float mode); q is unitary in float mode.  At each
-    level one seeded random linear combination splits the space along its
-    eigenvalue groups; when it has a single group, or float mode cannot
-    resolve the split, the level deflates by a common eigenvector.  In
-    rational mode a combination whose spectrum does not split over Q raises
+    (within tolerance in float mode); q is unitary in float mode.  q is built
+    from the per-level bases of :func:`_triangularize`, and the tuple is
+    conjugated once, by q and its one inverse.  In rational mode a
+    combination whose spectrum does not split over Q raises
     IrrationalSpectrumError.
     """
     alpha, mode = _in_regime(alpha, mode)
-    _require_commuting(alpha, mode)
-    rng = np.random.default_rng(seed)
-    q, q_inv = _triangularize(list(alpha.matrices), mode, rng)
+    q = _leaves(alpha, mode, seed)[1]()
+    q_inv = solve(q, identity(alpha.n, mode)) if mode.is_exact else np.linalg.inv(q)
     transformed = _product(q_inv, np.array(alpha.matrices), q)
     return q, MatrixTuple(alpha.n, alpha.d, tuple(transformed))
 
@@ -362,11 +387,10 @@ class JointSpectrum:
 
 
 def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode | None = None) -> JointSpectrum:
-    """Diagonal of a simultaneous triangularization, as a multiset of d-vectors."""
-    _, tri = simultaneous_triangularize(alpha, mode, seed=0)
-    points = tuple(
-        tuple(tri.matrices[i][j, j] for i in range(alpha.d)) for j in range(alpha.n))
-    return JointSpectrum(points)
+    """The diagonal of :func:`simultaneous_triangularize` at seed 0, as a
+    multiset of d-vectors, read off the 1 x 1 leaves of the recursion: no
+    basis, inverse or conjugation is formed."""
+    return JointSpectrum(tuple(_leaves(*_in_regime(alpha, mode), 0)[0]))
 
 
 def _min_rotation(word: tuple) -> tuple:
@@ -561,7 +585,8 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     alpha, mode = _in_regime(alpha, mode)
     n = alpha.n
     gens, sylvester = _generators(alpha, mode)
-    commutant_dim = n * n - rank(sylvester, mode, tuple_scale(alpha))
+    # rational values may lie outside the float range: no scale is taken
+    commutant_dim = n * n - rank(sylvester, mode, None if mode.is_exact else tuple_scale(alpha))
 
     basis = _algebra_basis(gens, mode)
     algebra_dim = n * n if basis is None else len(basis)
@@ -595,5 +620,6 @@ def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bo
     alpha, mode = _in_regime(alpha, mode)
     _require_commuting(alpha, mode)
     n = alpha.n
-    basis = nullspace(_generators(alpha, mode)[1], mode, tuple_scale(alpha))
+    scale = None if mode.is_exact else tuple_scale(alpha)
+    basis = nullspace(_generators(alpha, mode)[1], mode, scale)
     return len(basis) == n and _radical_dim(np.array(basis).reshape(n, n, n), mode) == 0

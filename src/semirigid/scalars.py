@@ -64,11 +64,13 @@ class ScalarMode:
     def is_exact(self) -> bool:
         return self.kind == RATIONAL
 
-    def vanishes(self, arrays, scale: float = 1.0) -> bool:
+    def vanishes(self, arrays, scale=1.0) -> bool:
         """Whether every array is zero: entry by entry in rational mode, else
-        each Frobenius norm is at most ``tol_residual * scale``."""
+        each Frobenius norm is at most ``tol_residual * scale``; a callable
+        scale is only called here, as a rational one may overflow a float."""
         if self.is_exact:
             return all(np.all(np.asarray(a) == 0) for a in arrays)
+        scale = scale() if callable(scale) else scale
         return all(self.negligible(np.linalg.norm(to_float(np.asarray(a))), scale)
                    for a in arrays)
 
@@ -363,6 +365,17 @@ def rank(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> int:
     return _svd_rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), mode, scale)
 
 
+def _kernel_basis(a: np.ndarray):
+    """(S, F, den): the RREF kernel basis of a rational matrix times den, its
+    denominator, in integers, and its free rows F, where S[F] = den I."""
+    pivots, (num, den) = _rref(a)
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    s = np.zeros((a.shape[1], len(free)), dtype=object)
+    s[pivots] = -num
+    s[free, range(len(free))] = den
+    return s, free, den
+
+
 def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> list[np.ndarray]:
     """Basis of the right nullspace; len(basis) == cols - rank.  In exact mode
     it is the basis read off the RREF; in float mode it is orthonormal and
@@ -372,15 +385,8 @@ def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> li
     if nrows == 0 or ncols == 0:
         return [identity(ncols, mode)[:, j] for j in range(ncols)] if ncols else []
     if mode.is_exact:
-        pivots, (num, den) = _rref(a)
-        basis = []
-        for j, fc in enumerate(c for c in range(ncols) if c not in pivots):
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for pc, x in zip(pivots, num[:, j].tolist()):
-                v[pc] = Fraction(-x, den)
-            basis.append(np.array(v, dtype=object))
-        return basis
+        s, _, den = _kernel_basis(a)
+        return [col * Fraction(1, den) for col in s.T]
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
     return [np.conj(vh[j]) for j in range(_svd_rank(s, mode, scale), ncols)]
 
@@ -389,16 +395,11 @@ def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> li
 # eigenvalues
 
 
-def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
-    """Monic characteristic polynomial of a rational matrix (Berkowitz, IPL 1984).
-
-    Returned coefficients are [c_0, ..., c_{n-1}, 1] for
-    p(x) = x^n + c_{n-1} x^{n-1} + ... + c_0.  The division-free recursion runs
-    on the integers A' = f A, whose coefficient of x^(n-k) is f^k times A's:
-    bordering the leading k x k block M by row r, column c and corner a
-    multiplies its polynomial by the Toeplitz matrix of (1, -a, -r c, -r M c, ...).
-    """
-    a, f = cleared(a)
+def _berkowitz(a: np.ndarray) -> list[int]:
+    """Monic characteristic polynomial of an integer matrix, low to high
+    (Berkowitz, IPL 1984), division-free: bordering the k x k block M by row
+    r, column c and corner a multiplies its polynomial by the Toeplitz matrix
+    of (1, -a, -r c, -r M c, ...)."""
     poly = np.array([1], dtype=object)
     for k in range(len(a)):
         r, toeplitz = a[k, :k], [1, -a[k, k]]
@@ -406,25 +407,39 @@ def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
             toeplitz.append(-(r @ a[:k, k]))
             r = r @ a[:k, :k]
         poly = np.convolve(np.array(toeplitz, dtype=object), poly)[:k + 2]
-    return [Fraction(c, f ** k) for k, c in enumerate(poly)][::-1]
+    return poly.tolist()[::-1]
 
 
-def _poly_divmod(num: list, den: list):
-    """Quotient and remainder of polynomials over Q (coefficients low to high).
+def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
+    """Monic characteristic polynomial [c_0, ..., c_{n-1}, 1] of a rational
+    matrix: f^(n-k) c_k is that of the integers A' = f A (:func:`_berkowitz`)."""
+    a, f = cleared(a)
+    return [Fraction(c, f ** (len(a) - k)) for k, c in enumerate(_berkowitz(a))]
 
-    ``den`` has a nonzero leading coefficient; the remainder has its zero
-    leading coefficients dropped, so the zero polynomial is ``[]``.
-    """
-    rem = list(num)
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+
+def _pseudo_divmod(num: list, den: list):
+    """quot, rem with lc^k num = quot den + rem for integer polynomials (low to
+    high), lc = den[-1] and k = max(deg num - deg den + 1, 0); 0 is ``[]``."""
+    lc, rem = den[-1], list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
     for i in reversed(range(len(quot))):
-        c = quot[i] = rem[i + len(den) - 1] / den[-1]
+        c = rem[i + len(den) - 1]
+        if lc != 1:
+            quot, rem = [lc * x for x in quot], [lc * x for x in rem]
+        quot[i] = c
         for j, x in enumerate(den):
             rem[i + j] -= c * x
     rem = rem[: len(den) - 1]
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
+
+
+def _primitive(poly: list) -> list:
+    """An integer polynomial divided by its content, leading coefficient
+    positive; ``[]`` stays ``[]``."""
+    g = math.gcd(*poly)
+    return [c // g if poly[-1] > 0 else -c // g for c in poly]
 
 
 def _poly_eval_mod(poly: list, x: int, m: int) -> int:
@@ -467,38 +482,32 @@ def _integer_roots_monic(h: list) -> list[int]:
     return found
 
 
-def _rational_roots(coeffs: list[Fraction], degree: int) -> list[Fraction]:
+def _rational_roots(coeffs: list, degree: int) -> list[Fraction]:
     """All roots in ascending order with multiplicity, or raise if the
     polynomial does not split over Q.
 
-    The distinct roots are those of the square-free part g = f / gcd(f, f').
-    With g cleared to a primitive integer polynomial of leading coefficient a,
-    h(y) = a^(deg g - 1) g(y / a) is monic with integer coefficients and its
-    integer roots are a times the rational roots of g.  Multiplicities come
-    from exact division of f.  Every step is polynomial in the bit size.
+    Cleared to a primitive integer f with leading coefficient a > 0,
+    h(y) = a^(deg f - 1) f(y / a) is monic over Z, and its roots, a times
+    those of f, are integers.  g = gcd(h, h') from the primitive remainder
+    sequence (Collins, J. ACM 14, 1967) is primitive and divides h over Z
+    (Gauss), so g and the square-free part h / g are monic, and
+    :func:`_integer_roots_monic` finds the roots of h / g.  Multiplicities
+    come from synthetic division.  Every step is polynomial in the bit size.
     """
-    f = list(coeffs[: degree + 1])
-    # Euclid over Q: g = gcd(f, f'), then the square-free part f / g
-    df = [i * c for i, c in enumerate(f)][1:]
-    g = f
-    while df:
-        g, df = df, _poly_divmod(g, df)[1]
-    g = _poly_divmod(f, g)[0]
-    den = math.lcm(*(c.denominator for c in g))
-    ints = [int(c * den) for c in g]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    a = ints[-1]
-    h = [c * a ** (len(ints) - 2 - i) for i, c in enumerate(ints[:-1])] + [1]
+    f = _primitive(cleared(coeffs[: degree + 1])[0].tolist())
+    h = [c * f[-1] ** (len(f) - 2 - i) for i, c in enumerate(f[:-1])] + [1]
+    g, rem = h, _primitive([i * c for i, c in enumerate(h)][1:])
+    while rem:
+        g, rem = rem, _primitive(_pseudo_divmod(g, rem)[1])
     roots = []
-    for x in sorted(Fraction(y, a) for y in _integer_roots_monic(h)):
+    for r in sorted(_integer_roots_monic(_pseudo_divmod(h, g)[0])):
         while True:
-            quot, rem = _poly_divmod(f, [-x, Fraction(1)])
+            quot, rem = _pseudo_divmod(h, [-r, 1])
             if rem:
                 break
-            roots.append(x)
-            f = quot
-    if len(f) > 1:
+            roots.append(Fraction(r, f[-1]))
+            h = quot
+    if len(h) > 1:
         raise IrrationalSpectrumError(
             "characteristic polynomial does not split over the rationals"
         )
@@ -510,9 +519,11 @@ def eigenvalues(a: np.ndarray, mode: ScalarMode) -> list:
 
     Exact mode returns them in ascending order.  It requires the
     characteristic polynomial to split over Q and raises
-    :class:`IrrationalSpectrumError` otherwise; that answer is exact.  The
-    roots come from p-adic (Hensel) lifting, so the time is polynomial in the
-    bit size of the entries.  Float mode returns them in LAPACK's order.
+    :class:`IrrationalSpectrumError` otherwise; that answer is exact.  It
+    roots the monic integer polynomial of A' = f A in integers, by p-adic
+    (Hensel) lifting, and divides each root by f once, so the time is
+    polynomial in the bit size of the entries.  Float mode returns them in
+    LAPACK's order.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
@@ -520,6 +531,6 @@ def eigenvalues(a: np.ndarray, mode: ScalarMode) -> list:
     if a.shape[0] == 0:
         return []
     if mode.is_exact:
-        coeffs = _char_poly_exact(exact_matrix(a) if a.dtype != object else a)
-        return _rational_roots(coeffs, a.shape[0])
+        ints, f = cleared(exact_matrix(a) if a.dtype != object else a)
+        return [r / f for r in _rational_roots(_berkowitz(ints), len(ints))]
     return list(np.linalg.eigvals(np.asarray(a, dtype=complex)))

@@ -12,6 +12,7 @@ Newton iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,7 +355,7 @@ def _rank2_factor(omega: Bivector, mode: ScalarMode):
     check = np.outer(u, v) - np.outer(v, u)
     # at the witness's own norm, nonzero for rank 2: a floor would let a
     # wrong factor of a small witness through
-    if not mode.vanishes([check - m], frobenius(m)):
+    if not mode.vanishes([check - m], lambda: frobenius(m)):
         raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
     return u, v
 
@@ -402,19 +403,19 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     tol_residual < 1 / (2 n^(3/2)), which the default meets.
     """
     mode = resolve_mode(mode, alpha, p)
-    if not mode.vanishes(mu(alpha, p), tuple_scale(alpha) ** 2):
+    if not mode.vanishes(mu(alpha, p), lambda: tuple_scale(alpha) ** 2):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
     alpha, mode = _in_regime(alpha, mode)
     if is_commuting(alpha, mode):
         return None
-    chis, chiscale = chi(alpha), chi_norm(alpha)
+    chis, chiscale = chi(alpha), functools.cache(lambda: chi_norm(alpha))
     n = alpha.n
     candidates = [(tuple(c[b, a] for c in chis), 1.0)
                   for a in range(n) for b in range(n) if a != b]
     candidates += [(tuple(c[a, a] - c[a + 1, a + 1] for c in chis), math.sqrt(2))
                    for a in range(n - 1)]
     for coeffs, norm in candidates:
-        if mode.vanishes([coeffs], chiscale * norm):
+        if mode.vanishes([coeffs], lambda: chiscale() * norm):
             continue
         w = Bivector(alpha.d, coeffs)
         if n == 2 and bivector_rank(w, mode) != 2:

@@ -471,6 +471,20 @@ class TestCliCommuting:
                  for m in json.loads(out)["invariants"]["monomials"]}
         assert monos[(1,)] == "3/1" and monos[(1, 2)] == "11/1"
 
+    def test_values_beyond_the_float_range_stay_exact(self, capsys, tmp_path):
+        big = 10 ** 400
+        alpha = MatrixTuple.from_matrices([exact_matrix([[big, 0], [0, 1]])])
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(tuple_to_json(alpha)))
+        code, out, _ = run_cli(capsys, "commuting", "spectrum", "--tuple", str(path))
+        assert code == 0
+        assert sorted(json.loads(out)["spectrum"]["points"]) == [["1/1"], [f"{big}/1"]]
+        code, out, _ = run_cli(capsys, "commuting", "analyze", "--tuple", str(path))
+        assert code == 0
+        assert json.loads(out)["analysis"] == {
+            "commutant_dim": 2, "algebra_dim": 2, "radical_dim": 0, "irreducible": False,
+            "semisimple": True, "stable": False}
+
     def test_analyze_tuple(self, capsys, tmp_path):
         from semirigid.verdict import witness_to_tuple
         alpha = witness_to_tuple(Bivector.basis_element(2, 0, 1), 2)

@@ -685,6 +685,25 @@ def normal_float_tuples(draw):
     return alpha, pts
 
 
+class TestBeyondTheFloatRange:
+    """Rational mode takes no float scale, so values outside the float range
+    stay exact."""
+
+    BIG = 10 ** 400
+
+    def test_regular_locus_and_chevalley(self):
+        alpha = exact_tuple([[self.BIG, 0], [0, 1]], [[1, 0], [0, Fraction(2, 3)]])
+        assert is_commuting(alpha, EXACT)
+        assert regular_locus_test(alpha, EXACT)
+        assert chevalley_separates(alpha, conjugated(alpha, 4), EXACT)
+        assert not chevalley_separates(alpha, alpha.scaled(2), EXACT)
+
+    def test_joint_spectrum(self):
+        alpha = exact_tuple([[self.BIG, 0], [0, 1]], [[1, 0], [0, Fraction(2, 3)]])
+        assert sorted(joint_spectrum(conjugated(alpha, 4), EXACT).points) == [
+            (1, Fraction(2, 3)), (self.BIG, 1)]
+
+
 class TestRegularLocus:
     @settings(max_examples=100)
     @given(case=normal_float_tuples())
@@ -962,6 +981,21 @@ def mixed_denominator_tuples(commuting_only):
     return out
 
 
+# tuples whose levels deflate by a common eigenvector: the two of
+# TestOneCombinationPerLevel, and (A, -70/27 A) with joint spectrum (0, 0),
+# (27, -70), (54, -140), which the first combination at seed 0, 70 A_1 + 27 A_2,
+# sends to one group; that level deflates by v = (-1, 1, 0), whose first entry
+# is negative, and the block left splits into two groups
+_A = exact_matrix([[-54, -54, 54], [135, 135, -108], [27, 27, 0]])
+DEFLATING_TUPLES = [
+    MatrixTuple.from_matrices([exact_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                               exact_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])]),
+    MatrixTuple.from_matrices([exact_matrix(np.eye(4, dtype=int)),
+                               exact_matrix(np.diag([1, 1, 2, 2]))]),
+    MatrixTuple.from_matrices([_A, _A * Fraction(-70, 27)]),
+]
+
+
 def closure_tuples():
     """Seeded integer tuples whose closure runs several rounds: dense ones,
     which span M_n, and block-upper-triangular ones, which do not."""
@@ -990,6 +1024,28 @@ class TestClearedProductsMatchFractions:
             assert q.tolist() == ref_q.tolist()
             assert [m.tolist() for m in tri.matrices] == [m.tolist() for m in ref_tri]
             assert all(type(x) is Fraction for m in (q, *tri.matrices) for x in m.flat)
+            _, ref_tri = fraction_triangularize(alpha, 0)
+            assert sorted(joint_spectrum(alpha, EXACT).points) == sorted(
+                zip(*(np.diagonal(m) for m in ref_tri)))
+
+    @pytest.mark.parametrize("alpha", DEFLATING_TUPLES)
+    def test_deflation_matches_the_fraction_reference(self, alpha):
+        for seed in range(8):
+            q, tri = simultaneous_triangularize(alpha, EXACT, seed=seed)
+            ref_q, ref_tri = fraction_triangularize(alpha, seed)
+            assert q.tolist() == ref_q.tolist()
+            assert [m.tolist() for m in tri.matrices] == [m.tolist() for m in ref_tri]
+        assert joint_spectrum(alpha, EXACT).points == tuple(
+            zip(*(np.diagonal(m) for m in fraction_triangularize(alpha, 0)[1])))
+
+    def test_exact_joint_spectrum_solves_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("joint_spectrum called solve")
+
+        tuples = [*mixed_denominator_tuples(commuting_only=True), *DEFLATING_TUPLES]
+        expected = [sorted(joint_spectrum(alpha, EXACT).points) for alpha in tuples]
+        monkeypatch.setattr(commuting, "solve", refuse)
+        assert [sorted(joint_spectrum(alpha, EXACT).points) for alpha in tuples] == expected
 
     def test_rep_analysis(self):
         for alpha in [*mixed_denominator_tuples(commuting_only=False), *closure_tuples()]:

@@ -455,6 +455,17 @@ class TestEigenvalues:
         vals = eigenvalues(exact_matrix([[Fraction(1, 2), 0], [1, Fraction(-3, 4)]]), EXACT)
         assert sorted(vals) == [Fraction(-3, 4), Fraction(1, 2)]
 
+    def test_repeated_non_integer_eigenvalue_under_a_denominator(self):
+        # A = A' / 6 with eigenvalues 5/6 (twice, one Jordan block), -1/3 and 7/2
+        rng = np.random.default_rng(68)
+        p, pinv = unitriangular_pair(rng, 4)
+        t = exact_matrix([[Fraction(5, 6), 1, 0, 0], [0, Fraction(5, 6), 0, 0],
+                          [0, 0, Fraction(-1, 3), Fraction(1, 2)], [0, 0, 0, Fraction(7, 2)]])
+        a = p @ t @ pinv
+        assert cleared(a)[1] == 6
+        assert eigenvalues(a, EXACT) == [Fraction(-1, 3), Fraction(5, 6), Fraction(5, 6),
+                                          Fraction(7, 2)]
+
     def test_irrational_spectrum_raises(self):
         with pytest.raises(IrrationalSpectrumError):
             eigenvalues(exact_matrix([[0, 1], [2, 0]]), EXACT)
@@ -504,9 +515,10 @@ class TestEigenvalues:
         for i in range(24):
             split, _ = planted_split_poly(rng)
             factor = [Fraction(c) for c in IRREDUCIBLE_FACTORS[i % len(IRREDUCIBLE_FACTORS)]]
-            poly = poly_mul(split, factor)
-            with pytest.raises(IrrationalSpectrumError):
-                _rational_roots(poly, len(poly) - 1)
+            # the squared factor makes the square-free part differ from the polynomial
+            for poly in (poly_mul(split, factor), poly_mul(poly_mul(split, factor), factor)):
+                with pytest.raises(IrrationalSpectrumError):
+                    _rational_roots(poly, len(poly) - 1)
 
     def test_constant_and_linear(self):
         assert _rational_roots([Fraction(3)], 0) == []

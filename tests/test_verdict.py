@@ -630,6 +630,15 @@ class TestTupleToWitness:
             assert projective_distance(back, omega) < 1e-8
             assert all(x == 0 for x in apply(p, back))
 
+    def test_values_beyond_the_float_range(self):
+        # rational mode takes no float scale of the tuple, its mu or its chi
+        big = 10 ** 400
+        commuting = MatrixTuple.from_matrices([exact_matrix([[big, 0], [0, 1]])] * 2)
+        assert tuple_to_witness(commuting, kernel_line_pairing(2)) is None
+        omega = Bivector(2, (big,))
+        back = tuple_to_witness(witness_to_tuple(omega, 2), kernel_line_pairing(2))
+        assert back is not None and back.coeffs[0] != 0
+
     def test_mu_nonzero_rejected(self):
         alpha = witness_to_tuple(Bivector.basis_element(2, 0, 1), 2)
         with pytest.raises(MuNonzeroError):

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -131,19 +132,34 @@ def _fraction_inverse(q):
     return solve(q, identity(q.shape[0], EXACT))
 
 
+def _fraction_common_eigenvector(mats):
+    n = mats[0].shape[0]
+    s = identity(n, EXACT)
+    for a in mats:
+        if s.shape[1] == 1:
+            break
+        m = solve(s, a @ s)
+        lam = min(eigenvalues(m, EXACT))
+        s = s @ np.column_stack(nullspace(m - lam * identity(len(m), EXACT), EXACT))
+    return s[:, 0]
+
+
 def _fraction_triangularize(mats, rng):
     n = mats[0].shape[0]
     if n <= 1:
         return identity(n, EXACT)
     coeffs = [Fraction(int(c)) for c in rng.integers(-99, 100, size=len(mats))]
     b = sum(c * m for c, m in zip(coeffs, mats))
-    groups = commuting._group_eigenvalues(eigenvalues(b, EXACT), EXACT, commuting.frobenius(b))
-    q0 = commuting._eigenspace_basis(b, groups, EXACT) if len(groups) > 1 else None
-    if q0 is None:
-        q0 = commuting._complete_basis(commuting._common_eigenvector(mats, EXACT), EXACT)
-        sizes = [1, n - 1]
-    else:
+    groups = sorted(Counter(eigenvalues(b, EXACT)).items())
+    if len(groups) > 1:
+        q0 = np.column_stack([
+            v for lam, count in groups
+            for v in nullspace(np.linalg.matrix_power(b - lam * identity(n, EXACT), count),
+                               EXACT)])
         sizes = [count for _, count in groups]
+    else:
+        q0 = commuting._complete_basis(_fraction_common_eigenvector(mats), EXACT)
+        sizes = [1, n - 1]
     q0_inv = _fraction_inverse(q0)
     transformed = [q0_inv @ a @ q0 for a in mats]
     offs = np.cumsum([0] + sizes)
