@@ -166,10 +166,6 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     return tuple(_mu_kernel(skew(to_float(p.matrix()), alpha.d), to_float(a))[0])
 
 
-def mu_norm(alpha: MatrixTuple, p: SkewPairing) -> float:
-    return max((frobenius(m) for m in mu(alpha, p)), default=0.0)
-
-
 def trace(m: np.ndarray):
     return sum(m[i, i] for i in range(m.shape[0]))
 

@@ -4,8 +4,9 @@ A skew pairing is the tensor of a linear map from the second exterior power
 of V into a target space W, stored on the strictly-upper-triangular index
 pairs (i, j), i < j, and extended by antisymmetry.  Bivectors are stored the
 same way.  Decomposability (rank 2 of the associated skew matrix) is decided
-exactly for dim V <= 4, where the rank-2 locus is cut out by a single
-Pfaffian; higher dimensions are handled by the verdict engine's search.
+exactly by the Plucker quadrics restricted to a kernel: every kernel at
+d <= 4, and at every d a kernel line and a rational pencil; the other kernels
+at d >= 5 are handled by the verdict engine's search.
 """
 
 from __future__ import annotations
@@ -299,11 +300,6 @@ class DecomposableDecision:
     witness: Bivector | None = None
 
 
-def _pfaffian4(omega: Bivector):
-    w = omega.coeffs
-    return w[0] * w[5] - w[1] * w[4] + w[2] * w[3]
-
-
 def _fraction_sqrt(q: Fraction):
     if q < 0:
         return None
@@ -316,48 +312,56 @@ def _fraction_sqrt(q: Fraction):
 
 def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
                               ) -> DecomposableDecision:
-    """Exact decomposability decision for ambient dimension at most 4.
+    """Whether the subspace holds a nonzero decomposable bivector, for d <= 4
+    or dim K <= 2 (rational) / dim K = 1 (complex); else ``not_applicable``.
 
-    For d <= 3 every nonzero bivector has rank 2, so the answer only depends
-    on the subspace being nonzero.  For d = 4 the rank-2 locus is the single
-    Pfaffian quadric: a one-dimensional subspace is tested directly, and any
-    subspace of dimension >= 2 meets the quadric because a complex binary
-    quadratic form always has a nontrivial zero.  Witnesses are produced over
-    the complex numbers; when the discriminant is not a rational square the
-    witness coefficients are floating point even for rational input.
+    A line is a rank test.  Otherwise the Plucker quadrics restricted to the
+    pencil s K1 + t K2 of the first two basis vectors are binary forms
+    a_i s^2 + b_i st + c_i t^2, built from :func:`plucker_square` by
+    polarization (none for d <= 3, one Pfaffian for d = 4).  For d <= 4 that
+    is all: a complex binary form always has a zero, so every plane meets the
+    cone.  If a (c) vanishes, K1 (K2) is a witness; else every witness is
+    x K1 + K2 with x a common root, in particular a root of the form f with
+    the largest |a_i|.  A rational root is tested on every form.  When the
+    discriminant of f is not a rational square, the conjugate of a common
+    root is a common root too, so one exists exactly when every form is a
+    multiple of f; its witness then has float coefficients.  A float "no"
+    for a complex pencil at d >= 5 would need a scaled common-root test, so
+    such a pencil is left to the search.
     """
     mode = resolve_mode(mode, *k.basis)
     d = k.dim_v
-    if d >= 5:
-        return DecomposableDecision(NOT_APPLICABLE)
     if k.dim == 0:
         return DecomposableDecision(NO)
-    if d <= 3:
-        return DecomposableDecision(YES, k.basis[0])
     if k.dim == 1:
-        gen = k.basis[0]
-        if bivector_rank(gen, mode) == 2:
-            return DecomposableDecision(YES, gen)
-        return DecomposableDecision(NO)
+        decomposable = bivector_rank(k.basis[0], mode) == 2
+        return DecomposableDecision(YES, k.basis[0]) if decomposable else DecomposableDecision(NO)
+    if d >= 5 and (k.dim >= 3 or not mode.is_exact):
+        return DecomposableDecision(NOT_APPLICABLE)
     k1, k2 = k.basis[0], k.basis[1]
-    a = _pfaffian4(k1)
-    c = _pfaffian4(k2)
-    b = _pfaffian4(k1 + k2) - a - c
-    scale = max(abs(x) for x in (*k1.coeffs, *k2.coeffs)) ** 2 or 1.0
-    # a vanishing a also covers a quadric that vanishes on the whole plane
+    a, c, ab = (np.array(plucker_square(w), dtype=object) for w in (k1, k2, k1 + k2))
+    b = ab - a - c
+    # plucker_square gives twice the Pfaffians of the 4 x 4 minors
+    scale = 2 * max(abs(x) for x in (*k1.coeffs, *k2.coeffs)) ** 2 or 1.0
+    # a vanishing a also covers quadrics that vanish on the whole plane
     if mode.vanishes([a], scale):
         return DecomposableDecision(YES, k1)
     if mode.vanishes([c], scale):
         return DecomposableDecision(YES, k2)
-    # solve a x^2 + b x + c = 0 for the witness x*k1 + k2
-    disc = b * b - 4 * a * c
+    f = int(np.argmax(np.abs(a)))
+    af, bf, cf = a[f], b[f], c[f]
+    disc = bf * bf - 4 * af * cf
     if mode.is_exact:
         root = _fraction_sqrt(Fraction(disc))
         if root is not None:
-            x = (-b + root) / (2 * a)
-            return DecomposableDecision(YES, x * k1 + k2)
-    a, b, disc = to_float(np.array([a, b, disc], dtype=object)).tolist()
-    x = (-b + cmath.sqrt(disc)) / (2 * a)
+            for x in ((-bf + root) / (2 * af), (-bf - root) / (2 * af)):
+                if not any(a * x * x + b * x + c):
+                    return DecomposableDecision(YES, x * k1 + k2)
+            return DecomposableDecision(NO)
+        if any(af * b - bf * a) or any(af * c - cf * a):
+            return DecomposableDecision(NO)
+    af, bf, disc = to_float(np.array([af, bf, disc], dtype=object)).tolist()
+    x = (-bf + cmath.sqrt(disc)) / (2 * af)
     u, v = to_float(np.array([k1.coeffs, k2.coeffs], dtype=object)).tolist()
     witness = Bivector(d, tuple(x * s + t for s, t in zip(u, v)))
     return DecomposableDecision(YES, witness)

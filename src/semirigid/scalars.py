@@ -115,10 +115,6 @@ def exact_matrix(rows) -> np.ndarray:
     return a
 
 
-def float_matrix(rows) -> np.ndarray:
-    return np.array(rows, dtype=complex)
-
-
 def to_float(a: np.ndarray) -> np.ndarray:
     """Explicit (lossy) rational -> complex float conversion, the only one;
     a value beyond the float range is refused."""
@@ -408,13 +404,6 @@ def _berkowitz(a: np.ndarray) -> list[int]:
             r = r @ a[:k, :k]
         poly = np.convolve(np.array(toeplitz, dtype=object), poly)[:k + 2]
     return poly.tolist()[::-1]
-
-
-def _char_poly_exact(a: np.ndarray) -> list[Fraction]:
-    """Monic characteristic polynomial [c_0, ..., c_{n-1}, 1] of a rational
-    matrix: f^(n-k) c_k is that of the integers A' = f A (:func:`_berkowitz`)."""
-    a, f = cleared(a)
-    return [Fraction(c, f ** (len(a) - k)) for k, c in enumerate(_berkowitz(a))]
 
 
 def _pseudo_divmod(num: list, den: list):

@@ -1,7 +1,7 @@
 """Semi-rigidity verdict engine.
 
 Decides whether the kernel of a skew pairing contains a nonzero decomposable
-bivector.  A zero kernel or the exact low-dimensional decision yields a
+bivector.  A zero kernel or the exact small-kernel decision yields a
 certified answer; otherwise a sufficient dimension bound certifies existence,
 and a seeded numerical search over the kernel hunts for an explicit rank-2
 witness.  The engine also converts witnesses to matrix tuples built on a
@@ -309,10 +309,11 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
     """Three-valued semi-rigidity verdict with a mandatory certificate.
 
     Pipeline: zero kernel is certified immediately; the exact rule decides
-    every kernel in its domain (ambient dimension at most 4); when the
-    dimension bound certifies existence the status is decided even if the
-    search fails to produce the witness; an exhausted search alone yields
-    Unknown, never a semi-rigid claim.
+    every kernel in its domain (d <= 4, or dim K <= 2 for rational and
+    dim K = 1 for complex input); when the dimension bound certifies
+    existence the status is decided even if the search fails to produce the
+    witness; an exhausted search alone yields Unknown, never a semi-rigid
+    claim.
     """
     mode = resolve_mode(mode, p)
     k = kernel(p, mode)

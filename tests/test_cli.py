@@ -364,6 +364,20 @@ class TestCliAnalyze:
         assert code == 0
         assert json.loads(out)["verdict"]["status"] == "semi_rigid"
 
+    def test_rank4_line_at_d5_is_decided_exactly(self, capsys, tmp_path):
+        # every pair but (2, 3) goes to its own coordinate, and (2, 3) to minus
+        # that of (0, 1): the kernel is the line of e0^e1 + e2^e3, of rank 4
+        others = [pq for pq in pair_list(5) if pq != (2, 3)]
+        values = {pq: tuple(int(i == j) for j in range(9)) for i, pq in enumerate(others)}
+        values[(2, 3)] = tuple(-x for x in values[(0, 1)])
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps(pairing_to_json(SkewPairing.from_map(5, 9, values))))
+        code, out, _ = run_cli(capsys, "analyze", "--pairing", str(path))
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert (verdict["status"], verdict["certificate"]) == ("semi_rigid", "exact_low_dim")
+        assert verdict["evidence"]["kernel_dim"] == 1 and verdict["witness"] is None
+
     def test_byte_identical_reports(self, capsys):
         outputs = set()
         for _ in range(3):

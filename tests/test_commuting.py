@@ -30,7 +30,6 @@ from semirigid.scalars import (
     IrrationalSpectrumError,
     ScalarMode,
     exact_matrix,
-    float_matrix,
     to_float,
 )
 from util import (
@@ -52,7 +51,7 @@ def exact_tuple(*mats):
 
 
 def float_tuple(*mats):
-    return MatrixTuple.from_matrices([float_matrix(m) for m in mats])
+    return MatrixTuple.from_matrices([np.array(m, dtype=complex) for m in mats])
 
 
 def sl2_pair(n=2):
@@ -592,7 +591,7 @@ class TestRepAnalysis:
         for _ in range(10):
             n, d = int(rng.integers(2, 4)), int(rng.integers(1, 4))
             alpha = MatrixTuple.from_matrices(
-                [float_matrix(rng.integers(-2, 3, size=(n, n))) for _ in range(d)])
+                [np.array(rng.integers(-2, 3, size=(n, n)), dtype=complex) for _ in range(d)])
             base = rep_analysis(alpha, FLOAT)
             q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
             conj = MatrixTuple.from_matrices(

@@ -24,7 +24,8 @@ from semirigid.exterior import (
     skew,
     wedge,
 )
-from semirigid.scalars import ScalarMode
+from semirigid.scalars import ScalarMode, nullspace
+from semirigid.verdict import _verify_witness
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -260,7 +261,14 @@ class TestDecomposableExistsExact:
         dec = decomposable_exists_exact(KernelSubspace(2, (Bivector.basis_element(2, 0, 1),)))
         assert dec.kind == YES
         assert dec.witness.coeffs == (1,)
-        assert decomposable_exists_exact(KernelSubspace(5, ())).kind == NOT_APPLICABLE
+        assert decomposable_exists_exact(KernelSubspace(5, ())).kind == NO
+        e = [Bivector.basis_element(5, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
+        # a plane of three at d = 5, and a complex pencil there, stay with the search
+        assert decomposable_exists_exact(KernelSubspace(5, tuple(e))).kind == NOT_APPLICABLE
+        pencil = KernelSubspace(5, tuple(Bivector(5, tuple(map(complex, b.coeffs)))
+                                         for b in e[:2]))
+        assert decomposable_exists_exact(pencil).kind == NOT_APPLICABLE
+        assert decomposable_exists_exact(KernelSubspace(5, tuple(e[:2])), EXACT).kind == YES
 
     def test_symplectic_hyperplane_witness(self):
         k = kernel(symplectic_pairing(4), EXACT)
@@ -315,6 +323,140 @@ class TestDecomposableExistsExact:
             if dec.kind == YES:
                 mode = EXACT if dec.witness.is_rational() else FLOAT
                 assert bivector_rank(dec.witness, mode) == 2
+
+
+def pencil_pairing(k1, k2):
+    """Rational pairing whose kernel is exactly span(k1, k2)."""
+    ann = nullspace(np.array([k1.coeffs, k2.coeffs], dtype=object), EXACT)
+    return SkewPairing(k1.dim_v, len(ann), tuple(zip(*(tuple(v) for v in ann))))
+
+
+def restricted_forms(k1, k2):
+    """The Plucker quadrics on s k1 + t k2 as coefficient arrays a, b, c."""
+    a, c, ab = (np.array(plucker_square(w), dtype=object) for w in (k1, k2, k1 + k2))
+    return a, ab - a - c, c
+
+
+def random_wedge(rng, d):
+    u, v = ([int(x) for x in rng.integers(-3, 4, size=d)] for _ in range(2))
+    return wedge(u, v)
+
+
+def is_multiple(omega, of):
+    """Whether the rational bivector omega is a nonzero multiple of ``of``."""
+    j = next(i for i, x in enumerate(of.coeffs) if x != 0)
+    return not omega.is_zero() and omega.coeffs[j] * of == of.coeffs[j] * omega
+
+
+class TestPencilRule:
+    """The Plucker quadrics restricted to a pencil, at every d."""
+
+    @pytest.mark.parametrize("d", range(5, 13))
+    def test_random_pencils_hold_no_decomposable(self, d):
+        rng = np.random.default_rng(d)
+        k1, k2 = random_bivector(rng, d), random_bivector(rng, d)
+        assert decomposable_exists_exact(KernelSubspace(d, (k1, k2))).kind == NO
+
+    @pytest.mark.parametrize("d", range(5, 13))
+    def test_planted_decomposable_gets_an_exact_witness(self, d):
+        rng = np.random.default_rng(100 + d)
+        plant, r = random_wedge(rng, d), random_bivector(rng, d)
+        x0 = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        k1, k2 = r, plant - x0 * r  # x0 k1 + k2 is the plant
+        dec = decomposable_exists_exact(KernelSubspace(d, (k1, k2)))
+        assert dec.kind == YES and dec.witness.is_rational()
+        assert is_multiple(dec.witness, plant)
+        _verify_witness(pencil_pairing(k1, k2), dec.witness, EXACT)
+        assert bivector_rank(dec.witness, EXACT) == 2
+
+    @pytest.mark.parametrize("d", range(5, 9))
+    def test_pencil_of_two_decomposables(self, d):
+        rng = np.random.default_rng(200 + d)
+        p1, p2 = random_wedge(rng, d), random_wedge(rng, d)
+        # x k1 + k2 = (x + 1) p1 + (x - 2) p2: decomposable at x = -1 and 2
+        k1, k2 = p1 + p2, p1 - 2 * p2
+        dec = decomposable_exists_exact(KernelSubspace(d, (k1, k2)))
+        assert dec.kind == YES
+        assert is_multiple(dec.witness, p1) or is_multiple(dec.witness, p2)
+        _verify_witness(pencil_pairing(k1, k2), dec.witness, EXACT)
+
+    def test_common_zero_at_the_second_root(self):
+        k1 = Bivector.from_pairs(5, {(0, 1): 1, (0, 2): 1, (1, 3): 1, (3, 4): 1})
+        k2 = Bivector.from_pairs(5, {(0, 1): -1, (0, 2): -1, (1, 2): -1, (1, 3): -2,
+                                     (3, 4): -2})
+        a, b, c = restricted_forms(k1, k2)
+        f = int(np.argmax(np.abs(a)))
+        # the roots of f are 1, tried first, and 2; only 2 is a common root
+        assert (a[f] + b[f] + c[f], 4 * a[f] + 2 * b[f] + c[f]) == (0, 0) and a[f] < 0
+        assert bivector_rank(k1 + k2, EXACT) == 4
+        dec = decomposable_exists_exact(KernelSubspace(5, (k1, k2)))
+        assert dec.kind == YES and dec.witness == 2 * k1 + k2
+        _verify_witness(pencil_pairing(k1, k2), dec.witness, EXACT)
+
+    def test_rational_roots_of_f_that_no_other_form_shares(self):
+        k1 = Bivector.from_pairs(5, {(0, 3): -1, (0, 4): -1, (2, 4): 1})
+        k2 = Bivector.from_pairs(5, {(0, 1): -1, (0, 3): 1, (3, 4): -1})
+        a, b, c = restricted_forms(k1, k2)
+        f = int(np.argmax(np.abs(a)))
+        # f = 2 x^2 - 2 x has the roots 0 and 1; a form -2 x and a constant 2 share none
+        assert (a[f], b[f], c[f]) == (2, -2, 0)
+        assert decomposable_exists_exact(KernelSubspace(5, (k1, k2))).kind == NO
+
+    def test_conjugate_pair_over_q_sqrt2(self):
+        rng = np.random.default_rng(2)
+        u, v, u2, v2 = ([int(x) for x in rng.integers(-3, 4, size=6)] for _ in range(4))
+        # (u + sqrt2 u2) wedge (v + sqrt2 v2) = p + sqrt2 q: x q + p is
+        # decomposable at x = +-sqrt2, and at no rational x
+        p = wedge(u, v) + 2 * wedge(u2, v2)
+        q = wedge(u, v2) + wedge(u2, v)
+        a, b, c = restricted_forms(q, p)
+        f = int(np.argmax(np.abs(a)))
+        assert b[f] == 0 and c[f] == -2 * a[f] != 0
+        dec = decomposable_exists_exact(KernelSubspace(6, (q, p)))
+        assert dec.kind == YES and not dec.witness.is_rational()
+        assert bivector_rank(dec.witness, FLOAT) == 2
+        _verify_witness(pencil_pairing(q, p), dec.witness, EXACT)
+
+    def test_irrational_roots_of_f_that_not_every_form_shares(self):
+        k1 = Bivector.from_pairs(5, {(0, 4): 1, (1, 4): 1, (2, 3): 1})
+        k2 = Bivector.from_pairs(5, {(0, 3): 1, (2, 4): -1})
+        a, b, c = restricted_forms(k1, k2)
+        f = int(np.argmax(np.abs(a)))
+        # f = 2 x^2 + 2 has the roots +-i; the form 2 x^2 is no multiple of it
+        assert (a[f], b[f], c[f]) == (2, 0, 2) and [2, 0, 0] in np.array([a, b, c]).T.tolist()
+        assert decomposable_exists_exact(KernelSubspace(5, (k1, k2))).kind == NO
+
+    def test_agrees_with_the_common_factor_of_the_forms(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = np.random.default_rng(7)
+        answers = set()
+        for trial in range(24):
+            d = 5 + trial % 2
+            # sparse entries, so that both answers come up
+            k1, k2 = (Bivector(d, tuple(int(s) * int(t) for s, t in zip(
+                rng.integers(-1, 2, size=len(pair_list(d))),
+                rng.integers(0, 2, size=len(pair_list(d)))))) for _ in range(2))
+            if trial % 4 == 0:
+                k2 = random_wedge(rng, d) - int(rng.integers(-2, 3)) * k1
+            if k1.is_zero() or k2.is_zero():
+                continue
+            a, b, c = restricted_forms(k1, k2)
+            forms = [int(ai) * x ** 2 + int(bi) * x + int(ci) for ai, bi, ci in zip(a, b, c)]
+            common = not any(a) or sympy.degree(sympy.gcd_list(forms), x) >= 1
+            dec = decomposable_exists_exact(KernelSubspace(d, (k1, k2)))
+            assert (dec.kind == YES) == common
+            answers.add(dec.kind)
+        assert answers == {YES, NO}
+
+    def test_line_is_a_rank_test_at_every_d(self):
+        for d in (5, 8, 12):
+            gen = Bivector.from_pairs(d, {(0, 1): 1, (2, 3): 1})
+            assert decomposable_exists_exact(KernelSubspace(d, (gen,))).kind == NO
+            line = KernelSubspace(d, (Bivector.basis_element(d, 1, d - 1),))
+            assert decomposable_exists_exact(line).kind == YES
+            floated = KernelSubspace(d, (Bivector(d, tuple(map(complex, gen.coeffs))),))
+            assert decomposable_exists_exact(floated).kind == NO
 
 
 class TestFiltered:

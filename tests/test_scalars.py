@@ -16,14 +16,13 @@ from semirigid.scalars import (
     cleared,
     eigenvalues,
     exact_matrix,
-    float_matrix,
     identity,
     nullspace,
     rank,
     solve,
     to_float,
 )
-from semirigid.scalars import _char_poly_exact, _rational_roots, _rref
+from semirigid.scalars import _berkowitz, _rational_roots, _rref
 from util import (Echelon, echelon_nullspace, echelon_rank, echelon_rref, echelon_solve,
                   unitriangular_pair)
 
@@ -56,11 +55,11 @@ class TestMode:
 class TestRank:
     def test_identity(self):
         assert rank(exact_matrix(np.eye(3, dtype=int)), EXACT) == 3
-        assert rank(float_matrix(np.eye(3)), FLOAT) == 3
+        assert rank(np.array(np.eye(3), dtype=complex), FLOAT) == 3
 
     def test_zero(self):
         assert rank(exact_matrix(np.zeros((2, 2), dtype=int)), EXACT) == 0
-        assert rank(float_matrix(np.zeros((2, 2))), FLOAT) == 0
+        assert rank(np.zeros((2, 2), dtype=complex), FLOAT) == 0
 
     def test_rank_one_rational(self):
         # [[1,2],[2,4]]: second row is twice the first.
@@ -471,7 +470,7 @@ class TestEigenvalues:
             eigenvalues(exact_matrix([[0, 1], [2, 0]]), EXACT)
 
     def test_float_accuracy(self):
-        a = float_matrix([[0, 1], [1, 0]])
+        a = np.array([[0, 1], [1, 0]], dtype=complex)
         vals = sorted(eigenvalues(a, FLOAT), key=lambda z: z.real)
         assert abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
 
@@ -546,6 +545,13 @@ def sympy_char_poly(sympy, a):
             for c in reversed(to_sympy(sympy, a).charpoly().all_coeffs())]
 
 
+def cleared_char_poly(a):
+    """What eigenvalues reads: the characteristic polynomial of the cleared
+    integers A' = f A by Berkowitz, and f."""
+    ints, f = cleared(a)
+    return _berkowitz(ints), ints, f
+
+
 class TestCharPoly:
     """Berkowitz on the cleared integer matrix against sympy's charpoly."""
 
@@ -556,7 +562,8 @@ class TestCharPoly:
             for _ in range(4):
                 a = exact_matrix([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
                                    for _ in range(n)] for _ in range(n)])
-                assert _char_poly_exact(a) == sympy_char_poly(sympy, a)
+                coeffs, ints, _ = cleared_char_poly(a)
+                assert coeffs == sympy_char_poly(sympy, ints)
 
     def test_nilpotent_scalar_and_one_by_one(self):
         sympy = pytest.importorskip("sympy")
@@ -570,8 +577,12 @@ class TestCharPoly:
             (exact_matrix([[0]]), [0, 1]),
         ]
         for a, expected in cases:
-            assert _char_poly_exact(a) == sympy_char_poly(sympy, a) == expected
-            assert all(type(c) is Fraction for c in _char_poly_exact(a))
+            coeffs, ints, f = cleared_char_poly(a)
+            assert coeffs == sympy_char_poly(sympy, ints)
+            assert all(type(c) is int for c in coeffs)
+            # f^(n-k) c_k is the k-th coefficient of A' = f A
+            assert [Fraction(c, f ** (len(a) - k)) for k, c in enumerate(coeffs)] == expected
+            assert expected == sympy_char_poly(sympy, a)
 
     def test_entries_near_two_to_the_200(self):
         # the integer recursion stays polynomial in the bit size of the entries
@@ -580,8 +591,8 @@ class TestCharPoly:
         a = exact_matrix([[Fraction(int.from_bytes(rng.bytes(25), "big") * (-1) ** (i + j),
                                     int(rng.integers(1, 8)))
                            for j in range(6)] for i in range(6)])
-        coeffs, took = seconds(_char_poly_exact, a)
-        assert coeffs == sympy_char_poly(sympy, a) and took < 1.0
+        (coeffs, ints, _), took = seconds(cleared_char_poly, a)
+        assert coeffs == sympy_char_poly(sympy, ints) and took < 1.0
 
     def test_exact_eigenvalues_at_n8_in_milliseconds(self):
         rng = np.random.default_rng(67)

@@ -19,7 +19,6 @@ from semirigid.commuting import (
     frobenius,
     is_commuting,
     mu,
-    mu_norm,
     regular_sl2_triple,
     rep_analysis,
     trace_contraction,
@@ -133,15 +132,20 @@ class TestDecide:
             assert v.status == SEMI_RIGID and v.certificate == CERT_KERNEL_ZERO
 
     def test_unknown_only_from_exhausted_search(self):
-        # a single rank-4 kernel line in d = 6: below the dimension bound and
-        # containing no decomposable element
-        gen = Bivector.from_pairs(6, {(0, 1): 1, (2, 3): 1})
-        p = planted_kernel_pairing(np.random.default_rng(5), 6, 14, gen)
-        if kernel(p, EXACT).dim == 1:
-            v = decide(p, cfg=SearchConfig(restarts=4, max_iterations=50))
+        # random 3-dimensional complex kernels in d = 6: below the dimension
+        # bound of 7, outside the exact rule, and holding no decomposable
+        for seed in range(5):
+            _, cols = random_complex_kernel(np.random.default_rng(seed), 6, 3)
+            v = decide(pairing_with_kernel(cols, 6),
+                       cfg=SearchConfig(restarts=4, max_iterations=50))
             assert v.status == UNKNOWN
             assert v.certificate == CERT_SEARCH_EXHAUSTED
-            assert v.evidence.best_residual > 1e-6
+            assert v.evidence.kernel_dim == 3 and v.evidence.best_residual > 1e-6
+        # a single rank-4 kernel line is decided by its rank
+        gen = Bivector.from_pairs(6, {(0, 1): 1, (2, 3): 1})
+        v = decide(planted_kernel_pairing(np.random.default_rng(5), 6, 14, gen))
+        assert (v.status, v.certificate) == (SEMI_RIGID, CERT_EXACT_LOW_DIM)
+        assert v.witness is None and v.evidence.kernel_dim == 1
 
     def test_deterministic(self):
         p = symplectic_pairing(6)
@@ -379,17 +383,21 @@ class TestWitnessSearch:
     @pytest.mark.parametrize("case", ["rank4_line", "below_bound"])
     def test_restarts_stop_at_a_stationary_point(self, monkeypatch, case):
         rng = np.random.default_rng(6)
+        steps = count_solves(monkeypatch)
+        cfg = SearchConfig(restarts=8)
         if case == "rank4_line":
+            # decide settles this line by its rank, so the search runs on it alone
             p = planted_kernel_pairing(rng, 6, 14, Bivector.from_pairs(6, {(0, 1): 1, (2, 3): 1}))
-            kd = 1
+            k = kernel(p)
+            assert k.dim == 1
+            out = witness_search(k, cfg)
+            assert out.witness is None and out.restarts_used == 8
         else:
             kd = comb(4, 2)
             p = pairing_with_kernel(random_complex_kernel(rng, 6, kd)[1], 6)
-        steps = count_solves(monkeypatch)
-        cfg = SearchConfig(restarts=8)
-        v = decide(p, cfg=cfg)
-        assert (v.status, v.certificate) == (UNKNOWN, CERT_SEARCH_EXHAUSTED)
-        assert v.evidence.kernel_dim == kd and v.evidence.restarts_used == 8
+            v = decide(p, cfg=cfg)
+            assert (v.status, v.certificate) == (UNKNOWN, CERT_SEARCH_EXHAUSTED)
+            assert v.evidence.kernel_dim == kd and v.evidence.restarts_used == 8
         # the Gauss-Newton step is zero at a stationary point: no restart may
         # spin there for the rest of its iterations
         assert sum(steps) < cfg.restarts * cfg.max_iterations / 4
@@ -834,7 +842,7 @@ class TestMuZeroSampler:
         out = mu_zero_sampler(p, 2, SearchConfig(restarts=8, seed=4))
         for s in out.samples:
             scale = tuple_scale(s.alpha)
-            assert mu_norm(s.alpha, p) <= 1e-8 * max(scale ** 2, 1e-300)
+            assert max(map(frobenius, mu(s.alpha, p))) <= 1e-8 * max(scale ** 2, 1e-300)
 
     @pytest.mark.parametrize("entry, n", [("identity:4", 3), ("torus:2", 4)])
     def test_one_solve_per_start_on_injective_pairings(self, monkeypatch, entry, n):
@@ -1041,11 +1049,14 @@ SHORT_SEARCH = SearchConfig(restarts=2, max_iterations=20)
 
 @st.composite
 def certified_pairings(draw):
-    """Small integer pairings, d <= 5.  At d = 5 only a zero kernel or one of
-    dimension >= 4 is certified, so dim W avoids 7-9 there."""
-    d = draw(st.integers(2, 5))
+    """Small integer pairings, d <= 6.  From d = 5 on, a kernel is certified
+    when it is zero, of dimension <= 2 (the pencil rule), or at the dimension
+    bound, so dim W avoids 7 (a kernel of dimension 3) at d = 5 and is 13 or
+    14 (dimension 2 or 1) at d = 6."""
+    d = draw(st.integers(2, 6))
     npairs = comb(d, 2)
-    m = draw(st.sampled_from([0, 1, 2, 4, 6, 10, 11]) if d == 5
+    m = draw(st.sampled_from([0, 1, 2, 4, 6, 8, 9, 10, 11]) if d == 5
+             else st.sampled_from([13, 14]) if d == 6
              else st.integers(0, npairs + 1))
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
                          min_size=npairs, max_size=npairs))
