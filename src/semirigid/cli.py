@@ -257,7 +257,7 @@ def _cmd_verify_chevalley(args, started):
         monos = trace_monomials(alpha, min(4, max(n, 2)))
         for word, val in monos.items():
             expected = sum(math.prod(pt[i - 1] for i in word) for pt in points)
-            if abs(val - expected) > mode.tol_residual * max(1.0, abs(expected)):
+            if not mode.negligible(abs(val - expected), max(1.0, abs(expected))):
                 failures["power_sums"] += 1
                 break
         q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)

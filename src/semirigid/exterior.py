@@ -4,9 +4,9 @@ A skew pairing is the tensor of a linear map from the second exterior power
 of V into a target space W, stored on the strictly-upper-triangular index
 pairs (i, j), i < j, and extended by antisymmetry.  Bivectors are stored the
 same way.  Decomposability (rank 2 of the associated skew matrix) is decided
-exactly by the Plucker quadrics restricted to a kernel: every kernel at
-d <= 4, and at every d a kernel line and a rational pencil; the other kernels
-at d >= 5 are handled by the verdict engine's search.
+exactly by the Plucker quadrics restricted to a kernel, from one vectorized
+builder: every kernel at d <= 4, and at every d a kernel line and a rational
+pencil; the other kernels at d >= 5 are handled by the verdict engine's search.
 """
 
 from __future__ import annotations
@@ -272,17 +272,41 @@ def bivector_rank(omega: Bivector, mode: ScalarMode) -> int:
     return r
 
 
+@functools.cache
+def _pfaffian_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair indices (p, q), each (3, C(d, 4)), of the Pfaffian terms w_ab w_ce,
+    w_ac w_be, w_ae w_bc of each 4-subset a < b < c < e, in combinations order."""
+    a, b, c, e = np.array(list(combinations(range(d), 4)), dtype=np.intp).reshape(-1, 4).T
+    index = skew(np.arange(pair_count(d)), d)
+    return index[[a, a, a], [b, c, e]], index[[c, b, b], [e, e, c]]
+
+
+_upper_pairs = functools.cache(np.triu_indices)
+
+
+def restricted_quadrics(x, d: int) -> np.ndarray:
+    """The Plucker quadrics on the span of the k rows of the array x (pair
+    coordinates; Python ints or complex): the C(d, 4) x C(k + 1, 2) matrix with
+    row s for the 4-subset s and column (i, j), i <= j in ``np.triu_indices(k)``
+    order, the polar form B_s(x_i, x_j), B_s(w, w) being w ^ w's coefficient on s."""
+    xp, xq = (x[:, r] for r in _pfaffian_pairs(d))
+    i, j = _upper_pairs(len(x))
+    t = xp[i] * xq[j] + xp[j] * xq[i]
+    return (t[:, 0] - t[:, 1] + t[:, 2]).T
+
+
 def plucker_square(omega: Bivector) -> tuple:
-    """Coefficients of omega wedge omega on the basis of 4-fold wedges.
+    """Coefficients of omega wedge omega on the basis of 4-fold wedges: the k = 1
+    column of :func:`restricted_quadrics`; a rational omega is cleared first and
+    the column divided by den^2.
 
     Zero exactly when the rank of omega is at most 2.  For d < 4 the target
     space is zero-dimensional and the empty tuple is returned.
     """
-    w = omega.coefficient
-    return tuple(
-        2 * (w(a, b) * w(c, e) - w(a, c) * w(b, e) + w(a, e) * w(b, c))
-        for a, b, c, e in combinations(range(omega.dim_v), 4)
-    )
+    x, den = (cleared(omega.coeffs) if omega.is_rational()
+              else (np.array(omega.coeffs, dtype=complex), 1))
+    col = restricted_quadrics(x[None], omega.dim_v)[:, 0].tolist()
+    return tuple(col) if den == 1 else tuple(Fraction(v, den * den) for v in col)
 
 
 def dimension_criterion(k: KernelSubspace) -> bool:
@@ -300,16 +324,6 @@ class DecomposableDecision:
     witness: Bivector | None = None
 
 
-def _fraction_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
                               ) -> DecomposableDecision:
     """Whether the subspace holds a nonzero decomposable bivector, for d <= 4
@@ -317,17 +331,17 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
 
     A line is a rank test.  Otherwise the Plucker quadrics restricted to the
     pencil s K1 + t K2 of the first two basis vectors are binary forms
-    a_i s^2 + b_i st + c_i t^2, built from :func:`plucker_square` by
-    polarization (none for d <= 3, one Pfaffian for d = 4).  For d <= 4 that
-    is all: a complex binary form always has a zero, so every plane meets the
-    cone.  If a (c) vanishes, K1 (K2) is a witness; else every witness is
-    x K1 + K2 with x a common root, in particular a root of the form f with
-    the largest |a_i|.  A rational root is tested on every form.  When the
-    discriminant of f is not a rational square, the conjugate of a common
-    root is a common root too, so one exists exactly when every form is a
-    multiple of f; its witness then has float coefficients.  A float "no"
-    for a complex pencil at d >= 5 would need a scaled common-root test, so
-    such a pencil is left to the search.
+    a_i s^2 + b_i st + c_i t^2, columns (1, 1), 2 (1, 2) and (2, 2) of
+    :func:`restricted_quadrics` on the rows, cleared in rational mode (none for
+    d <= 3, one Pfaffian for d = 4).  For d <= 4 that is all: a complex binary
+    form always has a zero, so every plane meets the cone.  If a (c) vanishes,
+    K1 (K2) is a witness; else every witness is x K1 + K2 with x a common
+    root, in particular a root of the form f with the largest |a_i|.  A
+    rational root is tested on every form.  When the discriminant of f is not
+    a square, the conjugate of a common root is a common root too, so one
+    exists exactly when every form is a multiple of f; its witness then has
+    float coefficients.  A float "no" for a complex pencil at d >= 5 would
+    need a scaled common-root test, so such a pencil is left to the search.
     """
     mode = resolve_mode(mode, *k.basis)
     d = k.dim_v
@@ -339,10 +353,13 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     if d >= 5 and (k.dim >= 3 or not mode.is_exact):
         return DecomposableDecision(NOT_APPLICABLE)
     k1, k2 = k.basis[0], k.basis[1]
-    a, c, ab = (np.array(plucker_square(w), dtype=object) for w in (k1, k2, k1 + k2))
-    b = ab - a - c
-    # plucker_square gives twice the Pfaffians of the 4 x 4 minors
-    scale = 2 * max(abs(x) for x in (*k1.coeffs, *k2.coeffs)) ** 2 or 1.0
+    rows = np.array([k1.coeffs, k2.coeffs], dtype=object)
+    # cleared rows give den^2 times the forms on K1, K2: the same roots and f
+    xs, den = cleared(rows) if mode.is_exact else (to_float(rows), 1)
+    q = restricted_quadrics(xs, d)
+    a, b, c = q[:, 0], 2 * q[:, 1], q[:, 2]
+    # the quadrics are twice the Pfaffians of the 4 x 4 minors
+    scale = 2 * np.abs(xs).max() ** 2 or 1.0
     # a vanishing a also covers quadrics that vanish on the whole plane
     if mode.vanishes([a], scale):
         return DecomposableDecision(YES, k1)
@@ -352,17 +369,20 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     af, bf, cf = a[f], b[f], c[f]
     disc = bf * bf - 4 * af * cf
     if mode.is_exact:
-        root = _fraction_sqrt(Fraction(disc))
-        if root is not None:
-            for x in ((-bf + root) / (2 * af), (-bf - root) / (2 * af)):
-                if not any(a * x * x + b * x + c):
-                    return DecomposableDecision(YES, x * k1 + k2)
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            # x = num / (2 af) is a common root when (2 af)^2 times each form vanishes
+            for num in (-bf + root, -bf - root):
+                if not any(a * num ** 2 + b * (2 * af * num) + c * (4 * af ** 2)):
+                    return DecomposableDecision(YES, Fraction(num, 2 * af) * k1 + k2)
             return DecomposableDecision(NO)
         if any(af * b - bf * a) or any(af * c - cf * a):
             return DecomposableDecision(NO)
+        # floats of the forms on K1, K2 themselves; their den^2 multiples may round apart
+        af, bf, disc = Fraction(af, den ** 2), Fraction(bf, den ** 2), Fraction(disc, den ** 4)
     af, bf, disc = to_float(np.array([af, bf, disc], dtype=object)).tolist()
     x = (-bf + cmath.sqrt(disc)) / (2 * af)
-    u, v = to_float(np.array([k1.coeffs, k2.coeffs], dtype=object)).tolist()
+    u, v = to_float(rows).tolist()
     witness = Bivector(d, tuple(x * s + t for s, t in zip(u, v)))
     return DecomposableDecision(YES, witness)
 

@@ -554,10 +554,10 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     for i in sorted(points):
         point, res_norm = points[i]
         alpha = MatrixTuple(n, d, tuple(point))
-        # is_commuting's test, on the one chi: each commutator's norm within
-        # tol_residual times the squared tuple scale
+        # is_commuting's test, on the one chi: each commutator's norm
+        # negligible at the squared tuple scale
         chi_res = chi_norm(alpha)
-        samples.append(MuZeroSample(alpha, chi_res <= mode.tol_residual * tuple_scale(alpha) ** 2,
+        samples.append(MuZeroSample(alpha, mode.negligible(chi_res, tuple_scale(alpha) ** 2),
                                     float(res_norm), chi_res))
     return SamplerResult(tuple(samples), len(starts), len(points))
 

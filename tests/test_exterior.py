@@ -1,8 +1,12 @@
+import cmath
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from util import plucker_square_reference
 
+from semirigid import exterior
 from semirigid.exterior import (
     NO,
     NOT_APPLICABLE,
@@ -21,10 +25,11 @@ from semirigid.exterior import (
     pair_index,
     pair_list,
     plucker_square,
+    restricted_quadrics,
     skew,
     wedge,
 )
-from semirigid.scalars import ScalarMode, nullspace
+from semirigid.scalars import ScalarMode, cleared, nullspace, to_float
 from semirigid.verdict import _verify_witness
 
 EXACT = ScalarMode.exact()
@@ -208,6 +213,55 @@ class TestRankAndPlucker:
                 assert vanishes == (bivector_rank(w, EXACT) <= 2)
 
 
+def random_basis(rng, d, k, field):
+    """k seeded bivectors at d: entries p/q with q in [1, 6], or complex."""
+    n = len(pair_list(d))
+    if field == "rational":
+        return [Bivector(d, tuple(Fraction(int(p), int(q)) for p, q in
+                                  zip(rng.integers(-5, 6, n), rng.integers(1, 7, n))))
+                for _ in range(k)]
+    return [Bivector(d, tuple(complex(z) for z in rng.standard_normal(n)
+                              + 1j * rng.standard_normal(n))) for _ in range(k)]
+
+
+class TestRestrictedQuadrics:
+    """The one builder of the Plucker quadrics restricted to a span."""
+
+    @pytest.mark.parametrize("field", ["rational", "complex"])
+    def test_columns_are_the_polar_forms_of_the_reference(self, field):
+        rng = np.random.default_rng(27)
+        # k = 1, 2, 3, 4 in turn, each at two or three d
+        for d in range(4, 13):
+            k = 1 + d % 4
+            basis = random_basis(rng, d, k, field)
+            rows = np.array([w.coeffs for w in basis], dtype=object)
+            xs, den = cleared(rows) if field == "rational" else (to_float(rows), 1)
+            got = restricted_quadrics(xs, d)
+            assert got.shape == (comb(d, 4), k * (k + 1) // 2)
+            q = [np.array(plucker_square_reference(w), dtype=object) for w in basis]
+            for col, (i, j) in enumerate(zip(*np.triu_indices(k))):
+                # Q(x_i + x_j) - Q(x_i) - Q(x_j) = 2 B(x_i, x_j)
+                polar = q[i] if i == j else (np.array(plucker_square_reference(
+                    basis[i] + basis[j]), dtype=object) - q[i] - q[j]) / 2
+                if field == "rational":
+                    assert den > 1
+                    assert got[:, col].tolist() == (polar * den ** 2).tolist()
+                else:
+                    assert np.allclose(got[:, col], to_float(polar), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["rational", "complex"])
+    def test_plucker_square_is_the_reference(self, field):
+        rng = np.random.default_rng(27)
+        for d in range(1, 13):
+            for w in random_basis(rng, d, 2, field):
+                got, ref = plucker_square(w), plucker_square_reference(w)
+                assert len(got) == comb(d, 4)
+                if field == "rational":
+                    assert got == ref
+                else:
+                    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
 def _exact_det_is_zero(p):
     from semirigid.scalars import rank as _rank
     return _rank(p, EXACT) < p.shape[0]
@@ -332,8 +386,9 @@ def pencil_pairing(k1, k2):
 
 
 def restricted_forms(k1, k2):
-    """The Plucker quadrics on s k1 + t k2 as coefficient arrays a, b, c."""
-    a, c, ab = (np.array(plucker_square(w), dtype=object) for w in (k1, k2, k1 + k2))
+    """The Plucker quadrics on s k1 + t k2 as coefficient arrays a, b, c, from
+    the reference by polarization."""
+    a, c, ab = (np.array(plucker_square_reference(w), dtype=object) for w in (k1, k2, k1 + k2))
     return a, ab - a - c, c
 
 
@@ -448,6 +503,34 @@ class TestPencilRule:
             assert (dec.kind == YES) == common
             answers.add(dec.kind)
         assert answers == {YES, NO}
+
+    def test_rule_does_not_evaluate_plucker_square(self, monkeypatch):
+        rng = np.random.default_rng(112)
+        plant, r = random_wedge(rng, 12), random_bivector(rng, 12)
+        k = kernel(pencil_pairing(r, plant - 3 * r), EXACT)
+        assert any(x.denominator > 1 for b in k.basis for x in b.coeffs)
+        expected = decomposable_exists_exact(k)
+        assert expected.kind == YES and is_multiple(expected.witness, plant)
+
+        def refuse(omega):
+            raise AssertionError("the pencil rule evaluated plucker_square")
+
+        monkeypatch.setattr(exterior, "plucker_square", refuse)
+        assert decomposable_exists_exact(k) == expected
+
+    def test_irrational_witness_from_the_forms_on_k1_and_k2(self):
+        # the quadric 4/3 x^2 + 8/9 on x k1 + k2, roots +-i sqrt(2/3); the
+        # cleared rows (den 3) give 9 times it, whose floats round apart
+        third = Fraction(1, 3)
+        k1 = Bivector.from_pairs(4, {(0, 2): -1, (1, 3): 2 * third})
+        k2 = Bivector.from_pairs(4, {(0, 1): 2 * third, (2, 3): 2 * third})
+        a, b, c = restricted_forms(k1, k2)
+        assert (a[0], b[0], c[0]) == (Fraction(4, 3), 0, Fraction(8, 9))
+        af, bf, disc = (complex(v) for v in (a[0], b[0], b[0] ** 2 - 4 * a[0] * c[0]))
+        x = (-bf + cmath.sqrt(disc)) / (2 * af)
+        expected = tuple(x * complex(s) + complex(t) for s, t in zip(k1.coeffs, k2.coeffs))
+        dec = decomposable_exists_exact(KernelSubspace(4, (k1, k2)))
+        assert dec.kind == YES and dec.witness.coeffs == expected
 
     def test_line_is_a_rank_test_at_every_d(self):
         for d in (5, 8, 12):

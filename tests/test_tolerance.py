@@ -1,6 +1,7 @@
 """One tolerance policy: ``ScalarMode.vanishes`` and ``scalars._svd_rank`` make
 every float zero and rank decision, and ``DEFAULT_TOL`` is the one default."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -76,6 +77,13 @@ class TestToleranceLiterals:
         hits = [f.name for f in _source_files() for _ in threshold.finditer(f.read_text())]
         assert hits == ["scalars.py"]
         assert threshold.search(inspect.getsource(scalars._svd_rank))
+
+    def test_residual_bound_only_in_negligible(self):
+        # products tol_residual * ..., in code and not in docstrings
+        hits = [f.name for f in _source_files() for node in ast.walk(ast.parse(f.read_text()))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and ast.unparse(node.left).endswith("tol_residual")]
+        assert hits == ["scalars.py"]
 
     def test_tuple_to_witness_has_no_regime_branch(self):
         assert "is_exact" not in inspect.getsource(tuple_to_witness)

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -35,6 +36,18 @@ def projective_distance(w1: Bivector, w2: Bivector) -> float:
     a = a / na
     b = b / nb
     return float(np.linalg.norm(a - np.vdot(b, a) * b))
+
+
+def plucker_square_reference(omega: Bivector) -> tuple:
+    """Coefficients of omega wedge omega on the 4-fold wedges, one 4-subset at
+    a time: twice the Pfaffian of each 4 x 4 principal minor, in
+    ``combinations`` order.  The reference for ``exterior.restricted_quadrics``
+    and ``exterior.plucker_square``."""
+    w = omega.coefficient
+    return tuple(
+        2 * (w(a, b) * w(c, e) - w(a, c) * w(b, e) + w(a, e) * w(b, c))
+        for a, b, c, e in combinations(range(omega.dim_v), 4)
+    )
 
 
 def random_rank2_bivector(rng, d):
