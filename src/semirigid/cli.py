@@ -82,9 +82,9 @@ def _read_json(path: str, what: str):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+        return json.loads(raw), _digest(raw)
+    except (OSError, RecursionError) as exc:
         raise _CliInputError(f"cannot read {what} file: {exc}") from exc
-    return json.loads(raw), _digest(raw)
 
 
 def _load_pairing(source: str):
@@ -402,14 +402,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, started)
+        # stderr holds JSON lines only: a float overflow shows in the checks it fails
+        with np.errstate(all="ignore"):
+            return args.func(args, started)
     except WitnessVerificationError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_FAILED_CHECK
     except PreconditionError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_PRECONDITION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # a size too large to hold (dim_v 10^9, or 10^400) is malformed input too
+    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_BAD_INPUT
 

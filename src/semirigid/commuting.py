@@ -299,7 +299,7 @@ def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
     Each level splits along the eigenvalue groups of one seeded combination
     B, or, with one group (or a float split the tolerance cannot resolve),
     deflates by a common eigenvector v; its diagonal blocks recurse, and the
-    1 x 1 leaves are the points.  Float mode forms q0^-1 A q0.  Rational mode
+    1 x 1 leaves are the points.  Float mode forms q0^H A q0.  Rational mode
     runs on the integers A' = scale A and inverts nothing: for the group
     p / r and S' the kernel basis of (r B' - p)^k, S'[F] = den I, the block
     is (A' S')[F]; v cleared, v_p > 0 its first nonzero entry and R the rest,
@@ -328,7 +328,7 @@ def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
         sizes = [count for _, count in groups]
         if q0 is None:
             q0, sizes = _complete_basis(_common_eigenvector(mats, mode), mode), [1, n - 1]
-        t = np.linalg.inv(q0) @ mats @ q0
+        t = q0.conj().T @ mats @ q0
         offs = np.cumsum([0] + sizes)
         blocks = [(t[:, lo:hi, lo:hi], 1) for lo, hi in zip(offs, offs[1:])]
     children = [_triangularize(block, s, mode, rng) for block, s in blocks]
@@ -363,7 +363,7 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     """
     alpha, mode = _in_regime(alpha, mode)
     q = _leaves(alpha, mode, seed)[1]()
-    q_inv = solve(q, identity(alpha.n, mode)) if mode.is_exact else np.linalg.inv(q)
+    q_inv = solve(q, identity(alpha.n, mode)) if mode.is_exact else q.conj().T
     transformed = _product(q_inv, np.array(alpha.matrices), q)
     return q, MatrixTuple(alpha.n, alpha.d, tuple(transformed))
 

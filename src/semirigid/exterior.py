@@ -3,10 +3,10 @@
 A skew pairing is the tensor of a linear map from the second exterior power
 of V into a target space W, stored on the strictly-upper-triangular index
 pairs (i, j), i < j, and extended by antisymmetry.  Bivectors are stored the
-same way.  Decomposability (rank 2 of the associated skew matrix) is decided
-exactly by the Plucker quadrics restricted to a kernel, from one vectorized
-builder: every kernel at d <= 4, and at every d a kernel line and a rational
-pencil; the other kernels at d >= 5 are handled by the verdict engine's search.
+same way.  A bivector is decomposable (rank 2) when :func:`rank2_factor`
+writes it as u ^ v, the one rank-2 test, which decides a kernel line; the
+Plucker quadrics restricted to a kernel decide a rational pencil and every
+kernel at d <= 4, and the verdict engine's search handles the rest.
 """
 
 from __future__ import annotations
@@ -259,17 +259,36 @@ def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     return KernelSubspace(p.dim_v, tuple(Bivector(p.dim_v, tuple(v)) for v in basis))
 
 
+def rank2_factor(omega: Bivector, mode: ScalarMode):
+    """Vectors u, v with u ^ v = omega if omega has rank exactly 2, else None.
+
+    A skew m of rank 2 is (c1 c2^T - c2 c1^T) / a for its columns j1, j2 and
+    a = m[j1, j2], its largest |entry|.  Rational: tested on the integers
+    m = den omega, u = c1 / a, v = c2 / den.  Float: at |m|, with no floor.
+    """
+    if mode.is_exact:
+        ints, den = cleared(omega.coeffs)
+        m = skew(ints, omega.dim_v)
+    else:
+        m = to_float(omega.skew_matrix())
+    j1, j2 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    a, c1, c2 = m[j1, j2], m[:, j1], m[:, j2]
+    if a == 0:
+        return None
+    if mode.is_exact:
+        ok = not (np.outer(c1, c2) - np.outer(c2, c1) - a * m).any()
+        return (c1 * Fraction(1, a), c2 * Fraction(1, den)) if ok else None
+    u = c1 / a
+    ok = mode.vanishes([np.outer(u, c2) - np.outer(c2, u) - m], lambda: np.linalg.norm(m))
+    return (u, c2) if ok else None
+
+
 def bivector_rank(omega: Bivector, mode: ScalarMode) -> int:
-    """Rank of the associated skew matrix; always even."""
+    """Rank of the associated skew matrix; always even: its singular values
+    pair up, so an odd float count means the threshold fell inside a pair."""
     m = omega.skew_matrix()
-    if not mode.is_exact:
-        m = to_float(m)
-    r = rank(m, mode)
-    if r % 2:
-        # singular values of a skew matrix pair up; an odd count means the
-        # threshold fell inside a pair
-        r -= 1
-    return r
+    r = rank(m if mode.is_exact else to_float(m), mode)
+    return r - r % 2
 
 
 @functools.cache
@@ -329,7 +348,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     """Whether the subspace holds a nonzero decomposable bivector, for d <= 4
     or dim K <= 2 (rational) / dim K = 1 (complex); else ``not_applicable``.
 
-    A line is a rank test.  Otherwise the Plucker quadrics restricted to the
+    A line is :func:`rank2_factor`'s test.  Otherwise the Plucker quadrics on the
     pencil s K1 + t K2 of the first two basis vectors are binary forms
     a_i s^2 + b_i st + c_i t^2, columns (1, 1), 2 (1, 2) and (2, 2) of
     :func:`restricted_quadrics` on the rows, cleared in rational mode (none for
@@ -348,7 +367,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     if k.dim == 0:
         return DecomposableDecision(NO)
     if k.dim == 1:
-        decomposable = bivector_rank(k.basis[0], mode) == 2
+        decomposable = rank2_factor(k.basis[0], mode) is not None
         return DecomposableDecision(YES, k.basis[0]) if decomposable else DecomposableDecision(NO)
     if d >= 5 and (k.dim >= 3 or not mode.is_exact):
         return DecomposableDecision(NOT_APPLICABLE)

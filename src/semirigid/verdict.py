@@ -26,7 +26,6 @@ from .commuting import (
     _mu_kernel,
     chi,
     chi_norm,
-    frobenius,
     is_commuting,
     mu,
     regular_sl2_triple,
@@ -39,10 +38,10 @@ from .exterior import (
     KernelSubspace,
     SkewPairing,
     apply,
-    bivector_rank,
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
+    rank2_factor,
     skew,
     wedge,
 )
@@ -50,7 +49,6 @@ from .scalars import (
     DEFAULT_TOL,
     PreconditionError,
     ScalarMode,
-    exact_matrix,
     nullspace,
     resolve_mode,
     to_float,
@@ -72,7 +70,7 @@ class MuNonzeroError(PreconditionError):
 
 
 class WitnessVerificationError(RuntimeError):
-    """An emitted witness or its rank-2 factorization failed its independent re-check."""
+    """An emitted witness failed its independent re-check."""
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,12 @@ def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
 
 
 def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode):
-    """Independent re-check of an emitted witness; raises on failure."""
+    """Independent re-check of an emitted witness, raising on failure: it lies
+    in the kernel, and :func:`exterior.rank2_factor` factors it."""
     if not _in_kernel(p, omega, mode):
         raise WitnessVerificationError("witness is not in the kernel")
-    if not (mode.is_exact and omega.is_rational()):
-        mode = ScalarMode.floating()
-    if bivector_rank(omega, mode) != 2:
+    exact = mode.is_exact and omega.is_rational()
+    if rank2_factor(omega, mode if exact else ScalarMode.floating()) is None:
         raise WitnessVerificationError("witness does not have rank 2")
 
 
@@ -342,29 +340,11 @@ def decide(p: SkewPairing, mode: ScalarMode | None = None,
 # witness <-> tuple constructions
 
 
-def _rank2_factor(omega: Bivector, mode: ScalarMode):
-    """Vectors u, v with u wedge v = omega, for a bivector of rank 2."""
-    m = omega.skew_matrix()
-    # Fractions, so that the division below stays exact for int coefficients
-    m = exact_matrix(m) if mode.is_exact else to_float(m)
-    # a skew matrix of rank 2 is (c1 c2^T - c2 c1^T) / a, where c1, c2 are its
-    # columns j1, j2 and a = m[j1, j2] is nonzero; the largest entry keeps the
-    # division well conditioned in float mode
-    j1, j2 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    u = m[:, j1] / m[j1, j2]
-    v = m[:, j2]
-    check = np.outer(u, v) - np.outer(v, u)
-    # at the witness's own norm, nonzero for rank 2: a floor would let a
-    # wrong factor of a small witness through
-    if not mode.vanishes([check - m], lambda: frobenius(m)):
-        raise WitnessVerificationError("rank-2 factorization failed to reconstruct the bivector")
-    return u, v
-
-
 def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) -> MatrixTuple:
     """Matrix tuple u (x) X + v (x) Y from a rank-2 bivector u wedge v.
 
-    X, Y belong to the regular sl2 triple of size n, so the associated
+    u, v are :func:`exterior.rank2_factor`'s (ValueError if it finds none),
+    and X, Y belong to the regular sl2 triple of size n, so the associated
     representation is irreducible; if the bivector is in the kernel of a
     pairing, the contracted quadratic map vanishes on the tuple while the
     commutator map does not.
@@ -372,10 +352,10 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
     if n < 2:
         raise ValueError("need n >= 2")
     mode = resolve_mode(mode, omega)
-    if bivector_rank(omega, mode) != 2:
+    if (factors := rank2_factor(omega, mode)) is None:
         raise ValueError("bivector must have rank exactly 2")
+    u, v = factors
     triple = regular_sl2_triple(n)
-    u, v = _rank2_factor(omega, mode)
     x, y = triple.x, triple.y
     if not mode.is_exact:
         x, y = to_float(x), to_float(y)
@@ -419,7 +399,7 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
         if mode.vanishes([coeffs], lambda: chiscale() * norm):
             continue
         w = Bivector(alpha.d, coeffs)
-        if n == 2 and bivector_rank(w, mode) != 2:
+        if n == 2 and rank2_factor(w, mode) is None:
             continue
         return w
     return None
@@ -506,12 +486,10 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway
     basis = kernel(p, mode).basis if n >= 2 else ()
     for b in basis:
-        if bivector_rank(b, mode) == 2:
-            seed_tuple = witness_to_tuple(b, n, mode)
-            z0 = np.array(seed_tuple.matrices, dtype=complex).reshape(-1)
-            norm = np.linalg.norm(z0)
-            if norm > 0:
-                starts.append(z0 / norm)
+        if rank2_factor(b, mode) is not None:
+            # nonzero: u has the entry -1 at j2, where v is 0
+            z0 = np.array(witness_to_tuple(b, n, mode).matrices, dtype=complex).reshape(-1)
+            starts.append(z0 / np.linalg.norm(z0))
             break
     idx = 0
     while len(starts) < cfg.restarts:

@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semirigid
@@ -16,7 +20,15 @@ from semirigid.catalog import catalog_build, catalog_names
 from semirigid import cli
 from semirigid.cli import _search_config, build_parser, main
 from semirigid.commuting import MatrixTuple
-from semirigid.exterior import Bivector, FilteredPairing, SkewPairing, kernel, pair_list
+from semirigid.exterior import (
+    Bivector,
+    FilteredPairing,
+    SkewPairing,
+    bivector_rank,
+    kernel,
+    pair_list,
+    wedge,
+)
 from semirigid.scalars import ScalarMode, cleared, exact_matrix
 from semirigid.serialize import (
     bivector_from_json,
@@ -422,6 +434,27 @@ class TestCliAnalyze:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "WitnessVerificationError"
+
+    def test_witness_of_rank_2_to_the_svd_only_exit_2(self, capsys, tmp_path):
+        # u ^ v + 1e-7 x: the SVD counts 2 singular values above DEFAULT_TOL,
+        # but the factors from its largest entry miss it at its own norm.  The
+        # factorization is the one rank test, so it is not of rank 2: malformed
+        # input, as every witness that is not, and no failed verification
+        u, v = [3, 1, 1, 2, -2], [-1, -2, -3, 0, 1]
+        x = [3, -2, 3, 2, 0, -1, 1, 0, -2, 3]
+        coeffs = [float(c) + 1e-7 * e for c, e in zip(wedge(u, v).coeffs, x)]
+        assert bivector_rank(Bivector(5, tuple(map(complex, coeffs))), ScalarMode.floating()) == 2
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps({"dim_v": 5, "coeffs": [
+            {"i": i, "j": j, "value": [c, 0.0]} for (i, j), c in zip(pair_list(5), coeffs)]}))
+        # the zero pairing into W = 0 holds every bivector in its kernel
+        pairing = tmp_path / "pairing.json"
+        pairing.write_text(json.dumps({"dim_v": 5, "dim_w": 0, "scalar": "complex",
+                                       "entries": []}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", str(pairing),
+                                 "--witness", str(witness), "--n", "2")
+        assert_value_error_exit_2(code, out, err)
+        assert "rank exactly 2" in err
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIRIGID_SEED", "99")
@@ -981,6 +1014,188 @@ class TestCliMalformedInput:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "_CliInputError"
+
+
+# the three readers, each through one subcommand that reads a file of its kind
+READERS = {
+    "pairing": ("kernel", "--pairing"),
+    "tuple": ("commuting", "spectrum", "--tuple"),
+    "witness": ("construct", "stable", "--pairing", "catalog:curve:2", "--n", "2", "--witness"),
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+# sizes no reader can hold: C(10^9, 2) pair coordinates, or a 400-digit size
+# (a tuple's sizes are checked against its lists before anything is made)
+TOO_BIG = {
+    "pairing": [{"dim_v": 10**9, "dim_w": 1, "scalar": "rational", "entries": []},
+                {"dim_v": 10**400, "dim_w": 1, "scalar": "rational", "entries": []}],
+    "tuple": [{"n": 10**9, "d": 1, "scalar": "rational", "matrices": [[]]},
+              {"n": 2, "d": 10**400, "scalar": "complex", "matrices": []}],
+    "witness": [{"dim_v": 10**9, "coeffs": []}, {"dim_v": 10**400, "coeffs": []}],
+}
+
+
+def main_on_file(reader, text):
+    """cli.main on a file holding ``text``, read by ``reader``: exit code,
+    stdout, and stderr with a line for each warning, as a terminal shows it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{reader}.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*READERS[reader], str(path)])
+    return code, out.getvalue(), err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+
+
+def assert_exit_2_or_3_or_a_report(code, out, err):
+    """The CLI's contract on any file: a report (exit 0), or exit 2 or 3 with
+    one JSON error line on stderr and nothing on stdout."""
+    assert code in (0, 2, 3)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    if code == 0:
+        assert "timing_ms" in json.loads(lines[0]) and json.loads(out)
+    else:
+        assert out == "" and set(json.loads(lines[0])["error"]) == {"type", "message"}
+
+
+class TestInputTooBigToHold:
+    """Input nested or sized beyond what the process can hold is malformed input."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_deep_nesting_exit_2(self, reader):
+        code, out, err = main_on_file(reader, DEEP)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "_CliInputError"
+        assert error["message"].startswith(f"cannot read {reader} file: maximum recursion depth")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_oversize_dimension_exit_2(self, reader, which):
+        code, out, err = main_on_file(reader, json.dumps(TOO_BIG[reader][which]))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+    def test_rational_pairing_of_10_9_is_a_memory_error(self):
+        # numpy refuses the C(10^9, 2)-column matrix before allocating it
+        code, _, err = main_on_file("pairing", json.dumps(TOO_BIG["pairing"][0]))
+        assert code == 2 and "MemoryError" in json.loads(err)["error"]["type"]
+
+
+BIG_INT = 10**399 + 7  # 400 digits
+SMALL = st.integers(-3, 3)
+# JSON of every kind, with no integer large enough to size an allocation
+JUNK = st.recursive(
+    st.none() | st.booleans() | SMALL | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["1/2", "-3/4", "1/0", "2/-6", "7", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=8)
+RATIONAL_SCALARS = SMALL | st.sampled_from([BIG_INT, -BIG_INT, "1/2", f"{BIG_INT}/3", "2/-6"])
+COMPLEX_SCALARS = st.lists(st.floats(-4, 4) | SMALL, min_size=2, max_size=2)
+
+
+def scalars_of(kind, clean):
+    """Scalars of the file's kind; unless ``clean``, now and then one of the
+    other kind or junk."""
+    valid = RATIONAL_SCALARS if kind == "rational" else COMPLEX_SCALARS
+    return valid if clean else st.one_of(valid, valid, valid, st.just([BIG_INT, 0]),
+                                         RATIONAL_SCALARS | COMPLEX_SCALARS | JUNK)
+
+
+def corrupted(draw, obj, fields, clean):
+    """obj, unless ``clean`` with now and then a field dropped or replaced
+    from ``fields``."""
+    for key, alt in ({} if clean else fields).items():
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            obj.pop(key, None)
+        elif roll == 1:
+            obj[key] = draw(alt)
+    return obj
+
+
+@st.composite
+def pairing_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(JUNK))
+    d, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    kind, clean = draw(st.sampled_from(["rational", "complex"])), draw(st.booleans())
+    pairs = draw(st.lists(st.sampled_from(pair_list(d)), unique=True)) if d > 1 else []
+    values = st.lists(scalars_of(kind, clean), min_size=m, max_size=m)
+    obj = {"dim_v": d, "dim_w": m, "scalar": kind,
+           "entries": [{"i": i, "j": j, "values": draw(values)} for i, j in pairs]}
+    if draw(st.integers(0, 3)) == 0:
+        levels = st.integers(0, 2)
+        obj["filtration"] = {"v": draw(st.lists(levels, min_size=d, max_size=d)),
+                             "w": draw(st.lists(levels, min_size=m, max_size=m))}
+    # a complex pairing of huge dim_v builds its rows one by one, so dim_v stays small
+    return json.dumps(corrupted(draw, obj, {
+        "dim_v": JUNK, "dim_w": JUNK | st.just(BIG_INT), "scalar": JUNK, "entries": JUNK,
+        "filtration": JUNK}, clean))
+
+
+@st.composite
+def tuple_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(JUNK))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind, clean = draw(st.sampled_from(["rational", "complex"])), draw(st.booleans())
+    zero = "0" if kind == "rational" else [0, 0]
+    # diagonal matrices commute, so their spectrum is computed
+    diagonal = draw(st.booleans())
+    mats = [[[draw(scalars_of(kind, clean)) if i == j or not diagonal else zero
+              for j in range(n)] for i in range(n)] for _ in range(d)]
+    obj = {"n": n, "d": d, "scalar": kind, "matrices": mats}
+    return json.dumps(corrupted(draw, obj, {
+        "n": JUNK | st.just(BIG_INT), "d": JUNK | st.just(BIG_INT), "scalar": JUNK,
+        "matrices": JUNK}, clean))
+
+
+@st.composite
+def witness_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(JUNK))
+    # (0, 2), (0, 3), (1, 2), (1, 3) span kernel bivectors of curve:2, of rank 2 and 4
+    pairs = draw(st.lists(st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3), (0, 1)]),
+                          unique=True))
+    kind, clean = draw(st.sampled_from(["rational", "complex"])), draw(st.booleans())
+    obj = {"dim_v": 4, "coeffs": [{"i": i, "j": j, "value": draw(scalars_of(kind, clean))}
+                                  for i, j in pairs]}
+    return json.dumps(corrupted(draw, obj, {
+        "dim_v": JUNK | st.sampled_from([BIG_INT, 10**9]), "coeffs": JUNK}, clean))
+
+
+class TestReaderFuzz:
+    """Seeded Hypothesis files through cli.main: every one ends in a report
+    or in exit 2 or 3 with one JSON error line, never in a traceback."""
+
+    @given(text=pairing_texts())
+    @example(text=DEEP)
+    @example(text=json.dumps(TOO_BIG["pairing"][0]))
+    @settings(max_examples=60)
+    def test_pairing_files(self, text):
+        assert_exit_2_or_3_or_a_report(*main_on_file("pairing", text))
+
+    @given(text=tuple_texts())
+    @example(text=DEEP)
+    @example(text=json.dumps(TOO_BIG["tuple"][0]))
+    @settings(max_examples=60)
+    def test_tuple_files(self, text):
+        assert_exit_2_or_3_or_a_report(*main_on_file("tuple", text))
+
+    @given(text=witness_texts())
+    @example(text=DEEP)
+    # a subnormal pivot overflows the float factors: refused, with no warning
+    @example(text=json.dumps({"dim_v": 4, "coeffs": [
+        {"i": 0, "j": 3, "value": [2.225073858507203e-309, 2.225073858507203e-309]}]}))
+    @example(text=json.dumps(TOO_BIG["witness"][0]))
+    @settings(max_examples=60)
+    def test_witness_files(self, text):
+        assert_exit_2_or_3_or_a_report(*main_on_file("witness", text))
 
 
 def test_cli_import_loads_no_scipy():

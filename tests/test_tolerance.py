@@ -117,6 +117,18 @@ class TestOneCopyPerBivectorMap:
         assert not hasattr(verdict, "_rank2_factor_exact")
         assert not hasattr(verdict, "_rank2_factor_float")
 
+    def test_one_rank_two_test(self):
+        # exterior.rank2_factor answers every "is it of rank 2?"; bivector_rank
+        # stays for the API and the tests, with no caller in the package
+        def lines(text):
+            return [(f.name, line.strip()) for f in _source_files()
+                    for line in f.read_text().splitlines() if text in line]
+        assert lines("bivector_rank(") == [
+            ("exterior.py", "def bivector_rank(omega: Bivector, mode: ScalarMode) -> int:")]
+        assert lines("def rank2_factor(") == [
+            ("exterior.py", "def rank2_factor(omega: Bivector, mode: ScalarMode):")]
+        assert not hasattr(verdict, "_rank2_factor")
+
 
 def _conjugated(mats, seed):
     """The tuple conjugated by a seeded unitary, as a float tuple."""

@@ -30,8 +30,10 @@ from semirigid.exterior import (
     SkewPairing,
     apply,
     bivector_rank,
+    decomposable_exists_exact,
     kernel,
     pair_list,
+    rank2_factor,
     skew,
     wedge,
 )
@@ -48,7 +50,6 @@ from semirigid.verdict import (
     SearchConfig,
     WitnessVerificationError,
     _min_norm_step,
-    _rank2_factor,
     _tangent_system,
     _verify_witness,
     construct_stable_point,
@@ -59,7 +60,7 @@ from semirigid.verdict import (
     witness_search,
     witness_to_tuple,
 )
-from semirigid import verdict
+from semirigid import scalars, verdict
 from util import (
     factor_residual,
     planted_kernel_pairing,
@@ -567,6 +568,8 @@ class TestWitnessToTuple:
 
 
 class TestRank2FactorFloat:
+    """exterior.rank2_factor in float mode, checked at the bivector's own norm."""
+
     @staticmethod
     def scaled_wedge(norm):
         rng = np.random.default_rng(17)
@@ -577,7 +580,7 @@ class TestRank2FactorFloat:
     @pytest.mark.parametrize("norm", [1e-11, 1.0, 1e6])
     def test_factor_reconstructs_the_witness(self, norm):
         omega = self.scaled_wedge(norm)
-        u, v = _rank2_factor(omega, FLOAT)
+        u, v = rank2_factor(omega, FLOAT)
         rebuilt = np.array(wedge(u, v).coeffs)
         assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12 * norm
 
@@ -585,8 +588,7 @@ class TestRank2FactorFloat:
         # a rank-4 bivector has no factorization; the rank-2 part taken from
         # its largest entry misses it by about its own norm of 1e-11
         omega = Bivector.from_pairs(4, {(0, 1): 2e-11, (2, 3): 1e-11})
-        with pytest.raises(WitnessVerificationError):
-            _rank2_factor(omega, FLOAT)
+        assert rank2_factor(omega, FLOAT) is None
 
     def test_rounding_noise_entry_is_not_the_pivot(self):
         # u wedge v has (0, 1) entry u0 v1 - u1 v0 = 0, up to rounding noise;
@@ -595,7 +597,7 @@ class TestRank2FactorFloat:
         coeffs = list(wedge(u, v).coeffs)
         coeffs[0] = 1e-17
         omega = Bivector(5, tuple(complex(c) for c in coeffs))
-        f, g = _rank2_factor(omega, FLOAT)
+        f, g = rank2_factor(omega, FLOAT)
         rebuilt = np.array(wedge(f, g).coeffs)
         assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12
 
@@ -603,12 +605,130 @@ class TestRank2FactorFloat:
         # int coefficients: the division by the pivot -7 must stay exact
         omega = wedge([1, 2, 0, -1], [3, -1, 2, 1])
         assert all(type(c) is int for c in omega.coeffs)
-        u, v = _rank2_factor(omega, EXACT)
+        u, v = rank2_factor(omega, EXACT)
         assert all(isinstance(x, Fraction) for x in (*u, *v))
         assert wedge(u, v) == omega
 
     def test_check_has_no_absolute_floor(self):
-        assert "max(1.0" not in inspect.getsource(_rank2_factor)
+        assert "max(1.0" not in inspect.getsource(rank2_factor)
+
+    @pytest.mark.parametrize("omega", [Bivector.zero(4), Bivector.zero(1),
+                                       Bivector(3, (0j, 0j, 0j))])
+    def test_zero_has_no_factors(self, omega):
+        assert rank2_factor(omega, FLOAT) is None
+        if omega.is_rational():
+            assert rank2_factor(omega, EXACT) is None
+
+
+def fraction_formula(omega):
+    """The factors as the Fraction matrix gives them: u = m[:, j1] / a and
+    v = m[:, j2], a = m[j1, j2] the first largest |entry| of m."""
+    m = exact_matrix(omega.skew_matrix())
+    j1, j2 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    return m[:, j1] / m[j1, j2], m[:, j2], m[j1, j2]
+
+
+def fraction_bits(x):
+    return [(type(c), c.numerator, c.denominator) for c in x]
+
+
+class TestRank2FactorExact:
+    """exterior.rank2_factor on rational input: a test in cleared integers."""
+
+    @pytest.mark.parametrize("omega, pivot", [
+        # ints, den 1, pivot -7
+        (wedge([1, 2, 0, -1], [3, -1, 2, 1]), -7),
+        # den 24, pivot -25/12
+        (wedge([Fraction(1, 2), 0, Fraction(-3, 4), 1], [2, Fraction(5, 3), 0, Fraction(-1, 6)]),
+         Fraction(-25, 12)),
+    ])
+    def test_factors_are_the_fraction_formula_bit_for_bit(self, omega, pivot):
+        u, v, a = fraction_formula(omega)
+        assert a == pivot
+        got = rank2_factor(omega, EXACT)
+        assert fraction_bits(got[0]) == fraction_bits(u)
+        assert fraction_bits(got[1]) == fraction_bits(v)
+        assert wedge(*got) == omega
+
+    @pytest.mark.parametrize("pairs", [
+        {(0, 1): 1, (2, 3): 1},
+        {(0, 1): Fraction(1, 3), (2, 3): Fraction(-1, 10**30)},
+        {(0, 1): 1, (0, 2): 1, (1, 2): 1, (3, 4): 1},
+    ])
+    def test_rank_four_has_no_factors(self, pairs):
+        omega = Bivector.from_pairs(5, pairs)
+        assert bivector_rank(omega, EXACT) == 4
+        assert rank2_factor(omega, EXACT) is None
+
+    def test_agrees_with_the_rank_on_random_bivectors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            d = int(rng.integers(2, 7))
+            if rng.random() < 0.5:
+                u, v = (rng.integers(-3, 4, size=d).tolist() for _ in range(2))
+                omega = wedge(u, v)
+            else:
+                omega = Bivector(d, tuple(int(x) for x in rng.integers(-2, 3, size=d * (d - 1) // 2)))
+            omega = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) * omega
+            got = rank2_factor(omega, EXACT)
+            assert (got is not None) == (bivector_rank(omega, EXACT) == 2)
+            if got is not None:
+                assert wedge(*got) == omega
+
+
+class TestRankTwoTestNeedsNoElimination:
+    """With the kernel taken, the exact rank-2 questions are answered by the
+    factorization alone: they run with the modular elimination disabled."""
+
+    @staticmethod
+    def disable_rref(monkeypatch):
+        def refuse(a):
+            raise AssertionError("the rank-2 test ran an elimination")
+        monkeypatch.setattr(scalars, "_rref", refuse)
+
+    @staticmethod
+    def line_pairing(omega):
+        """A rational pairing whose kernel is the line through omega."""
+        ann = scalars.nullspace(np.array([omega.coeffs], dtype=object), EXACT)
+        return SkewPairing(omega.dim_v, len(ann), tuple(zip(*(tuple(v) for v in ann))))
+
+    @pytest.mark.parametrize("omega, kind", [
+        (wedge([1, 2, 0, -1], [3, -1, 2, 1]), "yes"),
+        (Bivector.from_pairs(4, {(0, 1): 1, (2, 3): 1}), "no"),
+    ])
+    def test_line_decision_at_d4(self, monkeypatch, omega, kind):
+        k = kernel(self.line_pairing(omega), EXACT)
+        assert k.dim == 1
+        self.disable_rref(monkeypatch)
+        dec = decomposable_exists_exact(k, EXACT)
+        assert dec.kind == kind
+        assert dec.witness == (k.basis[0] if kind == "yes" else None)
+
+    def test_pencil_witness_recheck(self, monkeypatch):
+        rng = np.random.default_rng(105)
+        plant = wedge(*(rng.integers(-3, 4, size=5).tolist() for _ in range(2)))
+        r = Bivector(5, tuple(int(x) for x in rng.integers(-3, 4, size=10)))
+        k1, k2 = r, plant - Fraction(3, 2) * r
+        ann = scalars.nullspace(np.array([k1.coeffs, k2.coeffs], dtype=object), EXACT)
+        p = SkewPairing(5, len(ann), tuple(zip(*(tuple(v) for v in ann))))
+        dec = decomposable_exists_exact(kernel(p, EXACT), EXACT)
+        assert dec.kind == "yes" and dec.witness.is_rational()
+        # k1 lies in the kernel and has rank 4: the re-check refuses it
+        assert bivector_rank(k1, EXACT) == 4
+        self.disable_rref(monkeypatch)
+        verdict._verify_witness(p, dec.witness, EXACT)
+        with pytest.raises(WitnessVerificationError, match="rank 2"):
+            verdict._verify_witness(p, k1, EXACT)
+
+    def test_witness_to_tuple(self, monkeypatch):
+        omega = wedge([Fraction(1, 2), 0, Fraction(-3, 4), 1], [2, Fraction(5, 3), 0, -1])
+        want = witness_to_tuple(omega, 3, EXACT)
+        self.disable_rref(monkeypatch)
+        got = witness_to_tuple(omega, 3, EXACT)
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+        assert all(type(x) is Fraction for m in got.matrices for x in m.flat)
+        with pytest.raises(ValueError, match="rank exactly 2"):
+            witness_to_tuple(Bivector.from_pairs(4, {(0, 1): 1, (2, 3): 1}), 3, EXACT)
 
 class TestTupleToWitness:
     def test_commuting_returns_none(self):
