@@ -129,64 +129,55 @@ def wedge(u, v) -> Bivector:
     return Bivector(d, tuple(u[i] * v[j] - u[j] * v[i] for i, j in pair_list(d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SkewPairing:
-    """Skew pairing into W: tensor rows indexed by pairs (i, j), i < j.
-
-    ``entries[p][k]`` is the k-th W-coordinate of the image of the p-th basis
-    bivector.  ``dim_w == 0`` encodes the identically-zero pairing.  A
-    rational pairing may instead be built from its cleared form
-    (:meth:`from_cleared`), which makes ``entries`` only when they are read.
+    """Skew pairing into W, held once as its read-only dim_w x pair_count
+    matrix values / den; column p is the image of the p-th basis bivector of
+    :func:`pair_list`.  Rational: Python ints with den > 0 and gcd(den,
+    values) = 1, as :func:`scalars.cleared` gives them; complex: complex128
+    with den = 1.  ``SkewPairing(dim_v, dim_w, entries)`` takes the rows,
+    ``entries[p][k]`` the k-th W-coordinate of that image; ``entries``,
+    equality and hash read them back.  ``dim_w == 0`` is the zero pairing.
     """
 
     dim_v: int
     dim_w: int
-    entries: tuple
+    values: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        if self.dim_v < 1 or self.dim_w < 0:
+    def __init__(self, dim_v: int, dim_w: int, entries):
+        if dim_v < 1 or dim_w < 0:
             raise ValueError("need dim_v >= 1 and dim_w >= 0")
-        if len(self.entries) != pair_count(self.dim_v):
+        if len(entries) != pair_count(dim_v):
             raise ValueError("entry rows do not match dim_v")
-        if any(len(row) != self.dim_w for row in self.entries):
+        if any(len(row) != dim_w for row in entries):
             raise ValueError("entry row length does not match dim_w")
+        rational = all(is_rational_scalar(x) for row in entries for x in row)
+        a = np.array(entries, dtype=object if rational else complex).reshape(len(entries), dim_w).T
+        self._hold(dim_v, *(cleared(a) if rational else (a, 1)))
+
+    def _hold(self, d: int, values: np.ndarray, den: int) -> "SkewPairing":
+        if d < 1 or values.ndim != 2 or values.shape[1] != pair_count(d):
+            raise ValueError("need dim_v >= 1 and a dim_w x pair_count matrix")
+        values.flags.writeable = False
+        for name, x in ("dim_v", d), ("dim_w", values.shape[0]), ("values", values), ("den", den):
+            object.__setattr__(self, name, x)
+        return self
 
     @classmethod
-    def from_cleared(cls, d: int, m: int, ints: np.ndarray, den: int) -> "SkewPairing":
-        """The rational pairing with matrix ints / den, given as
-        :func:`scalars.cleared` returns it: a dim_w x pair_count object array
-        of Python ints and den > 0 with gcd(den, ints) = 1."""
-        if d < 1 or ints.shape != (m, pair_count(d)):
-            raise ValueError("need dim_v >= 1 and a dim_w x pair_count matrix")
-        ints.flags.writeable = False
-        p = object.__new__(cls)
-        p.__dict__.update(dim_v=d, dim_w=m, cleared_form=(ints, den), _rational=True)
-        return p
-
-    def __getattr__(self, name):
-        # reached only for an attribute that is not set: the entries of a
-        # pairing built by from_cleared, until they are first read
-        if name != "entries" or "cleared_form" not in self.__dict__:
-            raise AttributeError(name)
-        ints, den = self.cleared_form
-        entries = tuple(tuple(Fraction(x, den) for x in row) for row in ints.T.tolist())
-        self.__dict__["entries"] = entries
-        return entries
+    def from_matrix(cls, d: int, values: np.ndarray, den: int = 1) -> "SkewPairing":
+        """The pairing of matrix values / den, given in the stored form
+        above; held as it is and made read-only."""
+        return cls.__new__(cls)._hold(d, values, den)
 
     @classmethod
     def zero(cls, d: int, m: int) -> "SkewPairing":
-        return cls(d, m, tuple((0,) * m for _ in range(pair_count(d))))
+        return cls.from_matrix(d, np.zeros((m, pair_count(d)), dtype=object))
 
     @classmethod
     def identity(cls, d: int) -> "SkewPairing":
         """The identity pairing of V wedge V onto itself."""
-        n = pair_count(d)
-        rows = []
-        for p in range(n):
-            row = [0] * n
-            row[p] = 1
-            rows.append(tuple(row))
-        return cls(d, n, tuple(rows))
+        return cls.from_matrix(d, np.identity(pair_count(d), dtype=object))
 
     @classmethod
     def from_map(cls, d: int, m: int, values: dict) -> "SkewPairing":
@@ -199,27 +190,31 @@ class SkewPairing:
             rows[pair_index(i, j, d)] = list(vec)
         return cls(d, m, tuple(tuple(r) for r in rows))
 
-    @functools.cached_property
-    def cleared_form(self) -> tuple[np.ndarray, int]:
-        """The matrix of a rational pairing as :func:`scalars.cleared` gives
-        it, (ints, den) with matrix() == ints / den; made once and read-only.
-        The exact kernel, ``apply`` and ``mu`` read the pairing here."""
-        ints, den = cleared(self.matrix())
-        ints.flags.writeable = False
-        return ints, den
+    @property
+    def entries(self) -> tuple:
+        """The rows of :meth:`matrix`, one per basis bivector, as tuples."""
+        return tuple(map(tuple, self.matrix().T.tolist()))
 
-    @functools.cached_property
-    def _rational(self) -> bool:
-        return all(is_rational_scalar(x) for row in self.entries for x in row)
+    @property
+    def cleared_form(self) -> tuple[np.ndarray, int]:
+        """The stored (values, den); the exact kernel, apply and mu read it."""
+        return self.values, self.den
+
+    def _key(self) -> tuple:
+        return self.dim_v, self.dim_w, self.entries
+
+    def __eq__(self, other):
+        return isinstance(other, SkewPairing) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def is_rational(self) -> bool:
-        """Whether every entry is rational; scanned once, as the pairing is frozen."""
-        return self._rational
+        return self.values.dtype == object
 
     def matrix(self) -> np.ndarray:
-        """The dim_w x pair_count matrix of the pairing."""
-        rows = np.array(self.entries, dtype=object if self.is_rational() else complex)
-        return rows.reshape(pair_count(self.dim_v), self.dim_w).T
+        """``values`` itself when den = 1, else values / den in Fractions."""
+        return self.values if self.den == 1 else self.values * Fraction(1, self.den)
 
 
 @dataclass(frozen=True)
@@ -444,11 +439,9 @@ class FilteredPairing:
 def associated_graded(fp: FilteredPairing) -> SkewPairing:
     """Keep only the level-preserving coefficients of the pairing."""
     p = fp.pairing
-    rows = []
-    for (i, j), row in zip(pair_list(p.dim_v), p.entries):
-        lvl = fp.pair_level(i, j)
-        rows.append(tuple(x if fp.filt_w[kk] == lvl else x * 0 for kk, x in enumerate(row)))
-    return SkewPairing(p.dim_v, p.dim_w, tuple(rows))
+    return SkewPairing(p.dim_v, p.dim_w, [
+        [x if w == fp.pair_level(i, j) else x * 0 for w, x in zip(fp.filt_w, row)]
+        for (i, j), row in zip(pair_list(p.dim_v), p.entries)])
 
 
 def leading_term(fp: FilteredPairing, omega: Bivector) -> Bivector:

@@ -3,9 +3,9 @@
 Rational scalars are written as strings "p/q" with q > 0 and gcd(p, q) = 1,
 and read from integers and strings "p" or "p/q" with any nonzero q; complex
 scalars travel as two-element arrays [re, im] of finite decimal floats.
-Booleans are not scalars, and sizes are JSON integers.  A rational pairing
-is parsed straight to its cleared form, one integer matrix and one
-denominator, with no Fraction per entry.  All keys are snake_case and
+Booleans are not scalars, and sizes are JSON integers.  A pairing is parsed
+straight to its one matrix: cleared integers and one denominator, with no
+Fraction per entry, or complex128.  All keys are snake_case and
 emission is deterministic for identical values: :func:`canonical_json`
 writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
@@ -82,11 +82,12 @@ def scalar_from_json(v, kind: str):
     return z
 
 
-def _complex_values(vecs: list) -> list:
-    """The complex wire scalars of the lists ``vecs``, in order.  Lists of
-    [re, im] pairs of ints and floats are read in one numpy pass; anything
-    else, and any value that is not finite, goes through
-    :func:`scalar_from_json` one by one, which refuses it with its message."""
+def _complex_values(vecs: list) -> np.ndarray:
+    """The complex wire scalars of the lists ``vecs``, in order, as one
+    complex128 array.  Lists of [re, im] pairs of ints and floats are read in
+    one numpy pass; anything else, and any value that is not finite, goes
+    through :func:`scalar_from_json` one by one, which refuses it with its
+    message."""
     flat = [x for vec in vecs for x in vec]
     if all(type(x) is list and len(x) == 2 for x in flat):
         parts = [y for x in flat for y in x]
@@ -97,8 +98,8 @@ def _complex_values(vecs: list) -> list:
                 pairs = None
             if pairs is not None and np.isfinite(pairs).all():
                 # a view, so that each part keeps its bits, the sign of zero too
-                return pairs.view(complex).reshape(-1).tolist()
-    return [scalar_from_json(x, COMPLEX) for x in flat]
+                return pairs.view(complex).reshape(-1)
+    return np.array([scalar_from_json(x, COMPLEX) for x in flat], dtype=complex)
 
 
 def _by_pair(items, d: int, what: str) -> dict:
@@ -137,11 +138,8 @@ def infer_kind(data) -> str:
 
 def pairing_to_json(p: SkewPairing, filtration: FilteredPairing | None = None) -> dict:
     kind = infer_kind(p)
-    entries = []
-    for (i, j), row in zip(pair_list(p.dim_v), p.entries):
-        if any(x != 0 for x in row):
-            entries.append({"i": i, "j": j,
-                            "values": [scalar_to_json(x, kind) for x in row]})
+    entries = [{"i": i, "j": j, "values": [scalar_to_json(x, kind) for x in row]}
+               for (i, j), row in zip(pair_list(p.dim_v), p.entries) if any(row)]
     out = {"dim_v": p.dim_v, "dim_w": p.dim_w, "scalar": kind, "entries": entries}
     if filtration is not None:
         out["filtration"] = {"v": list(filtration.filt_v), "w": list(filtration.filt_w)}
@@ -166,8 +164,9 @@ def _cleared_columns(cols: dict, m: int, n: int):
 
 
 def pairing_from_json(obj: dict):
-    """Parse a pairing; returns (pairing, filtered_or_none).  A rational
-    pairing is built from its cleared form."""
+    """Parse a pairing; returns (pairing, filtered_or_none).  The columns go
+    straight into its matrix, cleared or complex128, and omitted pairs are
+    zero of the file's kind: a complex file is complex whatever its entries."""
     try:
         d = _integer(obj["dim_v"], "dim_v")
         m = _integer(obj["dim_w"], "dim_w")
@@ -184,14 +183,12 @@ def pairing_from_json(obj: dict):
         if not (isinstance(vec, list) and len(vec) == m):
             raise ValueError(f"entry values must be a list of dim_w = {m} scalars, got {vec!r}")
         cols[k] = vec
-    n = pair_count(d)
     if kind == RATIONAL:
-        pairing = SkewPairing.from_cleared(d, m, *_cleared_columns(cols, m, n))
+        values, den = _cleared_columns(cols, m, pair_count(d))
     else:
-        keys = sorted(cols)
-        values = _complex_values([cols[k] for k in keys])
-        rows = {k: tuple(values[i * m:(i + 1) * m]) for i, k in enumerate(keys)}
-        pairing = SkewPairing(d, m, tuple(rows.get(k, (0,) * m) for k in range(n)))
+        values, den = np.zeros((m, pair_count(d)), dtype=complex), 1
+        values[:, list(cols)] = _complex_values(list(cols.values())).reshape(len(cols), m).T
+    pairing = SkewPairing.from_matrix(d, values, den)
     filtered = None
     if "filtration" in obj:
         filt = obj["filtration"]

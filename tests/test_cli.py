@@ -126,10 +126,11 @@ class TestComplexPairingWire:
 
     @staticmethod
     def one_by_one(obj):
+        # omitted pairs are complex zeros, as the file is complex
         d, m = obj["dim_v"], obj["dim_w"]
         cols = {pair_list(d).index((e["i"], e["j"])): e["values"] for e in obj["entries"]}
         return tuple(tuple(scalar_from_json(x, "complex") for x in cols[k]) if k in cols
-                     else (0,) * m for k in range(comb(d, 2)))
+                     else (0j,) * m for k in range(comb(d, 2)))
 
     @given(d=st.integers(2, 6), m=st.integers(0, 4), data=st.data())
     def test_matches_the_scalar_parser(self, d, m, data):
@@ -146,6 +147,17 @@ class TestComplexPairingWire:
         assert p == SkewPairing(d, m, want) and hash(p) == hash(SkewPairing(d, m, want))
         # each part keeps its bits, the sign of a zero too
         assert [repr(z) for row in p.entries for z in row] == [repr(z) for row in want for z in row]
+
+    def test_a_complex_file_is_complex(self, capsys, tmp_path):
+        # omitted pairs are complex zeros, so no entries still make a complex pairing
+        obj = {"dim_v": 3, "dim_w": 1, "scalar": "complex", "entries": []}
+        p, _ = pairing_from_json(obj)
+        assert not p.is_rational() and p == SkewPairing.zero(3, 1)
+        path = tmp_path / "pairing.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "kernel", "--pairing", str(path))
+        values = [c["value"] for b in json.loads(out)["kernel"]["basis"] for c in b["coeffs"]]
+        assert code == 0 and values == [[1.0, -0.0]] * 3
 
     @pytest.mark.parametrize("bad, message", [
         ([True, 1.0], "must be a [re, im] pair of numbers"),
@@ -1027,16 +1039,20 @@ DEEP = "[" * 100_000 + "]" * 100_000
 # (a tuple's sizes are checked against its lists before anything is made)
 TOO_BIG = {
     "pairing": [{"dim_v": 10**9, "dim_w": 1, "scalar": "rational", "entries": []},
-                {"dim_v": 10**400, "dim_w": 1, "scalar": "rational", "entries": []}],
+                {"dim_v": 10**400, "dim_w": 1, "scalar": "rational", "entries": []},
+                {"dim_v": 10**9, "dim_w": 0, "scalar": "complex", "entries": []},
+                {"dim_v": 10**9, "dim_w": 1, "scalar": "complex", "entries": []},
+                {"dim_v": 10**400, "dim_w": 1, "scalar": "complex", "entries": []}],
     "tuple": [{"n": 10**9, "d": 1, "scalar": "rational", "matrices": [[]]},
               {"n": 2, "d": 10**400, "scalar": "complex", "matrices": []}],
     "witness": [{"dim_v": 10**9, "coeffs": []}, {"dim_v": 10**400, "coeffs": []}],
 }
 
 
-def main_on_file(reader, text):
-    """cli.main on a file holding ``text``, read by ``reader``: exit code,
-    stdout, and stderr with a line for each warning, as a terminal shows it."""
+def main_on_file(reader, text, argv=None):
+    """cli.main on a file holding ``text``, read by ``reader`` (or by the
+    command ``argv``, whose last flag takes the file): exit code, stdout, and
+    stderr with a line for each warning, as a terminal shows it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{reader}.json"
         path.write_text(text)
@@ -1044,7 +1060,7 @@ def main_on_file(reader, text):
         with redirect_stdout(out), redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([*READERS[reader], str(path)])
+            code = main([*(argv or READERS[reader]), str(path)])
     return code, out.getvalue(), err.getvalue() + "".join(f"{w.message}\n" for w in caught)
 
 
@@ -1071,8 +1087,8 @@ class TestInputTooBigToHold:
         assert error["type"] == "_CliInputError"
         assert error["message"].startswith(f"cannot read {reader} file: maximum recursion depth")
 
-    @pytest.mark.parametrize("which", [0, 1])
-    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("reader, which", [
+        (reader, which) for reader, objs in TOO_BIG.items() for which in range(len(objs))])
     def test_oversize_dimension_exit_2(self, reader, which):
         code, out, err = main_on_file(reader, json.dumps(TOO_BIG[reader][which]))
         assert code == 2 and out == ""
@@ -1119,7 +1135,9 @@ def corrupted(draw, obj, fields, clean):
 
 
 @st.composite
-def pairing_texts(draw):
+def pairing_texts(draw, huge=True):
+    """Pairing files; unless ``huge``, every size is small, for the commands
+    that work on a pairing of whatever size the reader holds."""
     if draw(st.integers(0, 9)) == 0:
         return json.dumps(draw(JUNK))
     d, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
@@ -1132,9 +1150,10 @@ def pairing_texts(draw):
         levels = st.integers(0, 2)
         obj["filtration"] = {"v": draw(st.lists(levels, min_size=d, max_size=d)),
                              "w": draw(st.lists(levels, min_size=m, max_size=m))}
-    # a complex pairing of huge dim_v builds its rows one by one, so dim_v stays small
+    # 10^9 and 10^400 are refused by the reader at any dim_w, or by kernel at dim_w 0
+    dim_v = JUNK | st.sampled_from([BIG_INT, 10**9]) if huge else JUNK
     return json.dumps(corrupted(draw, obj, {
-        "dim_v": JUNK, "dim_w": JUNK | st.just(BIG_INT), "scalar": JUNK, "entries": JUNK,
+        "dim_v": dim_v, "dim_w": JUNK | st.just(BIG_INT), "scalar": JUNK, "entries": JUNK,
         "filtration": JUNK}, clean))
 
 
@@ -1176,6 +1195,7 @@ class TestReaderFuzz:
     @given(text=pairing_texts())
     @example(text=DEEP)
     @example(text=json.dumps(TOO_BIG["pairing"][0]))
+    @example(text=json.dumps(TOO_BIG["pairing"][2]))
     @settings(max_examples=60)
     def test_pairing_files(self, text):
         assert_exit_2_or_3_or_a_report(*main_on_file("pairing", text))
@@ -1186,6 +1206,25 @@ class TestReaderFuzz:
     @settings(max_examples=60)
     def test_tuple_files(self, text):
         assert_exit_2_or_3_or_a_report(*main_on_file("tuple", text))
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--restarts", "2", "--max-iterations", "5", "--pairing"),
+        ("sample", "mu-zero", "--n", "2", "--starts", "2", "--pairing"),
+        ("construct", "stable", "--auto", "--n", "2", "--restarts", "2", "--pairing"),
+    ])
+    @given(text=pairing_texts(huge=False))
+    @settings(max_examples=20)
+    def test_pairing_files_through_every_command(self, argv, text):
+        assert_exit_2_or_3_or_a_report(*main_on_file("pairing", text, argv))
+
+    @pytest.mark.parametrize("argv", [
+        ("commuting", "invariants", "--max-degree", "2", "--tuple"),
+        ("commuting", "analyze", "--tuple"),
+    ])
+    @given(text=tuple_texts())
+    @settings(max_examples=20)
+    def test_tuple_files_through_every_command(self, argv, text):
+        assert_exit_2_or_3_or_a_report(*main_on_file("tuple", text, argv))
 
     @given(text=witness_texts())
     @example(text=DEEP)

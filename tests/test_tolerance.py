@@ -4,11 +4,13 @@ every float zero and rank decision, and ``DEFAULT_TOL`` is the one default."""
 import ast
 import dataclasses
 import inspect
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,8 +18,9 @@ import semirigid
 from semirigid import commuting, scalars, verdict
 from semirigid.catalog import catalog_build
 from semirigid.commuting import MatrixTuple, is_commuting, rep_analysis
-from semirigid.exterior import Bivector, decomposable_exists_exact
+from semirigid.exterior import Bivector, SkewPairing, decomposable_exists_exact
 from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
+from semirigid.serialize import pairing_from_json
 from semirigid.verdict import SearchConfig, tuple_to_witness, witness_to_tuple
 
 EXACT = ScalarMode.exact()
@@ -128,6 +131,50 @@ class TestOneCopyPerBivectorMap:
         assert lines("def rank2_factor(") == [
             ("exterior.py", "def rank2_factor(omega: Bivector, mode: ScalarMode):")]
         assert not hasattr(verdict, "_rank2_factor")
+
+
+def _wire(kind, values):
+    return pairing_from_json({"dim_v": 3, "dim_w": 2, "scalar": kind, "entries": [
+        {"i": 0, "j": 2, "values": values}]})[0]
+
+
+# every constructor of a pairing, built when its case runs, with whether it is rational
+PAIRINGS = {
+    "ints": (lambda: SkewPairing(3, 2, ((1, -2), (0, 0), (4, 6))), True),
+    "fractions": (lambda: SkewPairing(3, 1, ((Fraction(1, 2),), (0,), (Fraction(-2, 3),))),
+                  True),
+    "complex rows": (lambda: SkewPairing(3, 1, ((1j,), (0,), (2.5,))), False),
+    "zero": (lambda: SkewPairing.zero(4, 2), True),
+    "identity": (lambda: SkewPairing.identity(4), True),
+    "from_map": (lambda: SkewPairing.from_map(3, 2, {(0, 2): (Fraction(3, 4), 1)}), True),
+    "rational file": (lambda: _wire("rational", ["2/6", "-5/4"]), True),
+    "complex file": (lambda: _wire("complex", [[1, 0.5], [-0.0, 2]]), False),
+}
+
+
+class TestOneStoredPairingForm:
+    """A skew pairing is stored once, as its read-only matrix values / den;
+    entries, matrix() and the kind are derived from it."""
+
+    def test_no_second_form(self):
+        p = PAIRINGS["rational file"][0]()
+        for name in ("__getattr__", "from_cleared", "_rational"):
+            assert not hasattr(SkewPairing, name) and not hasattr(p, name)
+
+    @pytest.mark.parametrize("name", PAIRINGS)
+    def test_the_stored_matrix(self, name):
+        build, rational = PAIRINGS[name]
+        p = build()
+        values, den = p.cleared_form
+        assert values is p.values and den is p.den
+        assert values.shape == (p.dim_w, math.comb(p.dim_v, 2))
+        assert not values.flags.writeable
+        assert p.is_rational() == rational
+        if rational:
+            assert all(type(x) is int for x in values.flat) and type(den) is int
+            assert den > 0 and math.gcd(den, *values.flat) == 1
+        else:
+            assert values.dtype == np.complex128 and den == 1
 
 
 def _conjugated(mats, seed):
