@@ -25,9 +25,7 @@ from .scalars import (
     ScalarMode,
     cleared,
     eigenvalues,
-    exact_matrix,
     identity,
-    is_exact_array,
     nullspace,
     rank,
     resolve_mode,
@@ -42,48 +40,58 @@ class NotCommutingError(PreconditionError):
     """An operation requiring a pairwise-commuting tuple received one that is not."""
 
 
-def _as_matrix(m) -> np.ndarray:
-    """An array as it is; nested lists become a Fraction array when every
-    entry is an int or a Fraction, and a complex array otherwise."""
-    a = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrices must be square")
-    if a is not m:
-        rational = all(isinstance(x, (int, np.integer, Fraction)) for x in a.flat)
-        a = exact_matrix(a) if rational else a.astype(complex)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class MatrixTuple:
-    """d square matrices of size n; treat as immutable after construction."""
+    """d square matrices of size n, held once as a read-only (d, n, n) stack
+    values / den: Python ints with den > 0 and gcd(den, values) = 1, as
+    :func:`scalars.cleared` gives them, or complex128 with den = 1.  Given
+    matrices are rational when each is an object array, or nested lists, of
+    ints and Fractions; ``matrices`` reads them back, in Fractions."""
 
     n: int
     d: int
-    matrices: tuple
+    values: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        if self.d != len(self.matrices):
-            raise ValueError("tuple length does not match d")
-        for m in self.matrices:
-            if m.shape != (self.n, self.n):
-                raise ValueError("all matrices must be n x n")
+    def __init__(self, n: int, d: int, matrices):
+        arrays = [m if isinstance(m, np.ndarray) else np.array(m, dtype=object) for m in matrices]
+        if not arrays or len(arrays) != d or any(m.shape != (n, n) for m in arrays):
+            raise ValueError("need d >= 1 matrices, each n x n")
+        a = np.array(arrays)
+        rational = a.dtype == object and all(isinstance(x, (int, np.integer, Fraction))
+                                             for x in a.flat)
+        self._hold(*(cleared(a) if rational else (to_float(a), 1)))
+
+    def _hold(self, values: np.ndarray, den: int = 1) -> "MatrixTuple":
+        values.flags.writeable = False
+        d, n, _ = values.shape
+        for name, x in ("n", n), ("d", d), ("values", values), ("den", den):
+            object.__setattr__(self, name, x)
+        return self
+
+    @classmethod
+    def _from_stack(cls, values: np.ndarray, den: int = 1) -> "MatrixTuple":
+        """The tuple of a stack already in the stored form, made read-only."""
+        return cls.__new__(cls)._hold(values, den)
 
     @classmethod
     def from_matrices(cls, mats) -> "MatrixTuple":
-        mats = tuple(_as_matrix(m) for m in mats)
-        if not mats:
-            raise ValueError("need at least one matrix")
-        return cls(mats[0].shape[0], len(mats), mats)
+        mats = list(mats)
+        return cls(len(mats[0]) if mats else 0, len(mats), mats)
+
+    @property
+    def matrices(self) -> tuple:
+        return tuple(self.values * Fraction(1, self.den) if self.is_rational() else self.values)
 
     def is_rational(self) -> bool:
-        return all(is_exact_array(m) for m in self.matrices)
+        return self.values.dtype == object
 
     def to_float(self) -> "MatrixTuple":
-        return MatrixTuple(self.n, self.d, tuple(to_float(m) for m in self.matrices))
+        """Each value of values / den rounded once, even with integers beyond the float range."""
+        return MatrixTuple._from_stack(to_float(np.array(self.matrices)))
 
     def scaled(self, factor) -> "MatrixTuple":
-        return MatrixTuple(self.n, self.d, tuple(factor * m for m in self.matrices))
+        return MatrixTuple.from_matrices(np.array(self.matrices) * factor)
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -104,9 +112,8 @@ def chi(alpha: MatrixTuple) -> tuple:
     """Pairwise commutators, one matrix per basis bivector (i < j)."""
     # a rational tuple A = A' / f: [A_i, A_j] = [A'_i, A'_j] / f^2, one division
     if not alpha.is_rational():
-        return tuple(_commutators(alpha.matrices))
-    a, f = cleared(np.array(alpha.matrices))
-    return tuple(c * Fraction(1, f * f) for c in _commutators(a))
+        return tuple(_commutators(alpha.values))
+    return tuple(c * Fraction(1, alpha.den ** 2) for c in _commutators(alpha.values))
 
 
 def chi_norm(alpha: MatrixTuple) -> float:
@@ -116,7 +123,7 @@ def chi_norm(alpha: MatrixTuple) -> float:
 def is_commuting(alpha: MatrixTuple, mode: ScalarMode) -> bool:
     if resolve_mode(mode, alpha).is_exact:
         # the cleared integer commutators [A'_i, A'_j] = f^2 [A_i, A_j] against 0
-        return not any(c.any() for c in _commutators(cleared(np.array(alpha.matrices))[0]))
+        return not any(c.any() for c in _commutators(alpha.values))
     return mode.vanishes(chi(alpha), tuple_scale(alpha) ** 2)
 
 
@@ -157,13 +164,12 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     """Pairing-contracted commutators: one matrix per basis vector of W."""
     if alpha.d != p.dim_v:
         raise ValueError("tuple length does not match pairing dimension")
-    a = np.array(alpha.matrices)
     if resolve_mode(None, alpha, p).is_exact:
         # integer arithmetic, one division: C = C' / e and A = A' / f give
         # mu = mu(C', A') / (e f^2)
-        (c, e), (a, f) = p.cleared_form, cleared(a)
-        return tuple(_mu_kernel(skew(c, alpha.d), a)[0] * Fraction(1, e * f * f))
-    return tuple(_mu_kernel(skew(to_float(p.matrix()), alpha.d), to_float(a))[0])
+        (c, e), f = p.cleared_form, alpha.den
+        return tuple(_mu_kernel(skew(c, alpha.d), alpha.values)[0] * Fraction(1, e * f * f))
+    return tuple(_mu_kernel(skew(to_float(p.matrix()), alpha.d), alpha.to_float().values)[0])
 
 
 def trace(m: np.ndarray):
@@ -172,13 +178,12 @@ def trace(m: np.ndarray):
 
 def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
     """Bivector of traces of the commutators against a fixed matrix."""
-    h = _as_matrix(h)
-    if h.shape != (alpha.n, alpha.n):
+    h = MatrixTuple.from_matrices([h])
+    if h.n != alpha.n:
         raise ValueError("contraction matrix must be n x n")
-    if alpha.is_rational() != is_exact_array(h):
-        alpha = alpha.to_float()
-        h = to_float(h)
-    return Bivector(alpha.d, tuple(trace(comm @ h) for comm in chi(alpha)))
+    if alpha.is_rational() != h.is_rational():
+        alpha, h = alpha.to_float(), h.to_float()
+    return Bivector(alpha.d, tuple(trace(comm @ h.matrices[0]) for comm in chi(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +350,7 @@ def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
 def _leaves(alpha: MatrixTuple, mode: ScalarMode, seed: int):
     """:func:`_triangularize` on a commuting tuple already in its regime."""
     _require_commuting(alpha, mode)
-    mats = np.array(alpha.matrices)
-    return _triangularize(*(cleared(mats) if mode.is_exact else (mats, 1)), mode,
-                          np.random.default_rng(seed))
+    return _triangularize(alpha.values, alpha.den, mode, np.random.default_rng(seed))
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -398,15 +401,13 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
     # a rational tuple A = A' / f: each trace in integers, divided by f^degree
-    mats, f = cleared(np.array(alpha.matrices)) if alpha.is_rational() else (alpha.matrices, None)
+    mats, f = alpha.values, alpha.den if alpha.is_rational() else None
     out = {}
     for degree in range(1, max_degree + 1):
         for word in product(range(1, alpha.d + 1), repeat=degree):
             if word != _min_rotation(word):
                 continue
-            m = mats[word[0] - 1]
-            for idx in word[1:]:
-                m = m @ mats[idx - 1]
+            m = reduce(np.matmul, (mats[idx - 1] for idx in word))
             out[word] = trace(m) if f is None else Fraction(trace(m), f ** degree)
     return out
 
@@ -437,11 +438,13 @@ def chevalley_separates(alpha: MatrixTuple, beta: MatrixTuple,
     _require_commuting(beta, mode)
     n, d = alpha.n, alpha.d
     k = (d - 1) * (2 * n - 1) + 1
-    mats = np.array(alpha.matrices + beta.matrices).reshape(2, d, n, n)
     if mode.is_exact:
-        mats, s = cleared(mats)[0], np.arange(k, dtype=object)
+        # A = A' / f and B = B' / g on the one denominator f g
+        mats = np.array([alpha.values * beta.den, beta.values * alpha.den])
+        s = np.arange(k, dtype=object)
     else:
-        mats = mats / (d * max(tuple_scale(alpha), tuple_scale(beta)) or 1.0)
+        mats = (np.array([alpha.values, beta.values])
+                / (d * max(tuple_scale(alpha), tuple_scale(beta)) or 1.0))
         s = np.exp(2j * np.pi * np.arange(k) / k)
     b = np.tensordot(np.vander(s, d, increasing=True), mats, (1, 1))  # (k, 2, n, n)
     powers = accumulate(repeat(b, n), np.matmul)  # B_t^j, j = 1..n
@@ -505,11 +508,10 @@ def _generators(alpha: MatrixTuple, mode: ScalarMode):
     """(I, A_1, ..., A_d) as one (d + 1, n, n) array, and the maps
     X -> A X - X A on row-major vec(X) stacked over the tuple, whose common
     nullspace is the commutant (conditioned by the eigenvalue gaps).  Rational
-    mode clears them by one denominator f, which scales a product of k of
+    mode takes them times the denominator f, which scales a product of k of
     them by f^k and so changes no span, nullspace or rank taken from them."""
-    gens = np.array([identity(alpha.n, mode), *alpha.matrices])
-    gens = cleared(gens)[0] if mode.is_exact else gens
-    eye = gens[0]
+    eye = np.eye(alpha.n, dtype=alpha.values.dtype) * alpha.den
+    gens = np.concatenate([eye[None], alpha.values])
     return gens, np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in gens[1:]])
 
 

@@ -254,6 +254,11 @@ def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     return KernelSubspace(p.dim_v, tuple(Bivector(p.dim_v, tuple(v)) for v in basis))
 
 
+def _ldexp(z, e: int) -> np.ndarray:
+    """Complex z times 2^e, part by part: exact in the float range, no zero's sign changed."""
+    return np.ldexp(np.stack([z.real, z.imag], axis=-1), e).view(complex)[..., 0]
+
+
 def rank2_factor(omega: Bivector, mode: ScalarMode):
     """Vectors u, v with u ^ v = omega if omega has rank exactly 2, else None.
 
@@ -273,7 +278,9 @@ def rank2_factor(omega: Bivector, mode: ScalarMode):
     if mode.is_exact:
         ok = not (np.outer(c1, c2) - np.outer(c2, c1) - a * m).any()
         return (c1 * Fraction(1, a), c2 * Fraction(1, den)) if ok else None
-    u = c1 / a
+    # 1 / a overflows for a subnormal a: divide at a's binary exponent
+    e = np.frexp(max(abs(a.real), abs(a.imag)))[1]
+    u = _ldexp(c1, -e) / _ldexp(a, -e)
     ok = mode.vanishes([np.outer(u, c2) - np.outer(c2, u) - m], lambda: np.linalg.norm(m))
     return (u, c2) if ok else None
 

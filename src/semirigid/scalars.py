@@ -143,10 +143,6 @@ def identity(n: int, mode: ScalarMode) -> np.ndarray:
     return a
 
 
-def is_exact_array(a: np.ndarray) -> bool:
-    return a.dtype == object
-
-
 def cleared(a) -> tuple[np.ndarray, int]:
     """Rational entries with their denominators cleared: an object array of
     Python ints and the lcm ``den`` of the denominators, so that a == ints / den

@@ -146,11 +146,10 @@ def pairing_to_json(p: SkewPairing, filtration: FilteredPairing | None = None) -
     return out
 
 
-def _cleared_columns(cols: dict, m: int, n: int):
-    """The m x n matrix with the wire scalars cols[k] in column k and zeros
-    elsewhere, cleared: integers and one denominator den > 0 with
-    gcd(den, ints) = 1, as :func:`scalars.cleared` gives it."""
-    ps, qs = _ratios([x for vec in cols.values() for x in vec])
+def _cleared_scalars(values: list) -> tuple[np.ndarray, int]:
+    """Rational wire scalars as a flat object array of integers and one
+    denominator den > 0 with gcd(den, ints) = 1, as scalars.cleared gives them."""
+    ps, qs = _ratios(values)
     den = math.lcm(*set(qs))
     if den > 1:
         # when den is 1 every q is, and the numerators are the integers
@@ -158,9 +157,7 @@ def _cleared_columns(cols: dict, m: int, n: int):
     g = math.gcd(den, *ps)
     if g > 1:
         ps, den = [p // g for p in ps], den // g
-    ints = np.zeros((m, n), dtype=object)
-    ints[:, list(cols)] = np.array(ps, dtype=object).reshape(len(cols), m).T
-    return ints, den
+    return np.array(ps, dtype=object), den
 
 
 def pairing_from_json(obj: dict):
@@ -184,10 +181,11 @@ def pairing_from_json(obj: dict):
             raise ValueError(f"entry values must be a list of dim_w = {m} scalars, got {vec!r}")
         cols[k] = vec
     if kind == RATIONAL:
-        values, den = _cleared_columns(cols, m, pair_count(d))
+        ints, den = _cleared_scalars([x for vec in cols.values() for x in vec])
     else:
-        values, den = np.zeros((m, pair_count(d)), dtype=complex), 1
-        values[:, list(cols)] = _complex_values(list(cols.values())).reshape(len(cols), m).T
+        ints, den = _complex_values(list(cols.values())), 1
+    values = np.zeros((m, pair_count(d)), dtype=ints.dtype)
+    values[:, list(cols)] = ints.reshape(len(cols), m).T
     pairing = SkewPairing.from_matrix(d, values, den)
     filtered = None
     if "filtration" in obj:
@@ -227,19 +225,15 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
         raise ValueError("tuple matrices need size n >= 1")
     if not isinstance(mats, list) or len(mats) != d:
         raise ValueError("matrices must be a list of d matrices")
-    out = []
-    for m in mats:
-        if not (isinstance(m, list) and len(m) == n
-                and all(isinstance(row, list) and len(row) == n for row in m)):
-            raise ValueError("matrices must be n x n lists of scalars")
-        if kind == RATIONAL:
-            a = np.empty((n, n), dtype=object)
-            a.flat[:] = list(map(Fraction, *_ratios([x for row in m for x in row])))
-        else:
-            a = np.array([[scalar_from_json(x, kind) for x in row] for row in m],
-                         dtype=complex)
-        out.append(a)
-    return MatrixTuple(n, d, tuple(out))
+    if not all(isinstance(m, list) and len(m) == n
+               and all(isinstance(row, list) and len(row) == n for row in m) for m in mats):
+        raise ValueError("matrices must be n x n lists of scalars")
+    rows = [row for m in mats for row in m]
+    if kind == RATIONAL:
+        values, den = _cleared_scalars([x for row in rows for x in row])
+    else:
+        values, den = _complex_values(rows), 1
+    return MatrixTuple._from_stack(values.reshape(d, n, n), den)
 
 
 # ---------------------------------------------------------------------------

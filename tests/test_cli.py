@@ -19,7 +19,7 @@ import semirigid
 from semirigid.catalog import catalog_build, catalog_names
 from semirigid import cli
 from semirigid.cli import _search_config, build_parser, main
-from semirigid.commuting import MatrixTuple
+from semirigid.commuting import MatrixTuple, tuple_scale
 from semirigid.exterior import (
     Bivector,
     FilteredPairing,
@@ -544,6 +544,26 @@ class TestCliCommuting:
             "commutant_dim": 2, "algebra_dim": 2, "radical_dim": 0, "irreducible": False,
             "semisimple": True, "stable": False}
 
+    def test_float_view_rounds_each_value_once(self, capsys, tmp_path):
+        # diag(1, 10^-400) is held as diag(10^400, 1) / 10^400; its float view
+        # is diag(1, 0), though the cleared integers lie outside the float range
+        alpha = MatrixTuple.from_matrices([[[1, 0], [0, Fraction(1, 10 ** 400)]]])
+        assert alpha.den == 10 ** 400 and tuple_scale(alpha) == 1.0
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(tuple_to_json(alpha)))
+        code, out, _ = run_cli(capsys, "commuting", "analyze", "--mode", "complex",
+                               "--tuple", str(path))
+        assert code == 0
+        assert json.loads(out)["analysis"] == {
+            "commutant_dim": 2, "algebra_dim": 2, "radical_dim": 0, "irreducible": False,
+            "semisimple": True, "stable": False}
+        code, out, _ = run_cli(capsys, "commuting", "spectrum", "--mode", "complex",
+                               "--tuple", str(path))
+        assert code == 0
+        spectrum = json.loads(out)["spectrum"]
+        assert (spectrum["d"], spectrum["n"], spectrum["scalar"]) == (1, 2, "complex")
+        assert json.dumps(spectrum["points"]) == "[[[-0.0, 0.0]], [[1.0, 0.0]]]"
+
     def test_analyze_tuple(self, capsys, tmp_path):
         from semirigid.verdict import witness_to_tuple
         alpha = witness_to_tuple(Bivector.basis_element(2, 0, 1), 2)
@@ -592,6 +612,20 @@ class TestCliConstructAndSample:
                                "catalog:curve:2", "--witness", str(path),
                                "--n", "2", "--epsilon", "1")
         assert code == 0
+
+    def test_construct_stable_on_a_subnormal_witness(self, capsys, tmp_path):
+        # the witness fuzzer's pinned multiple of e0 ^ e3, in the kernel, whose
+        # largest entry is subnormal
+        tiny = 2.225073858507203e-309
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": 4, "coeffs": [
+            {"i": 0, "j": 3, "value": [tiny, tiny]}]}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", "catalog:curve:2",
+                                 "--witness", str(path), "--n", "2")
+        assert code == 0 and err.count("\n") == 1
+        report = json.loads(out)["tuple"]
+        assert report["scalar"] == "complex"
+        assert report["matrices"][0] == [[[0.0, 0.0], [0.0, 0.0]], [[tiny, tiny], [0.0, 0.0]]]
 
     def test_construct_stable_witness_honours_mode(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
@@ -1228,7 +1262,7 @@ class TestReaderFuzz:
 
     @given(text=witness_texts())
     @example(text=DEEP)
-    # a subnormal pivot overflows the float factors: refused, with no warning
+    # a subnormal pivot, factored at its own binary exponent, with no warning
     @example(text=json.dumps({"dim_v": 4, "coeffs": [
         {"i": 0, "j": 3, "value": [2.225073858507203e-309, 2.225073858507203e-309]}]}))
     @example(text=json.dumps(TOO_BIG["witness"][0]))

@@ -105,6 +105,18 @@ class TestFromLists:
         assert alpha.matrices[0].dtype == complex and not alpha.is_rational()
 
 
+class TestGenerators:
+    def test_identity_and_tuple_times_one_denominator(self):
+        # (f I, A'_1, ..., A'_d) for A = A' / f: f times (I, A_1, ..., A_d)
+        alpha = exact_tuple([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]], [[0, 2], [1, 0]])
+        gens, _ = commuting._generators(alpha, EXACT)
+        assert all(type(x) is int for x in gens.flat)
+        assert (gens[0] == 6 * np.eye(2, dtype=int)).all()
+        assert all((g == 6 * m).all() for g, m in zip(gens[1:], alpha.matrices))
+        gens, _ = commuting._generators(alpha.to_float(), FLOAT)
+        assert gens.dtype == complex and (gens[0] == np.eye(2)).all()
+
+
 class TestChi:
     def test_diagonal_tuple_commutes(self):
         alpha = exact_tuple(np.diag([1, 2]), np.diag([3, 4]))

@@ -17,11 +17,21 @@ from hypothesis import strategies as st
 import semirigid
 from semirigid import commuting, scalars, verdict
 from semirigid.catalog import catalog_build
-from semirigid.commuting import MatrixTuple, is_commuting, rep_analysis
+from semirigid.commuting import (
+    MatrixTuple,
+    is_commuting,
+    rep_analysis,
+    simultaneous_triangularize,
+)
 from semirigid.exterior import Bivector, SkewPairing, decomposable_exists_exact
 from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
-from semirigid.serialize import pairing_from_json
-from semirigid.verdict import SearchConfig, tuple_to_witness, witness_to_tuple
+from semirigid.serialize import pairing_from_json, tuple_from_json
+from semirigid.verdict import (
+    SearchConfig,
+    mu_zero_sampler,
+    tuple_to_witness,
+    witness_to_tuple,
+)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -175,6 +185,82 @@ class TestOneStoredPairingForm:
             assert den > 0 and math.gcd(den, *values.flat) == 1
         else:
             assert values.dtype == np.complex128 and den == 1
+
+
+def _rational_pair():
+    return [exact_matrix([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]]),
+            exact_matrix([[2, 0], [0, Fraction(5, 6)]])]
+
+
+# every constructor of a tuple, built when its case runs, with whether it is rational
+TUPLES = {
+    "int lists": (lambda: MatrixTuple.from_matrices([[[1, 2], [0, 1]], [[3, 0], [0, -4]]]),
+                  True),
+    "Fraction arrays": (lambda: MatrixTuple.from_matrices(_rational_pair()), True),
+    "MatrixTuple(n, d, ...)": (lambda: MatrixTuple(2, 2, tuple(_rational_pair())), True),
+    "complex arrays": (lambda: MatrixTuple.from_matrices(
+        [np.array([[1j, 0.5], [0, 2]]), np.eye(2, dtype=complex)]), False),
+    "rational file": (lambda: tuple_from_json({
+        "n": 2, "d": 1, "scalar": "rational",
+        "matrices": [[["2/6", 0], ["4/-6", "-8/12"]]]}), True),
+    "complex file": (lambda: tuple_from_json({
+        "n": 2, "d": 1, "scalar": "complex",
+        "matrices": [[[[1, 0.5], [-0.0, 2]], [3, [0, -1]]]]}), False),
+    "witness_to_tuple exact": (lambda: witness_to_tuple(Fraction(1, 6) * W, 3, EXACT), True),
+    "witness_to_tuple float": (lambda: witness_to_tuple(W, 3, FLOAT), False),
+    "triangularized exact": (lambda: simultaneous_triangularize(
+        MatrixTuple.from_matrices([[[1, Fraction(1, 2)], [0, 2]]]), EXACT)[1], True),
+    "triangularized float": (lambda: simultaneous_triangularize(
+        MatrixTuple.from_matrices([[[1, Fraction(1, 2)], [0, 2]]]), FLOAT)[1], False),
+    "scaled exact": (lambda: MatrixTuple.from_matrices(_rational_pair()).scaled(Fraction(6, 5)),
+                     True),
+    "scaled float": (lambda: MatrixTuple.from_matrices(_rational_pair()).scaled(0.5), False),
+    "to_float": (lambda: MatrixTuple.from_matrices(_rational_pair()).to_float(), False),
+    "sampler": (lambda: mu_zero_sampler(CURVE, 2, SearchConfig(restarts=2)).samples[0].alpha,
+                False),
+}
+
+
+class TestOneStoredTupleForm:
+    """A matrix tuple is stored once, as its read-only (d, n, n) stack
+    values / den; matrices and the kind are derived from it."""
+
+    def test_no_second_form(self):
+        assert not hasattr(MatrixTuple, "__post_init__")
+        assert not hasattr(commuting, "_as_matrix")
+
+    @pytest.mark.parametrize("name", TUPLES)
+    def test_the_stored_stack(self, name):
+        build, rational = TUPLES[name]
+        alpha = build()
+        values, den = alpha.values, alpha.den
+        assert values.shape == (alpha.d, alpha.n, alpha.n)
+        assert not values.flags.writeable
+        assert alpha.is_rational() == rational
+        mats = np.array(alpha.matrices)
+        if rational:
+            assert all(type(x) is int for x in values.flat) and type(den) is int
+            assert den > 0 and math.gcd(den, *values.flat) == 1
+            assert all(type(x) is Fraction for x in mats.flat)
+            assert (mats * den == values).all()
+        else:
+            assert values.dtype == np.complex128 and den == 1
+            assert (mats == values).all()
+
+    def test_the_reader_reduces_by_the_gcd(self):
+        alpha = TUPLES["rational file"][0]()
+        assert alpha.den == 3 and alpha.values.ravel().tolist() == [1, 0, -2, -2]
+
+    def test_clearing_only_in_the_tuple_and_the_integer_kernels(self):
+        # the stored stack is cleared once; only _product and _exact_blocks
+        # clear other rationals (the basis change and a common eigenvector)
+        tree = ast.parse(Path(commuting.__file__).read_text())
+        hits = {node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and any(isinstance(x, ast.Name) and x.id == "cleared" for x in ast.walk(node))}
+        assert hits == {"MatrixTuple", "_product", "_exact_blocks"}
+        assert not [f.name for f in _source_files()
+                    if "cleared(np.array(alpha.matrices))" in f.read_text()]
 
 
 def _conjugated(mats, seed):

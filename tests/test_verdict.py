@@ -584,6 +584,15 @@ class TestRank2FactorFloat:
         rebuilt = np.array(wedge(u, v).coeffs)
         assert np.linalg.norm(rebuilt - np.array(omega.coeffs)) < 1e-12 * norm
 
+    @pytest.mark.parametrize("pivot", [
+        2.225073858507203e-309 * (1 + 1j), 5e-324, -3e-310j, 0.75 - 2j])
+    def test_factor_at_the_pivots_own_exponent(self, pivot):
+        # 1 / |a| inside numpy's division overflows for a subnormal pivot a
+        omega = Bivector.from_pairs(4, {(0, 3): pivot, (1, 3): pivot / 2})
+        u, v = rank2_factor(omega, FLOAT)
+        rebuilt = np.array(wedge(u, v).coeffs) - np.array(omega.coeffs)
+        assert np.abs(rebuilt).max() <= 1e-15 * abs(pivot)
+
     def test_wrong_factor_of_a_small_witness_refused(self):
         # a rank-4 bivector has no factorization; the rank-2 part taken from
         # its largest entry misses it by about its own norm of 1e-11
