@@ -8,6 +8,13 @@ invariants, and ships a CLI plus a catalog of model pairings.
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread unless the caller set another count: OpenBLAS reads it
+# when numpy is first imported, and with more threads the rounding of the
+# float kernels, and with it a seeded report, depends on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .catalog import CatalogEntry, catalog_build
 from .commuting import (
     JointSpectrum,

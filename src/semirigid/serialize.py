@@ -13,6 +13,7 @@ writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -204,8 +205,13 @@ def pairing_from_json(obj: dict):
 
 def tuple_to_json(alpha: MatrixTuple) -> dict:
     kind = infer_kind(alpha)
-    mats = [[[scalar_to_json(m[i, j], kind) for j in range(alpha.n)]
-             for i in range(alpha.n)] for m in alpha.matrices]
+    if kind == COMPLEX:
+        # [re, im] of each entry from one view of the stack, the sign of zero too
+        mats = (np.ascontiguousarray(alpha.values).view(float)
+                .reshape(alpha.d, alpha.n, alpha.n, 2).tolist())
+    else:
+        mats = [[[scalar_to_json(m[i, j], kind) for j in range(alpha.n)]
+                 for i in range(alpha.n)] for m in alpha.matrices]
     return {"n": alpha.n, "d": alpha.d, "scalar": kind, "matrices": mats}
 
 
@@ -302,6 +308,30 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple, pad: str) -> str:
+    """The text of a nested list of this shape whose line starts after
+    ``pad``, with a %s for each leaf."""
+    if not shape:
+        return "%s"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + pad + "]"
+
+
+def _pair_block(obj: list, pad: str) -> str | None:
+    """A list nested three or more deep whose leaves are all [float, float]
+    pairs of finite floats, written by one template; None for anything else."""
+    if not (type(obj[0]) is list and obj[0] and type(obj[0][0]) is list):
+        return None
+    a = np.array(obj, dtype=object)
+    if a.ndim < 3 or a.shape[-1] != 2:
+        return None
+    leaves = a.ravel().tolist()
+    if set(map(type, leaves)) != {float} or not np.isfinite(np.array(leaves)).all():
+        return None
+    return _template(a.shape, pad) % tuple(map(float.__repr__, leaves))
+
+
 def _write(obj, pad: str) -> str:
     """One JSON value whose line starts after ``pad`` ("\n" and the indent)."""
     if isinstance(obj, str):
@@ -316,6 +346,8 @@ def _write(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if (block := _pair_block(obj, pad)) is not None:
+            return block
         # rows of [re, im] pairs, the bulk of a complex report, by one template
         pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
         return "[" + inner + ("," + inner).join([

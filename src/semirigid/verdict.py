@@ -21,6 +21,7 @@ import numpy as np
 
 from .commuting import (
     MatrixTuple,
+    _commutators,
     _in_regime,
     _mu_jacobian,
     _mu_kernel,
@@ -162,6 +163,16 @@ def _tangent_system(a3t: np.ndarray, g: np.ndarray):
 _DAMPING = 10 * np.finfo(float).eps
 
 
+def _damp(gram: np.ndarray) -> np.ndarray:
+    """Add mu = 10 eps max diag to the diagonal of each Gram matrix of the
+    stack, in place, and mu = 1 to a zero one; returns mu, one row each."""
+    top = np.diagonal(gram, axis1=1, axis2=2).real.max(axis=1, initial=0)
+    mu = np.where(top > 0, _DAMPING * top, 1.0)[:, None]
+    diag = np.arange(gram.shape[1])
+    gram[:, diag, diag] += mu
+    return mu
+
+
 def _min_norm_step(jac: np.ndarray, res: np.ndarray, full_rank: bool) -> np.ndarray:
     """Min-norm solutions z of J z = -res for a stack of Jacobians, each from
     one Gram system damped by mu = 10 eps max diag(Gram) and one stacked
@@ -181,16 +192,100 @@ def _min_norm_step(jac: np.ndarray, res: np.ndarray, full_rank: bool) -> np.ndar
     """
     jh = np.swapaxes(jac.conj(), 1, 2)
     gram, rhs = (jh @ jac, jh @ res[..., None]) if full_rank else (jac @ jh, res[..., None])
-    top = np.diagonal(gram, axis1=1, axis2=2).real.max(axis=1, initial=0)
-    mu = np.where(top > 0, _DAMPING * top, 1.0)[:, None]
-    diag = np.arange(gram.shape[1])
     # damped in place: J^H J y (or J J^H y) is then gram @ y - mu y
-    gram[:, diag, diag] += mu
+    mu = _damp(gram)
     y = np.linalg.solve(gram, rhs)
     if full_rank:
         return -y[..., 0]
     y += np.linalg.solve(gram, rhs - gram @ y + mu[..., None] * y)
     return -(jh @ y)[..., 0]
+
+
+@functools.cache
+def _hessian_layout(w: int):
+    """Gather indices and signs for two real forms in the coordinates
+    [x; y] of z = x + i y: [[Re A, -Im A], [Im A, Re A]] of A = J^H J, and
+    [[Re B, -Im B], [-Im B, -Re B]] of B = [[0, K], [K^T, 0]], the matrix of
+    Re(z^T B z).  They index the real view of one row [J^H J, K, 0] (w x w,
+    h x h and one complex zero, h = w / 2) and give a (2, 2w, 2w) stack."""
+    h = w // 2
+    i, j = np.indices((2 * w, 2 * w))
+    lower, right, ii, jj = i >= w, j >= w, i % w, j % w
+    part = lower != right
+    gram = 2 * (ii * w + jj) + part
+    # B[ii, jj] is K[ii, jj - h] above the diagonal blocks, K[jj, ii - h]
+    # below them, and zero in them
+    upper = (ii < h) & (jj >= h)
+    below = (jj < h) & (ii >= h)
+    zero = 2 * (w * w + h * h)
+    quad = np.where(upper, 2 * (w * w + ii * h + jj - h) + part,
+                    np.where(below, 2 * (w * w + jj * h + ii - h) + part, zero))
+    sign = np.stack([np.where(right & ~lower, -1.0, 1.0), np.where(right | lower, -1.0, 1.0)])
+    return np.stack([gram, quad]), sign
+
+
+def _newton_system(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarray,
+                   grad: np.ndarray):
+    """The real Gauss-Newton matrix G, Hessian H and gradient b of the
+    Grassmannian objective, one per frame, with grad f = 2 b and
+    hess f = 2 H at z = 0.
+
+    Moving the plane to [u v] + G_perp Z, Z = [z_u z_v], gives the residual
+    r + J z + q(z) with q_w(z) = z_u^T G_perp^T a_w G_perp z_v, and the
+    unit plane's objective f(z) = |r + J z + q(z)|^2 / det(I + Z^H Z).  To
+    second order, with A = J^H J - |r|^2 I, K = G_perp^T (sum_w conj(r_w) a_w)
+    G_perp and B = [[0, K], [K^T, 0]], f = |r|^2 + 2 Re(b^H z) + z^H A z
+    + Re(z^T B z), so that in the real coordinates z = x + i y
+    H = [[Re(A+B), -Im(A+B)], [Im(A-B), Re(A-B)]] and b = [Re J^H r; Im J^H r].
+    G is the same real form of J^H J alone.  ``a3`` is the annihilator as an
+    (r, d d) array, ``grad`` is J^H r.
+    """
+    n, d, _ = g.shape
+    w = jac.shape[2]
+    perp = g[:, :, 2:]
+    # one product per frame, so that a frame's H does not depend on the stack
+    k = np.swapaxes(perp, 1, 2) @ (res.conj()[:, None] @ a3).reshape(n, d, d) @ perp
+    row = np.concatenate([(np.swapaxes(jac.conj(), 1, 2) @ jac).reshape(n, -1),
+                          k.reshape(n, -1), np.zeros((n, 1))], axis=1)
+    layout, sign = _hessian_layout(w)
+    parts = np.take(row.view(float), layout, axis=1) * sign
+    gram, hess = parts[:, 0], parts[:, 0] + parts[:, 1]
+    hess.reshape(n, -1)[:, ::2 * w + 1] -= np.vecdot(res, res).real[:, None]
+    return gram, hess, np.concatenate([grad.real, grad.imag], axis=1)
+
+
+def _positive_definite(hess: np.ndarray) -> np.ndarray:
+    """Which real symmetric matrices of the stack are positive definite: one
+    stacked Cholesky, and one per matrix only when that one fails."""
+    try:
+        np.linalg.cholesky(hess)
+        return np.ones(len(hess), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    ok = np.zeros(len(hess), dtype=bool)
+    for i, m in enumerate(hess):
+        try:
+            np.linalg.cholesky(m)
+            ok[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return ok
+
+
+def _newton_step(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarray,
+                 grad: np.ndarray) -> np.ndarray:
+    """The Newton step H [x; y] = -b of :func:`_newton_system` for each frame
+    whose H is positive definite, and for the others the damped Gauss-Newton
+    step (G + mu I) [x; y] = -b of :func:`_min_norm_step`'s column form, in
+    the same real coordinates: one stacked solve."""
+    gram, hess, b = _newton_system(a3, g, jac, res, grad)
+    pd = _positive_definite(hess)
+    if not pd.all():
+        _damp(gram)
+        hess[~pd] = gram[~pd]
+    xy = np.linalg.solve(hess, -b[..., None])[..., 0]
+    w = jac.shape[2]
+    return xy[:, :w] + 1j * xy[:, w:]
 
 
 def _start_frames(raw: np.ndarray, d: int, seed: int, restarts) -> np.ndarray:
@@ -204,7 +299,7 @@ def _start_frames(raw: np.ndarray, d: int, seed: int, restarts) -> np.ndarray:
     return np.linalg.svd(skew(np.array(starts), d))[0]
 
 
-def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
+def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig, newton: bool):
     """Run the restarts of the start frames ``g`` in lockstep.
 
     Returns the index of the first restart that converged (None if none
@@ -214,12 +309,20 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
     Each iteration takes one damped Gram solve for the whole stack
     (:func:`_min_norm_step`): in the column form when J has at least 2d - 4
     rows, which holds at and below the dimension bound, else in the row form.
+    With ``newton`` (below the bound, where J is tall), each iteration takes
+    one real solve instead (:func:`_newton_step`): the exact Newton step of
+    f(z) = |r + J z + q(z)|^2 / det(I + Z^H Z) for each restart whose real
+    Hessian passes a Cholesky test, and the same damped Gauss-Newton step
+    for the others.
     """
     floating = ScalarMode.floating()
     # 2d - 4 tangent coordinates: J has full column rank at a generic point
     # when it has at least as many rows
     d = g.shape[1]
-    full_rank = a3t.shape[1] // d >= 2 * d - 4
+    r = a3t.shape[1] // d
+    full_rank = r >= 2 * d - 4
+    # the (r, d d) layout of the annihilator, for the Newton step's K
+    a3 = a3t.reshape(d, r, d).transpose(1, 0, 2).reshape(r, -1) if newton else None
     live = np.arange(len(g))
     best = np.full(len(g), np.inf)
     winner, plane = None, None
@@ -240,11 +343,13 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig):
         if winner is not None:
             ended |= live > winner
         if ended.any():
-            live, g, jac, res = live[~ended], g[~ended], jac[~ended], res[~ended]
+            live, g, jac, res, grad = (live[~ended], g[~ended], jac[~ended], res[~ended],
+                                       grad[~ended])
             # with a winner, only restarts before it are left
             if not live.size:
                 break
-        step = _min_norm_step(jac, res, full_rank)
+        step = (_newton_step(a3, g, jac, res, grad) if newton
+                else _min_norm_step(jac, res, full_rank))
         finite = np.isfinite(step).all(axis=1)
         if not finite.all():
             live, g, step = live[finite], g[finite], step[finite]
@@ -279,18 +384,32 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     the first restart to converge wins, and the best residual is taken over
     the restarts up to it.  The per-restart seed is derived from
     (seed, restart index), so results do not depend on scheduling.
+
+    Below the bound a kernel seldom holds a decomposable, so most restarts
+    end at a stationary point with a nonzero residual, which Gauss-Newton
+    reaches only linearly.  There a restart whose real Hessian is positive
+    definite takes the exact Newton step of the Grassmannian objective
+    (:func:`_newton_step`), and the others the damped Gauss-Newton step, in
+    one stacked solve; at a local minimum Newton converges quadratically.  At
+    the bound the first restart almost always converges to a zero residual,
+    where Gauss-Newton is already quadratic, so it keeps the Gauss-Newton
+    step alone.
     """
     if k.dim == 0:
         return SearchResult(None, float("inf"), 0)
     d = k.dim_v
-    raw = to_float(np.array([b.coeffs for b in k.basis], dtype=object).T)
+    # the kernel basis as columns, C-contiguous: the LAPACK and BLAS calls
+    # below round by the layout they are handed
+    raw = np.ascontiguousarray(to_float(np.array([b.coeffs for b in k.basis])).T)
     ann = np.reshape(nullspace(raw.T, ScalarMode.floating()), (-1, raw.shape[0]))
     a3t = skew(ann, d).transpose(1, 0, 2).reshape(d, -1)
     restarts = range(cfg.restarts)
-    batches = [[r] for r in restarts] if dimension_criterion(k) else [restarts]
+    bound = dimension_criterion(k)
+    batches = [[r] for r in restarts] if bound else [restarts]
     best = math.inf
     for batch in batches:
-        winner, plane, least = _gauss_newton(a3t, _start_frames(raw, d, cfg.seed, batch), cfg)
+        winner, plane, least = _gauss_newton(a3t, _start_frames(raw, d, cfg.seed, batch), cfg,
+                                             newton=not bound)
         if winner is not None:
             best = min(best, float(least[:winner + 1].min()))
             return SearchResult(wedge(plane[:, 0], plane[:, 1]), best, batch[winner] + 1)
@@ -446,6 +565,74 @@ class SamplerResult:
     converged: int
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last axis, summed as ``np.linalg.norm`` sums a
+    flat complex array, Re . Re + Im . Im, so that they equal its values."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _mu_test(c: np.ndarray, a: np.ndarray, mode: ScalarMode):
+    """mu of each tuple of the (S, d, n, n) stack, flattened, with its partial
+    sums (:func:`commuting._mu_kernel`), its norm, and the sampler's
+    acceptance: that norm negligible at the squared largest |A_b|."""
+    mus, s = _mu_kernel(c, a)
+    res = mus.reshape(len(a), -1)
+    norms = _norms(res)
+    return res, s, norms, mode.negligible(norms, np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2)
+
+
+# the most halvings an Euler ray's closed-form end looks ahead: 4^128 = 2^256
+# keeps the predicted bounds finite
+_RAY_HORIZON = 128
+
+
+def _ray_finish(c: np.ndarray, a: np.ndarray, step: np.ndarray, res_norm: np.ndarray,
+                budget: int, mode: ScalarMode):
+    """The end of the Euler ray of each start of the stack ``a`` whose
+    ``step`` is its ray step, at most ``budget`` halvings on: the indices of
+    the starts that end, their points and their residual norms, as halving
+    the step one iteration at a time would give them.
+
+    On the ray a = T + t, T the scalar part and t the traceless one, the
+    iterate k halvings on is T + t / 2^k, where mu = mu(a) / 4^k and
+    |A_b|^2 = |T_b|^2 + |t_b|^2 / 4^k.  So it is accepted when
+    |mu(a)| <= tol max_b (4^k |T_b|^2 + |t_b|^2), a bound that grows with
+    k, and the first halving K that passes is predicted from a alone.  The
+    iterates at K - 1 and K are built by the ray's own recurrence (add the
+    step, then halve it) and mu is taken at both, for all starts in one
+    stack; a start ends there when K - 1 fails and K passes.  Any other start
+    is left to the iteration.
+    """
+    horizon = min(budget, _RAY_HORIZON)
+    none = np.zeros(0, dtype=int), a[:0], res_norm[:0]
+    if horizon < 1:
+        return none
+    n = a.shape[-1]
+    scalar = np.abs(np.trace(a, axis1=2, axis2=3)) ** 2 / n
+    traceless = np.linalg.norm(a, axis=(2, 3)) ** 2 - scalar
+    growth = np.ldexp(1.0, 2 * np.arange(1, horizon + 1))
+    passes = mode.negligible(res_norm[:, None],
+                             (scalar[..., None] * growth + traceless[..., None]).max(axis=1))
+    first = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)
+    sel = np.flatnonzero(first)
+    if not sel.size:
+        return none
+    first = first[sel]
+    point, step = a[sel], step[sel].copy()
+    path = [point]
+    for k in range(1, first.max() + 1):
+        if k > 1:
+            step /= 2
+        point = point + step
+        path.append(point)
+    path = np.array(path)
+    cols = np.arange(sel.size)
+    ends = np.concatenate([path[first - 1, cols], path[first, cols]])
+    _, _, norms, ok = _mu_test(c, ends, mode)
+    done = ~ok[:sel.size] & ok[sel.size:]
+    return sel[done], ends[sel.size:][done], norms[sel.size:][done]
+
+
 def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) -> SamplerResult:
     """Newton samples of the quadratic cone, labeled commuting/non-commuting.
 
@@ -465,7 +652,12 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     without a solve.  On an injective pairing (kernel of J = the scalars) the
     first step is already the ray step; the residual falls 4x per iteration,
     the linear rate of Newton at a singular root (Griewank & Osborne, SIAM J.
-    Numer. Anal. 20, 1983).
+    Numer. Anal. 20, 1983).  So where the ray ends is known in advance: a
+    start whose step has just put it on the ray leaves the loop with the
+    ray's end (:func:`_ray_finish`), the halving at which it is accepted
+    predicted in closed form and mu evaluated there and one halving before,
+    and only a start whose prediction fails goes on halving one iteration at
+    a time.  Either way its sample is the same, bit for bit.
 
     All starts run in lockstep as one (S, d, n, n) stack: one batched mu
     kernel per iteration, one halving of every step on the ray, and one
@@ -475,6 +667,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     directions whatever its shape.  A start leaves the stack when it
     converges or its step is not finite; the samples come out in start
     order, each with the norm of its own residual, as if run one by one.
+    The samples' commutator and scale norms are taken for all of them at
+    once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -504,11 +698,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     step = np.zeros_like(a)
     on_ray = np.zeros(len(a), dtype=bool)
     points = {}
-    for _ in range(cfg.max_iterations):
-        mus, s = _mu_kernel(c, a)
-        res = mus.reshape(len(a), -1)
-        norms = np.array([np.linalg.norm(r) for r in res])
-        ok = mode.negligible(norms, np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2)
+    for it in range(cfg.max_iterations):
+        res, s, norms, ok = _mu_test(c, a, mode)
         ended = ok.copy()
         step[on_ray] /= 2
         off = np.flatnonzero(~(ok | on_ray))
@@ -520,6 +711,14 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
             t = t.reshape(off.size, -1)
             on_ray[off] = mode.negligible(np.linalg.norm(x + t / 2, axis=1),
                                           np.linalg.norm(t, axis=1))
+            # a start that has just reached its ray leaves with the ray's end
+            ray = off[on_ray[off]]
+            if ray.size:
+                done, ends, end_norms = _ray_finish(c, a[ray], step[ray], norms[ray],
+                                                    cfg.max_iterations - 1 - it, mode)
+                for i, point, res_norm in zip(ray[done], ends, end_norms):
+                    points[live[i]] = (point, res_norm)
+                ended[ray[done]] = True
         for i in np.flatnonzero(ok):
             points[live[i]] = (a[i], norms[i])
         if ended.any():
@@ -529,14 +728,20 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         a = a + step
 
     samples = []
-    for i in sorted(points):
-        point, res_norm = points[i]
-        alpha = MatrixTuple(n, d, tuple(point))
+    if points:
+        order = sorted(points)
+        stack = np.array([points[i][0] for i in order])
         # is_commuting's test, on the one chi: each commutator's norm
-        # negligible at the squared tuple scale
-        chi_res = chi_norm(alpha)
-        samples.append(MuZeroSample(alpha, mode.negligible(chi_res, tuple_scale(alpha) ** 2),
-                                    float(res_norm), chi_res))
+        # negligible at the squared tuple scale; the norms of chi_norm and
+        # tuple_scale, for the whole stack at once
+        comm = np.array([m.reshape(len(order), -1)
+                         for m in _commutators(np.swapaxes(stack, 0, 1))])
+        chis = _norms(comm.reshape(-1, len(order), n * n)).max(axis=0, initial=0.0)
+        scales = _norms(stack.reshape(len(order), d, -1)).max(axis=1)
+        for k, point, chi_res, scale in zip(order, stack, chis, scales):
+            samples.append(MuZeroSample(MatrixTuple._from_stack(point),
+                                        bool(mode.negligible(chi_res, scale ** 2)),
+                                        float(points[k][1]), float(chi_res)))
     return SamplerResult(tuple(samples), len(starts), len(points))
 
 

@@ -199,6 +199,56 @@ class TestCanonicalJson:
                 canonical_json(obj)
 
 
+@st.composite
+def pair_arrays(draw):
+    """Lists nested three or four deep over [re, im] pairs, the shape of a
+    tuple's matrices in a report: rectangular or ragged, with parts that are
+    finite floats, -0.0, NaN, +-inf or ints."""
+    depth = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+    ragged = draw(st.booleans())
+    part = draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+        st.floats(),
+        st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3),
+    ]))
+
+    def build(level):
+        if level == depth:
+            return draw(st.lists(part, min_size=2, max_size=2))
+        size = draw(st.integers(1, 3)) if ragged else sizes[level]
+        return [build(level + 1) for _ in range(size)]
+
+    return build(0)
+
+
+class TestCanonicalPairArrays:
+    """Arrays of [re, im] pairs three or more deep are written by one
+    template; the bytes are still those of json.dumps."""
+
+    @given(pair_arrays(), st.integers(0, 2))
+    @example([[[1.0, -0.0], [float("nan"), 2.0]]], 0)
+    @example([[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]], 1)
+    @example([[[float("inf"), 0.5]], [[1e-300, -float("inf")]]], 0)
+    @example([[[1.0, 2]]], 2)
+    def test_matches_json_dumps(self, obj, wrap):
+        for _ in range(wrap):
+            obj = {"x": [obj, 1.5]}
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_tuple_writer_keeps_each_entry(self):
+        """A complex tuple's matrices come from one view of its stack: the
+        same values, signed zeros included, as one scalar_to_json per entry."""
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        values[0, 0, 0], values[1, 2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        alpha = MatrixTuple.from_matrices(list(values))
+        mats = [[[scalar_to_json(x, "complex") for x in row] for row in m] for m in values]
+        assert canonical_json(tuple_to_json(alpha)["matrices"]) == canonical_json(mats)
+        assert np.copysign(1, tuple_to_json(alpha)["matrices"][0][0][0][0]) == -1
+
+
 def wire_fraction(v) -> Fraction:
     """Reference reading of a rational wire scalar, one Fraction at a time."""
     if isinstance(v, int):
@@ -304,6 +354,52 @@ class TestTupleJson:
         back = tuple_from_json(tuple_to_json(alpha))
         assert np.allclose(np.asarray(back.matrices[0], complex),
                            np.asarray(alpha.matrices[0], complex))
+
+
+COMPLEX_PARTS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+FRACTIONS = st.fractions(max_denominator=50) | st.integers(-2**70, 2**70).map(Fraction)
+
+
+@st.composite
+def scalar_matrices(draw, kind, rows, cols):
+    if kind == "rational":
+        flat = draw(st.lists(FRACTIONS, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=object).reshape(rows, cols)
+    flat = draw(st.lists(st.tuples(COMPLEX_PARTS, COMPLEX_PARTS),
+                         min_size=rows * cols, max_size=rows * cols))
+    return np.array([complex(*z) for z in flat], dtype=complex).reshape(rows, cols)
+
+
+class TestWireRoundTrips:
+    """A pairing and a tuple of each scalar kind come back from their report
+    text as they went in: the same kind and the same values."""
+
+    @given(st.sampled_from(["rational", "complex"]), st.integers(1, 5), st.integers(0, 3),
+           st.data())
+    def test_pairing(self, kind, d, m, data):
+        values = data.draw(scalar_matrices(kind, m, comb(d, 2)))
+        if kind == "rational":
+            p = SkewPairing.from_matrix(d, *cleared(values))
+        else:
+            p = SkewPairing.from_matrix(d, values)
+        back, filtered = pairing_from_json(json.loads(canonical_json(pairing_to_json(p))))
+        assert filtered is None and (back.dim_v, back.dim_w) == (d, m)
+        assert back.is_rational() == (kind == "rational")
+        assert np.array_equal(back.matrix(), p.matrix())
+
+    @given(st.sampled_from(["rational", "complex"]), st.integers(1, 3), st.integers(1, 4),
+           st.data())
+    def test_tuple(self, kind, d, n, data):
+        mats = [data.draw(scalar_matrices(kind, n, n)) for _ in range(d)]
+        alpha = MatrixTuple(n, d, mats)
+        back = tuple_from_json(json.loads(canonical_json(tuple_to_json(alpha))))
+        assert (back.n, back.d, back.den) == (n, d, alpha.den)
+        assert back.is_rational() == (kind == "rational")
+        if kind == "rational":
+            assert np.array_equal(back.values, alpha.values)
+        else:
+            # bit for bit, the sign of zero too
+            assert back.values.tobytes() == alpha.values.tobytes()
 
 
 class TestBivectorJson:
@@ -1279,6 +1375,30 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The package pins one OpenBLAS thread unless the caller set a count, so
+    a report is the same with the variable unset and set to 1: on the
+    seed-1001 pairing of the 31-bound-d12 benchmark item, whose kernel basis
+    moved with two threads."""
+    root = Path(semirigid.__file__).resolve().parents[2]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import items
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    item = next(i for i in items.build("complex-float", 1001, str(tmp_path))
+                if i.id == "31-bound-d12")
+    code = "import sys; from semirigid.cli import main; sys.exit(main(sys.argv[1:]))"
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    unset["PYTHONPATH"] = str(root / "src")
+    outs = [subprocess.run([sys.executable, "-c", code, *item.argv], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})]
+    assert json.loads(outs[0])["verdict"]["witness"] is not None
+    assert outs[0] == outs[1]
 
 
 def test_catalog_list_searches_for_no_primes():

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -50,6 +49,8 @@ from semirigid.verdict import (
     SearchConfig,
     WitnessVerificationError,
     _min_norm_step,
+    _newton_step,
+    _newton_system,
     _tangent_system,
     _verify_witness,
     construct_stable_point,
@@ -405,25 +406,29 @@ class TestWitnessSearch:
 
     def test_below_the_bound_one_solve_per_iteration(self, monkeypatch):
         # the restarts run in lockstep: as many stacked solves as the longest
-        # restart takes steps, where one at a time they took one per step
+        # restart takes steps, where one at a time, with the same Newton
+        # steps, they took one per step
         rng = np.random.default_rng(6)
         k, _ = random_complex_kernel(rng, 6, comb(4, 2))
         cfg = SearchConfig(restarts=8, seed=2)
-        log = []
-        for name in ("svd", "lstsq"):
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name), _n=name,
-                                **kw: (log.append(_n), _f(*a, **kw))[1])
-        reference = projected_search(k, cfg)
-        monkeypatch.undo()
-        # one svd starts each restart of the reference
-        per_restart = [len(list(g)) for key, g in itertools.groupby(log[log.index("svd"):],
-                                                                      lambda n: n == "svd")
-                       if not key]
-        assert len(per_restart) == cfg.restarts
         sizes = count_solves(monkeypatch)
         out = witness_search(k, cfg)
+        lockstep = list(sizes)
+        per_restart = []
+        search = verdict._gauss_newton
+
+        def alone(a3t, g, cfg, newton):
+            before = len(sizes)
+            result = search(a3t, g, cfg, newton=True)
+            per_restart.append(len(sizes) - before)
+            return result
+
+        monkeypatch.setattr(verdict, "dimension_criterion", lambda _: True)
+        monkeypatch.setattr(verdict, "_gauss_newton", alone)
+        reference = witness_search(k, cfg)
         assert out.witness is None and reference.witness is None
-        assert len(sizes) == max(per_restart) < sum(per_restart) == sum(sizes)
+        assert len(per_restart) == cfg.restarts
+        assert len(lockstep) == max(per_restart) < sum(per_restart) == sum(lockstep)
 
     # (d, kernel dimension, seed): below, at and above the bound at d = 5..10
     REFERENCE_CASES = [(d, comb(d - 2, 2) + 1 + shift, d + shift)
@@ -450,22 +455,126 @@ class TestWitnessSearch:
 
     def test_lockstep_matches_one_restart_at_a_time(self, monkeypatch):
         """Below the bound the restarts run in lockstep; run one at a time, as
-        at the bound, they give the same result."""
+        at the bound, with the same step rule, Newton or Gauss-Newton, they
+        give the same result."""
         cases = [k for k, _ in planted_search_kernels()[:30:5]]
         cases += [random_complex_kernel(np.random.default_rng(d), d, comb(d - 2, 2))[0]
                   for d in (5, 6, 7)]
-        for k in cases:
-            cfg = SearchConfig(restarts=8, seed=k.dim_v)
-            for bound in (False, True):
-                monkeypatch.setattr(verdict, "dimension_criterion", lambda _, b=bound: b)
-                out = witness_search(k, cfg)
-                if not bound:
-                    lockstep = out
-            assert (out.witness is None) == (lockstep.witness is None)
-            assert out.restarts_used == lockstep.restarts_used
-            assert out.best_residual == pytest.approx(lockstep.best_residual, rel=1e-12, abs=1e-30)
-            if out.witness is not None:
-                assert np.allclose(out.witness.coeffs, lockstep.witness.coeffs, rtol=0, atol=1e-12)
+        search = verdict._gauss_newton
+        for newton in (True, False):
+            monkeypatch.setattr(verdict, "_gauss_newton",
+                                lambda a3t, g, cfg, newton, _rule=newton:
+                                search(a3t, g, cfg, newton=_rule))
+            for k in cases:
+                cfg = SearchConfig(restarts=8, seed=k.dim_v)
+                for bound in (False, True):
+                    monkeypatch.setattr(verdict, "dimension_criterion", lambda _, b=bound: b)
+                    out = witness_search(k, cfg)
+                    if not bound:
+                        lockstep = out
+                assert (out.witness is None) == (lockstep.witness is None)
+                assert out.restarts_used == lockstep.restarts_used
+                assert out.best_residual == pytest.approx(lockstep.best_residual, rel=1e-12,
+                                                          abs=1e-30)
+                if out.witness is not None:
+                    assert np.allclose(out.witness.coeffs, lockstep.witness.coeffs, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(5, 9))
+    def test_newton_system_central_difference(self, d):
+        """grad f = 2 b and hess f = 2 H for the objective
+        f(z) = |a(u' wedge v')|^2 / det([u' v']^H [u' v']) of the plane moved
+        to [u' v'] = [u v] + G_perp Z, by central differences; G is the real
+        form [[Re A, -Im A], [Im A, Re A]] of A = J^H J."""
+        rng = np.random.default_rng(d)
+        r = comb(d, 2) - comb(d - 2, 2)
+        _, a3 = random_annihilator(rng, d, r)
+        a3t = a3.transpose(1, 0, 2).reshape(d, -1)
+        g = np.linalg.qr(complex_normal(rng, 2, d, d))[0]
+        res, jac, _ = _tangent_system(a3t, g)
+        grad = (np.swapaxes(jac.conj(), 1, 2) @ res[..., None])[..., 0]
+        gram, hess, b = _newton_system(a3.reshape(r, -1), g, jac, res, grad)
+        h, eps = d - 2, 1e-4
+        for frame, j, gm, hs, bb in zip(g, jac, gram, hess, b):
+            a = j.conj().T @ j
+            assert np.array_equal(gm, np.block([[a.real, -a.imag], [a.imag, a.real]]))
+
+            def f(xy):
+                z = (xy[:2 * h] + 1j * xy[2 * h:]).reshape(2, h).T
+                uv = frame[:, :2] + frame[:, 2:] @ z
+                res_z = np.einsum("wij,i,j->w", a3, uv[:, 0], uv[:, 1])
+                return np.linalg.norm(res_z) ** 2 / np.linalg.det(uv.conj().T @ uv).real
+
+            e = eps * np.eye(4 * h)
+            grad_f = np.array([f(x) - f(-x) for x in e]) / (2 * eps)
+            hess_f = np.array([[f(x + y) - f(x - y) - f(y - x) + f(-x - y) for y in e]
+                               for x in e]) / (4 * eps ** 2)
+            assert np.allclose(grad_f, 2 * bb, rtol=0, atol=1e-6 * np.abs(grad_f).max())
+            assert np.allclose(hess_f, 2 * hs, rtol=0, atol=1e-6 * np.abs(hess_f).max())
+
+    def test_newton_step_only_where_the_hessian_is_positive_definite(self):
+        """A frame whose real Hessian is positive definite takes the Newton
+        step; any other takes the damped Gauss-Newton step, equal to the
+        complex column form of _min_norm_step.  Frames near a planted
+        decomposable of the kernel have a small residual and a positive
+        definite Hessian, random ones mostly do not."""
+        kinds = set()
+        for d in (5, 6, 7):
+            rng = np.random.default_rng(d)
+            u, v = complex_normal(rng, 2, d)
+            cols = complex_normal(rng, comb(d, 2), comb(d - 2, 2))
+            cols[:, 0] = wedge(u, v).coeffs
+            ann = np.linalg.qr(cols, mode="complete")[0][:, cols.shape[1]:].conj().T
+            a3 = skew(ann, d)
+            r = len(a3)
+            a3t = a3.transpose(1, 0, 2).reshape(d, -1)
+            near = np.column_stack([u, v]) + 1e-3 * complex_normal(rng, d, 2)
+            frames = [np.column_stack([near, complex_normal(rng, d, d - 2)]) for _ in range(4)]
+            frames += list(complex_normal(rng, 4, d, d))
+            g = np.linalg.qr(np.array(frames))[0]
+            res, jac, _ = _tangent_system(a3t, g)
+            grad = (np.swapaxes(jac.conj(), 1, 2) @ res[..., None])[..., 0]
+            step = _newton_step(a3.reshape(r, -1), g, jac, res, grad)
+            _, hess, b = _newton_system(a3.reshape(r, -1), g, jac, res, grad)
+            gauss = _min_norm_step(jac, res, True)
+            for i, z in enumerate(step):
+                pd = np.linalg.eigvalsh(hess[i])[0] > 0
+                kinds.add(bool(pd))
+                xy = np.linalg.solve(hess[i], -b[i])
+                want = xy[:2 * d - 4] + 1j * xy[2 * d - 4:] if pd else gauss[i]
+                assert np.allclose(z, want, rtol=1e-9, atol=0)
+        assert kinds == {True, False}
+
+    def test_newton_only_below_the_bound(self, monkeypatch):
+        """The Newton step, and with it the Cholesky test, runs below the
+        dimension bound only."""
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: (calls.append(len(a)), cholesky(a))[1])
+        for shift in (0, 1, -1):
+            calls.clear()
+            k, _ = random_complex_kernel(np.random.default_rng(shift + 2), 7, 11 + shift)
+            witness_search(k, SearchConfig(restarts=4, seed=1))
+            assert bool(calls) == (shift < 0)
+
+    def test_newton_halves_the_iterations_below_the_bound(self, monkeypatch):
+        """Below the bound the restarts end at stationary points with a
+        nonzero residual, where Gauss-Newton converges only linearly: the
+        Newton steps take less than half its lockstep iterations."""
+        iterations = {}
+        search = verdict._gauss_newton
+        for newton in (False, True):
+            sizes = count_solves(monkeypatch)
+            monkeypatch.setattr(verdict, "_gauss_newton",
+                                lambda a3t, g, cfg, newton, _rule=newton:
+                                search(a3t, g, cfg, newton=_rule))
+            for d in (6, 7):
+                k, _ = random_complex_kernel(np.random.default_rng(d), d, comb(d - 2, 2))
+                assert witness_search(k, SearchConfig(restarts=8, seed=d)).witness is None
+            iterations[newton] = len(sizes)
+            monkeypatch.undo()
+        assert 2 * iterations[True] < iterations[False]
 
     def test_search_memory_at_the_bound(self):
         # d = 14 at the dimension bound: a q x m x m Plucker tensor would take
@@ -987,6 +1096,64 @@ class TestMuZeroSampler:
         # the first step of every start is already the ray step; a solve at
         # every iteration took about 15 per start
         assert sum(first) <= 8
+
+    @pytest.mark.parametrize("entry", ["identity:3", "identity:4", "identity:5", "torus:2"])
+    def test_ray_finish_matches_the_stepwise_ray(self, entry):
+        """The closed-form end of an Euler ray is the point and the residual
+        norm of halving the step one iteration at a time, bit for bit, at
+        every budget: on the rays of seeded starts of injective pairings, whose
+        first step is already the ray step, at n = 2..5 and with
+        max_iterations 1..20 (a budget of one halving less)."""
+        name, arg = entry.split(":")
+        p = catalog_build(name, (arg,)).pairing
+        d = p.dim_v
+        c = skew(to_float(p.matrix()), d)
+        for n in (2, 3, 4, 5):
+            a = complex_normal(np.random.default_rng(n), 4, d, n, n)
+            a /= np.linalg.norm(a.reshape(4, -1), axis=1)[:, None, None, None]
+            res, s, norms, ok = verdict._mu_test(c, a, FLOAT)
+            step = _min_norm_step(_mu_jacobian(s), res, False).reshape(a.shape)
+            t = (a - np.trace(a, axis1=2, axis2=3)[..., None, None] / n * np.eye(n)).reshape(4, -1)
+            assert not ok.any()
+            assert FLOAT.negligible(np.linalg.norm(step.reshape(4, -1) + t / 2, axis=1),
+                                    np.linalg.norm(t, axis=1)).all()
+            # the stepwise ray: the halving at which each start is accepted
+            first, ends, end_norms = np.zeros(4, dtype=int), np.empty_like(a), np.empty(4)
+            point, halved = a, step.copy()
+            for k in range(1, 20):
+                if k > 1:
+                    halved /= 2
+                point = point + halved
+                _, _, k_norms, k_ok = verdict._mu_test(c, point, FLOAT)
+                new = k_ok & (first == 0)
+                first[new], ends[new], end_norms[new] = k, point[new], k_norms[new]
+            assert first.all()
+            for budget in range(20):
+                done, points, point_norms = verdict._ray_finish(c, a, step, norms, budget, FLOAT)
+                want = np.flatnonzero(first <= budget)
+                assert np.array_equal(done, want)
+                assert points.tobytes() == ends[want].tobytes()
+                assert point_norms.tobytes() == end_norms[want].tobytes()
+
+    @pytest.mark.parametrize("entry", ["identity:3", "identity:4", "torus:2", "curve:3"])
+    def test_samples_match_the_stepwise_ray(self, monkeypatch, entry):
+        """The sampler gives the same samples, bit for bit, when every ray is
+        left to the iteration."""
+        name, arg = entry.split(":")
+        p = catalog_build(name, (arg,)).pairing
+        cfg = SearchConfig(restarts=3, seed=1)
+        for n in (2, 3, 4):
+            got = mu_zero_sampler(p, n, cfg)
+            monkeypatch.setattr(verdict, "_ray_finish",
+                                lambda c, a, step, res_norm, budget, mode:
+                                (np.zeros(0, dtype=int), a[:0], res_norm[:0]))
+            want = mu_zero_sampler(p, n, cfg)
+            monkeypatch.undo()
+            assert (got.attempted, got.converged) == (want.attempted, want.converged)
+            for s, t in zip(got.samples, want.samples):
+                assert s.alpha.values.tobytes() == t.alpha.values.tobytes()
+                assert (s.mu_residual, s.chi_residual, s.commuting) == \
+                    (t.mu_residual, t.chi_residual, t.commuting)
 
     def test_sampler_memory(self):
         # identity:4 at n = 4: each stacked step holds the 8 Jacobians
