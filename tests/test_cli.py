@@ -43,7 +43,7 @@ from semirigid.serialize import (
 )
 from semirigid import verdict
 from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, SearchResult, decide
-from util import eigh_min_norm_step
+from util import eigh_min_norm_step, perfbench_items
 
 
 def run_cli(capsys, *argv):
@@ -1380,24 +1380,28 @@ def test_cli_import_loads_no_scipy():
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The package pins one OpenBLAS thread unless the caller set a count, so
     a report is the same with the variable unset and set to 1: on the
-    seed-1001 pairing of the 31-bound-d12 benchmark item, whose kernel basis
-    moved with two threads."""
+    seed-1001 items of the benchmark whose reports moved with two threads,
+    three witnesses (through the float kernel basis) and two sampler runs."""
     root = Path(semirigid.__file__).resolve().parents[2]
-    sys.path.insert(0, str(root / "perfbench"))
-    try:
-        import items
-    finally:
-        sys.path.remove(str(root / "perfbench"))
-    item = next(i for i in items.build("complex-float", 1001, str(tmp_path))
-                if i.id == "31-bound-d12")
-    code = "import sys; from semirigid.cli import main; sys.exit(main(sys.argv[1:]))"
+    ids = ("31-bound-d12", "32-bound-d13", "33-bound-d14", "51-sample-identity:3-n5",
+           "65-sample-curve:3-n5")
+    argvs = [i.argv for i in perfbench_items().build("complex-float", 1001, str(tmp_path))
+             if i.id in ids]
+    assert len(argvs) == len(ids)
+    code = ("import contextlib, io, json, sys; from semirigid.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(argv) == 0\n"
+            "    print(json.dumps(out.getvalue()))")
     unset = {k: v for k, v in os.environ.items()
              if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     unset["PYTHONPATH"] = str(root / "src")
-    outs = [subprocess.run([sys.executable, "-c", code, *item.argv], env=env,
-                           capture_output=True, text=True, check=True).stdout
+    outs = [subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                           capture_output=True, text=True, check=True).stdout.splitlines()
             for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"})]
-    assert json.loads(outs[0])["verdict"]["witness"] is not None
+    assert len(outs[0]) == len(ids)
+    assert json.loads(json.loads(outs[0][0]))["verdict"]["witness"] is not None
     assert outs[0] == outs[1]
 
 

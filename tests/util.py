@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +26,17 @@ from semirigid.scalars import (
 from semirigid.verdict import _ACCEPTANCE, SearchResult
 
 EXACT = ScalarMode.exact()
+
+
+def perfbench_items():
+    """The benchmark's ``items`` module, imported from ``perfbench/``."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import items
+    finally:
+        sys.path.remove(bench)
+    return items
 
 
 def projective_distance(w1: Bivector, w2: Bivector) -> float:
