@@ -45,7 +45,6 @@ from .exterior import (
     dimension_criterion,
     kernel,
     leading_term,
-    plucker_square,
     wedge,
 )
 from .scalars import (

@@ -88,7 +88,7 @@ class MatrixTuple:
 
     def to_float(self) -> "MatrixTuple":
         """Each value of values / den rounded once, even with integers beyond the float range."""
-        return MatrixTuple._from_stack(to_float(np.array(self.matrices)))
+        return MatrixTuple._from_stack(to_float(self.values, self.den))
 
     def scaled(self, factor) -> "MatrixTuple":
         return MatrixTuple.from_matrices(np.array(self.matrices) * factor)
@@ -169,7 +169,7 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
         # mu = mu(C', A') / (e f^2)
         (c, e), f = p.cleared_form, alpha.den
         return tuple(_mu_kernel(skew(c, alpha.d), alpha.values)[0] * Fraction(1, e * f * f))
-    return tuple(_mu_kernel(skew(to_float(p.matrix()), alpha.d), alpha.to_float().values)[0])
+    return tuple(_mu_kernel(skew(to_float(p.values, p.den), alpha.d), alpha.to_float().values)[0])
 
 
 def trace(m: np.ndarray):
@@ -195,13 +195,16 @@ def _in_regime(alpha: MatrixTuple, mode: ScalarMode | None):
     return (alpha if mode.is_exact else alpha.to_float()), mode
 
 
-def _product(*factors) -> np.ndarray:
-    """Matrix product, broadcast over a (d, n, n) stack among the factors.
-    Rational factors are cleared, multiplied in integers and divided once."""
+def _product(*factors) -> tuple[np.ndarray, int]:
+    """Matrix product, broadcast over a (d, n, n) stack among the factors, as
+    (values, den) in the stored form of :class:`MatrixTuple`: rational
+    factors are cleared, multiplied in integers and reduced once."""
     if factors[0].dtype != object:
-        return reduce(np.matmul, factors)
+        return reduce(np.matmul, factors), 1
     ints, dens = zip(*map(cleared, factors))
-    return reduce(np.matmul, ints) * Fraction(1, math.prod(dens))
+    prod, den = reduce(np.matmul, ints), math.prod(dens)
+    g = math.gcd(den, *prod.flat)
+    return prod // g, den // g
 
 
 def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
@@ -270,7 +273,7 @@ def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
     n = b.shape[0]
     bases = []
     for lam, count in groups:
-        basis = nullspace(_product(*repeat(b - lam * identity(n, mode), count)), mode)
+        basis = nullspace(_product(*repeat(b - lam * identity(n, mode), count))[0], mode)
         if len(basis) != count:
             return None
         bases.append(np.column_stack(basis))
@@ -343,7 +346,8 @@ def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
         for q in (child() for _, child in children):
             qb[lo:lo + len(q), lo:lo + len(q)] = q
             lo += len(q)
-        return _product(q0, qb)
+        q, den = _product(q0, qb)
+        return q * Fraction(1, den) if mode.is_exact else q
     return [p for points, _ in children for p in points], basis
 
 
@@ -366,9 +370,10 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     """
     alpha, mode = _in_regime(alpha, mode)
     q = _leaves(alpha, mode, seed)[1]()
-    q_inv = solve(q, identity(alpha.n, mode)) if mode.is_exact else q.conj().T
-    transformed = _product(q_inv, np.array(alpha.matrices), q)
-    return q, MatrixTuple(alpha.n, alpha.d, tuple(transformed))
+    # the tuple's 1 / den folded into q^-1, so that its values go in as they are
+    q_inv = (solve(q, identity(alpha.n, mode) * Fraction(1, alpha.den)) if mode.is_exact
+             else q.conj().T)
+    return q, MatrixTuple._from_stack(*_product(q_inv, alpha.values, q))
 
 
 @dataclass(frozen=True, eq=False)

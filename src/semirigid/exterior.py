@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalars import ScalarMode, cleared, nullspace, rank, resolve_mode, to_float
+from .scalars import ScalarMode, _kernel_basis, cleared, nullspace, rank, resolve_mode, to_float
 
 YES = "yes"
 NO = "no"
@@ -57,16 +57,49 @@ def is_rational_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-@dataclass(frozen=True)
-class Bivector:
-    """Element of the second exterior power of V, coefficients on pairs i < j."""
+class _Stored:
+    """An object held once as a read-only array values / den: rational, Python
+    ints with den > 0 and gcd(den, values) = 1 as :func:`scalars.cleared`
+    gives them; complex, complex128 with den = 1.  Equality and hash read
+    ``_key()``, built from the values."""
+
+    def _hold(self, d: int, values: np.ndarray, den: int):
+        values.flags.writeable = False
+        for name, x in ("dim_v", d), ("values", values), ("den", den):
+            object.__setattr__(self, name, x)
+        return self
+
+    @classmethod
+    def _from_values(cls, d: int, values: np.ndarray, den: int = 1):
+        """The object of values already in the stored form, made read-only."""
+        return cls.__new__(cls)._hold(d, values, den)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def is_rational(self) -> bool:
+        return self.values.dtype == object
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Bivector(_Stored):
+    """Element of the second exterior power of V, stored as the vector of its
+    coefficients on the pairs i < j of :func:`pair_list`.  ``Bivector(dim_v,
+    coeffs)`` is rational when each coefficient is an int or a Fraction."""
 
     dim_v: int
-    coeffs: tuple
+    values: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != pair_count(self.dim_v):
+    def __init__(self, dim_v: int, coeffs):
+        if len(coeffs) != pair_count(dim_v):
             raise ValueError("coefficient count does not match dim_v")
+        a = np.array(coeffs, dtype=object)
+        rational = all(is_rational_scalar(c) for c in coeffs)
+        self._hold(dim_v, *(cleared(a) if rational else (to_float(a), 1)))
 
     @classmethod
     def zero(cls, d: int) -> "Bivector":
@@ -88,22 +121,28 @@ class Bivector:
     def basis_element(cls, d: int, i: int, j: int) -> "Bivector":
         return cls.from_pairs(d, {(i, j): 1})
 
+    @property
+    def coeffs(self) -> tuple:
+        """values / den: the ints themselves when den = 1, else Fractions."""
+        v = self.values if self.den == 1 else self.values * Fraction(1, self.den)
+        return tuple(v.tolist())
+
+    def _key(self) -> tuple:
+        return self.dim_v, self.coeffs
+
     def coefficient(self, i: int, j: int):
         if i == j:
             return 0
-        if i < j:
-            return self.coeffs[pair_index(i, j, self.dim_v)]
-        return -self.coeffs[pair_index(j, i, self.dim_v)]
+        x = self.values[pair_index(min(i, j), max(i, j), self.dim_v)]
+        x = x if self.den == 1 else Fraction(x, self.den)
+        return x if i < j else -x
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(is_rational_scalar(c) for c in self.coeffs)
+        return not self.values.any()
 
     def skew_matrix(self) -> np.ndarray:
-        """The associated d x d skew-symmetric matrix."""
-        return skew(np.array(self.coeffs, dtype=object if self.is_rational() else complex),
+        """The associated d x d skew-symmetric matrix, in Fractions when rational."""
+        return skew(np.array(self.coeffs, dtype=object) if self.is_rational() else self.values,
                     self.dim_v)
 
     def __add__(self, other: "Bivector") -> "Bivector":
@@ -130,14 +169,12 @@ def wedge(u, v) -> Bivector:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class SkewPairing:
-    """Skew pairing into W, held once as its read-only dim_w x pair_count
-    matrix values / den; column p is the image of the p-th basis bivector of
-    :func:`pair_list`.  Rational: Python ints with den > 0 and gcd(den,
-    values) = 1, as :func:`scalars.cleared` gives them; complex: complex128
-    with den = 1.  ``SkewPairing(dim_v, dim_w, entries)`` takes the rows,
-    ``entries[p][k]`` the k-th W-coordinate of that image; ``entries``,
-    equality and hash read them back.  ``dim_w == 0`` is the zero pairing.
+class SkewPairing(_Stored):
+    """Skew pairing into W, stored as its dim_w x pair_count matrix; column p
+    is the image of the p-th basis bivector of :func:`pair_list`.
+    ``SkewPairing(dim_v, dim_w, entries)`` takes the rows, ``entries[p][k]``
+    the k-th W-coordinate of that image, as ``entries`` reads them back.
+    ``dim_w == 0`` is the zero pairing.
     """
 
     dim_v: int
@@ -159,16 +196,14 @@ class SkewPairing:
     def _hold(self, d: int, values: np.ndarray, den: int) -> "SkewPairing":
         if d < 1 or values.ndim != 2 or values.shape[1] != pair_count(d):
             raise ValueError("need dim_v >= 1 and a dim_w x pair_count matrix")
-        values.flags.writeable = False
-        for name, x in ("dim_v", d), ("dim_w", values.shape[0]), ("values", values), ("den", den):
-            object.__setattr__(self, name, x)
-        return self
+        object.__setattr__(self, "dim_w", values.shape[0])
+        return super()._hold(d, values, den)
 
     @classmethod
     def from_matrix(cls, d: int, values: np.ndarray, den: int = 1) -> "SkewPairing":
         """The pairing of matrix values / den, given in the stored form
         above; held as it is and made read-only."""
-        return cls.__new__(cls)._hold(d, values, den)
+        return cls._from_values(d, values, den)
 
     @classmethod
     def zero(cls, d: int, m: int) -> "SkewPairing":
@@ -197,61 +232,71 @@ class SkewPairing:
 
     @property
     def cleared_form(self) -> tuple[np.ndarray, int]:
-        """The stored (values, den); the exact kernel, apply and mu read it."""
+        """The stored (values, den), as exact mu reads it."""
         return self.values, self.den
 
     def _key(self) -> tuple:
         return self.dim_v, self.dim_w, self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, SkewPairing) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def is_rational(self) -> bool:
-        return self.values.dtype == object
 
     def matrix(self) -> np.ndarray:
         """``values`` itself when den = 1, else values / den in Fractions."""
         return self.values if self.den == 1 else self.values * Fraction(1, self.den)
 
 
-@dataclass(frozen=True)
-class KernelSubspace:
-    """A subspace of the bivector space, given by linearly independent basis bivectors."""
+@dataclass(frozen=True, init=False, eq=False)
+class KernelSubspace(_Stored):
+    """A subspace of the bivector space, stored as the k x pair_count matrix
+    of a basis.  ``KernelSubspace(dim_v, basis)`` stacks the bivectors,
+    rational when each is; ``basis`` reads the rows back once, each reduced."""
 
     dim_v: int
-    basis: tuple
+    values: np.ndarray
+    den: int
 
-    def __post_init__(self):
-        for b in self.basis:
-            if b.dim_v != self.dim_v:
-                raise ValueError("basis bivector dimension mismatch")
+    def __init__(self, dim_v: int, basis):
+        if any(b.dim_v != dim_v for b in basis):
+            raise ValueError("basis bivector dimension mismatch")
+        a = np.array([b.coeffs for b in basis], dtype=object)
+        a = a.reshape(len(basis), pair_count(dim_v))
+        rational = all(b.is_rational() for b in basis)
+        self._hold(dim_v, *(cleared(a) if rational else (to_float(a), 1)))
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        if self.den == 1:
+            return tuple(Bivector._from_values(self.dim_v, row) for row in self.values)
+        gs = (math.gcd(self.den, *row) for row in self.values)
+        return tuple(Bivector._from_values(self.dim_v, row // g, self.den // g)
+                     for row, g in zip(self.values, gs))
+
+    def _key(self) -> tuple:
+        return self.dim_v, self.basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.values)
 
 
 def apply(p: SkewPairing, omega: Bivector) -> np.ndarray:
     """Evaluate the pairing on a bivector; linear in the bivector."""
     if p.dim_v != omega.dim_v:
         raise ValueError("dimension mismatch")
-    w = np.array(omega.coeffs, dtype=object)
     if not resolve_mode(None, p, omega).is_exact:
-        return to_float(p.matrix()) @ to_float(w)
-    ints, den = p.cleared_form
-    return ints @ w * Fraction(1, den)
+        return to_float(p.values, p.den) @ to_float(omega.values, omega.den)
+    return p.values @ omega.values * Fraction(1, p.den * omega.den)
 
 
 def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
-    """Basis of the kernel of the pairing, as bivectors."""
+    """The kernel of the pairing: exact, the RREF basis S^T / den of
+    :func:`scalars._kernel_basis`; float, the orthonormal rows of nullspace."""
     mode = resolve_mode(mode, p)
+    d = p.dim_v
+    if not mode.is_exact:
+        return KernelSubspace._from_values(d, np.reshape(
+            nullspace(to_float(p.values, p.den), mode), (-1, pair_count(d))))
     # ints / den and ints have one kernel
-    m = p.cleared_form[0] if mode.is_exact else to_float(p.matrix())
-    basis = nullspace(m, mode)
-    return KernelSubspace(p.dim_v, tuple(Bivector(p.dim_v, tuple(v)) for v in basis))
+    s, _, den = _kernel_basis(p.values)
+    return KernelSubspace._from_values(d, s.T, den)
 
 
 def _ldexp(z, e: int) -> np.ndarray:
@@ -266,18 +311,17 @@ def rank2_factor(omega: Bivector, mode: ScalarMode):
     a = m[j1, j2], its largest |entry|.  Rational: tested on the integers
     m = den omega, u = c1 / a, v = c2 / den.  Float: at |m|, with no floor.
     """
-    if mode.is_exact:
-        ints, den = cleared(omega.coeffs)
-        m = skew(ints, omega.dim_v)
-    else:
-        m = to_float(omega.skew_matrix())
+    # rational omega in float mode: skewed in ints, so that each zero is +0
+    m = skew(omega.values, omega.dim_v)
+    if not mode.is_exact:
+        m = to_float(m, omega.den)
     j1, j2 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     a, c1, c2 = m[j1, j2], m[:, j1], m[:, j2]
     if a == 0:
         return None
     if mode.is_exact:
         ok = not (np.outer(c1, c2) - np.outer(c2, c1) - a * m).any()
-        return (c1 * Fraction(1, a), c2 * Fraction(1, den)) if ok else None
+        return (c1 * Fraction(1, a), c2 * Fraction(1, omega.den)) if ok else None
     # 1 / a overflows for a subnormal a: divide at a's binary exponent
     e = np.frexp(max(abs(a.real), abs(a.imag)))[1]
     u = _ldexp(c1, -e) / _ldexp(a, -e)
@@ -316,20 +360,6 @@ def restricted_quadrics(x, d: int) -> np.ndarray:
     return (t[:, 0] - t[:, 1] + t[:, 2]).T
 
 
-def plucker_square(omega: Bivector) -> tuple:
-    """Coefficients of omega wedge omega on the basis of 4-fold wedges: the k = 1
-    column of :func:`restricted_quadrics`; a rational omega is cleared first and
-    the column divided by den^2.
-
-    Zero exactly when the rank of omega is at most 2.  For d < 4 the target
-    space is zero-dimensional and the empty tuple is returned.
-    """
-    x, den = (cleared(omega.coeffs) if omega.is_rational()
-              else (np.array(omega.coeffs, dtype=complex), 1))
-    col = restricted_quadrics(x[None], omega.dim_v)[:, 0].tolist()
-    return tuple(col) if den == 1 else tuple(Fraction(v, den * den) for v in col)
-
-
 def dimension_criterion(k: KernelSubspace) -> bool:
     """Sufficient condition for a nonzero decomposable element in the subspace.
 
@@ -364,7 +394,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     float coefficients.  A float "no" for a complex pencil at d >= 5 would
     need a scaled common-root test, so such a pencil is left to the search.
     """
-    mode = resolve_mode(mode, *k.basis)
+    mode = resolve_mode(mode, k)
     d = k.dim_v
     if k.dim == 0:
         return DecomposableDecision(NO)
@@ -374,9 +404,9 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     if d >= 5 and (k.dim >= 3 or not mode.is_exact):
         return DecomposableDecision(NOT_APPLICABLE)
     k1, k2 = k.basis[0], k.basis[1]
-    rows = np.array([k1.coeffs, k2.coeffs], dtype=object)
-    # cleared rows give den^2 times the forms on K1, K2: the same roots and f
-    xs, den = cleared(rows) if mode.is_exact else (to_float(rows), 1)
+    # the stored rows are den K1, den K2, with den^2 times the forms on K1, K2:
+    # the same roots and f
+    xs, den = (k.values[:2], k.den) if mode.is_exact else (to_float(k.values[:2], k.den), 1)
     q = restricted_quadrics(xs, d)
     a, b, c = q[:, 0], 2 * q[:, 1], q[:, 2]
     # the quadrics are twice the Pfaffians of the 4 x 4 minors
@@ -403,7 +433,7 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
         af, bf, disc = Fraction(af, den ** 2), Fraction(bf, den ** 2), Fraction(disc, den ** 4)
     af, bf, disc = to_float(np.array([af, bf, disc], dtype=object)).tolist()
     x = (-bf + cmath.sqrt(disc)) / (2 * af)
-    u, v = to_float(rows).tolist()
+    u, v = to_float(k.values[:2], k.den).tolist()
     witness = Bivector(d, tuple(x * s + t for s, t in zip(u, v)))
     return DecomposableDecision(YES, witness)
 

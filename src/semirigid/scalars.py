@@ -115,12 +115,15 @@ def exact_matrix(rows) -> np.ndarray:
     return a
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
-    """Explicit (lossy) rational -> complex float conversion, the only one;
-    a value beyond the float range is refused."""
+def to_float(a: np.ndarray, den: int = 1) -> np.ndarray:
+    """Explicit (lossy) rational -> complex float conversion of a / den, the
+    only one: each value rounded once, as ``complex(Fraction)`` rounds it (an
+    int / int division is correctly rounded); one beyond the float range is
+    refused."""
     if a.dtype == object:
         try:
-            out = np.array([complex(x) for x in a.reshape(-1)], dtype=complex)
+            out = np.array([complex(x) for x in (a if den == 1 else a / den).reshape(-1)],
+                           dtype=complex)
         except OverflowError:
             raise PreconditionError("a rational value is outside the float range") from None
         return out.reshape(a.shape)

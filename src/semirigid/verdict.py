@@ -114,7 +114,7 @@ def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     in exact mode, else up to DEFAULT_TOL relative to |p| |omega|."""
     if mode.is_exact and omega.is_rational():
         return mode.vanishes([apply(p, omega)])
-    m, w = to_float(p.matrix()), to_float(np.array(omega.coeffs, dtype=object))
+    m, w = to_float(p.values, p.den), to_float(omega.values, omega.den)
     return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
@@ -400,7 +400,7 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     d = k.dim_v
     # the kernel basis as columns, C-contiguous: the LAPACK and BLAS calls
     # below round by the layout they are handed
-    raw = np.ascontiguousarray(to_float(np.array([b.coeffs for b in k.basis])).T)
+    raw = np.ascontiguousarray(to_float(k.values, k.den).T)
     ann = np.reshape(nullspace(raw.T, ScalarMode.floating()), (-1, raw.shape[0]))
     a3t = skew(ann, d).transpose(1, 0, 2).reshape(d, -1)
     restarts = range(cfg.restarts)
@@ -655,13 +655,13 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     Numer. Anal. 20, 1983).  So where the ray ends is known in advance: a
     start whose step has just put it on the ray leaves the loop with the
     ray's end (:func:`_ray_finish`), the halving at which it is accepted
-    predicted in closed form and mu evaluated there and one halving before,
-    and only a start whose prediction fails goes on halving one iteration at
-    a time.  Either way its sample is the same, bit for bit.
+    predicted in closed form and mu evaluated there and one halving before:
+    the sample that halving the step one iteration at a time would give, bit
+    for bit.  A start whose prediction fails stays in the stack and takes
+    the next solved step, as every other start does.
 
     All starts run in lockstep as one (S, d, n, n) stack: one batched mu
-    kernel per iteration, one halving of every step on the ray, and one
-    stacked step for the starts off it (:func:`_min_norm_step`).  That step
+    kernel and one stacked step (:func:`_min_norm_step`) per iteration.  That step
     is always in the row form: by Euler's identity J x = -mu is consistent
     at every a, while J has the trace rows and the scalar columns as null
     directions whatever its shape.  A start leaves the stack when it
@@ -674,7 +674,7 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         raise ValueError("need n >= 1")
     mode = ScalarMode.floating()
     d = p.dim_v
-    c = skew(to_float(p.matrix()), d)
+    c = skew(to_float(p.values, p.den), d)
 
     starts = []
     # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway
@@ -682,7 +682,7 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     for b in basis:
         if rank2_factor(b, mode) is not None:
             # nonzero: u has the entry -1 at j2, where v is 0
-            z0 = np.array(witness_to_tuple(b, n, mode).matrices, dtype=complex).reshape(-1)
+            z0 = witness_to_tuple(b, n, mode).values.reshape(-1)
             starts.append(z0 / np.linalg.norm(z0))
             break
     idx = 0
@@ -695,37 +695,30 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     # every start in one (S, d, n, n) stack; a start leaves it when it ends
     a = np.array(starts).reshape(-1, d, n, n)
     live = np.arange(len(a))
-    step = np.zeros_like(a)
-    on_ray = np.zeros(len(a), dtype=bool)
     points = {}
     for it in range(cfg.max_iterations):
         res, s, norms, ok = _mu_test(c, a, mode)
-        ended = ok.copy()
-        step[on_ray] /= 2
-        off = np.flatnonzero(~(ok | on_ray))
-        if off.size:
-            x = _min_norm_step(_mu_jacobian(s[off]), res[off], False)
-            ended[off] = ~np.isfinite(x).all(axis=1)
-            step[off] = x.reshape(-1, d, n, n)
-            t = a[off] - np.trace(a[off], axis1=2, axis2=3)[..., None, None] / n * np.eye(n)
-            t = t.reshape(off.size, -1)
-            on_ray[off] = mode.negligible(np.linalg.norm(x + t / 2, axis=1),
-                                          np.linalg.norm(t, axis=1))
-            # a start that has just reached its ray leaves with the ray's end
-            ray = off[on_ray[off]]
-            if ray.size:
-                done, ends, end_norms = _ray_finish(c, a[ray], step[ray], norms[ray],
-                                                    cfg.max_iterations - 1 - it, mode)
-                for i, point, res_norm in zip(ray[done], ends, end_norms):
-                    points[live[i]] = (point, res_norm)
-                ended[ray[done]] = True
         for i in np.flatnonzero(ok):
             points[live[i]] = (a[i], norms[i])
-        if ended.any():
-            live, a, step, on_ray = live[~ended], a[~ended], step[~ended], on_ray[~ended]
-            if not live.size:
-                break
-        a = a + step
+        live, a, res, s, norms = live[~ok], a[~ok], res[~ok], s[~ok], norms[~ok]
+        if not live.size:
+            break
+        x = _min_norm_step(_mu_jacobian(s), res, False)
+        ended = ~np.isfinite(x).all(axis=1)
+        step = x.reshape(a.shape)
+        t = a - np.trace(a, axis1=2, axis2=3)[..., None, None] / n * np.eye(n)
+        t = t.reshape(len(a), -1)
+        # a start whose step has just put it on its ray leaves with the ray's end
+        ray = np.flatnonzero(mode.negligible(np.linalg.norm(x + t / 2, axis=1),
+                                             np.linalg.norm(t, axis=1)))
+        done, ends, end_norms = _ray_finish(c, a[ray], step[ray], norms[ray],
+                                            cfg.max_iterations - 1 - it, mode)
+        for i, point, res_norm in zip(ray[done], ends, end_norms):
+            points[live[i]] = (point, res_norm)
+        ended[ray[done]] = True
+        live, a = live[~ended], a[~ended] + step[~ended]
+        if not live.size:
+            break
 
     samples = []
     if points:

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semirigid
-from semirigid import commuting, scalars, verdict
+from semirigid import commuting, exterior, scalars, verdict
 from semirigid.catalog import catalog_build
 from semirigid.commuting import (
     MatrixTuple,
@@ -23,13 +23,21 @@ from semirigid.commuting import (
     rep_analysis,
     simultaneous_triangularize,
 )
-from semirigid.exterior import Bivector, SkewPairing, decomposable_exists_exact
+from semirigid.exterior import (
+    Bivector,
+    KernelSubspace,
+    SkewPairing,
+    decomposable_exists_exact,
+    kernel,
+    wedge,
+)
 from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
-from semirigid.serialize import pairing_from_json, tuple_from_json
+from semirigid.serialize import bivector_from_json, pairing_from_json, tuple_from_json
 from semirigid.verdict import (
     SearchConfig,
     mu_zero_sampler,
     tuple_to_witness,
+    witness_search,
     witness_to_tuple,
 )
 
@@ -261,6 +269,126 @@ class TestOneStoredTupleForm:
         assert hits == {"MatrixTuple", "_product", "_exact_blocks"}
         assert not [f.name for f in _source_files()
                     if "cleared(np.array(alpha.matrices))" in f.read_text()]
+
+
+def _bivector_file(values):
+    return bivector_from_json({"dim_v": 3, "coeffs": [
+        {"i": 0, "j": k + 1, "value": v} for k, v in enumerate(values)]})
+
+
+# a pairing whose exact kernel has den > 1 and rows of their own den
+THIRDS = SkewPairing(3, 1, ((3,), (2,), (6,)))
+
+# every constructor of a bivector, built when its case runs, with whether it is rational
+BIVECTORS = {
+    "ints": (lambda: Bivector(3, (1, -2, 0)), True),
+    "Fractions": (lambda: Bivector(3, (Fraction(1, 2), 0, Fraction(-2, 3))), True),
+    "complex": (lambda: Bivector(3, (1j, 0.5, -0.0)), False),
+    "Fraction and complex": (lambda: Bivector(3, (Fraction(1, 3), 1j, 0)), False),
+    "zero": (lambda: Bivector.zero(4), True),
+    "from_pairs": (lambda: Bivector.from_pairs(3, {(2, 0): Fraction(3, 4)}), True),
+    "wedge ints": (lambda: wedge([1, 2, 0], [0, Fraction(1, 2), 3]), True),
+    "wedge floats": (lambda: wedge(np.array([1.0, 2j, 0]), np.array([0, 0.5, 3])), False),
+    "sum and multiple": (lambda: Fraction(2, 3) * W + W, True),
+    "rational file": (lambda: _bivector_file(["2/6", "-5/4"]), True),
+    "complex file": (lambda: _bivector_file([[1, 0.5], [-0.0, 2]]), False),
+    "mixed file": (lambda: _bivector_file(["1/3", [0, 1]]), False),
+    "exact kernel row": (lambda: kernel(THIRDS, EXACT).basis[1], True),
+    "float kernel row": (lambda: kernel(CURVE, FLOAT).basis[0], False),
+    "search witness": (lambda: witness_search(kernel(CURVE, FLOAT)).witness, False),
+    "tuple_to_witness": (lambda: tuple_to_witness(witness_to_tuple(W, 2, EXACT), CURVE, EXACT),
+                         True),
+}
+
+W3 = Bivector(3, (Fraction(1, 2), 0, 1))
+
+# a random integer pairing at d = 8 whose kernel has den > 1
+RANDOM = SkewPairing.from_matrix(8, np.array(
+    np.random.default_rng(1).integers(-3, 4, size=(14, 28)).tolist(), dtype=object))
+
+# every constructor of a kernel, with whether it is rational
+KERNELS = {
+    "exact kernel": (lambda: kernel(THIRDS, EXACT), True),
+    "exact random kernel": (lambda: kernel(RANDOM, EXACT), True),
+    "float kernel": (lambda: kernel(THIRDS, FLOAT), False),
+    "exact, dim_w = 0": (lambda: kernel(SkewPairing.zero(4, 0), EXACT), True),
+    "float, dim_w = 0": (lambda: kernel(SkewPairing.zero(4, 0), FLOAT), False),
+    "exact, d = 1": (lambda: kernel(SkewPairing.zero(1, 2), EXACT), True),
+    "rational bivectors": (lambda: KernelSubspace(3, (W3, Bivector(3, (0, 1, Fraction(1, 3))))),
+                           True),
+    "complex bivectors": (lambda: KernelSubspace(3, (BIVECTORS["complex"][0](),)), False),
+    "rational and complex": (lambda: KernelSubspace(3, (W3, BIVECTORS["complex"][0]())), False),
+    "empty": (lambda: KernelSubspace(5, ()), True),
+}
+
+
+def _check_stored(values, den, rational):
+    assert not values.flags.writeable
+    if rational:
+        assert all(type(x) is int for x in values.flat) and type(den) is int
+        assert den > 0 and math.gcd(den, *values.flat) == 1
+    else:
+        assert values.dtype == np.complex128 and den == 1
+
+
+class TestOneStoredBivectorForm:
+    """A bivector and a kernel are stored once, as a read-only values / den;
+    coeffs, basis, the kind, equality and hash are derived from it."""
+
+    def test_no_second_form(self):
+        for cls in (Bivector, KernelSubspace):
+            assert not hasattr(cls, "__post_init__")
+        assert not hasattr(exterior, "plucker_square")
+        assert not hasattr(semirigid, "plucker_square")
+
+    @pytest.mark.parametrize("name", BIVECTORS)
+    def test_the_stored_vector(self, name):
+        build, rational = BIVECTORS[name]
+        b = build()
+        assert b.values.shape == (math.comb(b.dim_v, 2),)
+        assert b.is_rational() == rational
+        _check_stored(b.values, b.den, rational)
+        again = Bivector(b.dim_v, b.coeffs)
+        assert again == b and hash(again) == hash(b)
+        assert again.values.tolist() == b.values.tolist() and again.den == b.den
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_the_stored_matrix(self, name):
+        build, rational = KERNELS[name]
+        k = build()
+        assert k.values.shape == (k.dim, math.comb(k.dim_v, 2))
+        assert k.is_rational() == rational
+        _check_stored(k.values, k.den, rational)
+        for row, b in zip(k.values, k.basis):
+            _check_stored(b.values, b.den, rational)
+            assert b.is_rational() == rational
+            assert (b.values * k.den == row * b.den).all()
+        again = KernelSubspace(k.dim_v, k.basis)
+        assert again == k and hash(again) == hash(k)
+        assert k.basis is k.basis
+
+    def test_exact_kernel_rows_reduce_on_their_own(self):
+        # the kernel of 3 e01 + 2 e02 + 6 e12 in the RREF: (-2/3, 1, 0), (-2, 0, 1)
+        k = kernel(THIRDS, EXACT)
+        assert k.den == 3 and k.values.tolist() == [[-2, 3, 0], [-6, 0, 3]]
+        assert [(b.values.tolist(), b.den) for b in k.basis] == [([-2, 3, 0], 3), ([-2, 0, 1], 1)]
+
+    def test_clearing_only_in_the_constructors(self):
+        # each stored form is cleared once, where it is built; the readers of
+        # exterior and verdict take values / den as it is
+        def calls(module):
+            tree = ast.parse(Path(module.__file__).read_text())
+            return {(cls.name, fn.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    for x in ast.walk(fn) if isinstance(x, ast.Name) and x.id == "cleared"}, [
+                x.lineno for x in ast.walk(tree) if isinstance(x, ast.Name) and x.id == "cleared"]
+
+        pairs, lines = calls(exterior)
+        assert pairs == {("Bivector", "__init__"), ("SkewPairing", "__init__"),
+                         ("KernelSubspace", "__init__")}
+        # one call in each constructor
+        assert len(lines) == 3
+        assert "cleared" not in Path(verdict.__file__).read_text()
 
 
 def _conjugated(mats, seed):

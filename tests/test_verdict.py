@@ -613,6 +613,28 @@ class TestWitnessSearch:
         assert np.allclose(s[:2], 1, rtol=0, atol=1e-12)
         assert np.all(s[2:] < 1e-12)
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_a_rational_kernel_is_rounded_once(self, bound):
+        # integers of about 61 bits over den 3: float(x) / 3 rounds twice and
+        # moves the basis, so the search must start from complex(Fraction(x, 3))
+        rng = np.random.default_rng(60)
+        d = 6
+        k = comb(d - 2, 2) + (1 if bound else -1)
+        width = comb(d, 2)
+        rows = [tuple(Fraction((int(x) << 54) + int(y), 3) for x, y in
+                      zip(rng.integers(-99, 100, width), rng.integers(1, 1 << 20, width)))
+                for _ in range(k)]
+        exact = KernelSubspace(d, tuple(Bivector(d, r) for r in rows))
+        assert exact.den == 3 and exact.is_rational()
+        floated = KernelSubspace(d, tuple(Bivector(d, tuple(map(complex, r))) for r in rows))
+        assert not (to_float(exact.values) / 3 == floated.values).all()
+        cfg = SearchConfig(restarts=2, max_iterations=20)
+        got, want = witness_search(exact, cfg), witness_search(floated, cfg)
+        assert got.best_residual == want.best_residual
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.values.tobytes() == want.witness.values.tobytes()
+
     def test_planted_kernels_below_the_bound(self):
         kernels = planted_search_kernels()
         found = 0
@@ -1137,23 +1159,27 @@ class TestMuZeroSampler:
 
     @pytest.mark.parametrize("entry", ["identity:3", "identity:4", "torus:2", "curve:3"])
     def test_samples_match_the_stepwise_ray(self, monkeypatch, entry):
-        """The sampler gives the same samples, bit for bit, when every ray is
-        left to the iteration."""
+        """Every ray start that the sampler hands to _ray_finish comes back
+        done, so each sample on a ray is the stepwise ray's own, bit for bit
+        (test_ray_finish_matches_the_stepwise_ray); no start is left to halve
+        its step one iteration at a time."""
         name, arg = entry.split(":")
         p = catalog_build(name, (arg,)).pairing
         cfg = SearchConfig(restarts=3, seed=1)
+        finish, calls = verdict._ray_finish, []
+
+        def counted(c, a, step, res_norm, budget, mode):
+            out = finish(c, a, step, res_norm, budget, mode)
+            calls.append((len(a), len(out[0])))
+            return out
+
+        monkeypatch.setattr(verdict, "_ray_finish", counted)
         for n in (2, 3, 4):
-            got = mu_zero_sampler(p, n, cfg)
-            monkeypatch.setattr(verdict, "_ray_finish",
-                                lambda c, a, step, res_norm, budget, mode:
-                                (np.zeros(0, dtype=int), a[:0], res_norm[:0]))
-            want = mu_zero_sampler(p, n, cfg)
-            monkeypatch.undo()
-            assert (got.attempted, got.converged) == (want.attempted, want.converged)
-            for s, t in zip(got.samples, want.samples):
-                assert s.alpha.values.tobytes() == t.alpha.values.tobytes()
-                assert (s.mu_residual, s.chi_residual, s.commuting) == \
-                    (t.mu_residual, t.chi_residual, t.commuting)
+            out = mu_zero_sampler(p, n, cfg)
+            assert out.converged == out.attempted
+        assert [done for _, done in calls] == [k for k, _ in calls]
+        # on an injective pairing every start's first step is its ray step
+        assert sum(k for k, _ in calls) == (0 if name == "curve" else 3 * 3)
 
     def test_sampler_memory(self):
         # identity:4 at n = 4: each stacked step holds the 8 Jacobians

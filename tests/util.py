@@ -54,8 +54,7 @@ def projective_distance(w1: Bivector, w2: Bivector) -> float:
 def plucker_square_reference(omega: Bivector) -> tuple:
     """Coefficients of omega wedge omega on the 4-fold wedges, one 4-subset at
     a time: twice the Pfaffian of each 4 x 4 principal minor, in
-    ``combinations`` order.  The reference for ``exterior.restricted_quadrics``
-    and ``exterior.plucker_square``."""
+    ``combinations`` order.  The reference for ``exterior.restricted_quadrics``."""
     w = omega.coefficient
     return tuple(
         2 * (w(a, b) * w(c, e) - w(a, c) * w(b, e) + w(a, e) * w(b, c))
