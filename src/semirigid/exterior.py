@@ -292,8 +292,8 @@ def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     mode = resolve_mode(mode, p)
     d = p.dim_v
     if not mode.is_exact:
-        return KernelSubspace._from_values(d, np.reshape(
-            nullspace(to_float(p.values, p.den), mode), (-1, pair_count(d))))
+        basis = np.array(nullspace(to_float(p.values, p.den), mode), dtype=complex)
+        return KernelSubspace._from_values(d, basis.reshape(len(basis), pair_count(d)))
     # ints / den and ints have one kernel
     s, _, den = _kernel_basis(p.values)
     return KernelSubspace._from_values(d, s.T, den)

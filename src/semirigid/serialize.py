@@ -7,7 +7,10 @@ Booleans are not scalars, and sizes are JSON integers.  A pairing is parsed
 straight to its one matrix: cleared integers and one denominator, with no
 Fraction per entry, or complex128.  All keys are snake_case and
 emission is deterministic for identical values: :func:`canonical_json`
-writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  The one
+value it takes that json does not is a complex numpy array, such as the
+stack that :func:`tuple_to_json` leaves in a complex tuple's ``"matrices"``;
+it is written as the nested list of the [re, im] parts of its entries.
 """
 
 from __future__ import annotations
@@ -204,11 +207,13 @@ def pairing_from_json(obj: dict):
 
 
 def tuple_to_json(alpha: MatrixTuple) -> dict:
+    """The tuple as a JSON object.  A complex tuple's ``"matrices"`` is its
+    stored read-only complex128 stack itself, which :func:`canonical_json`
+    writes as nested [re, im] lists and ``json.dumps`` refuses; a rational
+    tuple's is nested lists of "p/q" strings."""
     kind = infer_kind(alpha)
     if kind == COMPLEX:
-        # [re, im] of each entry from one view of the stack, the sign of zero too
-        mats = (np.ascontiguousarray(alpha.values).view(float)
-                .reshape(alpha.d, alpha.n, alpha.n, 2).tolist())
+        mats = alpha.values
     else:
         mats = [[[scalar_to_json(m[i, j], kind) for j in range(alpha.n)]
                  for i in range(alpha.n)] for m in alpha.matrices]
@@ -318,22 +323,11 @@ def _template(shape: tuple, pad: str) -> str:
     return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + pad + "]"
 
 
-def _pair_block(obj: list, pad: str) -> str | None:
-    """A list nested three or more deep whose leaves are all [float, float]
-    pairs of finite floats, written by one template; None for anything else."""
-    if not (type(obj[0]) is list and obj[0] and type(obj[0][0]) is list):
-        return None
-    a = np.array(obj, dtype=object)
-    if a.ndim < 3 or a.shape[-1] != 2:
-        return None
-    leaves = a.ravel().tolist()
-    if set(map(type, leaves)) != {float} or not np.isfinite(np.array(leaves)).all():
-        return None
-    return _template(a.shape, pad) % tuple(map(float.__repr__, leaves))
-
-
 def _write(obj, pad: str) -> str:
-    """One JSON value whose line starts after ``pad`` ("\n" and the indent)."""
+    """One JSON value whose line starts after ``pad`` ("\n" and the indent).
+    A complex array is the nested list of its entries' [re, im] parts: all
+    finite, by one template of its shape; else, or empty, through that list.
+    Any other array is refused, as any other value json does not write."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -346,25 +340,26 @@ def _write(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if (block := _pair_block(obj, pad)) is not None:
-            return block
-        # rows of [re, im] pairs, the bulk of a complex report, by one template
-        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-        return "[" + inner + ("," + inner).join([
-            pair % (_float_text(x[0]), _float_text(x[1]))
-            if type(x) is list and len(x) == 2 and type(x[0]) is float and type(x[1]) is float
-            else _write(x, inner) for x in obj]) + pad + "]"
+        return "[" + inner + ("," + inner).join([_write(x, inner) for x in obj]) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": " + _write(v, inner)
             for k, v in sorted(obj.items())]) + pad + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+        # the parts of each entry, as one view, keep the sign of each zero
+        parts = np.ascontiguousarray(obj, dtype=complex).view(float).reshape(obj.shape + (2,))
+        if parts.size and np.isfinite(parts).all():
+            return _template(parts.shape, pad) % tuple(map(float.__repr__, parts.ravel().tolist()))
+        return _write(parts.tolist(), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for a JSON value whose
     keys are strings, without the pure-Python encoder that ``indent`` makes
-    json use."""
+    json use.  A complex numpy array in ``obj`` is written as ``json.dumps``
+    would write the nested list of its entries' [re, im] parts; a value of any
+    other type that json does not write raises ``TypeError``."""
     return _write(obj, "\n")

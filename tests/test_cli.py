@@ -7,7 +7,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +223,30 @@ def pair_arrays(draw):
     return build(0)
 
 
+@st.composite
+def complex_arrays(draw):
+    """complex128 arrays of 1-4 axes of sizes 0-3, C-ordered or transposed,
+    whose parts are finite floats, -0.0, NaN or +-inf."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    part = draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+        st.floats(),
+    ]))
+    parts = draw(st.lists(part, min_size=2 * prod(shape), max_size=2 * prod(shape)))
+    a = np.array(parts, dtype=float).view(complex).reshape(shape)
+    return a.T if draw(st.booleans()) else a
+
+
+def re_im(x):
+    """The nested [re, im] list of a complex array's tolist()."""
+    return [re_im(y) for y in x] if isinstance(x, list) else [x.real, x.imag]
+
+
 class TestCanonicalPairArrays:
-    """Arrays of [re, im] pairs three or more deep are written by one
-    template; the bytes are still those of json.dumps."""
+    """Nested lists of [re, im] pairs, and complex arrays, which are written
+    as the nested [re, im] lists of their entries: the bytes are those of
+    json.dumps of the lists."""
 
     @given(pair_arrays(), st.integers(0, 2))
     @example([[[1.0, -0.0], [float("nan"), 2.0]]], 0)
@@ -237,16 +258,32 @@ class TestCanonicalPairArrays:
             obj = {"x": [obj, 1.5]}
         assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
+    @given(complex_arrays(), st.integers(0, 2))
+    @example(np.array([[complex(-0.0, 1.5), complex(0.0, -0.0)]]), 0)
+    @example(np.array([complex(float("nan"), 1.0), complex(2.0, -float("inf"))]), 1)
+    @example(np.zeros((2, 0, 3), dtype=complex), 2)
+    def test_complex_array_matches_its_nested_list(self, a, wrap):
+        obj, ref = a, re_im(a.tolist())
+        for _ in range(wrap):
+            obj, ref = {"x": [obj, 1.5]}, {"x": [ref, 1.5]}
+        assert canonical_json(obj) == json.dumps(ref, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("a", [np.array([1j, 2], dtype=object), np.zeros((2, 2))])
+    def test_other_arrays_are_refused(self, a):
+        for obj in (a, {"x": [a]}):
+            with pytest.raises(TypeError):
+                canonical_json(obj)
+
     def test_tuple_writer_keeps_each_entry(self):
-        """A complex tuple's matrices come from one view of its stack: the
-        same values, signed zeros included, as one scalar_to_json per entry."""
+        """A complex tuple's matrices are its stack: the same values, signed
+        zeros included, as one scalar_to_json per entry."""
         rng = np.random.default_rng(3)
         values = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         values[0, 0, 0], values[1, 2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
         alpha = MatrixTuple.from_matrices(list(values))
         mats = [[[scalar_to_json(x, "complex") for x in row] for row in m] for m in values]
         assert canonical_json(tuple_to_json(alpha)["matrices"]) == canonical_json(mats)
-        assert np.copysign(1, tuple_to_json(alpha)["matrices"][0][0][0][0]) == -1
+        assert np.copysign(1, tuple_to_json(alpha)["matrices"][0, 0, 0].real) == -1
 
 
 def wire_fraction(v) -> Fraction:
@@ -351,7 +388,7 @@ class TestTupleJson:
 
     def test_roundtrip_complex(self):
         alpha = MatrixTuple.from_matrices([np.array([[1j, 0], [0, -1j]])])
-        back = tuple_from_json(tuple_to_json(alpha))
+        back = tuple_from_json(json.loads(canonical_json(tuple_to_json(alpha))))
         assert np.allclose(np.asarray(back.matrices[0], complex),
                            np.asarray(alpha.matrices[0], complex))
 
@@ -582,6 +619,24 @@ class TestCliKernel:
         assert payload["dim"] == 5 and payload["dim_v"] == 4
         assert len(payload["basis"]) == 5
 
+    @pytest.mark.parametrize("mode", ["rational", "complex"])
+    @pytest.mark.parametrize("pairing", ["catalog:identity:1", "catalog:zero:1:2"])
+    def test_dim_v_1(self, capsys, pairing, mode):
+        # Lambda^2 of a line is 0: the kernel is 0 in either mode
+        code, out, _ = run_cli(capsys, "kernel", "--pairing", pairing, "--mode", mode)
+        assert code == 0
+        assert json.loads(out)["kernel"] == {"basis": [], "dim": 0, "dim_v": 1}
+        code, out, _ = run_cli(capsys, "analyze", "--pairing", pairing, "--mode", mode)
+        assert code == 0
+        assert json.loads(out)["verdict"]["certificate"] == "kernel_zero"
+
+    def test_dim_v_1_samples(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "mu-zero", "--pairing", "catalog:identity:1",
+                               "--n", "2", "--starts", "2")
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        assert samples["attempted"] == samples["converged"] == len(samples["points"]) == 2
+
 
 class TestCliCommuting:
     def test_spectrum_diagonal_pair(self, capsys, tmp_path):
@@ -598,7 +653,7 @@ class TestCliCommuting:
     def test_rational_mode_on_complex_tuple_exit_2(self, capsys, tmp_path, command):
         alpha = MatrixTuple.from_matrices([np.diag([1, 2]).astype(complex)])
         path = tmp_path / "tuple.json"
-        path.write_text(json.dumps(tuple_to_json(alpha)))
+        path.write_text(canonical_json(tuple_to_json(alpha)))
         argv = ("commuting", command, "--tuple", str(path))
         assert run_cli(capsys, *argv)[0] == 0
         code, out, err = run_cli(capsys, *argv, "--mode", "rational")

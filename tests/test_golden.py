@@ -8,7 +8,9 @@ A change that alters reports on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the changed ids, with their reason, in CHANGES.md.
+which first prints each id whose digest changed, appeared or vanished, one a
+line, and any change of versions, and names those ids, with their reason, in
+CHANGES.md.
 """
 
 import contextlib
@@ -51,14 +53,18 @@ def report_digests(workdir) -> dict:
     return out
 
 
+def differing(old: dict, new: dict) -> list:
+    """The ids whose digest differs between two maps of id to digest."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
 def test_reports_match_the_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert golden["versions"] == versions(), (
         f"digests written with {golden['versions']}, running {versions()}")
     got = report_digests(tmp_path)
     assert len(got) == 164
-    changed = sorted(k for k in golden["reports"].keys() | got.keys()
-                     if golden["reports"].get(k) != got.get(k))
+    changed = differing(golden["reports"], got)
     assert not changed, f"reports differ from the golden digests: {changed}"
 
 
@@ -67,5 +73,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as workdir:
         reports = report_digests(workdir)
+    golden = json.loads(GOLDEN.read_text())
+    for k in differing(golden["reports"], reports):
+        print("changed" if k in golden["reports"] and k in reports
+              else "appeared" if k in reports else "vanished", k)
+    if golden["versions"] != versions():
+        print(f"versions {golden['versions']} -> {versions()}")
     GOLDEN.write_text(json.dumps({"seed": SEED, "versions": versions(), "reports": reports},
                                  indent=1, sort_keys=True) + "\n")

@@ -314,6 +314,7 @@ KERNELS = {
     "exact, dim_w = 0": (lambda: kernel(SkewPairing.zero(4, 0), EXACT), True),
     "float, dim_w = 0": (lambda: kernel(SkewPairing.zero(4, 0), FLOAT), False),
     "exact, d = 1": (lambda: kernel(SkewPairing.zero(1, 2), EXACT), True),
+    "float, d = 1": (lambda: kernel(SkewPairing.zero(1, 2), FLOAT), False),
     "rational bivectors": (lambda: KernelSubspace(3, (W3, Bivector(3, (0, 1, Fraction(1, 3))))),
                            True),
     "complex bivectors": (lambda: KernelSubspace(3, (BIVECTORS["complex"][0](),)), False),
