@@ -35,16 +35,13 @@ from .commuting import (
 )
 from .exterior import (
     Bivector,
-    FilteredPairing,
     KernelSubspace,
     SkewPairing,
     apply,
-    associated_graded,
     bivector_rank,
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
-    leading_term,
     wedge,
 )
 from .scalars import (

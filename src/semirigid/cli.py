@@ -95,8 +95,7 @@ def _load_pairing(source: str):
         text = canonical_json(pairing_to_json(entry.pairing))
         return entry.pairing, _digest(text.encode())
     obj, digest = _read_json(source, "pairing")
-    pairing, _ = pairing_from_json(obj)
-    return pairing, digest
+    return pairing_from_json(obj), digest
 
 
 def _resolve_seed(args) -> int:

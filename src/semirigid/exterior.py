@@ -437,64 +437,3 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
     witness = Bivector(d, tuple(x * s + t for s, t in zip(u, v)))
     return DecomposableDecision(YES, witness)
 
-
-# ---------------------------------------------------------------------------
-# filtered pairings
-
-
-@dataclass(frozen=True)
-class FilteredPairing:
-    """A skew pairing compatible with basis-adapted decreasing filtrations.
-
-    Levels are nonnegative integers per basis vector; compatibility means the
-    coefficient on (i, j, k) vanishes whenever the W-level of k is below the
-    sum of the V-levels of i and j.
-    """
-
-    pairing: SkewPairing
-    filt_v: tuple
-    filt_w: tuple
-
-    def __post_init__(self):
-        p = self.pairing
-        if len(self.filt_v) != p.dim_v or len(self.filt_w) != p.dim_w:
-            raise ValueError("filtration level count does not match dimensions")
-        if any(not isinstance(x, int) or x < 0 for x in (*self.filt_v, *self.filt_w)):
-            raise ValueError("filtration levels must be nonnegative integers")
-        for (i, j), row in zip(pair_list(p.dim_v), p.entries):
-            lvl = self.filt_v[i] + self.filt_v[j]
-            for kk, x in enumerate(row):
-                if self.filt_w[kk] < lvl and x != 0:
-                    raise ValueError(
-                        f"filtration invariant violated at ({i},{j},{kk}): "
-                        f"W-level {self.filt_w[kk]} < {lvl}")
-
-    def pair_level(self, i: int, j: int) -> int:
-        return self.filt_v[i] + self.filt_v[j]
-
-
-def associated_graded(fp: FilteredPairing) -> SkewPairing:
-    """Keep only the level-preserving coefficients of the pairing."""
-    p = fp.pairing
-    return SkewPairing(p.dim_v, p.dim_w, [
-        [x if w == fp.pair_level(i, j) else x * 0 for w, x in zip(fp.filt_w, row)]
-        for (i, j), row in zip(pair_list(p.dim_v), p.entries)])
-
-
-def leading_term(fp: FilteredPairing, omega: Bivector) -> Bivector:
-    """Component of a nonzero bivector in the deepest filtration step it lies in.
-
-    With the decreasing convention used here, a bivector lies in the step
-    indexed by the minimum total level over its nonzero coefficients; the
-    returned component is its image in the associated graded at that level.
-    If the bivector is in the kernel of the pairing, this component is in the
-    kernel of the associated graded pairing.
-    """
-    if omega.dim_v != fp.pairing.dim_v:
-        raise ValueError("dimension mismatch")
-    if omega.is_zero():
-        raise ValueError("leading term of the zero bivector is undefined")
-    levels = [fp.pair_level(i, j) for i, j in pair_list(omega.dim_v)]
-    lead = min(lvl for lvl, c in zip(levels, omega.coeffs) if c != 0)
-    return Bivector(omega.dim_v,
-                    tuple(c if lvl == lead else c * 0 for lvl, c in zip(levels, omega.coeffs)))

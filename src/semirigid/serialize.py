@@ -5,7 +5,9 @@ and read from integers and strings "p" or "p/q" with any nonzero q; complex
 scalars travel as two-element arrays [re, im] of finite decimal floats.
 Booleans are not scalars, and sizes are JSON integers.  A pairing is parsed
 straight to its one matrix: cleared integers and one denominator, with no
-Fraction per entry, or complex128.  All keys are snake_case and
+Fraction per entry, or complex128; each distinct rational text is read once.
+The writers write each "p/q" from the stored integers, with no Fraction.
+Keys a format does not name are ignored.  All keys are snake_case and
 emission is deterministic for identical values: :func:`canonical_json`
 writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  The one
 value it takes that json does not is a complex numpy array, such as the
@@ -25,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .commuting import MatrixTuple
-from .exterior import Bivector, FilteredPairing, SkewPairing, pair_count, pair_index, pair_list
+from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
 from .scalars import COMPLEX, RATIONAL, as_fraction
 from .verdict import Evidence, Verdict
 
@@ -38,34 +40,45 @@ def scalar_to_json(x, kind: str):
     return [z.real, z.imag]
 
 
-def _ratios(values: list) -> tuple[list, list]:
-    """Rational wire scalars, integers or strings "p" or "p/q", as their
-    numerators and their denominators q > 0, not reduced.  The list is split
-    at its first slashes and read as integers at once."""
+def _ratio_table(values: list) -> dict:
+    """Each distinct rational wire scalar of ``values``, an integer or a
+    string "p" or "p/q", mapped to its numerator and denominator (p, q), with
+    q > 0 and not reduced, in the order of first appearance.  Each distinct
+    value is split at its first slash and read once, the numerators before
+    the denominators, so that the first bad value of the list is the one
+    named."""
     if not values:
-        return [], []
+        return {}
     kinds = set(map(type, values))
     if not kinds <= {str, int}:
         bad = next(v for v in values if type(v) not in (str, int))
         raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {bad!r}")
-    texts = values if kinds == {str} else list(map(str, values))
+    distinct = list(dict.fromkeys(values))
+    texts = distinct if kinds == {str} else list(map(str, distinct))
     nums, slashes, dens = zip(*map(str.partition, texts, repeat("/")))
     ps = list(map(int, nums))
     # "p" has no q; a q with a slash of its own is no integer, and int()
     # refuses it
-    qs = (list(map(int, dens)) if all(slashes)
-          else [int(q) if slash else 1 for slash, q in zip(slashes, dens)])
-    if min(qs) <= 0:
-        if 0 in qs:
-            raise ValueError(f"rational scalar has a zero denominator: {values[qs.index(0)]!r}")
-        ps = [-p if q < 0 else p for p, q in zip(ps, qs)]
-        qs = list(map(abs, qs))
-    return ps, qs
+    qs = [int(q) if slash else 1 for slash, q in zip(slashes, dens)]
+    if 0 in qs:
+        raise ValueError(f"rational scalar has a zero denominator: {distinct[qs.index(0)]!r}")
+    return {v: (-p, -q) if q < 0 else (p, q) for v, p, q in zip(distinct, ps, qs)}
+
+
+def _wire_scalars(values: list, den: int, kind: str) -> list:
+    """The wire scalars of stored values / den: for Python ints and den > 0,
+    each "p/q" reduced, as :func:`scalar_to_json` writes it, by one gcd;
+    for complex values, each [re, im]."""
+    if kind == COMPLEX:
+        return [[z.real, z.imag] for z in values]
+    if den == 1:
+        return [f"{v}/1" for v in values]
+    return [f"{v // g}/{den // g}" for v in values for g in (math.gcd(v, den),)]
 
 
 def scalar_from_json(v, kind: str):
     if kind == RATIONAL:
-        (p,), (q,) = _ratios([v])
+        ((p, q),) = _ratio_table([v]).values()
         return Fraction(p, q)
     # a boolean is no number here, though Python counts it as an int
     if isinstance(v, (list, tuple)) and len(v) == 2 and not any(type(x) is bool for x in v):
@@ -140,34 +153,31 @@ def infer_kind(data) -> str:
 # pairings
 
 
-def pairing_to_json(p: SkewPairing, filtration: FilteredPairing | None = None) -> dict:
+def pairing_to_json(p: SkewPairing) -> dict:
     kind = infer_kind(p)
-    entries = [{"i": i, "j": j, "values": [scalar_to_json(x, kind) for x in row]}
-               for (i, j), row in zip(pair_list(p.dim_v), p.entries) if any(row)]
-    out = {"dim_v": p.dim_v, "dim_w": p.dim_w, "scalar": kind, "entries": entries}
-    if filtration is not None:
-        out["filtration"] = {"v": list(filtration.filt_v), "w": list(filtration.filt_w)}
-    return out
+    entries = [{"i": i, "j": j, "values": _wire_scalars(row, p.den, kind)}
+               for (i, j), row in zip(pair_list(p.dim_v), p.values.T.tolist()) if any(row)]
+    return {"dim_v": p.dim_v, "dim_w": p.dim_w, "scalar": kind, "entries": entries}
 
 
 def _cleared_scalars(values: list) -> tuple[np.ndarray, int]:
     """Rational wire scalars as a flat object array of integers and one
-    denominator den > 0 with gcd(den, ints) = 1, as scalars.cleared gives them."""
-    ps, qs = _ratios(values)
-    den = math.lcm(*set(qs))
-    if den > 1:
-        # when den is 1 every q is, and the numerators are the integers
-        ps = [p * (den // q) for p, q in zip(ps, qs)]
-    g = math.gcd(den, *ps)
+    denominator den > 0 with gcd(den, ints) = 1, as scalars.cleared gives them.
+    Each distinct value is cleared once and the list mapped through them."""
+    table = _ratio_table(values)
+    den = math.lcm(*{q for _, q in table.values()})
+    ints = {v: p * (den // q) for v, (p, q) in table.items()}
+    g = math.gcd(den, *ints.values())
     if g > 1:
-        ps, den = [p // g for p in ps], den // g
-    return np.array(ps, dtype=object), den
+        ints, den = {v: p // g for v, p in ints.items()}, den // g
+    return np.array(list(map(ints.__getitem__, values)), dtype=object), den
 
 
 def pairing_from_json(obj: dict):
-    """Parse a pairing; returns (pairing, filtered_or_none).  The columns go
-    straight into its matrix, cleared or complex128, and omitted pairs are
-    zero of the file's kind: a complex file is complex whatever its entries."""
+    """Parse a pairing.  The columns go straight into its matrix, cleared or
+    complex128, and omitted pairs are zero of the file's kind: a complex file
+    is complex whatever its entries.  Keys the format does not name are
+    ignored."""
     try:
         d = _integer(obj["dim_v"], "dim_v")
         m = _integer(obj["dim_w"], "dim_w")
@@ -190,16 +200,7 @@ def pairing_from_json(obj: dict):
         ints, den = _complex_values(list(cols.values())), 1
     values = np.zeros((m, pair_count(d)), dtype=ints.dtype)
     values[:, list(cols)] = ints.reshape(len(cols), m).T
-    pairing = SkewPairing.from_matrix(d, values, den)
-    filtered = None
-    if "filtration" in obj:
-        filt = obj["filtration"]
-        if not (isinstance(filt, dict) and all(
-                isinstance(filt.get(k), list) and all(type(x) is int for x in filt[k])
-                for k in ("v", "w"))):
-            raise ValueError("filtration must be an object whose v and w are lists of integers")
-        filtered = FilteredPairing(pairing, tuple(filt["v"]), tuple(filt["w"]))
-    return pairing, filtered
+    return SkewPairing.from_matrix(d, values, den)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,8 @@ def tuple_to_json(alpha: MatrixTuple) -> dict:
     if kind == COMPLEX:
         mats = alpha.values
     else:
-        mats = [[[scalar_to_json(m[i, j], kind) for j in range(alpha.n)]
-                 for i in range(alpha.n)] for m in alpha.matrices]
+        texts = _wire_scalars(alpha.values.ravel().tolist(), alpha.den, kind)
+        mats = np.array(texts, dtype=object).reshape(alpha.values.shape).tolist()
     return {"n": alpha.n, "d": alpha.d, "scalar": kind, "matrices": mats}
 
 
@@ -253,10 +254,9 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
 
 def bivector_to_json(w: Bivector) -> dict:
     kind = infer_kind(w)
-    coeffs = []
-    for (i, j), c in zip(pair_list(w.dim_v), w.coeffs):
-        if c != 0:
-            coeffs.append({"i": i, "j": j, "value": scalar_to_json(c, kind)})
+    nonzero = [(ij, c) for ij, c in zip(pair_list(w.dim_v), w.values.tolist()) if c]
+    values = _wire_scalars([c for _, c in nonzero], w.den, kind)
+    coeffs = [{"i": i, "j": j, "value": v} for ((i, j), _), v in zip(nonzero, values)]
     return {"dim_v": w.dim_v, "coeffs": coeffs}
 
 
@@ -288,16 +288,29 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> Verdict:
-    witness = bivector_from_json(obj["witness"]) if obj.get("witness") else None
-    ev = obj.get("evidence", {})
+    """Parse a verdict.  The witness is null (or absent) or a bivector object,
+    the evidence an object, and its best_residual null or a finite number."""
+    try:
+        status, certificate = obj["status"], obj["certificate"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"verdict object missing field: {exc}") from exc
+    w, ev = obj.get("witness"), obj.get("evidence", {})
+    if not (w is None or isinstance(w, dict)):
+        raise ValueError(f"verdict witness must be null or an object, got {w!r}")
+    if not isinstance(ev, dict):
+        raise ValueError(f"verdict evidence must be an object, got {ev!r}")
+    r = ev.get("best_residual")
+    # an int is always finite, and math.isfinite may not take a large one
+    if not (r is None or type(r) is int or type(r) is float and math.isfinite(r)):
+        raise ValueError(f"best_residual must be null or a finite number, got {r!r}")
     return Verdict(
-        status=obj["status"],
-        certificate=obj["certificate"],
-        witness=witness,
+        status=status,
+        certificate=certificate,
+        witness=None if w is None else bivector_from_json(w),
         evidence=Evidence(
             kernel_dim=_integer(ev.get("kernel_dim", 0), "kernel_dim"),
             restarts_used=_integer(ev.get("restarts_used", 0), "restarts_used"),
-            best_residual=ev.get("best_residual"),
+            best_residual=r,
         ),
     )
 

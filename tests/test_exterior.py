@@ -12,16 +12,13 @@ from semirigid.exterior import (
     NOT_APPLICABLE,
     YES,
     Bivector,
-    FilteredPairing,
     KernelSubspace,
     SkewPairing,
     apply,
-    associated_graded,
     bivector_rank,
     decomposable_exists_exact,
     dimension_criterion,
     kernel,
-    leading_term,
     pair_index,
     pair_list,
     restricted_quadrics,
@@ -552,100 +549,3 @@ class TestPencilRule:
             floated = KernelSubspace(d, (Bivector(d, tuple(map(complex, gen.coeffs))),))
             assert decomposable_exists_exact(floated).kind == NO
 
-
-class TestFiltered:
-    def test_construction_rejects_violations(self):
-        p = SkewPairing.from_map(3, 1, {(0, 1): (1,)})
-        with pytest.raises(ValueError):
-            FilteredPairing(p, (1, 1, 0), (0,))
-
-    def test_trivial_filtration_is_identity(self):
-        p = symplectic_pairing(4)
-        fp = FilteredPairing(p, (0,) * 4, (0,))
-        assert associated_graded(fp) == p
-
-    def test_strictly_increasing_coefficient_dropped(self):
-        # one coefficient sitting strictly above its source level
-        p = SkewPairing.from_map(3, 1, {(0, 1): (1,)})
-        fp = FilteredPairing(p, (0, 0, 0), (1,))
-        gr = associated_graded(fp)
-        assert all(x == 0 for row in gr.entries for x in row)
-
-    def test_zero_pairing(self):
-        p = SkewPairing.zero(3, 2)
-        fp = FilteredPairing(p, (1, 0, 0), (2, 1))
-        assert associated_graded(fp) == SkewPairing.zero(3, 2)
-
-    def test_leading_term_homogeneous(self):
-        p = SkewPairing.zero(3, 0)
-        fp = FilteredPairing(p, (1, 1, 0), ())
-        w = Bivector.basis_element(3, 0, 1)
-        assert leading_term(fp, w) == w
-
-    def test_leading_term_mixed_levels(self):
-        # deepest step of the decreasing filtration wins: with levels
-        # (1, 1, 0) the pair (0, 1) has level 2 and (0, 2) has level 1;
-        # the level-1 component is the leading term
-        p = SkewPairing.zero(3, 0)
-        fp = FilteredPairing(p, (1, 1, 0), ())
-        w = Bivector.from_pairs(3, {(0, 1): 3, (0, 2): 5})
-        lead = leading_term(fp, w)
-        assert lead == Bivector.from_pairs(3, {(0, 2): 5})
-
-    def test_leading_term_zero_rejected(self):
-        fp = FilteredPairing(SkewPairing.zero(3, 0), (0, 0, 0), ())
-        with pytest.raises(ValueError):
-            leading_term(fp, Bivector.zero(3))
-
-    def test_gr_injective_implies_injective(self):
-        from semirigid.scalars import rank as _rank
-        rng = np.random.default_rng(44)
-        hits = 0
-        for _ in range(30):
-            d = int(rng.integers(3, 5))
-            npairs = len(pair_list(d))
-            extra = int(rng.integers(1, 3))
-            filt_v = tuple(0 for _ in range(d))
-            filt_w = tuple([0] * npairs + [1] * extra)
-            rows = []
-            block = rng.integers(-2, 3, size=(npairs, npairs))
-            noise = rng.integers(-2, 3, size=(npairs, extra))
-            for idx in range(npairs):
-                rows.append(tuple(int(x) for x in block[idx]) + tuple(int(x) for x in noise[idx]))
-            p = SkewPairing(d, npairs + extra, tuple(rows))
-            fp = FilteredPairing(p, filt_v, filt_w)
-            gr = associated_graded(fp)
-            if _rank(gr.matrix(), EXACT) == npairs:
-                hits += 1
-                assert _rank(p.matrix(), EXACT) == npairs
-        assert hits >= 5
-
-    def test_leading_term_of_kernel_element_lies_in_graded_kernel(self):
-        # d = 4, levels (1, 1, 0, 0); u = e0 + e2, v = e1 + e3 gives the
-        # rank-2 kernel element with leading term e2 ^ e3
-        values = {
-            (0, 3): (0, 1, 0),
-            (1, 2): (0, 1, 1),
-            (0, 1): (0, 0, 1),
-            (1, 3): (0, 0, 1),
-        }
-        p = SkewPairing.from_map(4, 3, values)
-        fp = FilteredPairing(p, (1, 1, 0, 0), (0, 1, 2))
-        u = [1, 0, 1, 0]
-        v = [0, 1, 0, 1]
-        omega = wedge(u, v)
-        assert all(x == 0 for x in apply(p, omega))
-        lead = leading_term(fp, omega)
-        assert lead == Bivector.from_pairs(4, {(2, 3): 1})
-        assert bivector_rank(lead, EXACT) == 2
-        assert all(x == 0 for x in apply(associated_graded(fp), lead))
-
-    def test_leading_term_after_plane_reduction(self):
-        # proportional leading terms in the factors still give a rank-2
-        # leading term for the wedge
-        p = SkewPairing.zero(3, 0)
-        fp = FilteredPairing(p, (1, 1, 0), ())
-        omega = wedge([1, 0, 1], [0, 1, 1])
-        lead = leading_term(fp, omega)
-        assert bivector_rank(lead, EXACT) == 2
-        assert lead == Bivector.from_pairs(3, {(0, 2): 1, (1, 2): -1})

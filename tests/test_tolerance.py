@@ -153,7 +153,7 @@ class TestOneCopyPerBivectorMap:
 
 def _wire(kind, values):
     return pairing_from_json({"dim_v": 3, "dim_w": 2, "scalar": kind, "entries": [
-        {"i": 0, "j": 2, "values": values}]})[0]
+        {"i": 0, "j": 2, "values": values}]})
 
 
 # every constructor of a pairing, built when its case runs, with whether it is rational
