@@ -68,23 +68,23 @@ def _build_identity(d: int):
     return SkewPairing.identity(d), SEMI_RIGID
 
 
-# name -> (builder, parameter signature, arity, notes)
+# name -> (builder, parameter signature, notes); the signature names each parameter
 _BUILDERS = {
     "symplectic-surface": (
-        _build_symplectic_surface, "d", 1,
+        _build_symplectic_surface, "d",
         "nondegenerate skew form into a line; injective only in dimension 2"),
     "torus": (
-        _build_torus, "g", 1,
+        _build_torus, "g",
         "identity pairing on the full bivector space of a rank-2g lattice"),
     "curve": (
-        _build_curve, "g", 1,
+        _build_curve, "g",
         "genus-g intersection form into a line; decomposable kernel elements "
         "appear exactly when g >= 2"),
     "zero": (
-        _build_zero, "d m", 2,
+        _build_zero, "d m",
         "identically-zero pairing; the kernel is the whole bivector space"),
     "identity": (
-        _build_identity, "d", 1,
+        _build_identity, "d",
         "identity pairing on the full bivector space"),
 }
 
@@ -98,14 +98,15 @@ def catalog_signature(name: str) -> str:
 
 
 def catalog_notes(name: str) -> str:
-    return _BUILDERS[name][3]
+    return _BUILDERS[name][2]
 
 
 def catalog_build(name: str, params) -> CatalogEntry:
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog entry {name!r}; "
                          f"known: {', '.join(catalog_names())}")
-    builder, _, arity, notes = _BUILDERS[name]
+    builder, signature, notes = _BUILDERS[name]
+    arity = len(signature.split())
     params = tuple(int(x) for x in params)
     if len(params) != arity:
         raise ValueError(f"catalog entry {name!r} takes {arity} integer parameter(s)")

@@ -3,10 +3,14 @@
 Rational scalars are written as strings "p/q" with q > 0 and gcd(p, q) = 1,
 and read from integers and strings "p" or "p/q" with any nonzero q; complex
 scalars travel as two-element arrays [re, im] of finite decimal floats.
-Booleans are not scalars, and sizes are JSON integers.  A pairing is parsed
-straight to its one matrix: cleared integers and one denominator, with no
-Fraction per entry, or complex128; each distinct rational text is read once.
-The writers write each "p/q" from the stored integers, with no Fraction.
+Booleans are not scalars, and sizes are JSON integers.  A pairing, a tuple
+and a bivector are parsed straight to their stored form: cleared integers
+and one denominator, with no Fraction per entry, or complex128; each
+distinct rational text is read once.  A bivector (a witness file) has
+dim_v >= 1, each of its coefficients a "value", and is rational only when
+every value is a rational scalar; otherwise it is complex, each rational
+value rounded once.  The writers write each "p/q" from the stored integers,
+with no Fraction.
 Keys a format does not name are ignored.  All keys are snake_case and
 emission is deterministic for identical values: :func:`canonical_json`
 writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  The one
@@ -28,8 +32,8 @@ import numpy as np
 
 from .commuting import MatrixTuple
 from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
-from .scalars import COMPLEX, RATIONAL, as_fraction
-from .verdict import Evidence, Verdict
+from .scalars import COMPLEX, RATIONAL, as_fraction, to_float
+from .verdict import Verdict
 
 
 def scalar_to_json(x, kind: str):
@@ -261,17 +265,27 @@ def bivector_to_json(w: Bivector) -> dict:
 
 
 def bivector_from_json(obj: dict) -> Bivector:
+    """Parse a bivector.  Its values go straight into its vector, cleared when
+    each is a rational wire scalar, else complex128 with each rational value
+    rounded once; omitted pairs are zero."""
     try:
         d = _integer(obj["dim_v"], "dim_v")
-        coeffs = obj["coeffs"]
+        if d < 1:
+            raise ValueError("need dim_v >= 1")
+        by_pair = _by_pair(obj["coeffs"], d, "bivector coeffs")
+        vals = [c["value"] for c in by_pair.values()]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bivector object missing field: {exc}") from exc
-    values = [0] * pair_count(d)
-    for k, c in _by_pair(coeffs, d, "bivector coeffs").items():
-        v = c["value"]
-        kind = RATIONAL if isinstance(v, (str, int)) else COMPLEX
-        values[k] = scalar_from_json(v, kind)
-    return Bivector(d, tuple(values))
+    rational = np.array([isinstance(v, (str, int)) for v in vals], dtype=bool)
+    if rational.all():
+        vec, den = _cleared_scalars(vals)
+    else:
+        vec, den = np.empty(len(vals), dtype=complex), 1
+        vec[rational] = to_float(*_cleared_scalars([v for v, r in zip(vals, rational) if r]))
+        vec[~rational] = _complex_values([[v for v, r in zip(vals, rational) if not r]])
+    values = np.zeros(pair_count(d), dtype=vec.dtype)
+    values[list(by_pair)] = vec
+    return Bivector._from_values(d, values, den)
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -285,34 +299,6 @@ def verdict_to_json(v: Verdict) -> dict:
             "best_residual": v.evidence.best_residual,
         },
     }
-
-
-def verdict_from_json(obj: dict) -> Verdict:
-    """Parse a verdict.  The witness is null (or absent) or a bivector object,
-    the evidence an object, and its best_residual null or a finite number."""
-    try:
-        status, certificate = obj["status"], obj["certificate"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"verdict object missing field: {exc}") from exc
-    w, ev = obj.get("witness"), obj.get("evidence", {})
-    if not (w is None or isinstance(w, dict)):
-        raise ValueError(f"verdict witness must be null or an object, got {w!r}")
-    if not isinstance(ev, dict):
-        raise ValueError(f"verdict evidence must be an object, got {ev!r}")
-    r = ev.get("best_residual")
-    # an int is always finite, and math.isfinite may not take a large one
-    if not (r is None or type(r) is int or type(r) is float and math.isfinite(r)):
-        raise ValueError(f"best_residual must be null or a finite number, got {r!r}")
-    return Verdict(
-        status=status,
-        certificate=certificate,
-        witness=None if w is None else bivector_from_json(w),
-        evidence=Evidence(
-            kernel_dim=_integer(ev.get("kernel_dim", 0), "kernel_dim"),
-            restarts_used=_integer(ev.get("restarts_used", 0), "restarts_used"),
-            best_residual=r,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semirigid
-from semirigid import commuting, exterior, scalars, verdict
+from semirigid import cli, commuting, exterior, scalars, serialize, verdict
 from semirigid.catalog import catalog_build
 from semirigid.commuting import (
     MatrixTuple,
@@ -149,6 +149,27 @@ class TestOneCopyPerBivectorMap:
         assert lines("def rank2_factor(") == [
             ("exterior.py", "def rank2_factor(omega: Bivector, mode: ScalarMode):")]
         assert not hasattr(verdict, "_rank2_factor")
+
+
+class TestEveryReaderIsCalled:
+    """A wire reader that no command calls is dead code."""
+
+    def test_every_reader_is_called_from_the_cli(self):
+        # called by cli.py itself or by a serialize function that cli.py calls
+        def calls(node):
+            return {x.func.id for x in ast.walk(node)
+                    if isinstance(x, ast.Call) and isinstance(x.func, ast.Name)}
+        tree = ast.parse(Path(serialize.__file__).read_text())
+        defs = {f.name: calls(f) for f in tree.body if isinstance(f, ast.FunctionDef)}
+        todo = list(calls(ast.parse(Path(cli.__file__).read_text())) & defs.keys())
+        called = set()
+        while todo:
+            name = todo.pop()
+            if name not in called:
+                called.add(name)
+                todo.extend(defs[name] & defs.keys())
+        readers = {name for name in defs if name.endswith("_from_json")}
+        assert readers and not readers - called, readers - called
 
 
 def _wire(kind, values):
