@@ -30,6 +30,7 @@ from .scalars import (
     rank,
     resolve_mode,
     solve,
+    stored,
     to_float,
     zeros,
 )
@@ -43,10 +44,9 @@ class NotCommutingError(PreconditionError):
 @dataclass(frozen=True, init=False, eq=False)
 class MatrixTuple:
     """d square matrices of size n, held once as a read-only (d, n, n) stack
-    values / den: Python ints with den > 0 and gcd(den, values) = 1, as
-    :func:`scalars.cleared` gives them, or complex128 with den = 1.  Given
-    matrices are rational when each is an object array, or nested lists, of
-    ints and Fractions; ``matrices`` reads them back, in Fractions."""
+    values / den: Python ints with den > 0 and gcd(den, values) = 1, or
+    complex128 with den = 1, as :func:`scalars.stored` builds them from the
+    stacked matrices; ``matrices`` reads them back, in Fractions."""
 
     n: int
     d: int
@@ -57,10 +57,7 @@ class MatrixTuple:
         arrays = [m if isinstance(m, np.ndarray) else np.array(m, dtype=object) for m in matrices]
         if not arrays or len(arrays) != d or any(m.shape != (n, n) for m in arrays):
             raise ValueError("need d >= 1 matrices, each n x n")
-        a = np.array(arrays)
-        rational = a.dtype == object and all(isinstance(x, (int, np.integer, Fraction))
-                                             for x in a.flat)
-        self._hold(*(cleared(a) if rational else (to_float(a), 1)))
+        self._hold(*stored(np.array(arrays)))
 
     def _hold(self, values: np.ndarray, den: int = 1) -> "MatrixTuple":
         values.flags.writeable = False
@@ -167,13 +164,9 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
     if resolve_mode(None, alpha, p).is_exact:
         # integer arithmetic, one division: C = C' / e and A = A' / f give
         # mu = mu(C', A') / (e f^2)
-        (c, e), f = p.cleared_form, alpha.den
+        c, e, f = p.values, p.den, alpha.den
         return tuple(_mu_kernel(skew(c, alpha.d), alpha.values)[0] * Fraction(1, e * f * f))
     return tuple(_mu_kernel(skew(to_float(p.values, p.den), alpha.d), alpha.to_float().values)[0])
-
-
-def trace(m: np.ndarray):
-    return sum(m[i, i] for i in range(m.shape[0]))
 
 
 def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
@@ -183,7 +176,8 @@ def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
         raise ValueError("contraction matrix must be n x n")
     if alpha.is_rational() != h.is_rational():
         alpha, h = alpha.to_float(), h.to_float()
-    return Bivector(alpha.d, tuple(trace(comm @ h.matrices[0]) for comm in chi(alpha)))
+    # the diagonal summed in order: np.trace may round a complex sum otherwise
+    return Bivector(alpha.d, tuple(sum((comm @ h.matrices[0]).diagonal()) for comm in chi(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ class JointSpectrum:
         return len(self.points)
 
     def is_rational(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for p in self.points for x in p)
+        return stored(self.points)[0].dtype == object
 
 
 def joint_spectrum(alpha: MatrixTuple, mode: ScalarMode | None = None) -> JointSpectrum:
@@ -412,8 +406,8 @@ def trace_monomials(alpha: MatrixTuple, max_degree: int) -> dict:
         for word in product(range(1, alpha.d + 1), repeat=degree):
             if word != _min_rotation(word):
                 continue
-            m = reduce(np.matmul, (mats[idx - 1] for idx in word))
-            out[word] = trace(m) if f is None else Fraction(trace(m), f ** degree)
+            t = sum(reduce(np.matmul, (mats[idx - 1] for idx in word)).diagonal())
+            out[word] = t if f is None else Fraction(t, f ** degree)
     return out
 
 
@@ -479,20 +473,14 @@ def regular_sl2_triple(n: int) -> Sl2Triple:
 
     x has superdiagonal ones, h = diag(n-1, n-3, ..., 1-n), and the
     subdiagonal of y is k(n-k); the triple relations hold exactly and the
-    action on C^n is irreducible.
+    action on C^n is irreducible.  The matrices hold Python ints.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    mode = ScalarMode.exact()
-    x = zeros((n, n), mode)
-    y = zeros((n, n), mode)
-    h = zeros((n, n), mode)
-    for k in range(n - 1):
-        x[k, k + 1] = Fraction(1)
-        y[k + 1, k] = Fraction((k + 1) * (n - k - 1))
-    for k in range(n):
-        h[k, k] = Fraction(n - 1 - 2 * k)
-    return Sl2Triple(x, y, h)
+    k = np.arange(1, n)
+    x, y = np.diag(np.ones_like(k), 1), np.diag(k * (n - k), -1)
+    h = np.diag(np.arange(n - 1, -n, -2))
+    return Sl2Triple(x.astype(object), y.astype(object), h.astype(object))
 
 
 # ---------------------------------------------------------------------------

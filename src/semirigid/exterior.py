@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalars import ScalarMode, _kernel_basis, cleared, nullspace, rank, resolve_mode, to_float
+from .scalars import ScalarMode, _kernel_basis, nullspace, rank, resolve_mode, stored, to_float
 
 YES = "yes"
 NO = "no"
@@ -53,15 +53,11 @@ def skew(x, d: int) -> np.ndarray:
     return m
 
 
-def is_rational_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 class _Stored:
     """An object held once as a read-only array values / den: rational, Python
-    ints with den > 0 and gcd(den, values) = 1 as :func:`scalars.cleared`
-    gives them; complex, complex128 with den = 1.  Equality and hash read
-    ``_key()``, built from the values."""
+    ints with den > 0 and gcd(den, values) = 1; complex, complex128 with
+    den = 1.  The constructors build it with :func:`scalars.stored`.
+    Equality and hash read ``_key()``, built from the values."""
 
     def _hold(self, d: int, values: np.ndarray, den: int):
         values.flags.writeable = False
@@ -88,7 +84,7 @@ class _Stored:
 class Bivector(_Stored):
     """Element of the second exterior power of V, stored as the vector of its
     coefficients on the pairs i < j of :func:`pair_list`.  ``Bivector(dim_v,
-    coeffs)`` is rational when each coefficient is an int or a Fraction."""
+    coeffs)`` is rational when :func:`scalars.stored` finds the coefficients so."""
 
     dim_v: int
     values: np.ndarray
@@ -97,9 +93,7 @@ class Bivector(_Stored):
     def __init__(self, dim_v: int, coeffs):
         if len(coeffs) != pair_count(dim_v):
             raise ValueError("coefficient count does not match dim_v")
-        a = np.array(coeffs, dtype=object)
-        rational = all(is_rational_scalar(c) for c in coeffs)
-        self._hold(dim_v, *(cleared(a) if rational else (to_float(a), 1)))
+        self._hold(dim_v, *stored(coeffs))
 
     @classmethod
     def zero(cls, d: int) -> "Bivector":
@@ -189,9 +183,8 @@ class SkewPairing(_Stored):
             raise ValueError("entry rows do not match dim_v")
         if any(len(row) != dim_w for row in entries):
             raise ValueError("entry row length does not match dim_w")
-        rational = all(is_rational_scalar(x) for row in entries for x in row)
-        a = np.array(entries, dtype=object if rational else complex).reshape(len(entries), dim_w).T
-        self._hold(dim_v, *(cleared(a) if rational else (a, 1)))
+        values, den = stored(entries)
+        self._hold(dim_v, values.reshape(len(entries), dim_w).T, den)
 
     def _hold(self, d: int, values: np.ndarray, den: int) -> "SkewPairing":
         if d < 1 or values.ndim != 2 or values.shape[1] != pair_count(d):
@@ -230,11 +223,6 @@ class SkewPairing(_Stored):
         """The rows of :meth:`matrix`, one per basis bivector, as tuples."""
         return tuple(map(tuple, self.matrix().T.tolist()))
 
-    @property
-    def cleared_form(self) -> tuple[np.ndarray, int]:
-        """The stored (values, den), as exact mu reads it."""
-        return self.values, self.den
-
     def _key(self) -> tuple:
         return self.dim_v, self.dim_w, self.entries
 
@@ -246,8 +234,9 @@ class SkewPairing(_Stored):
 @dataclass(frozen=True, init=False, eq=False)
 class KernelSubspace(_Stored):
     """A subspace of the bivector space, stored as the k x pair_count matrix
-    of a basis.  ``KernelSubspace(dim_v, basis)`` stacks the bivectors,
-    rational when each is; ``basis`` reads the rows back once, each reduced."""
+    of a basis.  ``KernelSubspace(dim_v, basis)`` stacks the coefficients of
+    the bivectors, rational when each is; ``basis`` reads the rows back once,
+    each reduced."""
 
     dim_v: int
     values: np.ndarray
@@ -256,10 +245,8 @@ class KernelSubspace(_Stored):
     def __init__(self, dim_v: int, basis):
         if any(b.dim_v != dim_v for b in basis):
             raise ValueError("basis bivector dimension mismatch")
-        a = np.array([b.coeffs for b in basis], dtype=object)
-        a = a.reshape(len(basis), pair_count(dim_v))
-        rational = all(b.is_rational() for b in basis)
-        self._hold(dim_v, *(cleared(a) if rational else (to_float(a), 1)))
+        values, den = stored([b.coeffs for b in basis])
+        self._hold(dim_v, values.reshape(len(basis), pair_count(dim_v)), den)
 
     @functools.cached_property
     def basis(self) -> tuple:

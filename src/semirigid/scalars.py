@@ -4,7 +4,8 @@ All linear algebra in this package runs in one of two modes: exact rational
 (Python ``Fraction`` entries, tolerance-free) or complex floating point with
 an explicit tolerance policy.  The two regimes are never mixed inside a single
 computation; the only supported conversion is rational -> float.
-:func:`resolve_mode` is the one rule that picks the regime for given input.
+:func:`stored` is the one rule for which input is rational, and
+:func:`resolve_mode` the one that picks the regime for given objects.
 
 Matrices are plain numpy arrays: ``dtype=object`` holding ``Fraction``/``int``
 entries in rational mode, ``dtype=complex`` in float mode.
@@ -18,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -95,24 +97,26 @@ def resolve_mode(mode: ScalarMode | None, *data) -> ScalarMode:
     return mode
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce to Fraction with plain-int internals (numpy ints are normalized)."""
-    if isinstance(x, Fraction):
-        if isinstance(x.numerator, int) and isinstance(x.denominator, int):
-            return x
-        return Fraction(int(x.numerator), int(x.denominator))
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return Fraction(x)
+# the types of a rational entry, checked as a set before the per-entry test
+_RATIONAL_TYPES = {int, bool, Fraction}
 
 
-def exact_matrix(rows) -> np.ndarray:
-    """Build an object-dtype matrix with Fraction entries."""
-    a = np.empty((len(rows), len(rows[0]) if len(rows) else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            a[i, j] = as_fraction(x)
-    return a
+def stored(a) -> tuple[np.ndarray, int]:
+    """The stored form values / den of an array-like, a new array: the one
+    rule for which input is rational.  Rational when every entry is a
+    ``numbers.Rational`` (a Python or numpy integer, a bool, a Fraction), or
+    ``a`` is an integer array: Python ints and den as :func:`cleared` gives
+    them.  Otherwise complex128 with den 1, each rational value rounded once
+    by :func:`to_float`, so that one beyond the float range is refused."""
+    if isinstance(a, np.ndarray) and a.dtype != object:
+        if a.dtype.kind in "iu":
+            return a.astype(object), 1
+        return np.array(a, dtype=complex), 1
+    a = np.array(a, dtype=object)
+    flat = a.ravel().tolist()
+    if set(map(type, flat)) <= _RATIONAL_TYPES or all(isinstance(x, Rational) for x in flat):
+        return cleared(a)
+    return to_float(a), 1
 
 
 def to_float(a: np.ndarray, den: int = 1) -> np.ndarray:
@@ -157,7 +161,7 @@ def cleared(a) -> tuple[np.ndarray, int]:
         return a, 1
     den = math.lcm(*(x.denominator for x in flat))
     ints = np.empty(a.shape, dtype=object)
-    ints.flat[:] = [int(x.numerator) * (den // x.denominator) for x in flat]
+    ints.flat[:] = [int(x.numerator) * (den // int(x.denominator)) for x in flat]
     return ints, den
 
 
@@ -519,6 +523,8 @@ def eigenvalues(a: np.ndarray, mode: ScalarMode) -> list:
     if a.shape[0] == 0:
         return []
     if mode.is_exact:
-        ints, f = cleared(exact_matrix(a) if a.dtype != object else a)
+        ints, f = stored(a)
+        if ints.dtype != object:
+            raise ValueError("rational mode requires rational input")
         return [r / f for r in _rational_roots(_berkowitz(ints), len(ints))]
     return list(np.linalg.eigvals(np.asarray(a, dtype=complex)))

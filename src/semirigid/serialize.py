@@ -32,13 +32,13 @@ import numpy as np
 
 from .commuting import MatrixTuple
 from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
-from .scalars import COMPLEX, RATIONAL, as_fraction, to_float
+from .scalars import COMPLEX, RATIONAL, to_float
 from .verdict import Verdict
 
 
 def scalar_to_json(x, kind: str):
     if kind == RATIONAL:
-        f = as_fraction(x)
+        f = Fraction(x)
         return f"{f.numerator}/{f.denominator}"
     z = complex(x)
     return [z.real, z.imag]
@@ -80,10 +80,8 @@ def _wire_scalars(values: list, den: int, kind: str) -> list:
     return [f"{v // g}/{den // g}" for v in values for g in (math.gcd(v, den),)]
 
 
-def scalar_from_json(v, kind: str):
-    if kind == RATIONAL:
-        ((p, q),) = _ratio_table([v]).values()
-        return Fraction(p, q)
+def scalar_from_json(v) -> complex:
+    """One complex wire scalar, the fallback of :func:`_complex_values`."""
     # a boolean is no number here, though Python counts it as an int
     if isinstance(v, (list, tuple)) and len(v) == 2 and not any(type(x) is bool for x in v):
         parts = v
@@ -120,7 +118,7 @@ def _complex_values(vecs: list) -> np.ndarray:
             if pairs is not None and np.isfinite(pairs).all():
                 # a view, so that each part keeps its bits, the sign of zero too
                 return pairs.view(complex).reshape(-1)
-    return np.array([scalar_from_json(x, COMPLEX) for x in flat], dtype=complex)
+    return np.array([scalar_from_json(x) for x in flat], dtype=complex)
 
 
 def _by_pair(items, d: int, what: str) -> dict:

@@ -475,11 +475,8 @@ def witness_to_tuple(omega: Bivector, n: int, mode: ScalarMode | None = None) ->
         raise ValueError("bivector must have rank exactly 2")
     u, v = factors
     triple = regular_sl2_triple(n)
-    x, y = triple.x, triple.y
-    if not mode.is_exact:
-        x, y = to_float(x), to_float(y)
-    mats = tuple(u[i] * x + v[i] * y for i in range(omega.dim_v))
-    return MatrixTuple(n, omega.dim_v, mats)
+    x, y = (triple.x, triple.y) if mode.is_exact else (to_float(triple.x), to_float(triple.y))
+    return MatrixTuple(n, omega.dim_v, u[:, None, None] * x + v[:, None, None] * y)
 
 
 def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,

@@ -30,7 +30,7 @@ from semirigid.exterior import (
     kernel,
     pair_list,
 )
-from semirigid.scalars import ScalarMode, exact_matrix, rank
+from semirigid.scalars import ScalarMode, rank
 from semirigid.verdict import (
     CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
@@ -45,7 +45,8 @@ from semirigid.verdict import (
     witness_search,
     witness_to_tuple,
 )
-from util import planted_kernel_pairing, projective_distance, random_rank2_bivector
+from util import (exact_matrix, planted_kernel_pairing, projective_distance,
+                  random_rank2_bivector)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()

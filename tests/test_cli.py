@@ -28,7 +28,7 @@ from semirigid.exterior import (
     pair_list,
     wedge,
 )
-from semirigid.scalars import ScalarMode, cleared, exact_matrix
+from semirigid.scalars import ScalarMode, cleared
 from semirigid.serialize import (
     bivector_from_json,
     bivector_to_json,
@@ -42,7 +42,7 @@ from semirigid.serialize import (
 )
 from semirigid import verdict
 from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, SearchResult, decide
-from util import eigh_min_norm_step, perfbench_items
+from util import eigh_min_norm_step, exact_matrix, perfbench_items
 
 
 def run_cli(capsys, *argv):
@@ -58,33 +58,61 @@ def assert_value_error_exit_2(code, out, err):
     assert json.loads(lines[0])["error"]["type"] == "ValueError"
 
 
+def one_pair_files(v):
+    """A rational pairing file and a witness file, at d = 2, whose one value is v."""
+    return (rational_file(2, 1, {(0, 1): [v]}),
+            {"dim_v": 2, "coeffs": [{"i": 0, "j": 1, "value": v}]})
+
+
+def read_rational(v):
+    """One rational wire scalar as the pairing and the witness reader read it;
+    both must read it the same."""
+    pairing, witness = one_pair_files(v)
+    p, w = pairing_from_json(pairing), bivector_from_json(witness)
+    assert p.is_rational() and w.is_rational()
+    assert p.entries[0][0] == w.coeffs[0]
+    return w.coeffs[0]
+
+
 class TestScalarJson:
+    """Rational wire scalars are read by the pairing and witness readers;
+    ``scalar_from_json`` reads one complex scalar."""
+
     def test_rational_canonical_form(self):
         assert scalar_to_json(Fraction(4, 6), "rational") == "2/3"
         assert scalar_to_json(3, "rational") == "3/1"
-        assert scalar_from_json("2/3", "rational") == Fraction(2, 3)
-        assert scalar_from_json("7", "rational") == 7
-        assert scalar_from_json(7, "rational") == 7
+        assert read_rational("2/3") == Fraction(2, 3)
+        assert read_rational("7") == 7
+        assert read_rational(7) == 7
 
     def test_rational_rejects_floats(self):
+        pairing, witness = one_pair_files(0.5)
         with pytest.raises(ValueError):
-            scalar_from_json(0.5, "rational")
+            pairing_from_json(pairing)
+        # a witness with a float value is complex, each rational value rounded once
+        assert bivector_from_json(witness).values.tolist() == [0.5 + 0j]
 
     def test_rational_reads_unreduced_and_negative_denominators(self):
-        assert scalar_from_json("2/-4", "rational") == Fraction(-1, 2)
-        assert scalar_from_json("-6/-4", "rational") == Fraction(3, 2)
-        assert scalar_from_json("5/-1", "rational") == -5
+        assert read_rational("2/-4") == Fraction(-1, 2)
+        assert read_rational("-6/-4") == Fraction(3, 2)
+        assert read_rational("5/-1") == -5
 
     @pytest.mark.parametrize("kind, v", [("rational", True), ("rational", False),
                                          ("complex", True), ("complex", [True, 0]),
                                          ("complex", [0, False])])
     def test_booleans_are_not_scalars(self, kind, v):
-        with pytest.raises(ValueError):
-            scalar_from_json(v, kind)
+        if kind == "complex":
+            with pytest.raises(ValueError):
+                scalar_from_json(v)
+            return
+        pairing, witness = one_pair_files(v)
+        for read, obj in (pairing_from_json, pairing), (bivector_from_json, witness):
+            with pytest.raises(ValueError):
+                read(obj)
 
     def test_complex_pairs(self):
         assert scalar_to_json(1 + 2j, "complex") == [1.0, 2.0]
-        assert scalar_from_json([1.5, -2.0], "complex") == 1.5 - 2j
+        assert scalar_from_json([1.5, -2.0]) == 1.5 - 2j
 
 
 class TestPairingJson:
@@ -120,7 +148,7 @@ class TestComplexPairingWire:
         # omitted pairs are complex zeros, as the file is complex
         d, m = obj["dim_v"], obj["dim_w"]
         cols = {pair_list(d).index((e["i"], e["j"])): e["values"] for e in obj["entries"]}
-        return tuple(tuple(scalar_from_json(x, "complex") for x in cols[k]) if k in cols
+        return tuple(tuple(scalar_from_json(x) for x in cols[k]) if k in cols
                      else (0j,) * m for k in range(comb(d, 2)))
 
     @given(d=st.integers(2, 6), m=st.integers(0, 4), data=st.data())
@@ -325,7 +353,7 @@ class TestRationalPairingWire:
         assert p == ref and hash(p) == hash(ref)
         assert p.entries == ref.entries
         assert p.is_rational() and ref.is_rational()
-        ints, den = p.cleared_form
+        ints, den = p.values, p.den
         want_ints, want_den = cleared(ref.matrix())
         assert (ints.tolist(), den) == (want_ints.tolist(), want_den)
         assert all(type(x) is int for x in ints.flat) and type(den) is int and den > 0
@@ -352,13 +380,14 @@ class TestRationalPairingWire:
                 pairing_from_json(obj)
             assert str(err.value) == want
             return
-        ints, den = pairing_from_json(obj).cleared_form
+        p = pairing_from_json(obj)
+        ints, den = p.values, p.den
         ref_ints, ref_den = cleared(np.array(list(map(wire_fraction, values)), dtype=object))
         assert (ints.ravel().tolist(), den) == (ref_ints.tolist(), ref_den) == want
 
-    def test_cleared_form_is_read_only(self):
+    def test_stored_matrix_is_read_only(self):
         p = pairing_from_json(rational_file(3, 1, {(0, 1): ["1/2"]}))
-        ints, den = p.cleared_form
+        ints, den = p.values, p.den
         assert (ints.tolist(), den) == ([[1, 0, 0]], 2)
         with pytest.raises(ValueError):
             ints[0, 0] = 5

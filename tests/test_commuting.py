@@ -29,10 +29,10 @@ from semirigid.exterior import Bivector, SkewPairing, apply, bivector_rank, pair
 from semirigid.scalars import (
     IrrationalSpectrumError,
     ScalarMode,
-    exact_matrix,
     to_float,
 )
 from util import (
+    exact_matrix,
     fraction_chi,
     fraction_rep_analysis,
     fraction_triangularize,

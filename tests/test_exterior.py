@@ -25,7 +25,7 @@ from semirigid.exterior import (
     skew,
     wedge,
 )
-from semirigid.scalars import ScalarMode, cleared, nullspace, to_float
+from semirigid.scalars import ScalarMode, cleared, nullspace, stored, to_float
 from semirigid.verdict import _verify_witness
 
 EXACT = ScalarMode.exact()
@@ -516,14 +516,15 @@ class TestPencilRule:
         assert expected.kind == YES and is_multiple(expected.witness, plant)
 
         # plucker_square is gone; the rule reads the kernel's stored integer
-        # rows and clears none (only the witness, one bivector, when it is built)
+        # rows and clears none (only the witness, one bivector, when it is
+        # built by scalars.stored)
         assert not hasattr(exterior, "plucker_square")
 
         def refuse_rows(a):
             assert np.ndim(a) == 1, "the pencil rule cleared its rows"
-            return cleared(a)
+            return stored(a)
 
-        monkeypatch.setattr(exterior, "cleared", refuse_rows)
+        monkeypatch.setattr(exterior, "stored", refuse_rows)
         assert decomposable_exists_exact(k) == expected
 
     def test_irrational_witness_from_the_forms_on_k1_and_k2(self):

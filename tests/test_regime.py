@@ -1,10 +1,17 @@
 """One regime rule: every entry point with a ``mode`` takes it from
 ``scalars.resolve_mode``, so an exact request on non-rational input is a
-ValueError everywhere and no mode means exact on rational input."""
+ValueError everywhere and no mode means exact on rational input.  Which input
+is rational is one rule too, ``scalars.stored``, which every constructor
+builds its stored form with."""
 
+import math
+import numbers
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semirigid.catalog import catalog_build
 from semirigid.commuting import (
@@ -22,7 +29,7 @@ from semirigid.exterior import (
     decomposable_exists_exact,
     kernel,
 )
-from semirigid.scalars import ScalarMode, exact_matrix, resolve_mode
+from semirigid.scalars import PreconditionError, ScalarMode, eigenvalues, resolve_mode
 from semirigid.verdict import (
     CERT_EXACT_LOW_DIM,
     construct_stable_point,
@@ -30,6 +37,8 @@ from semirigid.verdict import (
     tuple_to_witness,
     witness_to_tuple,
 )
+
+from util import exact_matrix
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -135,3 +144,108 @@ class TestEntryPointRegimes:
         call, is_exact = ENTRY_POINTS[name]
         assert is_exact(call(True, None))
         assert not is_exact(call(True, FLOAT))
+
+
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# a rational value beyond the float range: refused wherever it must be rounded
+HUGE = Fraction(10**400, 7)
+
+
+def numpy_int(dtype, v):
+    return dtype(abs(v) if np.issubdtype(dtype, np.unsignedinteger) else v)
+
+
+# the kinds of entry a constructor is given
+ENTRY_KINDS = (
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.builds(numpy_int, st.sampled_from(NUMPY_INTS), st.integers(-100, 100)),
+    st.fractions(max_denominator=30),
+    st.sampled_from([HUGE, -HUGE, 10**400]),
+    st.integers(-9, 9).map(float),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def entry_mixes(draw):
+    """Twelve entries: a list mixing a few kinds, or an integer ndarray."""
+    if draw(st.integers(0, 4)) == 0:
+        dtype = draw(st.sampled_from(NUMPY_INTS))
+        return np.array([numpy_int(dtype, v) for v in draw(
+            st.lists(st.integers(-100, 100), min_size=12, max_size=12))], dtype=dtype)
+    kinds = draw(st.lists(st.sampled_from(ENTRY_KINDS), min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.one_of(kinds), min_size=12, max_size=12))
+
+
+def expected_form(flat):
+    """(values, den) of the one rule: cleared Python ints when every entry is a
+    numbers.Rational, else complex with den 1; None when a rational value must
+    be rounded beyond the float range."""
+    if all(isinstance(x, numbers.Rational) for x in flat):
+        fs = [Fraction(int(x.numerator), int(x.denominator)) for x in flat]
+        den = math.lcm(*(f.denominator for f in fs))
+        return [int(f * den) for f in fs], den
+    try:
+        return [complex(x) for x in flat], 1
+    except OverflowError:
+        return None
+
+
+def constructors(xs):
+    """Each constructor on the twelve entries xs, with the entries it holds:
+    two bivectors at d = 4 of six each, and a pairing into C^2, a kernel of
+    those two bivectors and a tuple of three 2 x 2 matrices of all twelve."""
+    rows = np.stack([xs[:6], xs[6:]], axis=1) if isinstance(xs, np.ndarray) else [
+        (xs[p], xs[6 + p]) for p in range(6)]
+    mats = (xs.reshape(3, 2, 2) if isinstance(xs, np.ndarray) else
+            [[xs[4 * i:4 * i + 2], xs[4 * i + 2:4 * i + 4]] for i in range(3)])
+    return {
+        "Bivector, first": (lambda: Bivector(4, xs[:6]), xs[:6]),
+        "Bivector, second": (lambda: Bivector(4, xs[6:]), xs[6:]),
+        "SkewPairing": (lambda: SkewPairing(4, 2, rows), xs),
+        "KernelSubspace": (lambda: KernelSubspace(4, (Bivector(4, xs[:6]), Bivector(4, xs[6:]))),
+                           xs),
+        "MatrixTuple": (lambda: MatrixTuple(2, 3, mats), xs),
+    }
+
+
+class TestOneRationalRule:
+    @settings(max_examples=200)
+    @given(xs=entry_mixes())
+    @example(xs=[np.int64(1)] + [0] * 11)
+    @example(xs=np.arange(12))
+    @example(xs=[HUGE, 1j] + [0] * 10)
+    @example(xs=[True, Fraction(1, 2), np.uint8(3), 2**70] + [0] * 8)
+    def test_every_constructor_holds_the_same_form(self, xs):
+        for name, (build, held) in constructors(xs).items():
+            want = expected_form(list(held))
+            if want is None:
+                with pytest.raises(PreconditionError):
+                    build()
+                continue
+            obj = build()
+            values, den = want
+            assert obj.values.ravel().tolist() == values and obj.den == den, name
+            if obj.is_rational():
+                assert all(type(x) is int for x in obj.values.flat) and type(obj.den) is int, name
+            else:
+                assert obj.values.dtype == np.complex128, name
+            assert obj.is_rational() == all(isinstance(x, numbers.Rational) for x in held), name
+
+    def test_numpy_integer_pairing_decides_exactly(self):
+        # symplectic-surface:4 from np.int64 entries, as an array and as
+        # scalars, gets the exact witness and certificate of its Python ints
+        ref = catalog_build("symplectic-surface", [4]).pairing
+        want = decide(ref)
+        assert want.witness.is_rational()
+        as_array = np.array(ref.entries, dtype=np.int64)
+        for entries in as_array, [[np.int64(x) for x in row] for row in ref.entries]:
+            p = SkewPairing(4, 1, entries)
+            assert p.is_rational() and p == ref
+            assert decide(p) == want
+
+    def test_exact_eigenvalues_take_the_rule(self):
+        assert eigenvalues(np.diag(np.array([3, -1], dtype=np.int16)), EXACT) == [-1, 3]
+        with pytest.raises(ValueError, match=REFUSAL):
+            eigenvalues(np.diag([3.0, -1.0]), EXACT)

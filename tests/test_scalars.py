@@ -15,7 +15,6 @@ from semirigid.scalars import (
     ScalarMode,
     cleared,
     eigenvalues,
-    exact_matrix,
     identity,
     nullspace,
     rank,
@@ -24,7 +23,7 @@ from semirigid.scalars import (
 )
 from semirigid.scalars import _berkowitz, _rational_roots, _rref
 from util import (Echelon, echelon_nullspace, echelon_rank, echelon_rref, echelon_solve,
-                  unitriangular_pair)
+                  exact_matrix, unitriangular_pair)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()

@@ -31,7 +31,7 @@ from semirigid.exterior import (
     kernel,
     wedge,
 )
-from semirigid.scalars import DEFAULT_TOL, ScalarMode, exact_matrix
+from semirigid.scalars import DEFAULT_TOL, ScalarMode
 from semirigid.serialize import bivector_from_json, pairing_from_json, tuple_from_json
 from semirigid.verdict import (
     SearchConfig,
@@ -40,6 +40,8 @@ from semirigid.verdict import (
     witness_search,
     witness_to_tuple,
 )
+
+from util import exact_matrix
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -197,15 +199,14 @@ class TestOneStoredPairingForm:
 
     def test_no_second_form(self):
         p = PAIRINGS["rational file"][0]()
-        for name in ("__getattr__", "from_cleared", "_rational"):
+        for name in ("__getattr__", "from_cleared", "_rational", "cleared_form"):
             assert not hasattr(SkewPairing, name) and not hasattr(p, name)
 
     @pytest.mark.parametrize("name", PAIRINGS)
     def test_the_stored_matrix(self, name):
         build, rational = PAIRINGS[name]
         p = build()
-        values, den = p.cleared_form
-        assert values is p.values and den is p.den
+        values, den = p.values, p.den
         assert values.shape == (p.dim_w, math.comb(p.dim_v, 2))
         assert not values.flags.writeable
         assert p.is_rational() == rational
@@ -281,13 +282,17 @@ class TestOneStoredTupleForm:
         assert alpha.den == 3 and alpha.values.ravel().tolist() == [1, 0, -2, -2]
 
     def test_clearing_only_in_the_tuple_and_the_integer_kernels(self):
-        # the stored stack is cleared once; only _product and _exact_blocks
-        # clear other rationals (the basis change and a common eigenvector)
+        # the stored stack is built once, by scalars.stored; only _product and
+        # _exact_blocks clear other rationals (the basis change and a common
+        # eigenvector)
         tree = ast.parse(Path(commuting.__file__).read_text())
-        hits = {node.name for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and any(isinstance(x, ast.Name) and x.id == "cleared" for x in ast.walk(node))}
-        assert hits == {"MatrixTuple", "_product", "_exact_blocks"}
+
+        def hits(name):
+            return {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and any(isinstance(x, ast.Name) and x.id == name for x in ast.walk(node))}
+        assert hits("cleared") == {"_product", "_exact_blocks"}
+        assert hits("stored") == {"MatrixTuple", "JointSpectrum"}
         assert not [f.name for f in _source_files()
                     if "cleared(np.array(alpha.matrices))" in f.read_text()]
 
@@ -396,21 +401,63 @@ class TestOneStoredBivectorForm:
         assert [(b.values.tolist(), b.den) for b in k.basis] == [([-2, 3, 0], 3), ([-2, 0, 1], 1)]
 
     def test_clearing_only_in_the_constructors(self):
-        # each stored form is cleared once, where it is built; the readers of
-        # exterior and verdict take values / den as it is
-        def calls(module):
-            tree = ast.parse(Path(module.__file__).read_text())
-            return {(cls.name, fn.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
-                    for x in ast.walk(fn) if isinstance(x, ast.Name) and x.id == "cleared"}, [
-                x.lineno for x in ast.walk(tree) if isinstance(x, ast.Name) and x.id == "cleared"]
-
-        pairs, lines = calls(exterior)
+        # each stored form is built once, by scalars.stored in its constructor;
+        # the readers of exterior and verdict take values / den as it is
+        tree = ast.parse(Path(exterior.__file__).read_text())
+        pairs = {(cls.name, fn.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 for x in ast.walk(fn) if isinstance(x, ast.Name) and x.id == "stored"}
+        lines = [x.lineno for x in ast.walk(tree) if isinstance(x, ast.Name) and x.id == "stored"]
         assert pairs == {("Bivector", "__init__"), ("SkewPairing", "__init__"),
                          ("KernelSubspace", "__init__")}
         # one call in each constructor
         assert len(lines) == 3
+        assert not [x for x in ast.walk(tree) if isinstance(x, ast.Name) and x.id == "cleared"]
         assert "cleared" not in Path(verdict.__file__).read_text()
+
+
+def _functions(tree):
+    """(name, node) of each top-level function and method, "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+class TestOneRationalRule:
+    """Which entries are rational is decided once, by ``scalars.stored``; the
+    wire readers in serialize and cli decide it for JSON values, by their text."""
+
+    def test_per_entry_classification_only_in_the_normalizer(self):
+        rational_types = {"int", "bool", "Fraction", "Rational", "integer", "_RATIONAL_TYPES"}
+
+        def names(node):
+            return {x.id if isinstance(x, ast.Name) else x.attr for x in ast.walk(node)
+                    if isinstance(x, (ast.Name, ast.Attribute))}
+
+        type_tests, entry_loops = set(), set()
+        for f in _source_files():
+            if f.name in ("serialize.py", "cli.py"):
+                continue
+            for name, fn in _functions(ast.parse(f.read_text())):
+                for x in ast.walk(fn):
+                    # isinstance(x, <a rational type>), or entry types against a set
+                    if (isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                            and x.func.id == "isinstance" and names(x.args[1]) & rational_types
+                            or isinstance(x, ast.Name) and x.id == "_RATIONAL_TYPES"):
+                        type_tests.add((f.name, name))
+                    # is_rational() of each of several objects
+                    if isinstance(x, (ast.GeneratorExp, ast.ListComp)) and "is_rational" in names(x):
+                        entry_loops.add((f.name, name))
+        assert type_tests == {("scalars.py", "stored")}
+        assert entry_loops == {("scalars.py", "resolve_mode")}
+
+    def test_the_other_rules_are_gone(self):
+        for name in ("is_rational_scalar", "exact_matrix", "as_fraction"):
+            assert not [f.name for f in _source_files() if name in f.read_text()], name
+        assert not hasattr(SkewPairing, "cleared_form") and not hasattr(commuting, "trace")
 
 
 def _conjugated(mats, seed):

@@ -36,7 +36,7 @@ from semirigid.exterior import (
     skew,
     wedge,
 )
-from semirigid.scalars import ScalarMode, exact_matrix, to_float, zeros
+from semirigid.scalars import ScalarMode, to_float, zeros
 from semirigid.verdict import (
     CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
@@ -63,6 +63,7 @@ from semirigid.verdict import (
 )
 from semirigid import scalars, verdict
 from util import (
+    exact_matrix,
     factor_residual,
     planted_kernel_pairing,
     planted_search_kernels,

@@ -10,22 +10,27 @@ from pathlib import Path
 import numpy as np
 
 from semirigid import commuting
-from semirigid.commuting import RepAnalysis, frobenius, trace, tuple_scale
+from semirigid.commuting import RepAnalysis, frobenius, tuple_scale
 from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, skew, wedge
 from semirigid.scalars import (
     ScalarMode,
     cleared,
     eigenvalues,
-    exact_matrix,
     identity,
     nullspace,
     rank,
     solve,
+    stored,
     zeros,
 )
 from semirigid.verdict import _ACCEPTANCE, SearchResult
 
 EXACT = ScalarMode.exact()
+
+
+def exact_matrix(rows) -> np.ndarray:
+    """An object array of Fractions with Python-int parts, of rational entries."""
+    return np.vectorize(Fraction, otypes=[object])(*stored(rows))
 
 
 def perfbench_items():
@@ -221,7 +226,7 @@ def fraction_rep_analysis(alpha) -> RepAnalysis:
                     basis.append(cand)
                     new_frontier.append(cand)
         frontier = new_frontier
-    gram = exact_matrix([[trace(x @ y) for y in basis] for x in basis])
+    gram = exact_matrix([[np.trace(x @ y) for y in basis] for x in basis])
     radical_dim = len(basis) - rank(gram, EXACT)
     algebra_dim = span.rank
     return RepAnalysis(commutant_dim=commutant_dim, algebra_dim=algebra_dim,
@@ -375,7 +380,7 @@ def _word_power_sums(mats):
     stack = [(1, j, m) for j, m in enumerate(mats)]
     while stack:
         degree, j, m = stack.pop()
-        yield trace(m)
+        yield sum(m.diagonal())
         if degree < n:
             stack += [(degree + 1, k, m @ mats[k]) for k in range(j, len(mats))]
 
