@@ -36,15 +36,15 @@ from .commuting import (
     trace_monomials,
 )
 from .exterior import kernel
-from .scalars import PreconditionError, ScalarMode, resolve_mode
+from .scalars import PreconditionError, ScalarMode, resolve_mode, stored
 from .serialize import (
+    _wire_scalars,
     bivector_from_json,
     bivector_to_json,
     canonical_json,
     infer_kind,
     pairing_from_json,
     pairing_to_json,
-    scalar_to_json,
     tuple_from_json,
     tuple_to_json,
     verdict_to_json,
@@ -131,6 +131,13 @@ def _emit(started: float, digest: str, seed: int, **payload) -> int:
     return EXIT_OK
 
 
+def _wire_list(values: list, kind: str) -> list:
+    """The wire scalars of ``values``, written from their stored form as
+    every serialize writer writes its own."""
+    ints, den = stored(values)
+    return _wire_scalars(ints.tolist(), den, kind)
+
+
 def _parse_epsilon(text: str):
     """``--epsilon`` as a Fraction ("p/q") or a float; ValueError otherwise."""
     if "/" in text:
@@ -171,20 +178,18 @@ def _cmd_commuting(args, started):
     if args.commuting_cmd == "spectrum":
         spectrum = joint_spectrum(alpha, mode)
         kind = infer_kind(spectrum)
-        pts = sorted(
-            ([scalar_to_json(x, kind) for x in p] for p in spectrum.points),
-            key=lambda p: json.dumps(p))
+        texts = _wire_list([x for p in spectrum.points for x in p], kind)
+        pts = sorted((texts[i:i + alpha.d] for i in range(0, len(texts), alpha.d)),
+                     key=json.dumps)
         payload = {"n": alpha.n, "d": alpha.d, "scalar": kind, "points": pts}
         key = "spectrum"
     elif args.commuting_cmd == "invariants":
-        monos = trace_monomials(alpha, args.max_degree)
-        kind = infer_kind(alpha)
+        monos = sorted(trace_monomials(alpha, args.max_degree).items(),
+                       key=lambda kv: (len(kv[0]), kv[0]))
+        values = _wire_list([v for _, v in monos], infer_kind(alpha))
         payload = {
             "max_degree": args.max_degree,
-            "monomials": [
-                {"word": list(w), "value": scalar_to_json(v, kind)}
-                for w, v in sorted(monos.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ],
+            "monomials": [{"word": list(w), "value": v} for (w, _), v in zip(monos, values)],
         }
         key = "invariants"
     else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -34,14 +33,6 @@ from .commuting import MatrixTuple
 from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
 from .scalars import COMPLEX, RATIONAL, to_float
 from .verdict import Verdict
-
-
-def scalar_to_json(x, kind: str):
-    if kind == RATIONAL:
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-    z = complex(x)
-    return [z.real, z.imag]
 
 
 def _ratio_table(values: list) -> dict:
@@ -71,8 +62,8 @@ def _ratio_table(values: list) -> dict:
 
 def _wire_scalars(values: list, den: int, kind: str) -> list:
     """The wire scalars of stored values / den: for Python ints and den > 0,
-    each "p/q" reduced, as :func:`scalar_to_json` writes it, by one gcd;
-    for complex values, each [re, im]."""
+    each "p/q" reduced, with q > 0, by one gcd; for complex values, each
+    [re, im]."""
     if kind == COMPLEX:
         return [[z.real, z.imag] for z in values]
     if den == 1:

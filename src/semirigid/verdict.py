@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .commuting import (
     MatrixTuple,
@@ -256,20 +257,11 @@ def _newton_system(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarr
 
 def _positive_definite(hess: np.ndarray) -> np.ndarray:
     """Which real symmetric matrices of the stack are positive definite: one
-    stacked Cholesky, and one per matrix only when that one fails."""
-    try:
-        np.linalg.cholesky(hess)
-        return np.ones(len(hess), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    ok = np.zeros(len(hess), dtype=bool)
-    for i, m in enumerate(hess):
-        try:
-            np.linalg.cholesky(m)
-            ok[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return ok
+    stacked Cholesky, whose factor is NaN for each matrix that fails (numpy
+    flags it as invalid, ignored here) and else starts with sqrt(h_00) > 0."""
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(hess, signature="d->d")
+    return ~np.isnan(factor[:, 0, 0])
 
 
 def _newton_step(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarray,
@@ -283,20 +275,25 @@ def _newton_step(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarray
     if not pd.all():
         _damp(gram)
         hess[~pd] = gram[~pd]
-    xy = np.linalg.solve(hess, -b[..., None])[..., 0]
-    w = jac.shape[2]
-    return xy[:, :w] + 1j * xy[:, w:]
+    xy = np.linalg.solve(hess, -b[..., None]).reshape(len(b), 2, -1)
+    return xy[:, 0] + 1j * xy[:, 1]
 
 
 def _start_frames(raw: np.ndarray, d: int, seed: int, restarts) -> np.ndarray:
     """The unitary U of the SVD of a random kernel element, one per restart
     index, each element drawn from ``default_rng((seed, index))``."""
     m = raw.shape[1]
-    starts = []
-    for r in restarts:
-        rng = np.random.default_rng((seed, r))
-        starts.append(raw @ (rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+    rngs = [np.random.default_rng((seed, r)) for r in restarts]
+    starts = [raw @ (rng.standard_normal(m) + 1j * rng.standard_normal(m)) for rng in rngs]
     return np.linalg.svd(skew(np.array(starts), d))[0]
+
+
+def _complete_q(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(a, mode="complete")[0]`` of a complex stack, which it
+    overwrites: the same two gufunc calls, without the copy and the R."""
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        return _umath_linalg.qr_complete(a, tau, signature="DD->D")
 
 
 def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig, newton: bool):
@@ -312,8 +309,8 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig, newton: boo
     With ``newton`` (below the bound, where J is tall), each iteration takes
     one real solve instead (:func:`_newton_step`): the exact Newton step of
     f(z) = |r + J z + q(z)|^2 / det(I + Z^H Z) for each restart whose real
-    Hessian passes a Cholesky test, and the same damped Gauss-Newton step
-    for the others.
+    Hessian passes one stacked Cholesky test (:func:`_positive_definite`),
+    and the same damped Gauss-Newton step for the others.
     """
     floating = ScalarMode.floating()
     # 2d - 4 tangent coordinates: J has full column rank at a generic point
@@ -356,7 +353,7 @@ def _gauss_newton(a3t: np.ndarray, g: np.ndarray, cfg: SearchConfig, newton: boo
             if not live.size:
                 break
         z = step.reshape(len(g), 2, -1).transpose(0, 2, 1)
-        g = np.linalg.qr(g[:, :, :2] + g[:, :, 2:] @ z, mode="complete")[0]
+        g = _complete_q(g[:, :, :2] + g[:, :, 2:] @ z)
     return winner, plane, best
 
 
@@ -371,12 +368,13 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     the min-norm Gauss-Newton step from one Gram system damped by
     mu = 10 eps max diag (:func:`_min_norm_step`), (J^H J + mu I) when J has
     at least 2d - 4 rows and J^H (J J^H + mu I)^-1 when it is wide, and a
-    complete QR restores the frame, so u wedge v has unit norm and rank
-    exactly 2 throughout.  A restart starts on the plane of the top two left singular
-    vectors of a random kernel element, and accepts when |a(u wedge v)|^2
-    drops to ``_ACCEPTANCE``.  It also ends early at a stationary point with
-    a nonzero residual, where the gradient J^H res vanishes relative to
-    |J| |res|: the step is zero there, so further iterations cannot move it.
+    complete QR (:func:`_complete_q`) restores the frame, so u wedge v has
+    unit norm and rank exactly 2 throughout.  A restart starts on the plane
+    of the top two left singular vectors of a random kernel element, and
+    accepts when |a(u wedge v)|^2 drops to ``_ACCEPTANCE``.  It also ends
+    early at a stationary point with a nonzero residual, where the gradient
+    J^H res vanishes relative to |J| |res|: the step is zero there, so
+    further iterations cannot move it.
 
     At the dimension bound the restarts run one at a time, as the first one
     almost always finds the witness.  Below it every restart runs, all in
@@ -388,12 +386,12 @@ def witness_search(k: KernelSubspace, cfg: SearchConfig = SearchConfig()) -> Sea
     Below the bound a kernel seldom holds a decomposable, so most restarts
     end at a stationary point with a nonzero residual, which Gauss-Newton
     reaches only linearly.  There a restart whose real Hessian is positive
-    definite takes the exact Newton step of the Grassmannian objective
-    (:func:`_newton_step`), and the others the damped Gauss-Newton step, in
-    one stacked solve; at a local minimum Newton converges quadratically.  At
-    the bound the first restart almost always converges to a zero residual,
-    where Gauss-Newton is already quadratic, so it keeps the Gauss-Newton
-    step alone.
+    definite, as one stacked Cholesky tells for all restarts at once, takes
+    the exact Newton step of the Grassmannian objective (:func:`_newton_step`),
+    and the others the damped Gauss-Newton step, in one stacked solve; at a
+    local minimum Newton converges quadratically.  At the bound the first
+    restart almost always converges to a zero residual, where Gauss-Newton
+    is already quadratic, so it keeps the Gauss-Newton step alone.
     """
     if k.dim == 0:
         return SearchResult(None, float("inf"), 0)

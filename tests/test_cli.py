@@ -19,7 +19,7 @@ import semirigid
 from semirigid.catalog import catalog_build, catalog_names
 from semirigid import cli
 from semirigid.cli import _search_config, build_parser, main
-from semirigid.commuting import MatrixTuple, tuple_scale
+from semirigid.commuting import MatrixTuple, joint_spectrum, trace_monomials, tuple_scale
 from semirigid.exterior import (
     Bivector,
     SkewPairing,
@@ -36,13 +36,20 @@ from semirigid.serialize import (
     pairing_from_json,
     pairing_to_json,
     scalar_from_json,
-    scalar_to_json,
     tuple_from_json,
     tuple_to_json,
 )
 from semirigid import verdict
 from semirigid.verdict import NOT_SEMI_RIGID, SEMI_RIGID, SearchConfig, SearchResult, decide
-from util import eigh_min_norm_step, exact_matrix, perfbench_items
+from util import (
+    PLANTED_BELOW_BOUND,
+    eigh_min_norm_step,
+    exact_matrix,
+    perfbench_items,
+    planted_below_bound,
+    projective_distance,
+    wire_scalar,
+)
 
 
 def run_cli(capsys, *argv):
@@ -74,13 +81,19 @@ def read_rational(v):
     return w.coeffs[0]
 
 
+def written(v):
+    """One scalar as the witness writer writes it, at d = 2."""
+    return bivector_to_json(Bivector(2, (v,)))["coeffs"][0]["value"]
+
+
 class TestScalarJson:
     """Rational wire scalars are read by the pairing and witness readers;
     ``scalar_from_json`` reads one complex scalar."""
 
     def test_rational_canonical_form(self):
-        assert scalar_to_json(Fraction(4, 6), "rational") == "2/3"
-        assert scalar_to_json(3, "rational") == "3/1"
+        assert written(Fraction(4, 6)) == "2/3"
+        assert written(3) == "3/1"
+        assert written(Fraction(-5, 10)) == "-1/2"
         assert read_rational("2/3") == Fraction(2, 3)
         assert read_rational("7") == 7
         assert read_rational(7) == 7
@@ -111,7 +124,7 @@ class TestScalarJson:
                 read(obj)
 
     def test_complex_pairs(self):
-        assert scalar_to_json(1 + 2j, "complex") == [1.0, 2.0]
+        assert written(1 + 2j) == [1.0, 2.0]
         assert scalar_from_json([1.5, -2.0]) == 1.5 - 2j
 
 
@@ -295,12 +308,12 @@ class TestCanonicalPairArrays:
 
     def test_tuple_writer_keeps_each_entry(self):
         """A complex tuple's matrices are its stack: the same values, signed
-        zeros included, as one scalar_to_json per entry."""
+        zeros included, as one wire_scalar per entry."""
         rng = np.random.default_rng(3)
         values = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         values[0, 0, 0], values[1, 2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
         alpha = MatrixTuple.from_matrices(list(values))
-        mats = [[[scalar_to_json(x, "complex") for x in row] for row in m] for m in values]
+        mats = [[[wire_scalar(x, "complex") for x in row] for row in m] for m in values]
         assert canonical_json(tuple_to_json(alpha)["matrices"]) == canonical_json(mats)
         assert np.copysign(1, tuple_to_json(alpha)["matrices"][0, 0, 0].real) == -1
 
@@ -487,23 +500,23 @@ class TestWireRoundTrips:
            st.integers(1, 3), st.data())
     def test_writers_match_one_scalar_per_entry(self, kind, d, m, n, data):
         """The writers read the stored values / den; each wire scalar is the
-        one scalar_to_json writes for that entry, and zero rows and
+        one wire_scalar writes for that entry, and zero rows and
         coefficients are left out as before."""
         values = data.draw(scalar_matrices(kind, m, comb(d, 2)))
         values[:, data.draw(st.lists(st.booleans(), min_size=comb(d, 2), max_size=comb(d, 2)))] = 0
         p = SkewPairing.from_matrix(d, *(cleared(values) if kind == "rational" else (values, 1)))
-        entries = [{"i": i, "j": j, "values": [scalar_to_json(x, kind) for x in row]}
+        entries = [{"i": i, "j": j, "values": [wire_scalar(x, kind) for x in row]}
                    for (i, j), row in zip(pair_list(d), p.entries) if any(row)]
         assert canonical_json(pairing_to_json(p)) == canonical_json(
             {"dim_v": d, "dim_w": m, "scalar": kind, "entries": entries})
         if m:
             w = Bivector(d, tuple(values[0]))
-            coeffs = [{"i": i, "j": j, "value": scalar_to_json(c, kind)}
+            coeffs = [{"i": i, "j": j, "value": wire_scalar(c, kind)}
                       for (i, j), c in zip(pair_list(d), w.coeffs) if c != 0]
             assert canonical_json(bivector_to_json(w)) == canonical_json(
                 {"dim_v": d, "coeffs": coeffs})
         alpha = MatrixTuple(n, 2, [data.draw(scalar_matrices(kind, n, n)) for _ in range(2)])
-        mats = [[[scalar_to_json(x, kind) for x in row] for row in a] for a in alpha.matrices]
+        mats = [[[wire_scalar(x, kind) for x in row] for row in a] for a in alpha.matrices]
         assert canonical_json(tuple_to_json(alpha)["matrices"]) == canonical_json(mats)
 
 
@@ -594,6 +607,25 @@ class TestCliAnalyze:
         verdict = json.loads(out)["verdict"]
         assert (verdict["status"], verdict["certificate"]) == ("semi_rigid", "exact_low_dim")
         assert verdict["evidence"]["kernel_dim"] == 1 and verdict["witness"] is None
+
+    @pytest.mark.parametrize("d, k, kind", PLANTED_BELOW_BOUND)
+    def test_search_witness_below_the_bound(self, capsys, tmp_path, d, k, kind):
+        """A planted kernel below the dimension bound is proved to hold a
+        decomposable by the search's witness, which lies on the plant."""
+        p, plant = planted_below_bound(np.random.default_rng(0), d, k, kind)
+        path = tmp_path / "pairing.json"
+        path.write_text(canonical_json(pairing_to_json(p)))
+        code, out, _ = run_cli(capsys, "analyze", "--pairing", str(path))
+        assert code == 0
+        report = json.loads(out)["verdict"]
+        assert (report["status"], report["certificate"]) == ("not_semi_rigid", "search_witness")
+        evidence = report["evidence"]
+        assert evidence["kernel_dim"] == k and evidence["restarts_used"] >= 1
+        assert evidence["best_residual"] <= 1e-18
+        w = bivector_from_json(report["witness"])
+        mode = ScalarMode.exact() if kind == "rational" else ScalarMode.floating()
+        verdict._verify_witness(p, w, mode)
+        assert projective_distance(w, plant) < 1e-6
 
     def test_byte_identical_reports(self, capsys):
         outputs = set()
@@ -740,6 +772,29 @@ class TestCliCommuting:
         monos = {tuple(m["word"]): m["value"]
                  for m in json.loads(out)["invariants"]["monomials"]}
         assert monos[(1,)] == "3/1" and monos[(1, 2)] == "11/1"
+
+    @pytest.mark.parametrize("kind", ["rational", "complex"])
+    def test_writers_match_one_scalar_per_value(self, capsys, tmp_path, kind):
+        """The spectrum points and the invariant values are written from the
+        stored form: each the wire scalar of its own value."""
+        diags = [[Fraction(1, 2), Fraction(-2, 3), 4], [Fraction(3, 4), Fraction(5, 6), -1]]
+        if kind == "complex":
+            diags = [[complex(x) + 0.5j for x in row] for row in diags]
+        alpha = MatrixTuple.from_matrices([np.diag(np.array(row, dtype=object))
+                                           for row in diags])
+        path = tmp_path / "tuple.json"
+        path.write_text(canonical_json(tuple_to_json(alpha)))
+        code, out, _ = run_cli(capsys, "commuting", "spectrum", "--tuple", str(path))
+        assert code == 0
+        want = sorted(([wire_scalar(x, kind) for x in p] for p in joint_spectrum(alpha).points),
+                      key=json.dumps)
+        assert json.loads(out)["spectrum"]["points"] == want
+        code, out, _ = run_cli(capsys, "commuting", "invariants", "--tuple", str(path),
+                               "--max-degree", "3")
+        assert code == 0
+        monos = trace_monomials(alpha, 3)
+        assert {tuple(m["word"]): m["value"] for m in json.loads(out)["invariants"]["monomials"]
+                } == {w: wire_scalar(v, kind) for w, v in monos.items()}
 
     def test_values_beyond_the_float_range_stay_exact(self, capsys, tmp_path):
         big = 10 ** 400

@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -42,15 +43,18 @@ from semirigid.verdict import (
     CERT_EXACT_LOW_DIM,
     CERT_KERNEL_ZERO,
     CERT_SEARCH_EXHAUSTED,
+    CERT_SEARCH_WITNESS,
     NOT_SEMI_RIGID,
     SEMI_RIGID,
     UNKNOWN,
     MuNonzeroError,
     SearchConfig,
     WitnessVerificationError,
+    _complete_q,
     _min_norm_step,
     _newton_step,
     _newton_system,
+    _positive_definite,
     _tangent_system,
     _verify_witness,
     construct_stable_point,
@@ -63,8 +67,10 @@ from semirigid.verdict import (
 )
 from semirigid import scalars, verdict
 from util import (
+    PLANTED_BELOW_BOUND,
     exact_matrix,
     factor_residual,
+    planted_below_bound,
     planted_kernel_pairing,
     planted_search_kernels,
     projected_search,
@@ -149,6 +155,19 @@ class TestDecide:
         v = decide(planted_kernel_pairing(np.random.default_rng(5), 6, 14, gen))
         assert (v.status, v.certificate) == (SEMI_RIGID, CERT_EXACT_LOW_DIM)
         assert v.witness is None and v.evidence.kernel_dim == 1
+
+    @pytest.mark.parametrize("d, k, kind", PLANTED_BELOW_BOUND)
+    def test_search_witness_below_the_bound(self, d, k, kind):
+        """Below the dimension bound only the search's witness can prove a
+        kernel holds a decomposable; on a planted kernel it finds the plant."""
+        p, plant = planted_below_bound(np.random.default_rng(0), d, k, kind)
+        assert k <= comb(d - 2, 2) and p.is_rational() == (kind == "rational")
+        v = decide(p)
+        assert (v.status, v.certificate) == (NOT_SEMI_RIGID, CERT_SEARCH_WITNESS)
+        assert v.evidence.kernel_dim == k and v.evidence.restarts_used >= 1
+        assert v.evidence.best_residual <= 1e-18
+        _verify_witness(p, v.witness, EXACT if kind == "rational" else FLOAT)
+        assert projective_distance(v.witness, plant) < 1e-6
 
     def test_deterministic(self):
         p = symplectic_pairing(6)
@@ -550,9 +569,9 @@ class TestWitnessSearch:
         """The Newton step, and with it the Cholesky test, runs below the
         dimension bound only."""
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: (calls.append(len(a)), cholesky(a))[1])
+        test = verdict._positive_definite
+        monkeypatch.setattr(verdict, "_positive_definite",
+                            lambda hess: (calls.append(len(hess)), test(hess))[1])
         for shift in (0, 1, -1):
             calls.clear()
             k, _ = random_complex_kernel(np.random.default_rng(shift + 2), 7, 11 + shift)
@@ -648,6 +667,55 @@ class TestWitnessSearch:
         # the Plucker-quadric search this one replaced found 57 of these 60
         # (it missed kernels 22, 32 and 58)
         assert found >= 57
+
+
+def cholesky_passes(m) -> bool:
+    try:
+        np.linalg.cholesky(m)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+class TestSearchGufuncs:
+    """The search calls numpy's private linalg gufuncs, in place of the
+    public wrappers; these tests pin what it relies on, so that a numpy
+    release that changes them fails here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_positive_definite_is_the_cholesky_test(self, n):
+        """On stacks that mix positive definite, indefinite and singular
+        semidefinite matrices, the one stacked test agrees with a Cholesky
+        per matrix, and warns of no failed factorization, which the gufunc
+        alone does."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((12, n, n))
+        y = rng.standard_normal((12, n, n - 1)) if n > 1 else np.zeros((12, 1, 1))
+        stack = np.concatenate([x[:4] @ x[:4].transpose(0, 2, 1) + np.eye(n),
+                                x[4:8] + x[4:8].transpose(0, 2, 1) - n * np.eye(n),
+                                y[8:] @ y[8:].transpose(0, 2, 1)])[rng.permutation(12)]
+        want = [cholesky_passes(m) for m in stack]
+        assert True in want and False in want
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert _positive_definite(stack).tolist() == want
+            with pytest.warns(RuntimeWarning):
+                np.linalg._umath_linalg.cholesky_lo(stack, signature="d->d")
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 14])
+    def test_complete_q_is_numpy_qr(self, d):
+        """The frame update's Q is ``np.linalg.qr(..., mode="complete")``'s,
+        bit for bit, the signs of zeros too."""
+        rng = np.random.default_rng(d)
+        g = np.linalg.qr(complex_normal(rng, 6, d, d))[0]
+        z = complex_normal(rng, 6, d - 2, 2)
+        frames = g[:, :, :2] + g[:, :, 2:] @ z
+        want = np.linalg.qr(frames, mode="complete")[0]
+        got = _complete_q(frames.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
 
 class TestWitnessToTuple:
     def test_basis_witness_n2(self):

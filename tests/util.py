@@ -114,6 +114,40 @@ def planted_kernel_pairing(rng, d, m, plant: Bivector) -> SkewPairing:
     return SkewPairing(d, m, entries)
 
 
+# (d, dim K, kind) of planted kernels below the dimension bound in which the
+# search finds the plant at seed 0 and the default 64 restarts
+PLANTED_BELOW_BOUND = [(6, 3, "rational"), (7, 4, "rational"), (6, 3, "complex")]
+
+
+def planted_below_bound(rng, d, k, kind):
+    """A pairing whose kernel has dimension k, below the dimension bound, and
+    is spanned by a planted u wedge v and k - 1 random bivectors; returns the
+    pairing and the plant.  The pairing's rows are the nullspace of the
+    kernel basis: exact from integer bivectors for "rational", orthonormal
+    from complex normal ones for "complex"."""
+    q = comb(d, 2)
+    if kind == "rational":
+        plant, _, _ = random_rank2_bivector(rng, d)
+        rows = np.array([list(plant.coeffs)] + [list(map(int, rng.integers(-3, 4, size=q)))
+                                                for _ in range(k - 1)], dtype=object)
+        return SkewPairing.from_matrix(d, *cleared(np.array(nullspace(rows, EXACT)))), plant
+    u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    plant = wedge(u, v)
+    rows = np.vstack([plant.values, rng.standard_normal((k - 1, q))
+                      + 1j * rng.standard_normal((k - 1, q))])
+    return SkewPairing.from_matrix(d, np.array(nullspace(rows, ScalarMode.floating()))), plant
+
+
+def wire_scalar(x, kind: str):
+    """Reference writing of one wire scalar, one Fraction at a time: "p/q"
+    reduced with q > 0 for "rational", else [re, im]."""
+    if kind == "rational":
+        f = Fraction(x)
+        return f"{f.numerator}/{f.denominator}"
+    z = complex(x)
+    return [z.real, z.imag]
+
+
 def random_injective_pairing(rng, d, extra=2) -> SkewPairing:
     """Random rational pairing with zero kernel (full column rank tensor)."""
     npairs = len(pair_list(d))
