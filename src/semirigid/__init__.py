@@ -26,11 +26,9 @@ from .commuting import (
     chi,
     joint_spectrum,
     mu,
-    regular_locus_test,
     regular_sl2_triple,
     rep_analysis,
     simultaneous_triangularize,
-    trace_contraction,
     trace_monomials,
 )
 from .exterior import (

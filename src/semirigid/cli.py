@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands analyze pairings, inspect kernels, work with commuting tuples,
-construct stable points, sample the quadratic cone, verify the desk-scale
-quotient consistency, and expose the model catalog.  Reports are JSON on
-stdout; timing goes to stderr so identical inputs with identical seeds give
-byte-identical reports.  Exit codes: 0 success, 1 a failed verification (a
-verification suite or the re-check of an emitted witness), 2 malformed input,
-3 violated precondition.
+construct stable points from a kernel witness and read a kernel element back
+off a mu-zero tuple (``construct witness``), sample the quadratic cone, run the
+Chevalley separation suite (``verify chevalley``), and expose the model
+catalog.  Reports are JSON on stdout; timing goes to stderr so identical
+inputs with identical seeds give byte-identical reports.  Exit codes: 0
+success, 1 a failed verification (a verification suite or the re-check of an
+emitted witness), 2 malformed input, 3 violated precondition.
 
 Pairing arguments accept a file path or a pseudo-path ``catalog:NAME:P1[:P2]``
 expanding to the same JSON that ``catalog show`` prints.
@@ -35,7 +36,7 @@ from .commuting import (
     rep_analysis,
     trace_monomials,
 )
-from .exterior import kernel
+from .exterior import kernel, rank2_factor
 from .scalars import PreconditionError, ScalarMode, resolve_mode, stored
 from .serialize import (
     _wire_scalars,
@@ -56,6 +57,7 @@ from .verdict import (
     decide,
     mu_zero_sampler,
     split_component_dimension,
+    tuple_to_witness,
 )
 
 EXIT_OK = 0
@@ -225,6 +227,18 @@ def _cmd_construct(args, started):
                  witness=bivector_to_json(omega), tuple=tuple_to_json(alpha))
 
 
+def _cmd_witness(args, started):
+    pairing, digest = _load_pairing(args.pairing)
+    seed = _resolve_seed(args)
+    alpha = tuple_from_json(_read_json(args.tuple, "tuple")[0])
+    mode = resolve_mode(_requested_mode(args), alpha, pairing)
+    omega = tuple_to_witness(alpha, pairing, mode)
+    return _emit(started, digest, seed, contraction={
+        "bivector": None if omega is None else bivector_to_json(omega),
+        "decomposable": omega is not None and rank2_factor(omega, mode) is not None,
+    })
+
+
 def _cmd_sample(args, started):
     pairing, digest = _load_pairing(args.pairing)
     seed = _resolve_seed(args)
@@ -345,7 +359,7 @@ def build_parser() -> _Parser:
         add_seed(cp)
         cp.set_defaults(func=_cmd_commuting)
 
-    p = sub.add_parser("construct", help="constructions from witnesses")
+    p = sub.add_parser("construct", help="constructions between witnesses and tuples")
     csub = p.add_subparsers(dest="construct_cmd", required=True)
     cp = csub.add_parser("stable")
     cp.add_argument("--pairing", required=True)
@@ -358,6 +372,12 @@ def build_parser() -> _Parser:
     cp.add_argument("--restarts", type=int, default=None)
     add_seed(cp)
     cp.set_defaults(func=_cmd_construct)
+    cp = csub.add_parser("witness")
+    cp.add_argument("--pairing", required=True)
+    cp.add_argument("--tuple", required=True)
+    cp.add_argument("--mode", choices=["rational", "complex"], default=None)
+    add_seed(cp)
+    cp.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("sample", help="sample the quadratic cone")
     ssub = p.add_subparsers(dest="sample_cmd", required=True)

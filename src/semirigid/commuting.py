@@ -2,10 +2,10 @@
 
 A tuple of d square matrices encodes an element of V tensor gl_n.  This
 module provides the commutator map and its pairing-contracted quadratic
-companion, trace contraction into bivectors, simultaneous triangularization
-of commuting tuples with joint spectra, trace-monomial invariants, regular
-sl2 triples, and representation-theoretic analysis (commutant, generated
-algebra, radical, irreducibility, stability).
+companion, simultaneous triangularization of commuting tuples with joint
+spectra, trace-monomial invariants, regular sl2 triples, and
+representation-theoretic analysis (commutant, generated algebra, radical,
+irreducibility, stability).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import accumulate, product, repeat
 
 import numpy as np
 
-from .exterior import Bivector, SkewPairing, pair_list, skew
+from .exterior import SkewPairing, pair_list, skew
 from .scalars import (
     PreconditionError,
     ScalarMode,
@@ -167,17 +167,6 @@ def mu(alpha: MatrixTuple, p: SkewPairing) -> tuple:
         c, e, f = p.values, p.den, alpha.den
         return tuple(_mu_kernel(skew(c, alpha.d), alpha.values)[0] * Fraction(1, e * f * f))
     return tuple(_mu_kernel(skew(to_float(p.values, p.den), alpha.d), alpha.to_float().values)[0])
-
-
-def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
-    """Bivector of traces of the commutators against a fixed matrix."""
-    h = MatrixTuple.from_matrices([h])
-    if h.n != alpha.n:
-        raise ValueError("contraction matrix must be n x n")
-    if alpha.is_rational() != h.is_rational():
-        alpha, h = alpha.to_float(), h.to_float()
-    # the diagonal summed in order: np.trace may round a complex sum otherwise
-    return Bivector(alpha.d, tuple(sum((comm @ h.matrices[0]).diagonal()) for comm in chi(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +581,3 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
         semisimple=radical_dim == 0,
         stable=irreducible,
     )
-
-
-def regular_locus_test(alpha: MatrixTuple, mode: ScalarMode | None = None) -> bool:
-    """Whether the commuting tuple has n pairwise distinct joint eigenvalue vectors.
-
-    The test, in both regimes: the commutant is a semisimple algebra of
-    dimension n.  Distinct vectors make it the diagonal algebra of a common
-    eigenbasis.  Conversely the tuple is central in its commutant C, so a
-    semisimple C splits C^n by its central idempotents into blocks on each of
-    which it is a full matrix algebra, and dim C = n leaves n lines with
-    distinct joint eigenvalues.  The commutant's conditioning follows the
-    eigenvalue gaps, where the powers spanning the generated algebra follow
-    Vandermonde products; float mode judges it at tol_rank times the tuple's
-    norm and reads the trace form on its orthonormal basis.  No eigenvalues
-    are computed, so a rational tuple may have an irrational spectrum.
-    """
-    alpha, mode = _in_regime(alpha, mode)
-    _require_commuting(alpha, mode)
-    n = alpha.n
-    scale = None if mode.is_exact else tuple_scale(alpha)
-    basis = nullspace(_generators(alpha, mode)[1], mode, scale)
-    return len(basis) == n and _radical_dim(np.array(basis).reshape(n, n, n), mode) == 0

@@ -353,7 +353,7 @@ def _svd_rank(s: np.ndarray, mode: ScalarMode, scale: float | None = None) -> in
 
 
 def rank(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> int:
-    """Rank of a matrix; exact elimination, or SVD with ``scale`` as in :func:`nullspace`."""
+    """Rank of a matrix; exact elimination, or SVD ranked by :func:`_svd_rank`."""
     a = np.asarray(a)
     if a.size == 0:
         return 0
@@ -375,10 +375,10 @@ def _kernel_basis(a: np.ndarray):
     return s, free, den
 
 
-def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> list[np.ndarray]:
+def nullspace(a: np.ndarray, mode: ScalarMode) -> list[np.ndarray]:
     """Basis of the right nullspace; len(basis) == cols - rank.  In exact mode
-    it is the basis read off the RREF; in float mode it is orthonormal and
-    ``scale`` is passed to :func:`_svd_rank`."""
+    it is the basis read off the RREF; in float mode it is orthonormal, its
+    rank taken relative to the largest singular value."""
     a = np.asarray(a)
     nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
@@ -387,7 +387,7 @@ def nullspace(a: np.ndarray, mode: ScalarMode, scale: float | None = None) -> li
         s, _, den = _kernel_basis(a)
         return [col * Fraction(1, den) for col in s.T]
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
-    return [np.conj(vh[j]) for j in range(_svd_rank(s, mode, scale), ncols)]
+    return [np.conj(vh[j]) for j in range(_svd_rank(s, mode), ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -34,14 +35,17 @@ from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
 from .scalars import COMPLEX, RATIONAL, to_float
 from .verdict import Verdict
 
+# a rational wire string: "p" or "p/q", each an optional sign and ASCII digits
+_RATIO = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
+
 
 def _ratio_table(values: list) -> dict:
     """Each distinct rational wire scalar of ``values``, an integer or a
     string "p" or "p/q", mapped to its numerator and denominator (p, q), with
     q > 0 and not reduced, in the order of first appearance.  Each distinct
-    value is split at its first slash and read once, the numerators before
-    the denominators, so that the first bad value of the list is the one
-    named."""
+    value is split at its first slash and read once: the first numerator
+    int() refuses is named, then the first denominator, then the first value
+    int() reads but the wire format does not."""
     if not values:
         return {}
     kinds = set(map(type, values))
@@ -55,6 +59,10 @@ def _ratio_table(values: list) -> dict:
     # "p" has no q; a q with a slash of its own is no integer, and int()
     # refuses it
     qs = [int(q) if slash else 1 for slash, q in zip(slashes, dens)]
+    # int() also reads "1_000", " 3 " and non-ASCII digits
+    bad = next((v for v, t in zip(distinct, texts) if not _RATIO.fullmatch(t)), None)
+    if bad is not None:
+        raise ValueError(f"rational scalar must be an integer or 'p/q' string, got {bad!r}")
     if 0 in qs:
         raise ValueError(f"rational scalar has a zero denominator: {distinct[qs.index(0)]!r}")
     return {v: (-p, -q) if q < 0 else (p, q) for v, p, q in zip(distinct, ps, qs)}

@@ -46,7 +46,7 @@ from semirigid.verdict import (
     witness_to_tuple,
 )
 from util import (exact_matrix, planted_kernel_pairing, projective_distance,
-                  random_rank2_bivector)
+                  random_rank2_bivector, trace_contraction)
 
 EXACT = ScalarMode.exact()
 FLOAT = ScalarMode.floating()
@@ -159,7 +159,6 @@ def test_criterion_3_reverse_direction_gl2():
                 h[1, 1] = -h[0, 0]
                 candidates.append(exact_matrix(h))
             seen_nonzero = False
-            from semirigid.commuting import trace_contraction
             for h in candidates:
                 w = trace_contraction(alpha, h)
                 if w.is_zero():

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +111,7 @@ class TestScalarJson:
         assert read_rational("2/-4") == Fraction(-1, 2)
         assert read_rational("-6/-4") == Fraction(3, 2)
         assert read_rational("5/-1") == -5
+        assert read_rational("+2") == read_rational("+4/+2") == 2
 
     @pytest.mark.parametrize("kind, v", [("rational", True), ("rational", False),
                                          ("complex", True), ("complex", [True, 0]),
@@ -642,7 +645,7 @@ class TestCliAnalyze:
         assert json.loads(err.splitlines()[0])["error"]
 
     @pytest.mark.parametrize("command", ["analyze", "kernel", "construct-auto",
-                                         "construct-witness"])
+                                         "construct-witness", "construct-witness-tuple"])
     def test_rational_mode_on_complex_data_exit_2(self, capsys, tmp_path, command):
         # e0 ^ e2 spans the kernel together with e1 ^ e2
         p = SkewPairing.from_map(3, 1, {(0, 1): (1 + 0j,)})
@@ -650,10 +653,16 @@ class TestCliAnalyze:
         path.write_text(json.dumps(pairing_to_json(p)))
         witness = tmp_path / "w.json"
         witness.write_text(json.dumps(bivector_to_json(Bivector.basis_element(3, 0, 2))))
+        # a commuting complex tuple, which has mu = 0
+        tuple_path = tmp_path / "t.json"
+        tuple_path.write_text(canonical_json(tuple_to_json(
+            MatrixTuple.from_matrices([np.eye(2, dtype=complex)] * 3))))
         argv = {"analyze": ["analyze"], "kernel": ["kernel"],
                 "construct-auto": ["construct", "stable", "--auto", "--n", "2"],
                 "construct-witness": ["construct", "stable", "--witness", str(witness),
-                                      "--n", "2"]}[command]
+                                      "--n", "2"],
+                "construct-witness-tuple": ["construct", "witness",
+                                            "--tuple", str(tuple_path)]}[command]
         argv += ["--pairing", str(path)]
         assert run_cli(capsys, *argv)[0] == 0
         code, out, err = run_cli(capsys, *argv, "--mode", "rational")
@@ -955,6 +964,103 @@ class TestCliConstructAndSample:
         assert [pt["commuting"] for pt in payload["points"]] == [commuting] * 8
 
 
+def witness_argv(tmp_path, matrices, pairing="catalog:zero:4:1"):
+    """``construct witness`` on a tuple file of ``matrices`` and a pairing."""
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(tuple_to_json(MatrixTuple.from_matrices(matrices))))
+    return ("construct", "witness", "--pairing", pairing, "--tuple", str(path))
+
+
+class TestCliConstructWitness:
+    """``construct witness`` reads a kernel element back off a mu-zero tuple."""
+
+    @pytest.mark.parametrize("entry", ["curve:2", "curve:3", "symplectic-surface:4"])
+    @pytest.mark.parametrize("mode", ["rational", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_round_trip_of_construct_stable(self, capsys, tmp_path, entry, mode, n):
+        pairing = f"catalog:{entry}"
+        code, out, _ = run_cli(capsys, "construct", "stable", "--pairing", pairing, "--auto",
+                               "--n", str(n), "--mode", mode)
+        assert code == 0
+        report = json.loads(out)
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(report["tuple"]))
+        code, out, err = run_cli(capsys, "construct", "witness", "--pairing", pairing,
+                                 "--tuple", str(path))
+        assert code == 0 and err.count("\n") == 1
+        contraction = json.loads(out)["contraction"]
+        assert contraction["decomposable"] is True
+        w, back = (bivector_from_json(x) for x in (report["witness"], contraction["bivector"]))
+        if w.is_rational():
+            # exactly proportional: every 2 x 2 minor of (w, back) vanishes
+            minors = np.outer(w.values, back.values)
+            assert back.values.any() and (minors == minors.T).all()
+        else:
+            assert projective_distance(w, back) < 1e-9
+
+    def test_contraction_of_rank_4_is_no_failed_check(self, capsys, tmp_path):
+        # every tuple has mu = 0 on the zero pairing; at n = 3 the first
+        # contraction that does not vanish has rank 4, and it is reported
+        mats = np.random.default_rng(0).integers(-2, 3, size=(4, 3, 3))
+        code, out, err = run_cli(capsys, *witness_argv(tmp_path, list(mats)))
+        assert code == 0 and err.count("\n") == 1
+        contraction = json.loads(out)["contraction"]
+        assert contraction["decomposable"] is False
+        assert bivector_rank(bivector_from_json(contraction["bivector"]),
+                             ScalarMode.exact()) == 4
+
+    def test_commuting_tuple_gives_no_bivector(self, capsys, tmp_path):
+        mats = [np.diag([k, -k]) for k in range(4)]
+        code, out, _ = run_cli(capsys, *witness_argv(tmp_path, mats))
+        assert code == 0
+        assert json.loads(out)["contraction"] == {"bivector": None, "decomposable": False}
+
+    def test_mu_nonzero_exit_3(self, capsys, tmp_path):
+        # [E_12, E_21] = H pairs to 1 under e0 ^ e1 of the symplectic form
+        mats = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], np.zeros((2, 2), int), np.zeros((2, 2), int)]
+        code, out, err = run_cli(capsys, *witness_argv(tmp_path, mats,
+                                                       "catalog:symplectic-surface:4"))
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "MuNonzeroError"
+
+    def test_tuple_length_other_than_dim_v_exit_2(self, capsys, tmp_path):
+        mats = [np.eye(2, dtype=int)] * 3
+        code, out, err = run_cli(capsys, *witness_argv(tmp_path, mats))
+        assert_value_error_exit_2(code, out, err)
+        assert "tuple length does not match pairing dimension" in err
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand words, parser) of every leaf subcommand under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, (*path, name))
+
+
+class TestReadmeCliBlock:
+    """README's CLI block names every leaf subcommand and each of its flags;
+    --seed and --help, which every subcommand takes, are left to its prose."""
+
+    def test_every_subcommand_and_flag_is_named(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        # one usage per command: a "semirigid" line and its indented continuations
+        usages = re.split(r"\n(?=semirigid )", block.strip())
+        for path, parser in leaf_parsers(build_parser()):
+            command = re.compile(r"semirigid\s+" + r"\s+".join(map(re.escape, path)) + r"(?!\S)")
+            found = [u for u in usages if command.match(u)]
+            assert len(found) == 1, path
+            flags = {a.option_strings[-1] for a in parser._actions if a.option_strings}
+            missing = {f for f in flags - {"--seed", "--help"}
+                       if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", found[0])}
+            assert not missing, (path, missing)
+
+
 class TestCliVerifyAndMisc:
     def test_verify_chevalley(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "chevalley", "--n", "2", "--d", "2",
@@ -1065,6 +1171,25 @@ class TestCliMalformedInput:
                                     "entries": entries}))
         assert_value_error_exit_2(*run_cli(capsys, "kernel", "--pairing", str(path)))
 
+    # int() reads each of these; the wire format is an optional sign and ASCII
+    # digits, "p" or "p/q"
+    @pytest.mark.parametrize("value", ["1_000", " 3 ", "\u0663", "1/ 2"])
+    @pytest.mark.parametrize("file", ["pairing", "tuple", "witness"])
+    def test_rational_scalar_beyond_its_format_exit_2(self, capsys, tmp_path, file, value):
+        pairing, witness = one_pair_files(value)
+        obj = {"pairing": pairing, "witness": witness,
+               "tuple": {"n": 1, "d": 1, "scalar": "rational", "matrices": [[[value]]]}}[file]
+        path = tmp_path / f"{file}.json"
+        path.write_text(json.dumps(obj))
+        argv = {"pairing": ("analyze", "--pairing", str(path)),
+                "tuple": ("commuting", "analyze", "--tuple", str(path)),
+                "witness": ("construct", "stable", "--pairing", "catalog:zero:2:1",
+                            "--witness", str(path), "--n", "2")}[file]
+        code, out, err = run_cli(capsys, *argv)
+        assert_value_error_exit_2(code, out, err)
+        assert json.loads(err)["error"]["message"] == (
+            f"rational scalar must be an integer or 'p/q' string, got {value!r}")
+
     def test_complex_scalar_with_non_numeric_part_exit_2(self, capsys, tmp_path):
         path = tmp_path / "pairing.json"
         path.write_text(json.dumps({"dim_v": 3, "dim_w": 1, "scalar": "complex",
@@ -1088,6 +1213,7 @@ class TestCliMalformedInput:
         (("construct", "stable", "--pairing", "RATIONAL", "--auto", "--n", "2"), 3),
         # at d = 4 the Pfaffian's roots are irrational, and its coefficients huge
         (("analyze", "--pairing", "PFAFFIAN"), 3),
+        (("construct", "witness", "--pairing", "catalog:curve:2", "--tuple", "TUPLE"), 2),
     ])
     def test_value_outside_the_float_range_is_refused(self, capsys, tmp_path, argv, code):
         big = 10**400
@@ -1631,6 +1757,8 @@ class TestCliSearchDefaults:
         ("kernel", "--seed", "-1"),
         ("construct", "stable", "--auto", "--n", "2", "--seed", "-1"),
         ("sample", "mu-zero", "--n", "2", "--seed", "-1"),
+        # the seed is refused before the tuple file is read
+        ("construct", "witness", "--tuple", "unread.json", "--seed", "-1"),
     ])
     def test_zero_or_negative_settings_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--pairing", "catalog:curve:2")

@@ -18,11 +18,9 @@ from semirigid.commuting import (
     is_commuting,
     joint_spectrum,
     mu,
-    regular_locus_test,
     regular_sl2_triple,
     rep_analysis,
     simultaneous_triangularize,
-    trace_contraction,
     trace_monomials,
 )
 from semirigid.exterior import Bivector, SkewPairing, apply, bivector_rank, pair_list
@@ -38,6 +36,7 @@ from util import (
     fraction_triangularize,
     incremental_float_rep_analysis,
     mixed_fraction_matrix,
+    trace_contraction,
     unitriangular_pair,
     walk_separates,
 )
@@ -624,12 +623,10 @@ class TestRepAnalysis:
 
     def test_float_commutant_judged_at_the_tuple_norm(self):
         # a split of 1e-12 is below tol_rank times the norm: the algebra is the
-        # scalars, and its commutant all of gl_2, the same call that
-        # regular_locus_test makes
+        # scalars, and its commutant all of gl_2
         alpha = MatrixTuple.from_matrices([np.diag([1.0, 1.0 + 1e-12]).astype(complex)])
         out = rep_analysis(alpha, FLOAT)
         assert (out.algebra_dim, out.commutant_dim) == (1, 4)
-        assert not regular_locus_test(alpha, FLOAT)
 
     def test_generator_vanishing_mod_the_first_prime(self):
         # A = diag(0, 2^31 - 1) is 0 mod the first prime, 2^31 - 1, which sees
@@ -705,7 +702,6 @@ class TestBeyondTheFloatRange:
     def test_regular_locus_and_chevalley(self):
         alpha = exact_tuple([[self.BIG, 0], [0, 1]], [[1, 0], [0, Fraction(2, 3)]])
         assert is_commuting(alpha, EXACT)
-        assert regular_locus_test(alpha, EXACT)
         assert chevalley_separates(alpha, conjugated(alpha, 4), EXACT)
         assert not chevalley_separates(alpha, alpha.scaled(2), EXACT)
 
@@ -715,37 +711,50 @@ class TestBeyondTheFloatRange:
             (1, Fraction(2, 3)), (self.BIG, 1)]
 
 
+def regular(alpha, mode) -> bool:
+    """Whether the commuting tuple has n distinct joint eigenvalue vectors,
+    read off rep_analysis: a semisimple algebra makes the tuple
+    diagonalizable, and its commutant, of dimension the sum of the squared
+    joint eigenspace dimensions, then has dimension n exactly when they are
+    distinct."""
+    out = rep_analysis(alpha, mode)
+    return out.semisimple and out.commutant_dim == alpha.n
+
+
 class TestRegularLocus:
+    """The commutant and the radical of rep_analysis decide the regular locus;
+    float mode ranks the commutant at tol_rank times the tuple's norm."""
+
     @settings(max_examples=100)
     @given(case=normal_float_tuples())
     def test_normal_tuples_follow_the_pairwise_distance_rule(self, case):
         # on a normal tuple the commutant's singular values are the distances
-        # between joint eigenvalue vectors, so the float test separates them at
+        # between joint eigenvalue vectors, so float mode separates them at
         # tol_rank times the tuple's norm, not at the size of the largest gap
         alpha, pts = case
         thr = FLOAT.tol_rank * max(np.linalg.norm(pts, axis=0))
         distinct = all(np.linalg.norm(pts[i] - pts[j]) > thr
                        for i in range(len(pts)) for j in range(i))
-        assert regular_locus_test(alpha, FLOAT) == distinct
+        assert regular(alpha, FLOAT) == distinct
 
     def test_distinct_joint_vectors(self):
-        assert regular_locus_test(exact_tuple(np.diag([1, 2]), np.diag([3, 4])), EXACT)
+        assert regular(exact_tuple(np.diag([1, 2]), np.diag([3, 4])), EXACT)
 
     def test_jordan_pair_rejected(self):
         alpha = exact_tuple([[0, 1], [0, 0]], [[0, 0], [0, 0]])
-        assert not regular_locus_test(alpha, EXACT)
+        assert not regular(alpha, EXACT)
 
     def test_repeated_single_matrix_spectrum_ok(self):
         # joint vectors (1, 2) and (1, 3) are distinct even though the first
         # matrix has a repeated eigenvalue
         alpha = exact_tuple(np.diag([1, 1]), np.diag([2, 3]))
-        assert regular_locus_test(alpha, EXACT)
+        assert regular(alpha, EXACT)
 
     def test_irrational_spectrum_answered_exact(self):
         # eigenvalues +-sqrt 2: distinct, though not rational
         alpha = exact_tuple([[0, 1], [2, 0]], np.eye(2, dtype=int))
-        assert regular_locus_test(alpha, EXACT)
-        assert not regular_locus_test(alpha.scaled(0), EXACT)
+        assert regular(alpha, EXACT)
+        assert not regular(alpha.scaled(0), EXACT)
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3])
     def test_conjugated_jordan_block_not_regular(self, scale):
@@ -755,7 +764,6 @@ class TestRegularLocus:
         j3 = np.zeros((3, 3))
         j3[0, 1] = j3[1, 2] = 1
         alpha = conjugated_float(scale * j3, scale * scale * (j3 @ j3), seed=5)
-        assert not regular_locus_test(alpha, FLOAT)
         out = rep_analysis(alpha, FLOAT)
         assert (out.algebra_dim, out.radical_dim) == (3, 2)
 
@@ -765,7 +773,6 @@ class TestRegularLocus:
         # and in float it is rounding noise that must not count as a new direction
         alpha = conjugated_float(scale * np.diag([1.0, 0, 0]), scale * np.diag([0, 1.0, 0]),
                                  seed=6)
-        assert regular_locus_test(alpha, FLOAT)
         out = rep_analysis(alpha, FLOAT)
         assert (out.algebra_dim, out.radical_dim) == (3, 0)
 
@@ -773,9 +780,9 @@ class TestRegularLocus:
         # every gap is 1e-9, far below tol_rank times the norm of about 1.7e3,
         # though it is the largest gap the commutant's operator sees
         d = np.diag([1e3, 1e3 + 1e-9, 1e3 + 2e-9])
-        assert not regular_locus_test(float_tuple(d), FLOAT)
-        assert not regular_locus_test(conjugated_float(d, seed=8), FLOAT)
-        assert regular_locus_test(float_tuple(d - 1e3 * np.eye(3)), FLOAT)
+        assert not regular(float_tuple(d), FLOAT)
+        assert not regular(conjugated_float(d, seed=8), FLOAT)
+        assert regular(float_tuple(d - 1e3 * np.eye(3)), FLOAT)
 
     @pytest.mark.parametrize("diagonal", [list(range(1, 15)),
                                           [Fraction(k, 10) for k in range(10, 20)]])
@@ -784,22 +791,18 @@ class TestRegularLocus:
         # to Vandermonde products, about 2e-9 and 4e-9 of the top power here,
         # below tol_rank; the commutant follows the gaps of 1 and 0.1
         d = np.diag(np.array(diagonal, dtype=float))
-        assert regular_locus_test(float_tuple(d), FLOAT)
-        assert regular_locus_test(conjugated_float(d, seed=7), FLOAT)
+        assert regular(float_tuple(d), FLOAT)
+        assert regular(conjugated_float(d, seed=7), FLOAT)
         repeated = np.diag(np.array(diagonal[:-1] + diagonal[-2:-1], dtype=float))
-        assert not regular_locus_test(float_tuple(repeated), FLOAT)
-        assert not regular_locus_test(conjugated_float(repeated, seed=7), FLOAT)
-
-    def test_not_commuting_raises(self):
-        with pytest.raises(NotCommutingError):
-            regular_locus_test(sl2_pair(2), EXACT)
+        assert not regular(float_tuple(repeated), FLOAT)
+        assert not regular(conjugated_float(repeated, seed=7), FLOAT)
 
     def test_regular_implies_semisimple_with_torus_commutant(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
             n = int(rng.integers(2, 4))
-            alpha, _ = conjugated_diagonal_float(rng, n, 2, spread=6)
-            if regular_locus_test(alpha, FLOAT):
+            alpha, points = conjugated_diagonal_float(rng, n, 2, spread=6)
+            if len(set(points)) == n:
                 out = rep_analysis(alpha, FLOAT)
                 assert out.semisimple
                 assert out.commutant_dim == n
@@ -884,12 +887,10 @@ class TestFloatSpectrumScaling:
         # answers of alpha at every k
         alpha, beta = pair
         a, b = (t.to_float().scaled(10.0 ** k) for t in pair)
-        assert regular_locus_test(a, FLOAT) == regular_locus_test(alpha, EXACT)
         assert chevalley_separates(a, b, FLOAT) == chevalley_separates(alpha, beta, EXACT)
 
     def test_small_distinct_points_stay_distinct(self):
         a = float_tuple(np.diag([1e-9, 2e-9, 3e-9]))
-        assert regular_locus_test(a, FLOAT)
         assert not chevalley_separates(a, float_tuple(np.diag([1e-9, 2e-9, 2e-9])), FLOAT)
 
 

@@ -18,7 +18,6 @@ from semirigid.commuting import (
     MatrixTuple,
     chevalley_separates,
     joint_spectrum,
-    regular_locus_test,
     rep_analysis,
     simultaneous_triangularize,
 )
@@ -102,8 +101,6 @@ ENTRY_POINTS = {
                        lambda s: s.is_rational() and len(set(s.points)) == 2),
     "rep_analysis": (lambda r, mode: rep_analysis(tuple_(SPLIT, r), mode),
                      lambda out: out.algebra_dim == 2),
-    "regular_locus_test": (lambda r, mode: regular_locus_test(tuple_(SPLIT, r), mode),
-                           lambda distinct: distinct),
     # both return whether the joint spectra agree: exactly they do not
     "chevalley_separates": (
         lambda r, mode: chevalley_separates(tuple_(SPLIT, r), tuple_(ONE, r), mode),

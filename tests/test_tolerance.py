@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import math
 import re
+import symtable
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semirigid
-from semirigid import cli, commuting, exterior, scalars, serialize, verdict
+from semirigid import cli, commuting, exterior, scalars, verdict
 from semirigid.catalog import catalog_build
 from semirigid.commuting import (
     MatrixTuple,
@@ -153,25 +154,98 @@ class TestOneCopyPerBivectorMap:
         assert not hasattr(verdict, "_rank2_factor")
 
 
+def _module_names(table) -> set:
+    """The module-level names that a scope and the scopes nested in it read.
+    A parameter or an assignment binds a local name, which is no reference
+    to a function of the same name; a function passed as a value is one."""
+    names = {s.get_name() for s in table.get_symbols() if s.is_global() and s.is_referenced()}
+    for child in table.get_children():
+        names |= _module_names(child)
+    return names
+
+
+def call_graph(sources: dict) -> dict:
+    """The package's call graph over ``sources`` (module name -> text): each
+    top-level function or class (module, name), and each module's top level
+    (module, None), mapped to the (module, name) of the names it reads,
+    followed through relative imports.  A class is one node, its methods
+    included; a comprehension or lambda at the top level belongs to it."""
+    graph = {}
+    for mod, text in sources.items():
+        body = ast.parse(text).body
+        imports = {a.asname or a.name: (node.module, a.name) for node in body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                   for a in node.names}
+        defs = {node.name for node in body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        top = symtable.symtable(text, f"{mod}.py", "exec")
+        reads = {None: {s.get_name() for s in top.get_symbols() if s.is_referenced()}}
+        for child in top.get_children():
+            name = child.get_name() if child.get_name() in defs else None
+            reads.setdefault(name, set()).update(_module_names(child))
+        for name, names in reads.items():
+            graph[(mod, name)] = {imports.get(n, (mod, n)) for n in names}
+    return graph
+
+
+def unreached(sources: dict, exported: dict) -> set:
+    """The names of ``exported`` (name -> defining module) that the CLI does
+    not reach.  Importing cli runs the top level of every module, and that of
+    cli calls main; every node the graph leads to from there is reached."""
+    graph = call_graph(sources)
+    seen, todo = set(), [(mod, None) for mod in sources]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(graph.get(node, ()))
+    return {name for name, mod in exported.items() if (mod, name) not in seen}
+
+
+SOURCES = {path.stem: path.read_text() for path in Path(cli.__file__).parent.glob("*.py")}
+EXPORTED = {name: f.__module__.rpartition(".")[2] for name, f in vars(semirigid).items()
+            if inspect.isfunction(f)}
+
+# exported functions that no command reaches, each kept for its reason
+LIBRARY_ONLY = {
+    # the library's entry point to the triangularization whose 1 x 1 leaves
+    # joint_spectrum reads, with no basis change built
+    "simultaneous_triangularize",
+    # perfbench/spans.py's TARGETS and two per-layer metrics of BENCHMARK.json
+    # look it up by name
+    "bivector_rank",
+}
+
+
 class TestEveryReaderIsCalled:
-    """A wire reader that no command calls is dead code."""
+    """A wire reader or a public function that no command reaches is dead
+    code: it is used by a command, or it leaves the package."""
 
     def test_every_reader_is_called_from_the_cli(self):
-        # called by cli.py itself or by a serialize function that cli.py calls
-        def calls(node):
-            return {x.func.id for x in ast.walk(node)
-                    if isinstance(x, ast.Call) and isinstance(x.func, ast.Name)}
-        tree = ast.parse(Path(serialize.__file__).read_text())
-        defs = {f.name: calls(f) for f in tree.body if isinstance(f, ast.FunctionDef)}
-        todo = list(calls(ast.parse(Path(cli.__file__).read_text())) & defs.keys())
-        called = set()
-        while todo:
-            name = todo.pop()
-            if name not in called:
-                called.add(name)
-                todo.extend(defs[name] & defs.keys())
-        readers = {name for name in defs if name.endswith("_from_json")}
-        assert readers and not readers - called, readers - called
+        readers = {name: mod for mod, name in call_graph(SOURCES)
+                   if mod == "serialize" and name and name.endswith("_from_json")}
+        assert readers and not unreached(SOURCES, readers)
+
+    def test_every_public_function_is_reached_from_the_cli(self):
+        assert unreached(SOURCES, EXPORTED) == LIBRARY_ONLY
+
+    def test_a_planted_function_is_reported(self):
+        sources = dict(SOURCES, commuting=SOURCES["commuting"] + (
+            "\n\ndef planted(alpha):\n    return chi(alpha)\n"
+            "\n\ndef planted_caller(alpha):\n    return planted(alpha)\n"))
+        exported = dict(EXPORTED, planted="commuting", planted_caller="commuting")
+        assert unreached(sources, exported) == LIBRARY_ONLY | {"planted", "planted_caller"}
+
+    def test_a_local_name_is_no_reference(self):
+        # mu is a local of both, though verdict imports commuting.mu
+        graph = call_graph(SOURCES)
+        assert ("commuting", "mu") in graph[("verdict", "tuple_to_witness")]
+        for name in ("_damp", "_min_norm_step"):
+            assert ("commuting", "mu") not in graph[("verdict", name)]
+
+    def test_a_function_passed_as_a_value_counts(self):
+        # commuting._product maps cleared over its factors
+        assert ("scalars", "cleared") in call_graph(SOURCES)[("commuting", "_product")]
 
 
 def _wire(kind, values):

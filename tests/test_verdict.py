@@ -21,7 +21,6 @@ from semirigid.commuting import (
     mu,
     regular_sl2_triple,
     rep_analysis,
-    trace_contraction,
     tuple_scale,
 )
 from semirigid.exterior import (
@@ -77,6 +76,7 @@ from util import (
     projective_distance,
     random_injective_pairing,
     random_rank2_bivector,
+    trace_contraction,
     unitriangular_pair,
 )
 

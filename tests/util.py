@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from semirigid import commuting
-from semirigid.commuting import RepAnalysis, frobenius, tuple_scale
+from semirigid.commuting import MatrixTuple, RepAnalysis, chi, frobenius, tuple_scale
 from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, skew, wedge
 from semirigid.scalars import (
     ScalarMode,
@@ -180,6 +180,19 @@ def unitriangular_pair(rng, n):
     p = exact_matrix(lower) @ exact_matrix(upper)
     pinv = inv_uni(upper) @ inv_uni(lower)
     return p, pinv
+
+
+def trace_contraction(alpha: MatrixTuple, h: np.ndarray) -> Bivector:
+    """Bivector of traces of the commutators against a fixed matrix: the
+    reference for the contractions that ``tuple_to_witness`` reads off the
+    commutators."""
+    h = MatrixTuple.from_matrices([h])
+    if h.n != alpha.n:
+        raise ValueError("contraction matrix must be n x n")
+    if alpha.is_rational() != h.is_rational():
+        alpha, h = alpha.to_float(), h.to_float()
+    # the diagonal summed in order: np.trace may round a complex sum otherwise
+    return Bivector(alpha.d, tuple(sum((comm @ h.matrices[0]).diagonal()) for comm in chi(alpha)))
 
 
 # ---------------------------------------------------------------------------
