@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .commuting import (
 from .exterior import kernel, rank2_factor
 from .scalars import PreconditionError, ScalarMode, resolve_mode, stored
 from .serialize import (
+    _RATIO,
     _wire_scalars,
     bivector_from_json,
     bivector_to_json,
@@ -140,14 +142,18 @@ def _wire_list(values: list, kind: str) -> list:
     return _wire_scalars(ints.tolist(), den, kind)
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _parse_epsilon(text: str):
-    """``--epsilon`` as a Fraction ("p/q") or a float; ValueError otherwise."""
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"epsilon has a zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return float(text)
+    """``--epsilon`` as a float (an ASCII decimal) or a Fraction ("p/q" in
+    ASCII, as :data:`serialize._RATIO` reads it); ValueError otherwise."""
+    if _DECIMAL.fullmatch(text):
+        return float(text)
+    num, den = map(int, text.split("/")) if _RATIO.fullmatch(text) else (0, 0)
+    if den == 0:
+        raise ValueError(f"epsilon must be a decimal or 'p/q' with q != 0, got {text!r}")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,8 @@ def _cmd_construct(args, started):
                 f"({verdict.certificate})")
         omega, mode = verdict.witness, None
     else:
-        omega = bivector_from_json(_read_json(args.witness, "witness")[0])
+        obj, own = _read_json(args.witness, "witness")
+        omega, digest = bivector_from_json(obj), _digest(f"{digest} {own}".encode())
     alpha = construct_stable_point(pairing, omega, args.n, _parse_epsilon(args.epsilon), mode)
     return _emit(started, digest, seed,
                  witness=bivector_to_json(omega), tuple=tuple_to_json(alpha))
@@ -230,7 +237,8 @@ def _cmd_construct(args, started):
 def _cmd_witness(args, started):
     pairing, digest = _load_pairing(args.pairing)
     seed = _resolve_seed(args)
-    alpha = tuple_from_json(_read_json(args.tuple, "tuple")[0])
+    obj, own = _read_json(args.tuple, "tuple")
+    alpha, digest = tuple_from_json(obj), _digest(f"{digest} {own}".encode())
     mode = resolve_mode(_requested_mode(args), alpha, pairing)
     omega = tuple_to_witness(alpha, pairing, mode)
     return _emit(started, digest, seed, contraction={

@@ -26,7 +26,6 @@ from .scalars import (
     cleared,
     eigenvalues,
     identity,
-    nullspace,
     rank,
     resolve_mode,
     solve,
@@ -34,7 +33,7 @@ from .scalars import (
     to_float,
     zeros,
 )
-from .scalars import _full_rank_mod_p, _kernel_basis, _rref
+from .scalars import _full_rank_mod_p, _kernel_basis, _rref, _svd_rank
 
 
 class NotCommutingError(PreconditionError):
@@ -190,28 +189,14 @@ def _product(*factors) -> tuple[np.ndarray, int]:
     return prod // g, den // g
 
 
-def _group_eigenvalues(vals, mode: ScalarMode, scale: float):
-    """Cluster float eigenvalues; returns a list of (value, count) groups.
-
-    Two eigenvalues join when a chain of them, each step at most tol_rank
-    times ``scale`` (the norm of their matrix), links them.
-    """
-    arr = np.asarray(vals, dtype=complex)
-    # single linkage: square the "within the threshold" relation until it is
-    # transitive; each row is then a cluster, kept at its first member
-    link = np.abs(arr[:, None] - arr[None, :]) <= mode.tol_rank * scale
-    for _ in range(len(arr).bit_length()):
-        link = link @ link
-    groups = [(np.mean(arr[row]), int(row.sum())) for i, row in enumerate(link)
-              if row.argmax() == i]
-    return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
-
-
-def _common_eigenvector(mats: np.ndarray, mode: ScalarMode) -> np.ndarray:
+def _common_eigenvector(mats: np.ndarray, mode: ScalarMode, scale) -> np.ndarray:
     """A common eigenvector of a commuting (d, n, n) stack: s spans the common
     eigenspace so far of each matrix's least eigenvalue (first in float
     order).  On integers, s is a product of RREF kernel bases, so s[rows] is
-    a positive multiple of I and (a s)[rows] that of a's restriction."""
+    a positive multiple of I and (a s)[rows] that of a's restriction.  In
+    floats s is orthonormal, m - lam I is ranked at ``scale``, the tuple's
+    2-norm (at m's own norm a near-scalar m is all rounding), and lam is an
+    eigenvalue of m + E, |E| ~ eps |m|, so none is empty.  Nothing is drawn."""
     n = mats.shape[-1]
     s, rows = (np.eye(n, dtype=object) if mode.is_exact else identity(n, mode)), list(range(n))
     for a in mats:
@@ -224,18 +209,12 @@ def _common_eigenvector(mats: np.ndarray, mode: ScalarMode) -> np.ndarray:
                 lam.denominator * m - lam.numerator * np.eye(len(m), dtype=object))
             s, rows = s @ basis, [rows[j] for j in free]
             continue
-        m, *_ = np.linalg.lstsq(s, a @ s, rcond=None)
-        lam = sorted(eigenvalues(m, mode), key=lambda z: (z.real, z.imag))[0]
-        basis = nullspace(m - lam * identity(m.shape[0], mode), mode)
-        if not basis:
-            # defective eigenvalue at the rank tolerance: fall back to the
-            # numerically best eigenvector
-            w, vecs = np.linalg.eig(np.asarray(m, dtype=complex))
-            idx = int(np.argmin(np.abs(w - lam)))
-            basis = [vecs[:, idx]]
-        s, _ = np.linalg.qr(s @ np.column_stack(basis))
+        m = s.conj().T @ a @ s
+        lam = min(eigenvalues(m, mode), key=lambda z: (z.real, z.imag))
+        _, sv, vh = np.linalg.svd(m - lam * identity(len(m), mode))
+        s = s @ vh[_svd_rank(sv, mode, scale):].conj().T
     v = s[:, 0]
-    return v * Fraction(1, v[rows[0]]) if mode.is_exact else v / np.linalg.norm(v)
+    return v * Fraction(1, v[rows[0]]) if mode.is_exact else v
 
 
 def _complete_basis(v: np.ndarray, mode: ScalarMode) -> np.ndarray:
@@ -250,19 +229,6 @@ def _complete_basis(v: np.ndarray, mode: ScalarMode) -> np.ndarray:
     return m if mode.is_exact else np.linalg.qr(m)[0]
 
 
-def _eigenspace_basis(b: np.ndarray, groups, mode: ScalarMode):
-    """Orthonormal columns spanning the generalized eigenspaces of a float b,
-    group by group, or None when an eigenspace has the wrong size."""
-    n = b.shape[0]
-    bases = []
-    for lam, count in groups:
-        basis = nullspace(_product(*repeat(b - lam * identity(n, mode), count))[0], mode)
-        if len(basis) != count:
-            return None
-        bases.append(np.column_stack(basis))
-    return np.linalg.qr(np.column_stack(bases))[0]
-
-
 def _exact_blocks(mats: np.ndarray, b: np.ndarray, groups, scale: int, mode: ScalarMode):
     """q0 of a rational level of :func:`_triangularize`, and its scaled blocks."""
     n = b.shape[0]
@@ -273,7 +239,7 @@ def _exact_blocks(mats: np.ndarray, b: np.ndarray, groups, scale: int, mode: Sca
             for lam, count in groups]
         q0 = np.hstack([s * Fraction(1, den) for s, _, den in kernels])
         return q0, [((mats @ s)[:, free], scale * den) for s, free, den in kernels]
-    v = _common_eigenvector(mats, mode)
+    v = _common_eigenvector(mats, mode, scale)
     w = cleared(v)[0]
     p = next(i for i, x in enumerate(w) if x)
     w, rest = (w if w[p] > 0 else -w), [i for i in range(n) if i != p]
@@ -285,43 +251,36 @@ def _exact_blocks(mats: np.ndarray, b: np.ndarray, groups, scale: int, mode: Sca
 
 def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
     """The diagonal of a triangular form q^-1 A q of the commuting (d, n, n)
-    stack A = ``mats`` / ``scale``, top to bottom, and a function building q.
+    stack A, read off the 1 x 1 leaves top to bottom, and a function building q.
 
-    Each level splits along the eigenvalue groups of one seeded combination
-    B, or, with one group (or a float split the tolerance cannot resolve),
-    deflates by a common eigenvector v; its diagonal blocks recurse, and the
-    1 x 1 leaves are the points.  Float mode forms q0^H A q0.  Rational mode
-    runs on the integers A' = scale A and inverts nothing: for the group
-    p / r and S' the kernel basis of (r B' - p)^k, S'[F] = den I, the block
-    is (A' S')[F]; v cleared, v_p > 0 its first nonzero entry and R the rest,
-    gives the point (A' v)_p / v_p and the block v_p A'[R, R] - v_R (x) A'[p, R].
-    These are positive multiples of the blocks of q0^-1 A q0, so the groups,
-    draws and q are the conjugations' own.  Each of the at most n levels adds
-    one denominator to the entries: the time is polynomial in the bit size.
+    Float mode: A = ``mats``, ``scale`` the tuple's 2-norm at every level, and
+    each level deflates by the common eigenvector v of :func:`_common_eigenvector`
+    and recurses on the diagonal blocks of q0^H A q0, q0 = unitary [v, ...].
+    Rational mode: A = ``mats`` / ``scale``, the denominator; ``rng`` seeds
+    one combination B per level, whose eigenvalue groups split the level,
+    or, with one group, it deflates by v.  It runs on the integers
+    A' = scale A and inverts nothing: for the group p / r and S' the kernel
+    basis of (r B' - p)^k, S'[F] = den I, the block is (A' S')[F]; v
+    cleared, v_p > 0 its first nonzero entry and R the rest, gives the point
+    (A' v)_p / v_p and the block v_p A'[R, R] - v_R (x) A'[p, R].  These are
+    positive multiples of the blocks of q0^-1 A q0, so the groups, draws and
+    q are the conjugations' own.  Each of the at most n levels adds one
+    denominator to the entries: the time is polynomial in the bit size.
     """
     d, n, _ = mats.shape
     if n == 1:
         point = [Fraction(x, scale) for x in mats[:, 0, 0]] if mode.is_exact else mats[:, 0, 0]
         return [tuple(point)], lambda: identity(1, mode)
     if mode.is_exact:
-        coeffs = [int(c) for c in rng.integers(-99, 100, size=d)]
+        b = sum(int(c) * m for c, m in zip(rng.integers(-99, 100, size=d), mats))
+        # an irrational spectrum here stands: a rational triangular form would
+        # give every rational combination a rational spectrum
+        groups = sorted(Counter(eigenvalues(b, mode)).items())
+        q0, blocks = _exact_blocks(mats, b, groups, scale, mode)
     else:
-        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    b = sum(c * m for c, m in zip(coeffs, mats))
-    # an irrational spectrum here stands: a rational triangular form would
-    # give every rational combination a rational spectrum
-    vals = eigenvalues(b, mode)
-    if mode.is_exact:
-        q0, blocks = _exact_blocks(mats, b, sorted(Counter(vals).items()), scale, mode)
-    else:
-        groups = _group_eigenvalues(vals, mode, frobenius(b))
-        q0 = _eigenspace_basis(b, groups, mode) if len(groups) > 1 else None
-        sizes = [count for _, count in groups]
-        if q0 is None:
-            q0, sizes = _complete_basis(_common_eigenvector(mats, mode), mode), [1, n - 1]
+        q0 = _complete_basis(_common_eigenvector(mats, mode, scale), mode)
         t = q0.conj().T @ mats @ q0
-        offs = np.cumsum([0] + sizes)
-        blocks = [(t[:, lo:hi, lo:hi], 1) for lo, hi in zip(offs, offs[1:])]
+        blocks = [(t[:, :1, :1], scale), (t[:, 1:, 1:], scale)]
     children = [_triangularize(block, s, mode, rng) for block, s in blocks]
 
     def basis():
@@ -337,7 +296,10 @@ def _triangularize(mats: np.ndarray, scale, mode: ScalarMode, rng):
 def _leaves(alpha: MatrixTuple, mode: ScalarMode, seed: int):
     """:func:`_triangularize` on a commuting tuple already in its regime."""
     _require_commuting(alpha, mode)
-    return _triangularize(alpha.values, alpha.den, mode, np.random.default_rng(seed))
+    # float: the largest singular value in the tuple, which bounds every
+    # restriction and, unlike the Frobenius norm of large entries, is finite
+    scale = alpha.den if mode.is_exact else np.linalg.norm(alpha.values, 2, (1, 2)).max()
+    return _triangularize(alpha.values, scale, mode, np.random.default_rng(seed))
 
 
 def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = None,
@@ -347,9 +309,9 @@ def simultaneous_triangularize(alpha: MatrixTuple, mode: ScalarMode | None = Non
     Returns (q, transformed) with every transformed matrix upper triangular
     (within tolerance in float mode); q is unitary in float mode.  q is built
     from the per-level bases of :func:`_triangularize`, and the tuple is
-    conjugated once, by q and its one inverse.  In rational mode a
-    combination whose spectrum does not split over Q raises
-    IrrationalSpectrumError.
+    conjugated once, by q and its one inverse.  ``seed`` matters only in
+    rational mode, where a combination whose spectrum does not split over Q
+    raises IrrationalSpectrumError.
     """
     alpha, mode = _in_regime(alpha, mode)
     q = _leaves(alpha, mode, seed)[1]()

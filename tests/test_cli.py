@@ -837,7 +837,23 @@ class TestCliCommuting:
         assert code == 0
         spectrum = json.loads(out)["spectrum"]
         assert (spectrum["d"], spectrum["n"], spectrum["scalar"]) == (1, 2, "complex")
-        assert json.dumps(spectrum["points"]) == "[[[-0.0, 0.0]], [[1.0, 0.0]]]"
+        assert json.dumps(spectrum["points"]) == "[[[0.0, 0.0]], [[1.0, 0.0]]]"
+
+    def test_float_spectrum_of_a_conjugated_jordan_pair(self, capsys, tmp_path):
+        # P 3I P^-1 and P J2 P^-1, P a complex float: the joint spectrum is
+        # (3, 0) twice, though the first matrix's restriction is near scalar
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 3 * np.eye(2)
+        alpha = MatrixTuple.from_matrices(
+            [p @ m @ np.linalg.inv(p) for m in (3 * np.eye(2), np.array([[0, 1], [0, 0]]))])
+        path = tmp_path / "tuple.json"
+        path.write_text(canonical_json(tuple_to_json(alpha)))
+        code, out, _ = run_cli(capsys, "commuting", "spectrum", "--mode", "complex",
+                               "--tuple", str(path))
+        assert code == 0
+        points = np.array(json.loads(out)["spectrum"]["points"])
+        points = points[..., 0] + 1j * points[..., 1]
+        assert np.abs(points - [3, 0]).max() <= 1e-6 * tuple_scale(alpha)
 
     def test_analyze_tuple(self, capsys, tmp_path):
         from semirigid.verdict import witness_to_tuple
@@ -1040,6 +1056,26 @@ def leaf_parsers(parser, path=()):
     for action in subs:
         for name, sub in action.choices.items():
             yield from leaf_parsers(sub, (*path, name))
+
+    def test_input_digest_covers_the_second_file(self, capsys, tmp_path):
+        # two witnesses, or two tuples, on one pairing give two digests;
+        # --auto reads no second file and keeps the pairing's digest
+        pairing = ("--pairing", "catalog:curve:2")
+        reports = [json.loads(run_cli(capsys, "construct", "stable", *pairing, "--auto",
+                                      "--n", "2", f"--epsilon={e}")[1]) for e in ("1", "1/2")]
+        assert reports[0]["input_digest"] == reports[1]["input_digest"]
+        w = reports[0]["witness"]
+        doubled = {**w, "coeffs": [{**c, "value": "2/1"} for c in w["coeffs"]]}
+        runs = ([("stable", "--witness", obj, "--n", "2") for obj in (w, doubled)]
+                + [("witness", "--tuple", r["tuple"]) for r in reports])
+        digests = {reports[0]["input_digest"]}
+        for k, (command, flag, obj, *rest) in enumerate(runs):
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(obj))
+            code, out, _ = run_cli(capsys, "construct", command, *pairing, flag, str(path), *rest)
+            assert code == 0
+            digests.add(json.loads(out)["input_digest"])
+        assert len(digests) == 5
 
 
 class TestReadmeCliBlock:
@@ -1380,6 +1416,18 @@ class TestCliMalformedInput:
         assert_value_error_exit_2(*run_cli(
             capsys, "construct", "stable", "--pairing", "catalog:curve:2", "--auto",
             "--n", "2", f"--epsilon={epsilon}", "--mode", mode))
+
+    @pytest.mark.parametrize("epsilon", ["1_0/ 3", "\u0661", " 3 ", "1_0"])
+    def test_epsilon_not_in_ascii_form_exit_2(self, capsys, epsilon):
+        # int() and float() take these; README's "p/q or a decimal" does not
+        assert_value_error_exit_2(*run_cli(
+            capsys, "construct", "stable", "--pairing", "catalog:curve:2", "--auto",
+            "--n", "2", f"--epsilon={epsilon}"))
+
+    @pytest.mark.parametrize("epsilon", ["1", "1/10", "0.5", "1e-3"])
+    def test_epsilon_forms_exit_0(self, capsys, epsilon):
+        assert run_cli(capsys, "construct", "stable", "--pairing", "catalog:curve:2",
+                       "--auto", "--n", "2", f"--epsilon={epsilon}")[0] == 0
 
     def test_rational_epsilon_beyond_float_range(self, capsys):
         # exact: taken as it is; complex: it has no float value, so it is refused

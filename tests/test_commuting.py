@@ -270,16 +270,36 @@ class TestTriangularize:
             assert all(m[i, j] == 0 for i in range(3) for j in range(3) if i >= j)
 
     def test_float_unitary_and_triangular(self):
+        # conjugated diagonal tuples, then P 3I P^-1 with P J2 P^-1, and
+        # diag(1, 3, 3) with a Jordan block on its 3-eigenspace, P a complex
+        # float: their deflation meets a restriction that is (near) scalar
         rng = np.random.default_rng(23)
+        cases = []
         for _ in range(10):
             n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-            alpha, _ = conjugated_diagonal_float(rng, n, d)
+            cases.append((conjugated_diagonal_float(rng, n, d)[0], None))
+        j3 = np.zeros((3, 3))
+        j3[1, 2] = 1
+        families = [((3 * np.eye(2), [[0, 1], [0, 0]]), [(3, 0), (3, 0)]),
+                    ((np.diag([1, 3, 3]), j3), None)]
+        for _ in range(10):
+            for mats, points in families:
+                n = len(mats[0])
+                p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+                cases.append((float_tuple(*(p @ m @ np.linalg.inv(p) for m in mats)), points))
+        for alpha, points in cases:
+            n = alpha.n
             q, tri = simultaneous_triangularize(alpha, FLOAT, seed=3)
             assert np.linalg.norm(q.conj().T @ q - np.eye(n)) < 1e-10
+            # a float level draws nothing: the seed matters only in rational mode
+            assert np.array_equal(q, simultaneous_triangularize(alpha, FLOAT, seed=4)[0])
             scale = max(np.linalg.norm(np.asarray(m, complex)) for m in alpha.matrices)
             for m in tri.matrices:
                 lower = np.tril(np.asarray(m, complex), -1)
                 assert np.linalg.norm(lower) <= 1e-8 * max(1.0, scale)
+            if points:
+                assert _same_multiset_brute_force(
+                    joint_spectrum(alpha, FLOAT).points, points, 1e-6 * scale)
 
 
 def _count_eigenvalue_calls(monkeypatch):
@@ -340,36 +360,6 @@ class TestJointSpectrum:
             spec = joint_spectrum(alpha, FLOAT)
             # the points' coordinates are at most 3
             assert _same_multiset_brute_force(spec.points, points, 30 * FLOAT.tol_residual)
-
-    def test_eigenvalue_groups_match_a_search_for_single_linkage_clusters(self):
-        # steps of 0.9 tol_rank chain values into one cluster, 1.1 breaks it
-        rng = np.random.default_rng(33)
-        steps = FLOAT.tol_rank * np.array([0, 0.9, 1.1, 1.8, 2.5])
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            vals = list(rng.integers(-1, 2, size=n) + rng.choice(steps, size=n)
-                        + 1j * rng.integers(0, 2, size=n))
-            assert (commuting._group_eigenvalues(vals, FLOAT, 1.0)
-                    == _single_linkage_groups(vals, FLOAT.tol_rank))
-
-
-def _single_linkage_groups(vals, thr):
-    """Reference clustering: each cluster grows from its first unseen value by
-    a search over the values within thr of a member."""
-    arr = np.asarray(vals, dtype=complex)
-    seen, groups = set(), []
-    for i in range(len(arr)):
-        if i in seen:
-            continue
-        seen.add(i)
-        members = [i]
-        for j in members:
-            for k in range(len(arr)):
-                if k not in seen and abs(arr[j] - arr[k]) <= thr:
-                    seen.add(k)
-                    members.append(k)
-        groups.append((np.mean(arr[sorted(members)]), len(members)))
-    return sorted(groups, key=lambda g: (g[0].real, g[0].imag))
 
 
 def _same_multiset_brute_force(a, b, thr):

@@ -188,18 +188,31 @@ def call_graph(sources: dict) -> dict:
     return graph
 
 
-def unreached(sources: dict, exported: dict) -> set:
-    """The names of ``exported`` (name -> defining module) that the CLI does
-    not reach.  Importing cli runs the top level of every module, and that of
-    cli calls main; every node the graph leads to from there is reached."""
+def reached(sources: dict, roots=()) -> set:
+    """The (module, name) nodes that the CLI, or one of ``roots``, reaches.
+    Importing cli runs the top level of every module, and that of cli calls
+    main; every node the graph leads to from there is reached."""
     graph = call_graph(sources)
-    seen, todo = set(), [(mod, None) for mod in sources]
+    seen, todo = set(), [(mod, None) for mod in sources] + list(roots)
     while todo:
         node = todo.pop()
         if node not in seen:
             seen.add(node)
             todo.extend(graph.get(node, ()))
+    return seen
+
+
+def unreached(sources: dict, exported: dict) -> set:
+    """The names of ``exported`` (name -> defining module) that the CLI does
+    not reach."""
+    seen = reached(sources)
     return {name for name, mod in exported.items() if (mod, name) not in seen}
+
+
+def unreached_definitions(sources: dict, roots=()) -> set:
+    """Every top-level function or class, private ones included, that
+    neither the CLI nor one of ``roots`` reaches."""
+    return {node for node in call_graph(sources) if node[1]} - reached(sources, roots)
 
 
 SOURCES = {path.stem: path.read_text() for path in Path(cli.__file__).parent.glob("*.py")}
@@ -215,6 +228,7 @@ LIBRARY_ONLY = {
     # look it up by name
     "bivector_rank",
 }
+LIBRARY_ROOTS = {(EXPORTED[name], name) for name in LIBRARY_ONLY}
 
 
 class TestEveryReaderIsCalled:
@@ -235,6 +249,18 @@ class TestEveryReaderIsCalled:
             "\n\ndef planted_caller(alpha):\n    return planted(alpha)\n"))
         exported = dict(EXPORTED, planted="commuting", planted_caller="commuting")
         assert unreached(sources, exported) == LIBRARY_ONLY | {"planted", "planted_caller"}
+
+    def test_every_definition_is_reached_from_the_cli_or_a_library_function(self):
+        assert not unreached_definitions(SOURCES, LIBRARY_ROOTS)
+        # scalars.solve is reached only through simultaneous_triangularize
+        assert unreached_definitions(SOURCES) == {
+            ("commuting", "simultaneous_triangularize"), ("exterior", "bivector_rank"),
+            ("scalars", "solve")}
+
+    def test_a_planted_private_helper_is_reported(self):
+        sources = dict(SOURCES, scalars=SOURCES["scalars"] + (
+            "\n\ndef _planted(a):\n    return _rref(a)\n"))
+        assert unreached_definitions(sources, LIBRARY_ROOTS) == {("scalars", "_planted")}
 
     def test_a_local_name_is_no_reference(self):
         # mu is a local of both, though verdict imports commuting.mu
