@@ -90,37 +90,65 @@ class MatrixTuple:
         return MatrixTuple.from_matrices(np.array(self.matrices) * factor)
 
 
-def frobenius(m: np.ndarray) -> float:
-    if m.dtype == object:
-        m = to_float(m)
-    return float(np.linalg.norm(m))
+def _commutators(a: np.ndarray) -> np.ndarray:
+    """[A_i, A_j], i < j, of each tuple of a (..., d, n, n) stack, on axis -3."""
+    i, j = np.array(pair_list(a.shape[-3]), dtype=int).reshape(-1, 2).T
+    return a[..., i, :, :] @ a[..., j, :, :] - a[..., j, :, :] @ a[..., i, :, :]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last axis, summed as ``np.linalg.norm`` sums a
+    flat complex array, Re . Re + Im . Im, so that they equal its values."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _at_unit_size(a: np.ndarray):
+    """Each tuple of a complex (..., d, n, n) stack divided, exactly, by 2^e,
+    the power of two at its largest real or imaginary part; and e."""
+    e = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(axis=(-3, -2, -1), initial=0))[1]
+    unit = np.empty_like(a)
+    unit.real, unit.imag = (np.ldexp(x, -e[..., None, None, None]) for x in (a.real, a.imag))
+    return unit, e
+
+
+def _unit_tuple(alpha: MatrixTuple) -> MatrixTuple:
+    """A float tuple at unit size (:func:`_at_unit_size`); a rational one as it is."""
+    return alpha if alpha.is_rational() else MatrixTuple._from_stack(_at_unit_size(alpha.values)[0])
+
+
+def _float_commuting(a: np.ndarray):
+    """The float commuting test of each tuple of a complex (..., d, n, n)
+    stack, every commutator's norm negligible at the squared tuple scale, with
+    the chi norm and the tuple scale: the largest norm of a commutator and of
+    a matrix.  Judged at unit size, where no norm leaves the float range."""
+    unit, e = _at_unit_size(a)
+    chis, scales = (_norms(x.reshape(*x.shape[:-2], a.shape[-1] ** 2)).max(axis=-1, initial=0.0)
+                    for x in (_commutators(unit), unit))
+    with np.errstate(over="ignore"):  # a norm scaled back beyond the float range is inf
+        return (ScalarMode.floating().negligible(chis, scales ** 2),
+                np.ldexp(chis, 2 * e), np.ldexp(scales, e))
 
 
 def tuple_scale(alpha: MatrixTuple) -> float:
-    return max((frobenius(m) for m in alpha.matrices), default=0.0)
-
-
-def _commutators(a):
-    return (a[i] @ a[j] - a[j] @ a[i] for i, j in pair_list(len(a)))
+    return float(_float_commuting(alpha.to_float().values)[2])
 
 
 def chi(alpha: MatrixTuple) -> tuple:
     """Pairwise commutators, one matrix per basis bivector (i < j)."""
     # a rational tuple A = A' / f: [A_i, A_j] = [A'_i, A'_j] / f^2, one division
-    if not alpha.is_rational():
-        return tuple(_commutators(alpha.values))
-    return tuple(c * Fraction(1, alpha.den ** 2) for c in _commutators(alpha.values))
+    c = _commutators(alpha.values)
+    return tuple(c * Fraction(1, alpha.den ** 2) if alpha.is_rational() else c)
 
 
 def chi_norm(alpha: MatrixTuple) -> float:
-    return max((frobenius(c) for c in chi(alpha)), default=0.0)
+    return float(_float_commuting(alpha.to_float().values)[1])
 
 
 def is_commuting(alpha: MatrixTuple, mode: ScalarMode) -> bool:
     if resolve_mode(mode, alpha).is_exact:
         # the cleared integer commutators [A'_i, A'_j] = f^2 [A_i, A_j] against 0
-        return not any(c.any() for c in _commutators(alpha.values))
-    return mode.vanishes(chi(alpha), tuple_scale(alpha) ** 2)
+        return not _commutators(alpha.values).any()
+    return bool(_float_commuting(alpha.to_float().values)[0])
 
 
 def _require_commuting(alpha: MatrixTuple, mode: ScalarMode):
@@ -412,12 +440,6 @@ class Sl2Triple:
     y: np.ndarray
     h: np.ndarray
 
-    def relation_residual(self) -> float:
-        xy = self.x @ self.y - self.y @ self.x - self.h
-        hx = self.h @ self.x - self.x @ self.h - 2 * self.x
-        hy = self.h @ self.y - self.y @ self.h + 2 * self.y
-        return max(frobenius(xy), frobenius(hx), frobenius(hy))
-
 
 def regular_sl2_triple(n: int) -> Sl2Triple:
     """The sl2 triple through the regular nilpotent single Jordan block.
@@ -511,7 +533,7 @@ def _algebra_basis(gens: np.ndarray, mode: ScalarMode) -> list | None:
         # |b| |g|, which is no new direction at its own norm
         cands = ([c for c, _, _ in products] if mode.is_exact else
                  (c for c, b, g in products
-                  if not mode.vanishes([c], frobenius(b) * frobenius(g))))
+                  if not mode.vanishes([c], np.linalg.norm(b) * np.linalg.norm(g))))
     return None
 
 
@@ -524,7 +546,9 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     Irreducibility is algebra_dim == n^2 and stability (closed orbit with
     scalar stabilizer) coincides with it.
     """
+    # integer outputs: a float tuple is judged at unit size, where no product leaves the float range
     alpha, mode = _in_regime(alpha, mode)
+    alpha = _unit_tuple(alpha)
     n = alpha.n
     gens, sylvester = _generators(alpha, mode)
     # rational values may lie outside the float range: no scale is taken

@@ -22,10 +22,12 @@ from numpy.linalg import _umath_linalg
 
 from .commuting import (
     MatrixTuple,
-    _commutators,
+    _float_commuting,
     _in_regime,
     _mu_jacobian,
     _mu_kernel,
+    _norms,
+    _unit_tuple,
     chi,
     chi_norm,
     is_commuting,
@@ -202,27 +204,9 @@ def _min_norm_step(jac: np.ndarray, res: np.ndarray, full_rank: bool) -> np.ndar
     return -(jh @ y)[..., 0]
 
 
-@functools.cache
-def _hessian_layout(w: int):
-    """Gather indices and signs for two real forms in the coordinates
-    [x; y] of z = x + i y: [[Re A, -Im A], [Im A, Re A]] of A = J^H J, and
-    [[Re B, -Im B], [-Im B, -Re B]] of B = [[0, K], [K^T, 0]], the matrix of
-    Re(z^T B z).  They index the real view of one row [J^H J, K, 0] (w x w,
-    h x h and one complex zero, h = w / 2) and give a (2, 2w, 2w) stack."""
-    h = w // 2
-    i, j = np.indices((2 * w, 2 * w))
-    lower, right, ii, jj = i >= w, j >= w, i % w, j % w
-    part = lower != right
-    gram = 2 * (ii * w + jj) + part
-    # B[ii, jj] is K[ii, jj - h] above the diagonal blocks, K[jj, ii - h]
-    # below them, and zero in them
-    upper = (ii < h) & (jj >= h)
-    below = (jj < h) & (ii >= h)
-    zero = 2 * (w * w + h * h)
-    quad = np.where(upper, 2 * (w * w + ii * h + jj - h) + part,
-                    np.where(below, 2 * (w * w + jj * h + ii - h) + part, zero))
-    sign = np.stack([np.where(right & ~lower, -1.0, 1.0), np.where(right | lower, -1.0, 1.0)])
-    return np.stack([gram, quad]), sign
+def _block(rows) -> np.ndarray:
+    """``np.block`` of stacks, without its checks, which cost more than it at the search's sizes."""
+    return np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2)
 
 
 def _newton_system(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarray,
@@ -238,20 +222,19 @@ def _newton_system(a3: np.ndarray, g: np.ndarray, jac: np.ndarray, res: np.ndarr
     G_perp and B = [[0, K], [K^T, 0]], f = |r|^2 + 2 Re(b^H z) + z^H A z
     + Re(z^T B z), so that in the real coordinates z = x + i y
     H = [[Re(A+B), -Im(A+B)], [Im(A-B), Re(A-B)]] and b = [Re J^H r; Im J^H r].
-    G is the same real form of J^H J alone.  ``a3`` is the annihilator as an
-    (r, d d) array, ``grad`` is J^H r.
+    G is the same real form of J^H J alone, so that H is G plus the real form
+    [[Re B, -Im B], [-Im B, -Re B]] of B, less |r|^2 on the diagonal.  ``a3``
+    is the annihilator as an (r, d d) array, ``grad`` is J^H r.
     """
     n, d, _ = g.shape
-    w = jac.shape[2]
     perp = g[:, :, 2:]
     # one product per frame, so that a frame's H does not depend on the stack
     k = np.swapaxes(perp, 1, 2) @ (res.conj()[:, None] @ a3).reshape(n, d, d) @ perp
-    row = np.concatenate([(np.swapaxes(jac.conj(), 1, 2) @ jac).reshape(n, -1),
-                          k.reshape(n, -1), np.zeros((n, 1))], axis=1)
-    layout, sign = _hessian_layout(w)
-    parts = np.take(row.view(float), layout, axis=1) * sign
-    gram, hess = parts[:, 0], parts[:, 0] + parts[:, 1]
-    hess.reshape(n, -1)[:, ::2 * w + 1] -= np.vecdot(res, res).real[:, None]
+    b = _block([[np.zeros_like(k), k], [np.swapaxes(k, 1, 2), np.zeros_like(k)]])
+    jhj = np.swapaxes(jac.conj(), 1, 2) @ jac
+    gram = _block([[jhj.real, -jhj.imag], [jhj.imag, jhj.real]])
+    hess = gram + _block([[b.real, -b.imag], [-b.imag, -b.real]])
+    hess.reshape(n, -1)[:, ::2 * jhj.shape[1] + 1] -= np.vecdot(res, res).real[:, None]
     return gram, hess, np.concatenate([grad.real, grad.imag], axis=1)
 
 
@@ -497,10 +480,11 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     so some candidate survives for every non-commuting tuple whenever
     tol_residual < 1 / (2 n^(3/2)), which the default meets.
     """
-    mode = resolve_mode(mode, alpha, p)
-    if not mode.vanishes(mu(alpha, p), lambda: tuple_scale(alpha) ** 2):
+    alpha, mode = _in_regime(alpha, resolve_mode(mode, alpha, p))
+    # mu judged at unit size, where it neither overflows nor underflows
+    unit = _unit_tuple(alpha)
+    if not mode.vanishes(mu(unit, p), lambda: tuple_scale(unit) ** 2):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
-    alpha, mode = _in_regime(alpha, mode)
     if is_commuting(alpha, mode):
         return None
     chis, chiscale = chi(alpha), functools.cache(lambda: chi_norm(alpha))
@@ -558,12 +542,6 @@ class SamplerResult:
     samples: tuple
     attempted: int
     converged: int
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the last axis, summed as ``np.linalg.norm`` sums a
-    flat complex array, Re . Re + Im . Im, so that they equal its values."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def _mu_test(c: np.ndarray, a: np.ndarray, mode: ScalarMode):
@@ -719,16 +697,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     if points:
         order = sorted(points)
         stack = np.array([points[i][0] for i in order])
-        # is_commuting's test, on the one chi: each commutator's norm
-        # negligible at the squared tuple scale; the norms of chi_norm and
-        # tuple_scale, for the whole stack at once
-        comm = np.array([m.reshape(len(order), -1)
-                         for m in _commutators(np.swapaxes(stack, 0, 1))])
-        chis = _norms(comm.reshape(-1, len(order), n * n)).max(axis=0, initial=0.0)
-        scales = _norms(stack.reshape(len(order), d, -1)).max(axis=1)
-        for k, point, chi_res, scale in zip(order, stack, chis, scales):
-            samples.append(MuZeroSample(MatrixTuple._from_stack(point),
-                                        bool(mode.negligible(chi_res, scale ** 2)),
+        for k, point, c, chi_res in zip(order, stack, *_float_commuting(stack)[:2]):
+            samples.append(MuZeroSample(MatrixTuple._from_stack(point), bool(c),
                                         float(points[k][1]), float(chi_res)))
     return SamplerResult(tuple(samples), len(starts), len(points))
 

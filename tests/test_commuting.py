@@ -22,6 +22,7 @@ from semirigid.commuting import (
     rep_analysis,
     simultaneous_triangularize,
     trace_monomials,
+    tuple_scale,
 )
 from semirigid.exterior import Bivector, SkewPairing, apply, bivector_rank, pair_list
 from semirigid.scalars import (
@@ -538,8 +539,13 @@ class TestSl2Triple:
         assert t.y[1, 0] == 2 and t.y[2, 1] == 2
 
     def test_relations_exact(self):
+        # [x, y] = h, [h, x] = 2x and [h, y] = -2y, on the Python integers
         for n in range(2, 7):
-            assert regular_sl2_triple(n).relation_residual() == 0
+            t = regular_sl2_triple(n)
+            assert all(type(v) is int for m in (t.x, t.y, t.h) for v in m.flat)
+            assert np.array_equal(t.x @ t.y - t.y @ t.x, t.h)
+            assert np.array_equal(t.h @ t.x - t.x @ t.h, 2 * t.x)
+            assert np.array_equal(t.h @ t.y - t.y @ t.h, -2 * t.y)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -801,7 +807,7 @@ class TestRegularLocus:
 def test_is_commuting_scale_invariant():
     commuting = float_tuple(np.diag([1, 2]), np.diag([3, 4]))
     noncommuting = float_tuple([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    for s in (1e-6, 1.0, 1e6):
+    for s in (1e-200, 1e-6, 1.0, 1e6, 1e200):
         assert is_commuting(commuting.scaled(s), FLOAT)
         assert not is_commuting(noncommuting.scaled(s), FLOAT)
 
@@ -868,6 +874,60 @@ def diagonal_tuple_pairs(draw):
     n, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     diagonals = st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=d, max_size=d)
     return tuple(exact_tuple(*(np.diag(v) for v in draw(diagonals))) for _ in range(2))
+
+
+class TestAcrossTheFloatRange:
+    """Float tuples are judged at unit size, so entries near 1e+-200, whose
+    commutators and squared norms lie outside the float range, get the
+    answers of the same tuple at scale 1."""
+
+    A, B = float_tuple(np.diag([1, 2, 3])), float_tuple(np.diag([1, 2, 4]))
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_tuple_scale(self, s):
+        assert tuple_scale(self.A.scaled(s)) == pytest.approx(s * np.sqrt(14), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_rep_analysis(self, s):
+        out = rep_analysis(self.A.scaled(s))
+        assert out == rep_analysis(self.A)
+        assert out.commutant_dim == out.algebra_dim == 3
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_chevalley_separates(self, s):
+        a, b = self.A.scaled(s), self.B.scaled(s)
+        assert not chevalley_separates(a, b, FLOAT)
+        assert chevalley_separates(a, a, FLOAT)
+
+    def test_joint_spectrum_of_a_jordan_family(self):
+        # P diag(1, 3, 3) P^-1 with P J P^-1, J a Jordan block on the
+        # 3-eigenspace: its commutators are rounding of size eps |A|^2
+        rng = np.random.default_rng(0)
+        j3 = np.zeros((3, 3))
+        j3[1, 2] = 1
+        for _ in range(10):
+            p = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 3 * np.eye(3)
+            alpha = float_tuple(*(1e100 * p @ m @ np.linalg.inv(p)
+                                  for m in (np.diag([1, 3, 3]), j3)))
+            points = [tuple(np.asarray(x) / 1e100) for x in joint_spectrum(alpha, FLOAT).points]
+            assert _same_multiset_brute_force(points, [(1, 0), (3, 0), (3, 0)], 1e-6)
+
+
+class TestOneFloatCommutingTest:
+    def test_norms_equal_numpy_norm(self):
+        rng = np.random.default_rng(7)
+        for m in (3, 4, 9, 16, 25, 64, 200):
+            x = rng.standard_normal((6, 5, m)) + 1j * rng.standard_normal((6, 5, m))
+            want = np.array([[np.linalg.norm(row) for row in rows] for rows in x])
+            assert commuting._norms(x).tobytes() == want.tobytes()
+
+    def test_norms_scale_back_from_unit_size_exactly(self):
+        rng = np.random.default_rng(8)
+        for s in (1e-6, 1.0, 3.0, 1e6):
+            mats = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+            a = float_tuple(*mats).scaled(s)
+            assert chi_norm(a) == max(np.linalg.norm(c) for c in chi(a))
+            assert tuple_scale(a) == max(np.linalg.norm(m) for m in a.matrices)
 
 
 class TestFloatSpectrumScaling:

@@ -136,6 +136,16 @@ class TestOneCopyPerBivectorMap:
         hits = [f.name for f in _source_files() if "triu_indices" in f.read_text()]
         assert hits == ["exterior.py"]
 
+    def test_one_float_commuting_test(self):
+        # commuting._float_commuting judges is_commuting and the sampler's
+        # labels; only commuting forms commutators, and no Frobenius helper
+        # or gathered Hessian layout is left
+        def hits(text):
+            return [f.name for f in _source_files() if text in f.read_text()]
+        assert hits("_commutators(") == ["commuting.py"]
+        assert hits("_float_commuting(") == ["commuting.py", "verdict.py"]
+        assert hits("frobenius") == hits("_hessian_layout") == []
+
     def test_regime_copies_are_gone(self):
         assert not hasattr(commuting, "_pairing_tensor")
         assert not hasattr(verdict, "_rank2_factor_exact")

@@ -16,7 +16,6 @@ from semirigid.commuting import (
     _mu_kernel,
     chi,
     chi_norm,
-    frobenius,
     is_commuting,
     mu,
     regular_sl2_triple,
@@ -69,6 +68,8 @@ from util import (
     PLANTED_BELOW_BOUND,
     exact_matrix,
     factor_residual,
+    frobenius,
+    gathered_newton_system,
     planted_below_bound,
     planted_kernel_pairing,
     planted_search_kernels,
@@ -532,6 +533,23 @@ class TestWitnessSearch:
             assert np.allclose(grad_f, 2 * bb, rtol=0, atol=1e-6 * np.abs(grad_f).max())
             assert np.allclose(hess_f, 2 * hs, rtol=0, atol=1e-6 * np.abs(hess_f).max())
 
+    @pytest.mark.parametrize("d", range(5, 15))
+    def test_newton_system_matches_the_gathered_reference(self, d):
+        """The block construction of G and H equals the gather from one real
+        row [J^H J, K, 0] bit for bit, the sign of each zero included."""
+        rng = np.random.default_rng(d)
+        r = comb(d, 2) - comb(d - 2, 2) - 1
+        _, a3 = random_annihilator(rng, d, r)
+        a3t = a3.transpose(1, 0, 2).reshape(d, -1)
+        g = np.linalg.qr(complex_normal(rng, 16, d, d))[0]
+        res, jac, _ = _tangent_system(a3t, g)
+        grad = (np.swapaxes(jac.conj(), 1, 2) @ res[..., None])[..., 0]
+        got = _newton_system(a3.reshape(r, -1), g, jac, res, grad)
+        want = gathered_newton_system(a3.reshape(r, -1), g, jac, res, grad)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+            assert np.array_equal(np.signbit(x), np.signbit(y))
+
     def test_newton_step_only_where_the_hessian_is_positive_definite(self):
         """A frame whose real Hessian is positive definite takes the Newton
         step; any other takes the damped Gauss-Newton step, equal to the
@@ -980,6 +998,16 @@ class TestTupleToWitness:
         alpha = witness_to_tuple(Bivector.basis_element(2, 0, 1), 2)
         with pytest.raises(MuNonzeroError):
             tuple_to_witness(alpha, symplectic_pairing(2))
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e100, 1e200])
+    def test_mu_nonzero_rejected_across_the_float_range(self, s):
+        # mu is judged at unit size: at 1e-200 it would underflow to zero
+        p = catalog_build("curve", ("2",)).pairing
+        rng = np.random.default_rng(1)
+        alpha = MatrixTuple.from_matrices(rng.standard_normal((p.dim_v, 2, 2))
+                                          + 1j * rng.standard_normal((p.dim_v, 2, 2)))
+        with pytest.raises(MuNonzeroError):
+            tuple_to_witness(alpha.scaled(s), p)
 
     def test_n2_witness_rank_exactly_two(self):
         rng = np.random.default_rng(53)

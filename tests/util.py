@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from semirigid import commuting
-from semirigid.commuting import MatrixTuple, RepAnalysis, chi, frobenius, tuple_scale
+from semirigid.commuting import MatrixTuple, RepAnalysis, chi, tuple_scale
 from semirigid.exterior import Bivector, KernelSubspace, SkewPairing, pair_list, skew, wedge
 from semirigid.scalars import (
     ScalarMode,
@@ -26,6 +26,10 @@ from semirigid.scalars import (
 from semirigid.verdict import _ACCEPTANCE, SearchResult
 
 EXACT = ScalarMode.exact()
+
+
+def frobenius(m) -> float:
+    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -510,3 +514,42 @@ def eigh_min_norm_step(jac, res, full_rank):
     coef = np.swapaxes(vec.conj(), 1, 2) @ (jh @ res[..., None])
     kept = (lam > lam.shape[1] * np.finfo(float).eps * lam[:, -1:])[..., None]
     return -(vec @ np.divide(coef, lam[..., None], out=np.zeros_like(coef), where=kept))[..., 0]
+
+
+def _hessian_layout(w: int):
+    """Gather indices and signs for two real forms in the coordinates
+    [x; y] of z = x + i y: [[Re A, -Im A], [Im A, Re A]] of A = J^H J, and
+    [[Re B, -Im B], [-Im B, -Re B]] of B = [[0, K], [K^T, 0]], the matrix of
+    Re(z^T B z).  They index the real view of one row [J^H J, K, 0] (w x w,
+    h x h and one complex zero, h = w / 2) and give a (2, 2w, 2w) stack."""
+    h = w // 2
+    i, j = np.indices((2 * w, 2 * w))
+    lower, right, ii, jj = i >= w, j >= w, i % w, j % w
+    part = lower != right
+    gram = 2 * (ii * w + jj) + part
+    # B[ii, jj] is K[ii, jj - h] above the diagonal blocks, K[jj, ii - h]
+    # below them, and zero in them
+    upper = (ii < h) & (jj >= h)
+    below = (jj < h) & (ii >= h)
+    zero = 2 * (w * w + h * h)
+    quad = np.where(upper, 2 * (w * w + ii * h + jj - h) + part,
+                    np.where(below, 2 * (w * w + jj * h + ii - h) + part, zero))
+    sign = np.stack([np.where(right & ~lower, -1.0, 1.0), np.where(right | lower, -1.0, 1.0)])
+    return np.stack([gram, quad]), sign
+
+
+def gathered_newton_system(a3, g, jac, res, grad):
+    """``verdict._newton_system`` by gathering G and H from the real view of
+    one row [J^H J, K, 0] per frame with :func:`_hessian_layout`: the
+    reference for its block construction."""
+    n, d, _ = g.shape
+    w = jac.shape[2]
+    perp = g[:, :, 2:]
+    k = np.swapaxes(perp, 1, 2) @ (res.conj()[:, None] @ a3).reshape(n, d, d) @ perp
+    row = np.concatenate([(np.swapaxes(jac.conj(), 1, 2) @ jac).reshape(n, -1),
+                          k.reshape(n, -1), np.zeros((n, 1))], axis=1)
+    layout, sign = _hessian_layout(w)
+    parts = np.take(row.view(float), layout, axis=1) * sign
+    gram, hess = parts[:, 0], parts[:, 0] + parts[:, 1]
+    hess.reshape(n, -1)[:, ::2 * w + 1] -= np.vecdot(res, res).real[:, None]
+    return gram, hess, np.concatenate([grad.real, grad.imag], axis=1)
