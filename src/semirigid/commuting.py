@@ -33,7 +33,7 @@ from .scalars import (
     to_float,
     zeros,
 )
-from .scalars import _full_rank_mod_p, _kernel_basis, _rref, _svd_rank
+from .scalars import _at_unit_size, _full_rank_mod_p, _kernel_basis, _rref, _svd_rank
 
 
 class NotCommutingError(PreconditionError):
@@ -102,18 +102,10 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _at_unit_size(a: np.ndarray):
-    """Each tuple of a complex (..., d, n, n) stack divided, exactly, by 2^e,
-    the power of two at its largest real or imaginary part; and e."""
-    e = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(axis=(-3, -2, -1), initial=0))[1]
-    unit = np.empty_like(a)
-    unit.real, unit.imag = (np.ldexp(x, -e[..., None, None, None]) for x in (a.real, a.imag))
-    return unit, e
-
-
-def _unit_tuple(alpha: MatrixTuple) -> MatrixTuple:
-    """A float tuple at unit size (:func:`_at_unit_size`); a rational one as it is."""
-    return alpha if alpha.is_rational() else MatrixTuple._from_stack(_at_unit_size(alpha.values)[0])
+def _unit_tuple(alpha: MatrixTuple):
+    """A float tuple at unit size and its e; a rational one as it is, with e = 0."""
+    unit, e = (alpha.values, 0) if alpha.is_rational() else _at_unit_size(alpha.values, 3)
+    return MatrixTuple._from_stack(unit, alpha.den), e
 
 
 def _float_commuting(a: np.ndarray):
@@ -121,7 +113,7 @@ def _float_commuting(a: np.ndarray):
     stack, every commutator's norm negligible at the squared tuple scale, with
     the chi norm and the tuple scale: the largest norm of a commutator and of
     a matrix.  Judged at unit size, where no norm leaves the float range."""
-    unit, e = _at_unit_size(a)
+    unit, e = _at_unit_size(a, 3)
     chis, scales = (_norms(x.reshape(*x.shape[:-2], a.shape[-1] ** 2)).max(axis=-1, initial=0.0)
                     for x in (_commutators(unit), unit))
     with np.errstate(over="ignore"):  # a norm scaled back beyond the float range is inf
@@ -548,7 +540,7 @@ def rep_analysis(alpha: MatrixTuple, mode: ScalarMode | None = None) -> RepAnaly
     """
     # integer outputs: a float tuple is judged at unit size, where no product leaves the float range
     alpha, mode = _in_regime(alpha, mode)
-    alpha = _unit_tuple(alpha)
+    alpha = _unit_tuple(alpha)[0]
     n = alpha.n
     gens, sylvester = _generators(alpha, mode)
     # rational values may lie outside the float range: no scale is taken

@@ -20,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .scalars import ScalarMode, _kernel_basis, nullspace, rank, resolve_mode, stored, to_float
+from .scalars import ScalarMode, nullspace, rank, resolve_mode, stored, to_float
+from .scalars import _at_unit_size, _kernel_basis
 
 YES = "yes"
 NO = "no"
@@ -286,17 +287,13 @@ def kernel(p: SkewPairing, mode: ScalarMode | None = None) -> KernelSubspace:
     return KernelSubspace._from_values(d, s.T, den)
 
 
-def _ldexp(z, e: int) -> np.ndarray:
-    """Complex z times 2^e, part by part: exact in the float range, no zero's sign changed."""
-    return np.ldexp(np.stack([z.real, z.imag], axis=-1), e).view(complex)[..., 0]
-
-
 def rank2_factor(omega: Bivector, mode: ScalarMode):
     """Vectors u, v with u ^ v = omega if omega has rank exactly 2, else None.
 
     A skew m of rank 2 is (c1 c2^T - c2 c1^T) / a for its columns j1, j2 and
     a = m[j1, j2], its largest |entry|.  Rational: tested on the integers
-    m = den omega, u = c1 / a, v = c2 / den.  Float: at |m|, with no floor.
+    m = den omega, u = c1 / a, v = c2 / den.  Float: u and the test read m at
+    unit size (:func:`scalars._at_unit_size`), tested at its norm with no floor.
     """
     # rational omega in float mode: skewed in ints, so that each zero is +0
     m = skew(omega.values, omega.dim_v)
@@ -309,10 +306,9 @@ def rank2_factor(omega: Bivector, mode: ScalarMode):
     if mode.is_exact:
         ok = not (np.outer(c1, c2) - np.outer(c2, c1) - a * m).any()
         return (c1 * Fraction(1, a), c2 * Fraction(1, omega.den)) if ok else None
-    # 1 / a overflows for a subnormal a: divide at a's binary exponent
-    e = np.frexp(max(abs(a.real), abs(a.imag)))[1]
-    u = _ldexp(c1, -e) / _ldexp(a, -e)
-    ok = mode.vanishes([np.outer(u, c2) - np.outer(c2, u) - m], lambda: np.linalg.norm(m))
+    unit = _at_unit_size(m, 2)[0]
+    u, c = unit[:, j1] / unit[j1, j2], unit[:, j2]
+    ok = mode.vanishes([np.outer(u, c) - np.outer(c, u) - unit], np.linalg.norm(unit))
     return (u, c2) if ok else None
 
 
@@ -392,12 +388,13 @@ def decomposable_exists_exact(k: KernelSubspace, mode: ScalarMode | None = None
         return DecomposableDecision(NOT_APPLICABLE)
     k1, k2 = k.basis[0], k.basis[1]
     # the stored rows are den K1, den K2, with den^2 times the forms on K1, K2:
-    # the same roots and f
-    xs, den = (k.values[:2], k.den) if mode.is_exact else (to_float(k.values[:2], k.den), 1)
+    # the same roots and f; so do the rows 2^-e K1, 2^-e K2 of a float pencil at unit size
+    xs, den = ((k.values[:2], k.den) if mode.is_exact
+               else (_at_unit_size(to_float(k.values[:2], k.den), 2)[0], 1))
     q = restricted_quadrics(xs, d)
     a, b, c = q[:, 0], 2 * q[:, 1], q[:, 2]
     # the quadrics are twice the Pfaffians of the 4 x 4 minors
-    scale = 2 * np.abs(xs).max() ** 2 or 1.0
+    scale = 2 * np.abs(xs).max() ** 2
     # a vanishing a also covers quadrics that vanish on the whole plane
     if mode.vanishes([a], scale):
         return DecomposableDecision(YES, k1)

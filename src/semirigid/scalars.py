@@ -134,6 +134,15 @@ def to_float(a: np.ndarray, den: int = 1) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _at_unit_size(a: np.ndarray, k: int):
+    """A complex array over 2^e, exactly, and e: one e per leading index, the power
+    of two at the largest real or imaginary part in its last k axes."""
+    e = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(axis=tuple(range(-k, 0)), initial=0))[1]
+    unit = np.empty_like(a)
+    unit.real, unit.imag = (np.ldexp(x, -e.reshape(e.shape + (1,) * k)) for x in (a.real, a.imag))
+    return unit, e
+
+
 def zeros(shape, mode: ScalarMode) -> np.ndarray:
     if mode.is_exact:
         a = np.empty(shape, dtype=object)

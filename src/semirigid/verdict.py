@@ -53,6 +53,7 @@ from .scalars import (
     DEFAULT_TOL,
     PreconditionError,
     ScalarMode,
+    _at_unit_size,
     nullspace,
     resolve_mode,
     to_float,
@@ -114,10 +115,10 @@ class SearchResult:
 
 def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     """Whether the pairing kills the bivector: exactly for a rational bivector
-    in exact mode, else up to DEFAULT_TOL relative to |p| |omega|."""
+    in exact mode, else up to DEFAULT_TOL relative to |p| |omega| at unit size."""
     if mode.is_exact and omega.is_rational():
         return mode.vanishes([apply(p, omega)])
-    m, w = to_float(p.values, p.den), to_float(omega.values, omega.den)
+    m, w = (_at_unit_size(to_float(x.values, x.den), x.values.ndim)[0] for x in (p, omega))
     return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
@@ -472,7 +473,8 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     (the largest norm of a chi_p) times the norm of its matrix (1, then
     sqrt 2) is returned; for 2 x 2 tuples only with rank exactly 2, which
     the contraction bound guarantees for any nonzero value.  Returns None
-    when the tuple commutes.
+    when the tuple commutes.  All is judged at unit size, A / 2^e, and the
+    witness scaled back by 4^e, exactly; PreconditionError if it leaves the float range.
 
     A traceless matrix whose off-diagonal entries and consecutive diagonal
     differences all vanish is zero.  If every candidate vanished, each chi_p
@@ -481,13 +483,13 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     tol_residual < 1 / (2 n^(3/2)), which the default meets.
     """
     alpha, mode = _in_regime(alpha, resolve_mode(mode, alpha, p))
-    # mu judged at unit size, where it neither overflows nor underflows
-    unit = _unit_tuple(alpha)
+    # judged at unit size, where neither mu nor a commutator leaves the float range
+    unit, e = _unit_tuple(alpha)
     if not mode.vanishes(mu(unit, p), lambda: tuple_scale(unit) ** 2):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
-    if is_commuting(alpha, mode):
+    if is_commuting(unit, mode):
         return None
-    chis, chiscale = chi(alpha), functools.cache(lambda: chi_norm(alpha))
+    chis, chiscale = chi(unit), functools.cache(lambda: chi_norm(unit))
     n = alpha.n
     candidates = [(tuple(c[b, a] for c in chis), 1.0)
                   for a in range(n) for b in range(n) if a != b]
@@ -499,7 +501,13 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
         w = Bivector(alpha.d, coeffs)
         if n == 2 and rank2_factor(w, mode) is None:
             continue
-        return w
+        if not e:
+            return w
+        with np.errstate(over="ignore"):
+            back = np.ldexp(w.values.view(float), 2 * e).view(complex)
+        if np.isinf(back).any() or ((back == 0) & (w.values != 0)).any():
+            raise PreconditionError("the witness lies outside the float range")
+        return Bivector(alpha.d, back)
     return None
 
 

@@ -918,6 +918,22 @@ class TestCliConstructAndSample:
         assert report["scalar"] == "complex"
         assert report["matrices"][0] == [[[0.0, 0.0], [0.0, 0.0]], [[tiny, tiny], [0.0, 0.0]]]
 
+    @pytest.mark.parametrize("pairing, pairs, message", [
+        # e0 ^ e1 pairs to 1 under the genus-2 form; e0 ^ e1 + e2 ^ e3 has rank 4
+        ("catalog:curve:2", [(0, 1)], "not in the kernel"),
+        ("catalog:zero:4:1", [(0, 1), (2, 3)], "rank exactly 2"),
+    ])
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_construct_stable_refuses_a_bad_witness_at_any_size(self, capsys, tmp_path,
+                                                                pairing, pairs, message, s):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": 4, "coeffs": [
+            {"i": i, "j": j, "value": [s, 0.0]} for i, j in pairs]}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", pairing,
+                                 "--witness", str(path), "--n", "2")
+        assert_value_error_exit_2(code, out, err)
+        assert message in err
+
     def test_construct_stable_witness_honours_mode(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
         path.write_text(json.dumps(bivector_to_json(Bivector.basis_element(4, 0, 2))))
@@ -1040,6 +1056,34 @@ class TestCliConstructWitness:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "MuNonzeroError"
+
+    @staticmethod
+    def sl2_argv(tmp_path, s):
+        """``construct witness`` on the sl2 tuple of e0 ^ e1 at n = 2 times s,
+        whose one commutator is 2 s^2, and the zero pairing, which kills e0 ^ e1."""
+        x = np.array([[0, 1], [0, 0]], dtype=complex)
+        alpha = MatrixTuple.from_matrices([s * x, s * x.T, 0 * x, 0 * x])
+        path = tmp_path / "tuple.json"
+        path.write_text(canonical_json(tuple_to_json(alpha)))
+        return ("construct", "witness", "--pairing", "catalog:zero:4:1", "--tuple", str(path))
+
+    @pytest.mark.parametrize("s", [1e-90, 1e-100])
+    def test_witness_of_a_tuple_far_from_unit_size(self, capsys, tmp_path, s):
+        code, out, err = run_cli(capsys, *self.sl2_argv(tmp_path, s))
+        assert code == 0 and err.count("\n") == 1
+        contraction = json.loads(out)["contraction"]
+        assert contraction["decomposable"] is True
+        w = bivector_from_json(contraction["bivector"])
+        assert w.values[0] == pytest.approx(2 * s * s, rel=1e-15) and not w.values[1:].any()
+
+    @pytest.mark.parametrize("s", [1e155, 1e-200])
+    def test_witness_beyond_the_float_range_exit_3(self, capsys, tmp_path, s):
+        code, out, err = run_cli(capsys, *self.sl2_argv(tmp_path, s))
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "PreconditionError" and "float range" in error["message"]
 
     def test_tuple_length_other_than_dim_v_exit_2(self, capsys, tmp_path):
         mats = [np.eye(2, dtype=int)] * 3

@@ -608,3 +608,31 @@ def test_to_float_roundtrip():
     f = to_float(a)
     assert f.dtype == complex
     assert abs(f[0, 0] - (1 / 3)) < 1e-15
+
+
+class TestAtUnitSize:
+    """``scalars._at_unit_size`` divides by a power of two, so it is exact."""
+
+    @pytest.mark.parametrize("shape, k", [((6, 3, 4, 4), 3), ((5, 7), 1), ((4, 10), 2),
+                                          ((12,), 1), ((3, 2, 5), 2)])
+    def test_unit_times_two_to_the_e_is_the_input(self, shape, k):
+        rng = np.random.default_rng(sum(shape) + k)
+        lead = shape[:len(shape) - k]
+        # one scale from 1e-300 to 1e300 per leading index, zeros of both signs
+        scale = 10.0 ** rng.uniform(-300, 300, size=lead + (1,) * k)
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        for part in (a.real, a.imag):
+            zero = rng.random(shape) < 0.25
+            part[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+        if lead:
+            a[(0,) * len(lead)] = -0.0
+        unit, e = scalars._at_unit_size(a, k)
+        assert np.shape(e) == lead
+        back = np.empty_like(a)
+        back.real, back.imag = (np.ldexp(x, np.reshape(e, lead + (1,) * k))
+                                for x in (unit.real, unit.imag))
+        assert back.tobytes() == a.tobytes()
+        top = np.maximum(abs(unit.real), abs(unit.imag)).max(axis=tuple(range(-k, 0)))
+        nonzero = top > 0
+        assert ((0.5 <= top[nonzero]) & (top[nonzero] < 1)).all()
+        assert (np.asarray(e)[~nonzero] == 0).all()

@@ -112,6 +112,15 @@ class TestToleranceLiterals:
     def test_tuple_to_witness_has_no_regime_branch(self):
         assert "is_exact" not in inspect.getsource(tuple_to_witness)
 
+    def test_one_unit_size_rule(self):
+        # every float test that rescales finds its power of two in
+        # scalars._at_unit_size, and no check keeps a floor of its own
+        def hits(text):
+            return [f.name for f in _source_files() if text in f.read_text()]
+        assert hits("np.frexp") == hits("def _at_unit_size(") == ["scalars.py"]
+        assert not hasattr(exterior, "_ldexp")
+        assert "or 1.0" not in inspect.getsource(decomposable_exists_exact)
+
     def test_decomposable_exists_exact_has_no_own_zero_test(self):
         assert "tol_rank" not in inspect.getsource(decomposable_exists_exact)
 

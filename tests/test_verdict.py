@@ -35,7 +35,7 @@ from semirigid.exterior import (
     skew,
     wedge,
 )
-from semirigid.scalars import ScalarMode, to_float, zeros
+from semirigid.scalars import PreconditionError, ScalarMode, to_float, zeros
 from semirigid.verdict import (
     CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
@@ -49,6 +49,7 @@ from semirigid.verdict import (
     SearchConfig,
     WitnessVerificationError,
     _complete_q,
+    _in_kernel,
     _min_norm_step,
     _newton_step,
     _newton_system,
@@ -1124,6 +1125,96 @@ class TestTupleToWitnessReadsCommutators:
         w = tuple_to_witness(alpha, p)
         assert w is not None
         assert projective_distance(w, omega) < 1e-8
+
+
+def times_two_to(x, k):
+    """A complex array times 2^k, exactly: part by part, as np.ldexp scales."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
+
+
+class TestWitnessChecksAcrossTheFloatRange:
+    """The kernel re-check, the rank-2 test, the pencil rule and the
+    contraction read their floats at unit size, so entries near 1e+-200,
+    whose squares leave the float range, get the answers of scale 1."""
+
+    SL2 = witness_to_tuple(Bivector.basis_element(4, 0, 1), 2, FLOAT)
+    ZERO = catalog_build("zero", ("4", "1")).pairing
+
+    @pytest.mark.parametrize("s", [1e-200, 1e160, 1e200])
+    def test_in_kernel(self, s):
+        rng = np.random.default_rng(3)
+        p = SkewPairing.from_matrix(5, complex_normal(rng, 3, 10))
+        outside, inside = complex_normal(rng, 10), kernel(p, FLOAT).values[0]
+        for q in (p, SkewPairing.from_matrix(5, s * p.values)):
+            assert not _in_kernel(q, Bivector(5, tuple(s * outside)), FLOAT)
+            assert _in_kernel(q, Bivector(5, tuple(s * inside)), FLOAT)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e160, 1e200])
+    def test_rank2_factor(self, s):
+        for t in (1.0, 1e-5):
+            assert rank2_factor(Bivector.from_pairs(4, {(0, 1): s, (2, 3): t * s}), FLOAT) is None
+        u, v = complex_normal(np.random.default_rng(4), 2, 5)
+        omega = Bivector(5, tuple(s * np.array(wedge(u, v).coeffs)))
+        rebuilt = np.array(wedge(*rank2_factor(omega, FLOAT)).coeffs)
+        assert np.abs(rebuilt - omega.values).max() <= 1e-14 * np.abs(omega.values).max()
+
+    @pytest.mark.parametrize("s", [1e-120, 1e-200, 1e200])
+    def test_pencil_rule(self, s):
+        def pencil(t):
+            return KernelSubspace(4, [Bivector.from_pairs(4, {(0, 1): t, (2, 3): t}),
+                                      Bivector.from_pairs(4, {(0, 2): t, (1, 3): t})])
+        want, got = (decomposable_exists_exact(pencil(t), FLOAT) for t in (1.0, s))
+        assert got.kind == want.kind == "yes"
+        unit = Bivector(4, tuple(got.witness.values / s))
+        assert rank2_factor(unit, FLOAT) is not None
+        assert projective_distance(unit, want.witness) < 1e-12
+
+    @pytest.mark.parametrize("s", [1e-90, 1e-100, 1e100, 1e153])
+    def test_tuple_to_witness(self, s):
+        want = tuple_to_witness(self.SL2, self.ZERO)
+        got = tuple_to_witness(self.SL2.scaled(s), self.ZERO)
+        assert got is not None
+        assert np.abs(got.values / s / s - want.values).max() <= 1e-15 * np.abs(want.values).max()
+
+    @pytest.mark.parametrize("k", [-500, -7, 0, 5, 500])
+    def test_tuple_to_witness_scales_back_exactly(self, k):
+        want = tuple_to_witness(self.SL2, self.ZERO)
+        got = tuple_to_witness(self.SL2.scaled(2.0 ** k), self.ZERO)
+        assert got.values.tobytes() == times_two_to(want.values, 2 * k).tobytes()
+
+    @pytest.mark.parametrize("s", [1e155, 1e-200])
+    def test_tuple_to_witness_refuses_a_witness_beyond_the_float_range(self, s):
+        # None would say that the tuple commutes
+        with pytest.raises(PreconditionError, match="outside the float range"):
+            tuple_to_witness(self.SL2.scaled(s), self.ZERO)
+
+    @classmethod
+    def decisions(cls, p, bivectors, tuples, j, k):
+        """The float decisions on the objects, p scaled by 2^j and the rest by 2^k."""
+        q = SkewPairing.from_matrix(p.dim_v, times_two_to(p.values, j))
+        out, in_, rank2, rank4 = (Bivector(4, times_two_to(w.values, k)) for w in bivectors)
+        pencil = decomposable_exists_exact(KernelSubspace(4, [rank4, out]), FLOAT)
+        return (
+            _in_kernel(q, out, FLOAT), _in_kernel(q, in_, FLOAT),
+            rank2_factor(rank2, FLOAT) is not None, rank2_factor(rank4, FLOAT) is not None,
+            pencil.kind, times_two_to(pencil.witness.values, -k).tobytes(),
+            *(decomposable_exists_exact(KernelSubspace(4, [w]), FLOAT).kind
+              for w in (rank2, rank4)),
+            *(tuple_to_witness(MatrixTuple.from_matrices(times_two_to(t, k)), cls.ZERO) is None
+              for t in tuples))
+
+    @given(seed=st.integers(0, 2**16), j=st.integers(-450, 450), k=st.integers(-450, 450))
+    def test_scaling_by_a_power_of_two_changes_no_decision(self, seed, j, k):
+        rng = np.random.default_rng(seed)
+        p = SkewPairing.from_matrix(4, complex_normal(rng, 2, 6))
+        u, v = complex_normal(rng, 2, 4)
+        bivectors = [Bivector(4, complex_normal(rng, 6)), Bivector(4, kernel(p, FLOAT).values[0]),
+                     wedge(u, v), Bivector(4, complex_normal(rng, 6))]
+        # a random tuple, which has mu = 0 on the zero pairing, and a commuting one
+        tuples = [complex_normal(rng, 4, 2, 2),
+                  np.array([np.diag(x) for x in complex_normal(rng, 4, 2)])]
+        assert (self.decisions(p, bivectors, tuples, j, k)
+                == self.decisions(p, bivectors, tuples, 0, 0))
 
 
 class TestConstructStablePoint:
