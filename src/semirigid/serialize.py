@@ -13,10 +13,10 @@ value rounded once.  The writers write each "p/q" from the stored integers,
 with no Fraction.
 Keys a format does not name are ignored.  All keys are snake_case and
 emission is deterministic for identical values: :func:`canonical_json`
-writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  The one
-value it takes that json does not is a complex numpy array, such as the
-stack that :func:`tuple_to_json` leaves in a complex tuple's ``"matrices"``;
-it is written as the nested list of the [re, im] parts of its entries.
+writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True,
+allow_nan=False)``, strict JSON.  The one value it takes that json does not
+is a complex numpy array, such as the stack that :func:`tuple_to_json` leaves
+in a complex tuple's ``"matrices"``, written as the nested [re, im] lists.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .commuting import MatrixTuple
 from .exterior import Bivector, SkewPairing, pair_count, pair_index, pair_list
-from .scalars import COMPLEX, RATIONAL, to_float
+from .scalars import COMPLEX, RATIONAL, PreconditionError, to_float
 from .verdict import Verdict
 
 # a rational wire string: "p" or "p/q", each an optional sign and ASCII digits
@@ -302,13 +302,6 @@ def verdict_to_json(v: Verdict) -> dict:
 # the report writer
 
 
-def _float_text(x: float) -> str:
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    if x - x == 0:
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 @functools.lru_cache(maxsize=256)
 def _template(shape: tuple, pad: str) -> str:
     """The text of a nested list of this shape whose line starts after
@@ -316,14 +309,15 @@ def _template(shape: tuple, pad: str) -> str:
     if not shape:
         return "%s"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + pad + "]"
+    items = ("," + inner).join([_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + items + pad + "]" if items else "[]"
 
 
 def _write(obj, pad: str) -> str:
     """One JSON value whose line starts after ``pad`` ("\n" and the indent).
-    A complex array is the nested list of its entries' [re, im] parts: all
-    finite, by one template of its shape; else, or empty, through that list.
-    Any other array is refused, as any other value json does not write."""
+    A complex array is the nested list of its entries' [re, im] parts, by one
+    template of its shape.  A NaN or an infinity raises PreconditionError;
+    any other array is refused, as any other value json does not write."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -331,7 +325,9 @@ def _write(obj, pad: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        return _float_text(obj)
+        if obj - obj == 0:
+            return float.__repr__(obj)
+        raise PreconditionError("a reported value lies outside the float range")
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -346,16 +342,16 @@ def _write(obj, pad: str) -> str:
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
         # the parts of each entry, as one view, keep the sign of each zero
         parts = np.ascontiguousarray(obj, dtype=complex).view(float).reshape(obj.shape + (2,))
-        if parts.size and np.isfinite(parts).all():
-            return _template(parts.shape, pad) % tuple(map(float.__repr__, parts.ravel().tolist()))
-        return _write(parts.tolist(), pad)
+        if not np.isfinite(parts).all():
+            raise PreconditionError("a reported value lies outside the float range")
+        return _template(parts.shape, pad) % tuple(map(float.__repr__, parts.ravel().tolist()))
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for a JSON value whose
-    keys are strings, without the pure-Python encoder that ``indent`` makes
-    json use.  A complex numpy array in ``obj`` is written as ``json.dumps``
-    would write the nested list of its entries' [re, im] parts; a value of any
-    other type that json does not write raises ``TypeError``."""
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` for a
+    JSON value with string keys, without the pure-Python encoder ``indent``
+    makes json use.  A complex numpy array is written as json would write the
+    nested list of its entries' [re, im] parts; a NaN or an infinity raises
+    PreconditionError, and any other value json does not write TypeError."""
     return _write(obj, "\n")

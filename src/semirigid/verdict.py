@@ -122,6 +122,17 @@ def _in_kernel(p: SkewPairing, omega: Bivector, mode: ScalarMode) -> bool:
     return ScalarMode.floating().vanishes([m @ w], np.linalg.norm(m) * np.linalg.norm(w))
 
 
+def _unit_pairing(p: SkewPairing):
+    """The float pairing at unit size (:func:`scalars._at_unit_size`) and its e."""
+    m, e = _at_unit_size(to_float(p.values, p.den), 2)
+    return SkewPairing.from_matrix(p.dim_v, m), e
+
+
+def _size(c: np.ndarray):
+    """A pairing's size, at which mu = 0 is judged: its largest real or imaginary part."""
+    return abs(c.view(float)).max(initial=0)
+
+
 def _verify_witness(p: SkewPairing, omega: Bivector, mode: ScalarMode):
     """Independent re-check of an emitted witness, raising on failure: it lies
     in the kernel, and :func:`exterior.rank2_factor` factors it."""
@@ -473,8 +484,9 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     (the largest norm of a chi_p) times the norm of its matrix (1, then
     sqrt 2) is returned; for 2 x 2 tuples only with rank exactly 2, which
     the contraction bound guarantees for any nonzero value.  Returns None
-    when the tuple commutes.  All is judged at unit size, A / 2^e, and the
-    witness scaled back by 4^e, exactly; PreconditionError if it leaves the float range.
+    when the tuple commutes.  All is judged at unit size, A / 2^e, mu on the
+    pairing at unit size at |A|^2 |C|, and the witness scaled back by 4^e, exactly;
+    PreconditionError if a part then overflows, or a nonzero one is zero or subnormal.
 
     A traceless matrix whose off-diagonal entries and consecutive diagonal
     differences all vanish is zero.  If every candidate vanished, each chi_p
@@ -483,9 +495,10 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
     tol_residual < 1 / (2 n^(3/2)), which the default meets.
     """
     alpha, mode = _in_regime(alpha, resolve_mode(mode, alpha, p))
-    # judged at unit size, where neither mu nor a commutator leaves the float range
+    # tuple and pairing at unit size, where neither mu nor a commutator leaves the float range
     unit, e = _unit_tuple(alpha)
-    if not mode.vanishes(mu(unit, p), lambda: tuple_scale(unit) ** 2):
+    q = p if alpha.is_rational() else _unit_pairing(p)[0]
+    if not mode.vanishes([mu(unit, q)], lambda: tuple_scale(unit) ** 2 * _size(q.values)):
         raise MuNonzeroError("tuple does not satisfy mu = 0")
     if is_commuting(unit, mode):
         return None
@@ -503,11 +516,12 @@ def tuple_to_witness(alpha: MatrixTuple, p: SkewPairing,
             continue
         if not e:
             return w
+        parts = w.values.view(float)
         with np.errstate(over="ignore"):
-            back = np.ldexp(w.values.view(float), 2 * e).view(complex)
-        if np.isinf(back).any() or ((back == 0) & (w.values != 0)).any():
+            back = np.ldexp(parts, 2 * e)
+        if np.isinf(back).any() or ((abs(back) < np.finfo(float).tiny) & (parts != 0)).any():
             raise PreconditionError("the witness lies outside the float range")
-        return Bivector(alpha.d, back)
+        return Bivector(alpha.d, back.view(complex))
     return None
 
 
@@ -554,12 +568,13 @@ class SamplerResult:
 
 def _mu_test(c: np.ndarray, a: np.ndarray, mode: ScalarMode):
     """mu of each tuple of the (S, d, n, n) stack, flattened, with its partial
-    sums (:func:`commuting._mu_kernel`), its norm, and the sampler's
-    acceptance: that norm negligible at the squared largest |A_b|."""
+    sums (:func:`commuting._mu_kernel`), its norm, and the sampler's acceptance:
+    that norm negligible at the squared largest |A_b| times |C| (:func:`_size`)."""
     mus, s = _mu_kernel(c, a)
     res = mus.reshape(len(a), -1)
     norms = _norms(res)
-    return res, s, norms, mode.negligible(norms, np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2)
+    scale = np.linalg.norm(a, axis=(2, 3)).max(axis=1) ** 2 * _size(c)
+    return res, s, norms, mode.negligible(norms, scale)
 
 
 # the most halvings an Euler ray's closed-form end looks ahead: 4^128 = 2^256
@@ -577,7 +592,7 @@ def _ray_finish(c: np.ndarray, a: np.ndarray, step: np.ndarray, res_norm: np.nda
     On the ray a = T + t, T the scalar part and t the traceless one, the
     iterate k halvings on is T + t / 2^k, where mu = mu(a) / 4^k and
     |A_b|^2 = |T_b|^2 + |t_b|^2 / 4^k.  So it is accepted when
-    |mu(a)| <= tol max_b (4^k |T_b|^2 + |t_b|^2), a bound that grows with
+    |mu(a)| <= tol |C| max_b (4^k |T_b|^2 + |t_b|^2), a bound that grows with
     k, and the first halving K that passes is predicted from a alone.  The
     iterates at K - 1 and K are built by the ray's own recurrence (add the
     step, then halve it) and mu is taken at both, for all starts in one
@@ -592,8 +607,8 @@ def _ray_finish(c: np.ndarray, a: np.ndarray, step: np.ndarray, res_norm: np.nda
     scalar = np.abs(np.trace(a, axis1=2, axis2=3)) ** 2 / n
     traceless = np.linalg.norm(a, axis=(2, 3)) ** 2 - scalar
     growth = np.ldexp(1.0, 2 * np.arange(1, horizon + 1))
-    passes = mode.negligible(res_norm[:, None],
-                             (scalar[..., None] * growth + traceless[..., None]).max(axis=1))
+    bound = (scalar[..., None] * growth + traceless[..., None]).max(axis=1) * _size(c)
+    passes = mode.negligible(res_norm[:, None], bound)
     first = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)
     sel = np.flatnonzero(first)
     if not sel.size:
@@ -620,9 +635,9 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
     Starts are drawn with unit total Frobenius norm; when the kernel exposes
     a rank-2 generator, the sl2 construction through it is used as the first
     start (it solves the system exactly, so Newton accepts it immediately).
-    Residual acceptance is scaled by the squared tuple norm, matching the
-    quadratic scaling of the system.  Non-converged starts are dropped and
-    counted.
+    Residual acceptance is at |A|^2 |C|, on the pairing at unit size, as mu is
+    quadratic in the tuple and linear in the pairing.  Non-converged starts
+    are dropped and counted.
 
     mu is a homogeneous quadratic, so Euler's identity gives J(a) a = 2 mu(a),
     and J kills the scalar directions A_b + cI.  So -a/2 solves the Newton
@@ -655,7 +670,8 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         raise ValueError("need n >= 1")
     mode = ScalarMode.floating()
     d = p.dim_v
-    c = skew(to_float(p.values, p.den), d)
+    p, e = _unit_pairing(p)  # C / 2^e: mu is judged there and reported times 2^e
+    c = skew(p.values, d)
 
     starts = []
     # the sl2 construction needs n >= 2; at n = 1 every tuple commutes anyway
@@ -707,7 +723,7 @@ def mu_zero_sampler(p: SkewPairing, n: int, cfg: SearchConfig = SearchConfig()) 
         stack = np.array([points[i][0] for i in order])
         for k, point, c, chi_res in zip(order, stack, *_float_commuting(stack)[:2]):
             samples.append(MuZeroSample(MatrixTuple._from_stack(point), bool(c),
-                                        float(points[k][1]), float(chi_res)))
+                                        float(np.ldexp(points[k][1], e)), float(chi_res)))
     return SamplerResult(tuple(samples), len(starts), len(points))
 
 

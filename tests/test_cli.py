@@ -30,7 +30,7 @@ from semirigid.exterior import (
     pair_list,
     wedge,
 )
-from semirigid.scalars import ScalarMode, cleared
+from semirigid.scalars import PreconditionError, ScalarMode, cleared
 from semirigid.serialize import (
     bivector_from_json,
     bivector_to_json,
@@ -50,6 +50,7 @@ from util import (
     perfbench_items,
     planted_below_bound,
     projective_distance,
+    symplectic_pair_pairing,
     wire_scalar,
 )
 
@@ -217,8 +218,22 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+def assert_written_as_json(obj, ref=None):
+    """canonical_json(obj) is the text of json.dumps(ref, indent=2,
+    sort_keys=True, allow_nan=False), ref = obj by default; where json
+    refuses a NaN or an infinity there, canonical_json raises PreconditionError."""
+    try:
+        want = json.dumps(obj if ref is None else ref, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        with pytest.raises(PreconditionError, match="outside the float range"):
+            canonical_json(obj)
+    else:
+        assert canonical_json(obj) == want
+
+
 class TestCanonicalJson:
-    """The report writer gives the bytes of json.dumps(indent=2, sort_keys=True)."""
+    """The report writer gives the bytes of json.dumps(indent=2,
+    sort_keys=True, allow_nan=False), and refuses a NaN or an infinity."""
 
     @given(JSON_VALUES)
     @example({"": [], "b": {}, "a": [[1.0, -0.0], [1e-300, 2**70]]})
@@ -226,12 +241,41 @@ class TestCanonicalJson:
     @example({"\u00e9\u2603\x00\x1f\"\\": "\ud83d\ude00\n\t", "x": [[[0.5, 1.5]]]})
     @example([[1.0, 2], [True, 1.0], [1.0, None], [1.0, 2.0, 3.0], (1.0, 2.0)])
     def test_matches_json_dumps(self, obj):
-        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert_written_as_json(obj)
 
     def test_non_json_values_are_refused(self):
         for obj in ({(1, 2): 3}, [object()], {"a": {1, 2}}):
             with pytest.raises(TypeError):
                 canonical_json(obj)
+
+
+def assert_precondition_exit_3(code, out, err, message):
+    """Exit 3 with one JSON error line naming ``message``, and nothing on stdout."""
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"type": "PreconditionError", "message": message}
+
+
+class TestReportsAreStrictJson:
+    """A report with a value beyond the float range is refused, exit 3,
+    rather than written with the literals Infinity or NaN, which no reader
+    of the package takes back."""
+
+    def test_construct_stable_beyond_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"dim_v": 4, "coeffs": [{"i": 0, "j": 2, "value": "1"}]}))
+        code, out, err = run_cli(capsys, "construct", "stable", "--pairing", "catalog:curve:2",
+                                 "--witness", str(path), "--n", "3", "--epsilon", "1e308",
+                                 "--mode", "complex")
+        assert_precondition_exit_3(code, out, err, "a reported value lies outside the float range")
+
+    def test_invariants_beyond_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"n": 2, "d": 1, "scalar": "complex",
+                                    "matrices": [[[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]]]}))
+        code, out, err = run_cli(capsys, "commuting", "invariants", "--tuple", str(path))
+        assert_precondition_exit_3(code, out, err, "a reported value lies outside the float range")
 
 
 @st.composite
@@ -281,7 +325,7 @@ def re_im(x):
 class TestCanonicalPairArrays:
     """Nested lists of [re, im] pairs, and complex arrays, which are written
     as the nested [re, im] lists of their entries: the bytes are those of
-    json.dumps of the lists."""
+    json.dumps of the lists, and a NaN or an infinity is refused."""
 
     @given(pair_arrays(), st.integers(0, 2))
     @example([[[1.0, -0.0], [float("nan"), 2.0]]], 0)
@@ -291,7 +335,7 @@ class TestCanonicalPairArrays:
     def test_matches_json_dumps(self, obj, wrap):
         for _ in range(wrap):
             obj = {"x": [obj, 1.5]}
-        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert_written_as_json(obj)
 
     @given(complex_arrays(), st.integers(0, 2))
     @example(np.array([[complex(-0.0, 1.5), complex(0.0, -0.0)]]), 0)
@@ -301,7 +345,7 @@ class TestCanonicalPairArrays:
         obj, ref = a, re_im(a.tolist())
         for _ in range(wrap):
             obj, ref = {"x": [obj, 1.5]}, {"x": [ref, 1.5]}
-        assert canonical_json(obj) == json.dumps(ref, indent=2, sort_keys=True)
+        assert_written_as_json(obj, ref)
 
     @pytest.mark.parametrize("a", [np.array([1j, 2], dtype=object), np.zeros((2, 2))])
     def test_other_arrays_are_refused(self, a):
@@ -1084,6 +1128,26 @@ class TestCliConstructWitness:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "PreconditionError" and "float range" in error["message"]
+
+    def test_subnormal_witness_exit_3(self, capsys, tmp_path):
+        # the one coefficient 2 s^2 would be about 1.8e-321, a subnormal
+        code, out, err = run_cli(capsys, *self.sl2_argv(tmp_path, 3e-161))
+        assert_precondition_exit_3(code, out, err, "the witness lies outside the float range")
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1.0])
+    def test_mu_is_judged_at_the_pairings_size(self, capsys, tmp_path, s):
+        # a random tuple has |mu| about s |A|^2
+        rng = np.random.default_rng(1)
+        alpha = MatrixTuple.from_matrices(list(rng.standard_normal((4, 2, 2))
+                                               + 1j * rng.standard_normal((4, 2, 2))))
+        paths = tmp_path / "pairing.json", tmp_path / "tuple.json"
+        for path, obj in zip(paths, (pairing_to_json(symplectic_pair_pairing(s)),
+                                     tuple_to_json(alpha))):
+            path.write_text(canonical_json(obj))
+        code, out, err = run_cli(capsys, "construct", "witness", "--pairing", str(paths[0]),
+                                 "--tuple", str(paths[1]))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "MuNonzeroError"
 
     def test_tuple_length_other_than_dim_v_exit_2(self, capsys, tmp_path):
         mats = [np.eye(2, dtype=int)] * 3

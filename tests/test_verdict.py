@@ -35,7 +35,7 @@ from semirigid.exterior import (
     skew,
     wedge,
 )
-from semirigid.scalars import PreconditionError, ScalarMode, to_float, zeros
+from semirigid.scalars import DEFAULT_TOL, PreconditionError, ScalarMode, to_float, zeros
 from semirigid.verdict import (
     CERT_DIMENSION_CRITERION,
     CERT_EXACT_LOW_DIM,
@@ -78,6 +78,7 @@ from util import (
     projective_distance,
     random_injective_pairing,
     random_rank2_bivector,
+    symplectic_pair_pairing,
     trace_contraction,
     unitriangular_pair,
 )
@@ -1215,6 +1216,53 @@ class TestWitnessChecksAcrossTheFloatRange:
                   np.array([np.diag(x) for x in complex_normal(rng, 4, 2)])]
         assert (self.decisions(p, bivectors, tuples, j, k)
                 == self.decisions(p, bivectors, tuples, 0, 0))
+
+
+class TestMuZeroAtThePairingsSize:
+    """mu is quadratic in the tuple and linear in the pairing, so the sampler
+    and tuple_to_witness judge |mu| at |A|^2 |C|, on the pairing at unit size,
+    |C| its largest real or imaginary part; a sample reports its residual
+    for the pairing as given."""
+
+    SAMPLER = SearchConfig(restarts=8, seed=3)
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(-300, 300))
+    def test_scaling_the_pairing_by_a_power_of_two_scales_only_the_residuals(self, seed, k):
+        rng = np.random.default_rng(seed)
+        p = SkewPairing.from_matrix(4, complex_normal(rng, 2, 6))
+        cfg = SearchConfig(restarts=3, seed=seed)
+        want = mu_zero_sampler(p, 2, cfg)
+        got = mu_zero_sampler(SkewPairing.from_matrix(4, times_two_to(p.values, k)), 2, cfg)
+        assert (got.attempted, got.converged) == (want.attempted, want.converged)
+        for g, w in zip(got.samples, want.samples):
+            assert g.alpha.values.tobytes() == w.alpha.values.tobytes()
+            assert (g.commuting, g.chi_residual) == (w.commuting, w.chi_residual)
+            assert g.mu_residual == np.ldexp(w.mu_residual, k)
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-4, 1e12])
+    def test_samples_have_mu_zero_at_the_pairings_size(self, s):
+        p = symplectic_pair_pairing(s)
+        out = mu_zero_sampler(p, 3, self.SAMPLER)
+        assert out.converged == out.attempted == 8
+        for sample in out.samples:
+            scale = max(map(frobenius, sample.alpha.values))
+            assert frobenius(mu(sample.alpha, p)) <= DEFAULT_TOL * scale ** 2 * s
+            # construct witness takes it as a mu-zero tuple on the same pairing
+            tuple_to_witness(sample.alpha, p)
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1.0])
+    def test_tuple_to_witness_judges_mu_at_the_pairings_size(self, s):
+        rng = np.random.default_rng(1)
+        alpha = MatrixTuple.from_matrices(list(complex_normal(rng, 4, 2, 2)))
+        with pytest.raises(MuNonzeroError):
+            tuple_to_witness(alpha, symplectic_pair_pairing(s))
+
+    def test_tuple_to_witness_refuses_a_subnormal_witness(self):
+        # the one coefficient 2 s^2 would be about 1.8e-321, a subnormal
+        sl2, zero = (TestWitnessChecksAcrossTheFloatRange.SL2,
+                     TestWitnessChecksAcrossTheFloatRange.ZERO)
+        with pytest.raises(PreconditionError, match="outside the float range"):
+            tuple_to_witness(sl2.scaled(3e-161), zero)
 
 
 class TestConstructStablePoint:

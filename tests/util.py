@@ -167,6 +167,12 @@ def random_injective_pairing(rng, d, extra=2) -> SkewPairing:
             return SkewPairing(d, m, entries)
 
 
+def symplectic_pair_pairing(s) -> SkewPairing:
+    """The complex pairing e0 ^ e1 + e2 ^ e3 on C^4 into C, times s."""
+    values = np.zeros((1, 6), dtype=complex)
+    values[0, [0, 5]] = s  # the pairs (0, 1) and (2, 3)
+    return SkewPairing.from_matrix(4, values)
+
 def unitriangular_pair(rng, n):
     """Random integer P with determinant 1 and its exact inverse."""
     upper = np.eye(n, dtype=int) + np.triu(rng.integers(-2, 3, size=(n, n)), 1)
